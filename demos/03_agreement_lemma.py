@@ -10,8 +10,8 @@ flag semigroup, the top flagged element (m, 1).
 from hjlab import (
     SubsetQuery,
     build_agreement_set,
+    check_agreement_equivalence,
     check_fip,
-    check_lemma2_equivalence,
     find_agreement_ultrafilter,
     flag_semigroup,
 )
@@ -47,7 +47,7 @@ print()
 for m in (1, 2, 3):
     S, view, family = flag_semigroup(m)
     for r in (2, 3):
-        rep = check_lemma2_equivalence(S, family, r)
+        rep = check_agreement_equivalence(S, family, r)
         print(
             f"flags m={m}, r={r}: (a) every coloring has a witness: {rep.a_holds}"
             f"  (b) agreement point in R: {rep.b_holds}"

@@ -21,6 +21,7 @@ from .semigroups import (
     RetractionFamily,
     is_nice_subsemigroup,
 )
+from .search import INSTANCE_FIELDS, INSTANCES, hj_instance, vdw_instance, verify_proper_coloring
 from .words import WordSemigroup, contains_variable, format_word, parse_word, substitution_family
 
 HEADER = "hjlab certificate v1"
@@ -114,23 +115,19 @@ class WitnessFiniteCertificate:
 
 
 @dataclass
-class HjColoringCertificate:
-    kind = "hj-coloring"
-    n: int
-    N: int
+class ColoringCertificate:
+    """A proper coloring of an hj or vdw instance (kind hj-coloring or
+    vdw-coloring); ``params`` are named by ``INSTANCE_FIELDS[family]``."""
+
+    family: str
+    params: tuple
     r: int
     assignment: list
     nodes: int
 
-
-@dataclass
-class VdwColoringCertificate:
-    kind = "vdw-coloring"
-    k: int
-    M: int
-    r: int
-    assignment: list
-    nodes: int
+    @property
+    def kind(self):
+        return f"{self.family}-coloring"
 
 
 def render_certificate(cert):
@@ -156,15 +153,11 @@ def render_certificate(cert):
         lines.append("images: " + " ".join(str(x) for x in cert.images))
         lines.append(f"color: {cert.color}")
         lines.append(f"checked: {cert.checked}")
-    elif isinstance(cert, HjColoringCertificate):
-        lines.append(f"n: {cert.n}")
-        lines.append(f"N: {cert.N}")
-        lines.append(f"colors: {cert.r}")
-        lines.append("assignment: " + " ".join(str(c) for c in cert.assignment))
-        lines.append(f"nodes: {cert.nodes}")
-    elif isinstance(cert, VdwColoringCertificate):
-        lines.append(f"k: {cert.k}")
-        lines.append(f"M: {cert.M}")
+    elif isinstance(cert, ColoringCertificate):
+        lines += [
+            f"{name}: {value}"
+            for name, value in zip(INSTANCE_FIELDS[cert.family], cert.params)
+        ]
         lines.append(f"colors: {cert.r}")
         lines.append("assignment: " + " ".join(str(c) for c in cert.assignment))
         lines.append(f"nodes: {cert.nodes}")
@@ -246,18 +239,11 @@ def parse_certificate(text):
                 color=int(_one(fields, "color")),
                 checked=int(_one(fields, "checked")),
             )
-        if kind == "hj-coloring":
-            return HjColoringCertificate(
-                n=int(_one(fields, "n")),
-                N=int(_one(fields, "N")),
-                r=int(_one(fields, "colors")),
-                assignment=[int(x) for x in _one(fields, "assignment").split()],
-                nodes=int(_one(fields, "nodes")),
-            )
-        if kind == "vdw-coloring":
-            return VdwColoringCertificate(
-                k=int(_one(fields, "k")),
-                M=int(_one(fields, "M")),
+        family = kind.removesuffix("-coloring")
+        if kind.endswith("-coloring") and family in INSTANCE_FIELDS:
+            return ColoringCertificate(
+                family=family,
+                params=tuple(int(_one(fields, name)) for name in INSTANCE_FIELDS[family]),
                 r=int(_one(fields, "colors")),
                 assignment=[int(x) for x in _one(fields, "assignment").split()],
                 nodes=int(_one(fields, "nodes")),
@@ -313,32 +299,15 @@ def _verify_witness_finite(cert):
     return True, "ok"
 
 
-def _verify_hj_coloring(cert):
-    from .search import LineHypergraph, verify_proper_coloring
-
-    if cert.n < 2 or cert.N < 1:
-        return False, "bad instance parameters"
-    if len(cert.assignment) != cert.n ** cert.N:
-        return False, "assignment length does not match n^N"
+def _verify_coloring(cert):
+    a, size = cert.params
+    inst = INSTANCES[cert.family](a, cert.r, size)
+    if len(cert.assignment) != inst.num_vertices:
+        return False, f"assignment length does not match the {inst.num_vertices} vertices"
     if any(c < 0 or c >= cert.r for c in cert.assignment):
         return False, "color out of range"
-    hg = LineHypergraph.build(cert.n, cert.N)
-    if not verify_proper_coloring(hg.edges, cert.assignment):
-        return False, "a combinatorial line is monochromatic"
-    return True, "ok"
-
-
-def _verify_vdw_coloring(cert):
-    from .search import ap_edges, verify_proper_coloring
-
-    if cert.k < 2 or cert.M < 1:
-        return False, "bad instance parameters"
-    if len(cert.assignment) != cert.M:
-        return False, "assignment length does not match M"
-    if any(c < 0 or c >= cert.r for c in cert.assignment):
-        return False, "color out of range"
-    if not verify_proper_coloring(ap_edges(cert.k, cert.M), cert.assignment):
-        return False, "an arithmetic progression is monochromatic"
+    if not verify_proper_coloring(inst.build_edges(), cert.assignment):
+        return False, f"an edge of the {cert.family} hypergraph is monochromatic"
     return True, "ok"
 
 
@@ -349,10 +318,8 @@ def verify_certificate(cert):
             return _verify_witness_words(cert)
         if isinstance(cert, WitnessFiniteCertificate):
             return _verify_witness_finite(cert)
-        if isinstance(cert, HjColoringCertificate):
-            return _verify_hj_coloring(cert)
-        if isinstance(cert, VdwColoringCertificate):
-            return _verify_vdw_coloring(cert)
+        if isinstance(cert, ColoringCertificate):
+            return _verify_coloring(cert)
     except (HjlabError, ValueError, AssertionError) as e:
         return False, f"verification error: {e}"
     return False, "unknown certificate object"
@@ -405,9 +372,14 @@ def finite_witness_certificate(S, family, coloring, outcome):
     )
 
 
+def coloring_certificate(inst, result):
+    """Certificate for a SAT ``ColoringResult`` of the instance ``inst``."""
+    return ColoringCertificate(inst.family, inst.params, inst.r, list(result.coloring), result.nodes)
+
+
 def hj_coloring_certificate(n, N, r, result):
-    return HjColoringCertificate(n, N, r, list(result.coloring), result.nodes)
+    return coloring_certificate(hj_instance(n, r, N), result)
 
 
 def vdw_coloring_certificate(k, M, r, result):
-    return VdwColoringCertificate(k, M, r, list(result.coloring), result.nodes)
+    return coloring_certificate(vdw_instance(k, r, M), result)

@@ -13,10 +13,9 @@ import os
 import sys
 
 from .certificates import (
-    hj_coloring_certificate,
+    coloring_certificate,
     render_certificate,
     save_certificate,
-    vdw_coloring_certificate,
     verify_certificate_text,
     words_witness_certificate,
     finite_witness_certificate,
@@ -26,6 +25,7 @@ from .errors import (
     CarrierTooLarge,
     ColoringSpecError,
     HjlabError,
+    InvalidInstance,
     SearchSpaceTooLarge,
     TableParseError,
 )
@@ -43,15 +43,17 @@ from .search import (
     UNSAT,
     DEFAULT_NODE_BUDGET,
     DEFAULT_TIME_BUDGET,
+    INSTANCE_FIELDS,
     WitnessOutcome,
     finite_witness_search,
     find_ap_via_words,
-    hj_number,
-    vdw_number,
+    hj_instance,
+    least_size,
+    vdw_instance,
     word_witness_search,
 )
 from .tableio import parse_semigroup_file
-from .ultra import check_lemma2_equivalence
+from .ultra import check_agreement_equivalence
 from .words import WordSemigroup, format_word, substitution_family
 
 EXIT_OK = 0
@@ -187,22 +189,40 @@ def cmd_witness(args):
 # -- hj / vdw -------------------------------------------------------------
 
 
-def _number_common(args, result, name, cert_maker, cert_prefix):
+def cmd_number(args):
+    """The least-size sweep of ``hj`` and ``vdw``."""
+    if args.command == "hj":
+        make, symbol, a, max_size = hj_instance, "HJ", args.n, args.max_N
+    else:
+        make, symbol, a, max_size = vdw_instance, "W", args.k, args.max_M
+    name = f"{symbol}({a},{args.r})"
+    try:
+        result = least_size(
+            make,
+            a,
+            args.r,
+            max_size,
+            budget_nodes=args.budget_nodes,
+            budget_seconds=args.budget_seconds,
+            symmetry=() if args.no_symmetry else None,
+        )
+    except InvalidInstance as e:
+        print(f"error: {e}")
+        return EXIT_INPUT
+    size_field = INSTANCE_FIELDS[args.command][1]
     for size, res in result.runs:
         if res.status == SAT:
-            line = f"{cert_prefix}={size}: SAT nodes={res.nodes}"
+            line = f"{size_field}={size}: SAT nodes={res.nodes}"
             if args.cert_dir:
                 os.makedirs(args.cert_dir, exist_ok=True)
-                path = os.path.join(
-                    args.cert_dir, f"{name.lower()}-{cert_prefix}{size}.cert"
-                )
-                save_certificate(cert_maker(size, res), path)
+                path = os.path.join(args.cert_dir, f"{name.lower()}-{size_field}{size}.cert")
+                save_certificate(coloring_certificate(make(a, args.r, size), res), path)
                 line += f" certificate={path}"
             print(line)
         elif res.status == UNSAT:
-            print(f"{cert_prefix}={size}: UNSAT nodes={res.nodes}")
+            print(f"{size_field}={size}: UNSAT nodes={res.nodes}")
         else:
-            print(f"{cert_prefix}={size}: BudgetExceeded nodes={res.nodes}")
+            print(f"{size_field}={size}: BudgetExceeded nodes={res.nodes}")
     if result.decided:
         print(f"{name} = {result.value}")
         return EXIT_OK
@@ -213,68 +233,30 @@ def _number_common(args, result, name, cert_maker, cert_prefix):
     return EXIT_NEGATIVE
 
 
-def cmd_hj(args):
-    symmetry = () if args.no_symmetry else ("color", "coordinate", "alphabet")
-    result = hj_number(
-        args.n,
-        args.r,
-        args.max_N,
-        budget_nodes=args.budget_nodes,
-        budget_seconds=args.budget_seconds,
-        symmetry=symmetry,
-        threads=args.threads,
-    )
-    return _number_common(
-        args,
-        result,
-        f"HJ({args.n},{args.r})",
-        lambda N, res: hj_coloring_certificate(args.n, N, args.r, res),
-        "N",
-    )
-
-
-def cmd_vdw(args):
-    if args.via_hj:
-        coloring = parse_coloring_spec(args.coloring or f"apres:{args.r}")
-        out = find_ap_via_words(args.k, coloring, max_len=args.max_len)
-        if out.status != "found":
-            print(f"exhausted after {out.checked} words")
-            return EXIT_NEGATIVE
-        print(f"witness word: {format_word(out.word)}")
-        print("progression: " + " ".join(str(m) for m in out.progression))
-        print(f"color: {out.color}")
-        if args.cert_dir:
-            os.makedirs(args.cert_dir, exist_ok=True)
-            ws = WordSemigroup(args.k)
-            outcome = WitnessOutcome(
-                "found",
-                out.word,
-                substitution_family(ws).images(out.word),
-                out.color,
-                out.checked,
-            )
-            cert = words_witness_certificate(ws, coloring, outcome, reduction="vdw")
-            path = os.path.join(args.cert_dir, f"vdw-viahj-k{args.k}.cert")
-            save_certificate(cert, path)
-            print(f"certificate: {path}")
-        return EXIT_OK
-    symmetry = () if args.no_symmetry else ("color", "reflection")
-    result = vdw_number(
-        args.k,
-        args.r,
-        args.max_M,
-        budget_nodes=args.budget_nodes,
-        budget_seconds=args.budget_seconds,
-        symmetry=symmetry,
-        threads=args.threads,
-    )
-    return _number_common(
-        args,
-        result,
-        f"W({args.k},{args.r})",
-        lambda M, res: vdw_coloring_certificate(args.k, M, args.r, res),
-        "M",
-    )
+def cmd_via_hj(args):
+    coloring = parse_coloring_spec(args.coloring or f"apres:{args.r}")
+    out = find_ap_via_words(args.k, coloring, max_len=args.max_len)
+    if out.status != "found":
+        print(f"exhausted after {out.checked} words")
+        return EXIT_NEGATIVE
+    print(f"witness word: {format_word(out.word)}")
+    print("progression: " + " ".join(str(m) for m in out.progression))
+    print(f"color: {out.color}")
+    if args.cert_dir:
+        os.makedirs(args.cert_dir, exist_ok=True)
+        ws = WordSemigroup(args.k)
+        outcome = WitnessOutcome(
+            "found",
+            out.word,
+            substitution_family(ws).images(out.word),
+            out.color,
+            out.checked,
+        )
+        cert = words_witness_certificate(ws, coloring, outcome, reduction="vdw")
+        path = os.path.join(args.cert_dir, f"vdw-viahj-k{args.k}.cert")
+        save_certificate(cert, path)
+        print(f"certificate: {path}")
+    return EXIT_OK
 
 
 # -- ultra ----------------------------------------------------------------
@@ -324,7 +306,7 @@ def cmd_ultra_lemma2(args):
         print(f"T is not a nice subsemigroup: {nice.describe()}")
         return EXIT_INPUT
     try:
-        report = check_lemma2_equivalence(S, family, args.colors)
+        report = check_agreement_equivalence(S, family, args.colors)
     except SearchSpaceTooLarge as e:
         print(f"search space too large: {e}")
         return EXIT_INPUT
@@ -408,17 +390,15 @@ def build_parser():
     p.add_argument("--max-N", type=int, required=True)
     p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--budget-seconds", type=float, default=DEFAULT_TIME_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--no-symmetry", action="store_true")
     p.add_argument("--cert-dir", help="write SAT coloring certificates here")
 
     p = sub.add_parser("vdw", help="van der Waerden number by backtracking")
     p.add_argument("-k", type=int, required=True, help="progression length")
     p.add_argument("-r", type=int, default=2, help="number of colors")
-    p.add_argument("--max-M", type=int, default=0)
+    p.add_argument("--max-M", type=int)
     p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--budget-seconds", type=float, default=DEFAULT_TIME_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--no-symmetry", action="store_true")
     p.add_argument("--cert-dir", help="write SAT coloring certificates here")
     p.add_argument("--via-hj", action="store_true", help="cross-validate the reduction")
@@ -467,13 +447,13 @@ def main(argv=None):
         except HjlabError as e:
             print(f"error: {e}")
             return EXIT_INPUT
-    if args.command == "hj":
-        return cmd_hj(args)
-    if args.command == "vdw":
-        if not args.via_hj and args.max_M < 1:
-            print("--max-M is required unless --via-hj is given")
-            return EXIT_INPUT
-        return cmd_vdw(args)
+    if args.command == "vdw" and args.via_hj:
+        return cmd_via_hj(args)
+    if args.command == "vdw" and args.max_M is None:
+        print("--max-M is required unless --via-hj is given")
+        return EXIT_INPUT
+    if args.command in ("hj", "vdw"):
+        return cmd_number(args)
     if args.command == "ultra":
         if args.ultra_command == "check-prop":
             return cmd_ultra_check_prop(args)

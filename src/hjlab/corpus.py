@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .semigroups import FiniteSemigroup
-from .ultra import _power_member_vec, _tensor_member_vec
+from .ultra import TensorPowerTables
 
 
 def compose(f, g):
@@ -161,26 +161,15 @@ def sweep_tensor_power(entries, ks=(2, 3)):
     report = CorpusReport(semigroups=len(entries))
     for idx, entry in enumerate(entries):
         S = entry.semigroup
-        n = S.order
-        masks = np.arange(1 << n)
-        abits = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
-        prod_idx = {}
-        if 2 in ks:
-            prod_idx[2] = S.table.reshape(-1)
-        if 3 in ks:
-            prod_idx[3] = S.table[S.table].reshape(-1)
+        tables = TensorPowerTables(S)
         endos = enumerate_endomorphisms(S)
         report.endomorphisms += len(endos)
         for h in endos:
             for k in ks:
-                pre = abits[:, h[prod_idx[k]]]
-                for vp in range(n):
+                for vp, bad in tables.first_failures(h, k, range(S.order)):
                     report.checks += 1
-                    lhs = _tensor_member_vec(pre, n, k, vp)
-                    rhs = _power_member_vec(abits, S.table, h, vp, k)
-                    diff = np.nonzero(lhs != rhs)[0]
-                    if len(diff):
+                    if bad is not None:
                         report.failures.append(
-                            CorpusFailure(idx, tuple(int(x) for x in h), k, vp, int(diff[0]))
+                            CorpusFailure(idx, tuple(int(x) for x in h), k, vp, bad)
                         )
     return report

@@ -65,3 +65,11 @@ class TableParseError(HjlabError):
 
 class CertificateError(HjlabError):
     """Certificate file is malformed (distinct from failing verification)."""
+
+
+class InvalidInstance(HjlabError, ValueError):
+    """Hypergraph-instance parameters out of range (e.g. n < 2 or r < 1)."""
+
+
+class VerificationError(HjlabError):
+    """A search result failed its re-check independent of the search."""

@@ -12,13 +12,14 @@ for SAT and UNSAT alike.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import permutations, product as iproduct
+from itertools import permutations
 from math import factorial
 
 import numpy as np
 
+from .errors import InvalidInstance, VerificationError
 from .instances import (
     VdwEncoding,
     decode_word,
@@ -30,6 +31,9 @@ from .words import WordSemigroup, substitution_family
 
 DEFAULT_NODE_BUDGET = 10 ** 9
 DEFAULT_TIME_BUDGET = 600.0
+# lex-leader pruning is tried only while at most this many decision positions
+# are decided; deeper nodes are searched unpruned
+SYMMETRY_DEPTH = 32
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -137,8 +141,8 @@ def vdw_symmetry(M, r, include=("color", "reflection")):
 
 
 def canonical_prune(colors, order, symmetry):
-    """True when the decided prefix of ``colors`` (along ``order``) is not
-    lexicographically minimal in its orbit, so the node can be discarded.
+    """True when the colors decided so far (read along ``order``) are not
+    lexicographically minimal in their orbit, so the node can be discarded.
 
     The comparison walks the fixed order and stops at the first position
     where either side is undecided; only a strict defined difference prunes.
@@ -191,7 +195,6 @@ class HypergraphSolver:
         symmetry=None,
         budget_nodes=DEFAULT_NODE_BUDGET,
         budget_seconds=DEFAULT_TIME_BUDGET,
-        symmetry_depth=None,
     ):
         self.V = num_vertices
         self.r = r
@@ -205,7 +208,6 @@ class HypergraphSolver:
         self.order = sorted(range(num_vertices), key=lambda v: (-degree[v], v))
         self.order_np = np.array(self.order, dtype=np.int64)
         self.symmetry = symmetry
-        self.symmetry_depth = num_vertices if symmetry_depth is None else symmetry_depth
         self.budget_nodes = budget_nodes
         self.budget_seconds = budget_seconds
 
@@ -292,7 +294,7 @@ class HypergraphSolver:
             return False
         decided = self.colors[self.order_np] >= 0
         d = int(np.argmin(decided)) if not decided.all() else self.V
-        if d > self.symmetry_depth:
+        if d > SYMMETRY_DEPTH:
             return False
         return canonical_prune(self.colors, self.order_np, self.symmetry)
 
@@ -325,24 +327,10 @@ class HypergraphSolver:
             self._undo(mark)
         return None
 
-    def solve(self, prefix=()):
-        """prefix: forced decisions [(vertex, color), ...] applied first,
-        used by the parallel splitter."""
+    def solve(self):
         self._reset()
         start = time.monotonic()
         try:
-            for v, c in prefix:
-                if self.colors[v] >= 0:
-                    if int(self.colors[v]) == c:
-                        continue
-                    return ColoringResult(UNSAT, None, self.nodes, time.monotonic() - start)
-                if not (self.domains[v] >> c) & 1:
-                    return ColoringResult(UNSAT, None, self.nodes, time.monotonic() - start)
-                self._charge_node()
-                if self._decide(v, c) is None:
-                    return ColoringResult(UNSAT, None, self.nodes, time.monotonic() - start)
-                if self._pruned():
-                    return ColoringResult(UNSAT, None, self.nodes, time.monotonic() - start)
             res = self._search(0)
         except _BudgetHit:
             return ColoringResult(BUDGET, None, self.nodes, time.monotonic() - start)
@@ -363,140 +351,110 @@ def verify_proper_coloring(edges, coloring):
     return True
 
 
-def _solve_branch(payload):
-    solver = _solver_from_payload(payload)
-    res = solver.solve(prefix=payload["prefix"])
-    return {"status": res.status, "coloring": res.coloring, "nodes": res.nodes}
+# -- hypergraph instances ------------------------------------------------
+
+# size-parameter names per family, in certificate field order
+INSTANCE_FIELDS = {"hj": ("n", "N"), "vdw": ("k", "M")}
 
 
-def _solver_from_payload(payload):
-    kind = payload["kind"]
-    r = payload["r"]
-    if kind == "hj":
-        hg = LineHypergraph.build(payload["n"], payload["N"])
-        V, edges = hg.num_vertices, hg.edges
-        sym = hj_symmetry(payload["n"], payload["N"], r, payload["sym"]) if payload["sym"] else None
-    else:
-        V, edges = payload["M"], ap_edges(payload["k"], payload["M"])
-        sym = vdw_symmetry(payload["M"], r, payload["sym"]) if payload["sym"] else None
-    return HypergraphSolver(
-        V,
-        edges,
+@dataclass(frozen=True, eq=False)
+class Instance:
+    """One proper-coloring problem: r-color ``num_vertices`` vertices so that
+    no edge is monochromatic.
+
+    ``family`` (hj | vdw) fixes the certificate kind; ``params`` are the size
+    parameters named by ``INSTANCE_FIELDS[family]``.  The builders construct
+    afresh on every call, so a check of the solver's answer never reuses the
+    solver's edge list.
+    """
+
+    family: str
+    params: tuple
+    r: int
+    num_vertices: int
+    build_edges: Callable  # () -> list of vertex tuples
+    build_symmetry: Callable  # (generator spec) -> Symmetry
+    default_symmetry: tuple
+
+    def __post_init__(self):
+        a, size = self.params
+        if a < 2 or self.r < 1 or size < 1:
+            first, last = INSTANCE_FIELDS[self.family]
+            raise InvalidInstance(f"need {first} >= 2, r >= 1, {last} >= 1")
+
+    @property
+    def kind(self):
+        return f"{self.family}-coloring"
+
+
+def hj_instance(n, r, N):
+    """[n]^N (base-n encoded words) with the combinatorial lines as edges."""
+    return Instance(
+        "hj",
+        (n, N),
         r,
-        symmetry=sym,
-        budget_nodes=payload["budget_nodes"],
-        budget_seconds=payload["budget_seconds"],
-        symmetry_depth=payload["symmetry_depth"],
+        n ** N,
+        lambda: LineHypergraph.build(n, N).edges,
+        lambda spec: hj_symmetry(n, N, r, spec),
+        ("color", "coordinate", "alphabet"),
     )
 
 
-def _solve_parallel(payload, threads):
-    """Split on the first two decision positions; first SAT wins."""
-    solver = _solver_from_payload(payload)
-    split = [solver.order[i] for i in range(min(2, solver.V))]
-    branches = [
-        dict(payload, prefix=[(v, c) for v, c in zip(split, combo)])
-        for combo in iproduct(range(payload["r"]), repeat=len(split))
-    ]
-    start = time.monotonic()
-    total_nodes = 0
-    sat = None
-    budget_hit = False
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(_solve_branch, b): b for b in branches}
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                out = fut.result()
-                total_nodes += out["nodes"]
-                if out["status"] == SAT and sat is None:
-                    sat = out["coloring"]
-                elif out["status"] == BUDGET:
-                    budget_hit = True
-            if sat is not None:
-                for fut in pending:
-                    fut.cancel()
-                break
-    elapsed = time.monotonic() - start
-    if sat is not None:
-        return ColoringResult(SAT, sat, total_nodes, elapsed)
-    if budget_hit:
-        return ColoringResult(BUDGET, None, total_nodes, elapsed)
-    return ColoringResult(UNSAT, None, total_nodes, elapsed)
+def vdw_instance(k, r, M):
+    """[1..M] with the k-term arithmetic progressions as edges."""
+    return Instance(
+        "vdw",
+        (k, M),
+        r,
+        M,
+        lambda: ap_edges(k, M),
+        lambda spec: vdw_symmetry(M, r, spec),
+        ("color", "reflection"),
+    )
 
 
-def hj_check(
-    n,
-    r,
-    N,
+INSTANCES = {"hj": hj_instance, "vdw": vdw_instance}
+
+
+def check_instance(
+    inst,
     budget_nodes=DEFAULT_NODE_BUDGET,
     budget_seconds=DEFAULT_TIME_BUDGET,
-    symmetry=("color", "coordinate", "alphabet"),
-    symmetry_depth=32,
-    threads=1,
+    symmetry=None,
 ):
-    """Decide whether some r-coloring of [n]^N avoids monochromatic lines.
+    """Decide whether ``inst`` has a proper coloring.
 
-    SAT results carry an explicit coloring, re-verified against the line
-    hypergraph before return; UNSAT carries the node count of the completed
-    backtracking; budget exhaustion is reported as its own status.
+    ``symmetry`` is the generator spec used for lex-leader pruning: None
+    takes the family default, () prunes nothing.  SAT results carry an
+    explicit coloring, re-verified against a freshly built edge list before
+    return; UNSAT carries the node count of the completed backtracking;
+    budget exhaustion is reported as its own status.
     """
-    if n < 2 or N < 1 or r < 1:
-        raise ValueError("need n >= 2, r >= 1, N >= 1")
-    payload = {
-        "kind": "hj",
-        "n": n,
-        "N": N,
-        "r": r,
-        "sym": tuple(symmetry) if symmetry else (),
-        "budget_nodes": budget_nodes,
-        "budget_seconds": budget_seconds,
-        "symmetry_depth": symmetry_depth,
-        "prefix": [],
-    }
-    if threads > 1:
-        res = _solve_parallel(payload, threads)
-    else:
-        res = _solver_from_payload(payload).solve()
-    if res.status == SAT:
-        hg = LineHypergraph.build(n, N)
-        assert verify_proper_coloring(hg.edges, res.coloring), "solver returned a bad coloring"
+    if symmetry is None:
+        symmetry = inst.default_symmetry
+    res = HypergraphSolver(
+        inst.num_vertices,
+        inst.build_edges(),
+        inst.r,
+        symmetry=inst.build_symmetry(symmetry) if symmetry else None,
+        budget_nodes=budget_nodes,
+        budget_seconds=budget_seconds,
+    ).solve()
+    if res.status == SAT and not verify_proper_coloring(inst.build_edges(), res.coloring):
+        raise VerificationError(f"solver returned an improper {inst.kind} for {inst.params}")
     return res
 
 
-def vdw_check(
-    k,
-    r,
-    M,
-    budget_nodes=DEFAULT_NODE_BUDGET,
-    budget_seconds=DEFAULT_TIME_BUDGET,
-    symmetry=("color", "reflection"),
-    symmetry_depth=32,
-    threads=1,
-):
+def hj_check(n, r, N, **kwargs):
+    """Decide whether some r-coloring of [n]^N avoids monochromatic lines;
+    keyword arguments as for ``check_instance``."""
+    return check_instance(hj_instance(n, r, N), **kwargs)
+
+
+def vdw_check(k, r, M, **kwargs):
     """Decide whether some r-coloring of [1..M] avoids k-term monochromatic
-    arithmetic progressions."""
-    if k < 2 or r < 1 or M < 1:
-        raise ValueError("need k >= 2, r >= 1, M >= 1")
-    payload = {
-        "kind": "vdw",
-        "k": k,
-        "M": M,
-        "r": r,
-        "sym": tuple(symmetry) if symmetry else (),
-        "budget_nodes": budget_nodes,
-        "budget_seconds": budget_seconds,
-        "symmetry_depth": symmetry_depth,
-        "prefix": [],
-    }
-    if threads > 1:
-        res = _solve_parallel(payload, threads)
-    else:
-        res = _solver_from_payload(payload).solve()
-    if res.status == SAT:
-        assert verify_proper_coloring(ap_edges(k, M), res.coloring), "solver returned a bad coloring"
-    return res
+    arithmetic progressions; keyword arguments as for ``check_instance``."""
+    return check_instance(vdw_instance(k, r, M), **kwargs)
 
 
 @dataclass
@@ -514,31 +472,30 @@ class NumberResult:
         return self.value is not None
 
 
+def least_size(make, a, r, max_size, **kwargs):
+    """Least size <= max_size at which ``make(a, r, size)`` has no proper
+    coloring; keyword arguments as for ``check_instance``."""
+    make(a, r, max_size)  # rejects bad parameters before any search
+    runs = []
+    for size in range(1, max_size + 1):
+        res = check_instance(make(a, r, size), **kwargs)
+        runs.append((size, res))
+        if res.status == UNSAT:
+            return NumberResult(size, size - 1, False, runs)
+        if res.status == BUDGET:
+            return NumberResult(None, size - 1, True, runs)
+    return NumberResult(None, max_size, False, runs)
+
+
 def hj_number(n, r, N_max, **kwargs):
     """Least N <= N_max with no line-free r-coloring of [n]^N."""
-    runs = []
-    for N in range(1, N_max + 1):
-        res = hj_check(n, r, N, **kwargs)
-        runs.append((N, res))
-        if res.status == UNSAT:
-            return NumberResult(N, N - 1, False, runs)
-        if res.status == BUDGET:
-            return NumberResult(None, N - 1, True, runs)
-    return NumberResult(None, N_max, False, runs)
+    return least_size(hj_instance, n, r, N_max, **kwargs)
 
 
 def vdw_number(k, r, M_max, **kwargs):
     """Least M <= M_max such that every r-coloring of [1..M] has a
     monochromatic k-term progression."""
-    runs = []
-    for M in range(1, M_max + 1):
-        res = vdw_check(k, r, M, **kwargs)
-        runs.append((M, res))
-        if res.status == UNSAT:
-            return NumberResult(M, M - 1, False, runs)
-        if res.status == BUDGET:
-            return NumberResult(None, M - 1, True, runs)
-    return NumberResult(None, M_max, False, runs)
+    return least_size(vdw_instance, k, r, M_max, **kwargs)
 
 
 # -- witness search ------------------------------------------------------
@@ -605,7 +562,8 @@ def find_ap_via_words(k, integer_coloring, max_len=8):
         return ViaHjOutcome("exhausted", checked=out.checked)
     ap = enc.line_image(out.witness)
     diffs = {b - a for a, b in zip(ap, ap[1:])}
-    assert len(diffs) == 1 and diffs.pop() >= 1, "line image is not a progression"
-    ap_colors = {integer_coloring.color_of(m) for m in ap}
-    assert ap_colors == {out.color}, "projected progression is not monochromatic"
+    if len(diffs) != 1 or diffs.pop() < 1:
+        raise VerificationError(f"line image {ap} is not a progression")
+    if {integer_coloring.color_of(m) for m in ap} != {out.color}:
+        raise VerificationError(f"projected progression {ap} is not monochromatic")
     return ViaHjOutcome("found", out.witness, ap, out.color, out.checked)

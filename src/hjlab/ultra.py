@@ -389,18 +389,32 @@ def _power_member_vec(Bsets, target_table, h, vpoint, k):
     return _image_member_vec(inner, h, vpoint)
 
 
-def _tensor_power_tables(S, h, k, target):
-    h = np.asarray(h, dtype=np.int64)
-    t = target.order
-    if t > PRODUCT_LAW_BOUND:
-        raise CarrierTooLarge(f"target size {t} exceeds {PRODUCT_LAW_BOUND}")
-    if k not in (2, 3):
-        raise ValueError("k must be 2 or 3")
-    masks = np.arange(1 << t)
-    abits = ((masks[:, None] >> np.arange(t)) & 1).astype(bool)
-    _, psi_flat = fold_product_map(S, h, k)
-    pre = abits[:, psi_flat]  # pre[m, w] ⟺ psi(w) ∈ A_m, over S^k
-    return h, abits, pre
+class TensorPowerTables:
+    """Subset tables for the tensor-power identity of S mapped into
+    ``target`` (default S), built once and shared by every (h, k, V).
+
+    The sharing covers only the subset bit tables: both sides are still
+    evaluated by their defining formulas, full section sets at every level.
+    """
+
+    def __init__(self, S, target=None):
+        self.S = S
+        self.target = S if target is None else target
+        t = self.target.order
+        masks = np.arange(1 << t)
+        self.abits = ((masks[:, None] >> np.arange(t)) & 1).astype(bool)
+
+    def first_failures(self, h, k, points):
+        """Yield (V point, first subset mask where the image of V's k-fold
+        tensor power and the k-fold power of h(V) differ, or None)."""
+        h = np.asarray(h, dtype=np.int64)
+        _, psi_flat = fold_product_map(self.S, h, k)
+        pre = self.abits[:, psi_flat]  # pre[m, w] ⟺ psi(w) ∈ A_m, over S^k
+        for vp in points:
+            lhs = _tensor_member_vec(pre, self.S.order, k, vp)
+            rhs = _power_member_vec(self.abits, self.target.table, h, vp, k)
+            diff = np.nonzero(lhs != rhs)[0]
+            yield vp, int(diff[0]) if len(diff) else None
 
 
 def check_tensor_power_law(S, h, k, V, target=None):
@@ -413,34 +427,14 @@ def check_tensor_power_law(S, h, k, V, target=None):
     """
     if target is None:
         target = S
-    h, abits, pre = _tensor_power_tables(S, h, k, target)
-    lhs = _tensor_member_vec(pre, S.order, k, V.point)
-    rhs = _power_member_vec(abits, target.table, h, V.point, k)
-    diff = np.nonzero(lhs != rhs)[0]
-    if len(diff):
-        return False, SubsetQuery(target, int(diff[0]))
-    return True, None
-
-
-def check_tensor_power_law_multi(S, h, k, target=None):
-    """Run check_tensor_power_law for every principal V on S.
-
-    The subset tables are built once and shared; returns a dict point ->
-    (ok, counterexample).  This is the fast path for corpus sweeps.
-    """
-    if target is None:
-        target = S
-    h, abits, pre = _tensor_power_tables(S, h, k, target)
-    out = {}
-    for vp in range(S.order):
-        lhs = _tensor_member_vec(pre, S.order, k, vp)
-        rhs = _power_member_vec(abits, target.table, h, vp, k)
-        diff = np.nonzero(lhs != rhs)[0]
-        if len(diff):
-            out[vp] = (False, SubsetQuery(target, int(diff[0])))
-        else:
-            out[vp] = (True, None)
-    return out
+    if target.order > PRODUCT_LAW_BOUND:
+        raise CarrierTooLarge(f"target size {target.order} exceeds {PRODUCT_LAW_BOUND}")
+    if k not in (2, 3):
+        raise ValueError("k must be 2 or 3")
+    [(_, bad)] = TensorPowerTables(S, target).first_failures(h, k, [V.point])
+    if bad is None:
+        return True, None
+    return False, SubsetQuery(target, bad)
 
 
 def build_agreement_set(S, family, A):
@@ -611,8 +605,3 @@ def check_agreement_equivalence(S, family, r, max_order=10, max_colors=3):
         b_point_any=None if b_any is None else b_any.point,
         colorings_checked=checked,
     )
-
-
-# Names used by the CLI subcommands.
-check_prop_tensor = check_tensor_power_law
-check_lemma2_equivalence = check_agreement_equivalence

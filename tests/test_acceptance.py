@@ -19,8 +19,8 @@ from hjlab import (
     VdwEncoding,
     WordSemigroup,
     build_agreement_set,
+    check_agreement_equivalence,
     check_fip,
-    check_lemma2_equivalence,
     flag_semigroup,
     generate_corpus,
     hj_check,
@@ -140,7 +140,7 @@ def test_criterion_5_agreement_equivalence():
     for m in (1, 2, 3):
         S, view, family = flag_semigroup(m)
         for r in (2, 3):
-            rep = check_lemma2_equivalence(S, family, r)
+            rep = check_agreement_equivalence(S, family, r)
             ok &= rep.a_holds and rep.b_holds and rep.equivalent
         t_members = view.members()
         sets = []

@@ -1,9 +1,12 @@
 """Certificates: deterministic rendering, round-trips, verification, and
 tamper rejection."""
+import hashlib
+
 import pytest
 
 from hjlab import (
     ApResidueColoring,
+    ColoringCertificate,
     ModSumColoring,
     TableColoring,
     VdwEncoding,
@@ -52,6 +55,15 @@ def vdw_cert():
 
 ALL_BUILDERS = [words_cert, finite_cert, hj_cert, vdw_cert]
 
+# sha256 of the rendered coloring certificates, recorded before the hj and vdw
+# certificate kinds shared one class; the bytes must never change
+PINNED_COLORINGS = [
+    (lambda: hj_coloring_certificate(3, 3, 2, hj_check(3, 2, 3)), "hj-coloring", (3, 3),
+     "f4d452e72930fbf5d0652595bb9dcb2fd6d98435af5ee0640ab4dd06518eeba4"),
+    (vdw_cert, "vdw-coloring", (3, 8),
+     "2e1650a81a8afda7b9d57bcd31850ea0e2cb68698f10124261f3f5855b5ac6bb"),
+]
+
 
 @pytest.mark.parametrize("build", ALL_BUILDERS)
 def test_render_parse_roundtrip(build):
@@ -59,6 +71,16 @@ def test_render_parse_roundtrip(build):
     text = render_certificate(cert)
     again = render_certificate(parse_certificate(text))
     assert again == text
+
+
+@pytest.mark.parametrize("build,kind,params,digest", PINNED_COLORINGS)
+def test_coloring_certificate_bytes_are_pinned(build, kind, params, digest):
+    text = render_certificate(build())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    cert = parse_certificate(text)
+    assert isinstance(cert, ColoringCertificate)
+    assert (cert.kind, cert.params) == (kind, params)
+    assert render_certificate(cert) == text
 
 
 @pytest.mark.parametrize("build", ALL_BUILDERS)

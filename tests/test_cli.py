@@ -155,6 +155,18 @@ def test_vdw_needs_max_m(capsys):
     assert main(["vdw", "-k", "3"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["hj", "-n", "1", "-r", "2", "--max-N", "3"],
+    ["hj", "-n", "2", "-r", "0", "--max-N", "3"],
+    ["hj", "-n", "2", "-r", "2", "--max-N", "0"],
+    ["vdw", "-k", "1", "--max-M", "5"],
+])
+def test_invalid_number_parameters_exit_2(argv, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1
+
+
 def test_vdw_via_hj(tmp_path, capsys):
     certs = tmp_path / "c"
     assert main(["vdw", "-k", "3", "--via-hj", "--max-len", "5",

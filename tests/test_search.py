@@ -5,11 +5,14 @@ import pytest
 from hjlab import (
     ApResidueColoring,
     BUDGET,
+    ColoringResult,
+    HypergraphSolver,
     LineHypergraph,
     ModSumColoring,
     SAT,
     TableColoring,
     UNSAT,
+    VdwEncoding,
     WordSemigroup,
     ap_edges,
     find_ap_via_words,
@@ -24,6 +27,7 @@ from hjlab import (
     verify_proper_coloring,
     word_witness_search,
 )
+from hjlab.errors import InvalidInstance, VerificationError
 from hjlab.words import parse_word, variable
 
 import oracles
@@ -126,11 +130,27 @@ def test_node_budget_reports_budget_not_unsat():
     assert agg.value is None and agg.budget_hit
 
 
-def test_parallel_solve_agrees():
-    assert hj_check(2, 2, 2, threads=2).status == UNSAT
-    res = vdw_check(3, 2, 8, threads=2)
-    assert res.status == SAT
-    assert verify_proper_coloring(ap_edges(3, 8), res.coloring)
+def test_improper_sat_coloring_is_an_explicit_error(monkeypatch):
+    # a raise, not an assert, so the re-check survives python -O
+    monkeypatch.setattr(
+        HypergraphSolver, "solve", lambda self: ColoringResult(SAT, [0] * self.V, 0, 0.0)
+    )
+    with pytest.raises(VerificationError):
+        hj_check(2, 2, 2)
+    with pytest.raises(VerificationError):
+        vdw_check(3, 2, 8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hj_check(1, 2, 3),
+    lambda: hj_check(2, 0, 3),
+    lambda: hj_number(2, 2, 0),
+    lambda: vdw_check(1, 2, 5),
+    lambda: vdw_number(3, 2, 0),
+])
+def test_invalid_instance_parameters_are_rejected(call):
+    with pytest.raises(InvalidInstance):
+        call()
 
 
 # -- witness searches ------------------------------------------------------------
@@ -176,8 +196,14 @@ def test_finite_witness_exhaustion_is_a_true_negative():
 def test_via_hj_reduction_cross_check():
     out = find_ap_via_words(3, ApResidueColoring(2), max_len=5)
     assert out.status == "found"
-    # the asserts inside the function already re-check monotonicity and
-    # monochromaticity; spot-check the projected progression here
+    # the function itself re-checks the progression and its color;
+    # spot-check the projected progression here
     a, b, c = out.progression
     assert b - a == c - b >= 1
     assert {x % 2 for x in out.progression} == {out.color}
+
+
+def test_via_hj_rejects_a_line_image_that_is_no_progression(monkeypatch):
+    monkeypatch.setattr(VdwEncoding, "line_image", lambda self, template: [1, 2, 4])
+    with pytest.raises(VerificationError):
+        find_ap_via_words(3, ApResidueColoring(2), max_len=5)
