@@ -330,7 +330,11 @@ def cmd_ultra_lemma2(args):
 
 
 def cmd_ultra_corpus(args):
-    ks = tuple(int(k) for k in args.k.split(","))
+    ks = tuple(k.strip() for k in args.k.split(","))
+    if any(k not in ("2", "3") for k in ks):
+        print(f"error: --k takes comma-separated values from {{2, 3}}, not {args.k!r}")
+        return EXIT_INPUT
+    ks = tuple(map(int, ks))
     entries = generate_corpus(count=args.count, max_order=args.max_order, seed=args.seed)
     report = sweep_tensor_power(entries, ks=ks)
     print(

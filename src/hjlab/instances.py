@@ -1,8 +1,8 @@
 """Concrete instances of the abstract framework.
 
 Combinatorial lines in [n]^N, coloring kinds (modular digit sum, explicit
-tables, integer residues), and the classical reductions: van der Waerden via
-digit sums and Gallai via coordinatewise sums over a pattern alphabet.
+tables, integer residues), and the classical reduction of van der Waerden to
+Hales-Jewett via digit sums.
 """
 from __future__ import annotations
 
@@ -240,52 +240,6 @@ class VdwEncoding:
         return [fixed + diff * a for a in range(self.k)]
 
 
-@dataclass(frozen=True)
-class GallaiEncoding:
-    """Coordinatewise-sum reduction onto a pattern P in Z^d.
-
-    Letters index the pattern points; a word maps to the vector sum of its
-    letters' points.  A line template with m variable positions maps to the
-    homothetic copy a + m*P.
-    """
-
-    dimension: int
-    pattern: tuple  # tuple of d-tuples
-    N: int
-
-    def __post_init__(self):
-        if len(self.pattern) < 2:
-            raise ValueError("pattern needs at least two points")
-        for p in self.pattern:
-            if len(p) != self.dimension:
-                raise ValueError("pattern point of wrong dimension")
-
-    @property
-    def alphabet_size(self):
-        return len(self.pattern)
-
-    def point_sum(self, w):
-        acc = [0] * self.dimension
-        for letter in w:
-            for i, c in enumerate(self.pattern[letter]):
-                acc[i] += c
-        return tuple(acc)
-
-    def pullback(self, point_coloring):
-        return PullbackColoring(point_coloring, self.point_sum)
-
-    def line_image(self, template):
-        base = [0] * self.dimension
-        m = 0
-        for s in template:
-            if is_variable(s):
-                m += 1
-            else:
-                for i, c in enumerate(self.pattern[s]):
-                    base[i] += c
-        return [tuple(b + m * p[i] for i, b in enumerate(base)) for p in self.pattern]
-
-
 __all__ = [
     "CombinatorialLine",
     "enumerate_lines",
@@ -299,7 +253,6 @@ __all__ = [
     "parse_coloring_spec",
     "parse_coloring_table_text",
     "VdwEncoding",
-    "GallaiEncoding",
     "substitute",
     "parse_word",
     "format_word",

@@ -25,7 +25,6 @@ from .instances import (
     decode_word,
     encode_word,
     enumerate_lines,
-    line_count,
 )
 from .words import WordSemigroup, substitution_family
 
@@ -60,14 +59,6 @@ class LineHypergraph:
     @property
     def num_vertices(self):
         return self.n ** self.N
-
-    def check_shape(self):
-        assert len(self.edges) == line_count(self.n, self.N)
-        covered = set()
-        for e in self.edges:
-            assert len(set(e)) == self.n
-            covered.update(e)
-        assert covered == set(range(self.num_vertices))
 
 
 def ap_edges(k, M):
@@ -511,33 +502,33 @@ class WitnessOutcome:
     budget_note: str = ""
 
 
+def _first_monochromatic(candidates, family, coloring, exhausted_note):
+    checked = 0
+    for v in candidates:
+        checked += 1
+        images = family.images(v)
+        colors = {coloring.color_of(x) for x in images}
+        if len(colors) == 1:
+            return WitnessOutcome("found", v, images, colors.pop(), checked)
+    return WitnessOutcome("exhausted", checked=checked, budget_note=exhausted_note)
+
+
 def word_witness_search(ws, family, coloring, max_len=8):
     """First variable word (length-lexicographic) whose substitution images
     are monochromatic.  Exhausted only means the length budget ran out: the
     abstract theorem guarantees a witness at some finite length."""
-    checked = 0
-    for w in ws.iter_words(max_len, require_variable=True):
-        checked += 1
-        images = family.images(w)
-        colors = {coloring.color_of(im) for im in images}
-        if len(colors) == 1:
-            return WitnessOutcome("found", w, images, colors.pop(), checked)
-    return WitnessOutcome(
-        "exhausted", checked=checked, budget_note=f"no witness up to length {max_len}"
+    return _first_monochromatic(
+        ws.iter_words(max_len, require_variable=True),
+        family,
+        coloring,
+        f"no witness up to length {max_len}",
     )
 
 
 def finite_witness_search(S, family, coloring):
     """First element of R = S\\T (index order) with a monochromatic image
     set.  The scan is complete, so exhaustion here is a true negative."""
-    checked = 0
-    for v in family.view.complement():
-        checked += 1
-        images = family.images(v)
-        colors = {coloring.color_of(x) for x in images}
-        if len(colors) == 1:
-            return WitnessOutcome("found", v, images, colors.pop(), checked)
-    return WitnessOutcome("exhausted", checked=checked, budget_note="R exhausted")
+    return _first_monochromatic(family.view.complement(), family, coloring, "R exhausted")
 
 
 @dataclass

@@ -21,20 +21,13 @@ from .errors import (
     CarrierMismatch,
     CarrierTooLarge,
     SearchSpaceTooLarge,
+    VerificationError,
 )
-from .semigroups import FiniteSemigroup, product
+from .semigroups import FiniteSemigroup
 
 IMAGE_LAW_BOUND = 16  # exhaustive subset checks up to 2^16 memberships
 PRODUCT_LAW_BOUND = 12
 FIP_EXHAUSTIVE_LIMIT = 20
-
-
-@dataclass(frozen=True)
-class Carrier:
-    """A bare finite index set, for targets that carry no operation."""
-
-    size: int
-    name: str = ""
 
 
 @dataclass(frozen=True)
@@ -46,19 +39,6 @@ class ProductCarrier:
     @property
     def size(self):
         return prod(self.sizes)
-
-    def encode(self, indices):
-        flat = 0
-        for s, i in zip(self.sizes, indices):
-            flat = flat * s + i
-        return flat
-
-    def decode(self, flat):
-        out = []
-        for s in reversed(self.sizes):
-            out.append(flat % s)
-            flat //= s
-        return tuple(reversed(out))
 
 
 def _size_of(carrier):
@@ -143,61 +123,101 @@ def translate_preimage(S, s, A):
     return SubsetQuery(A.carrier, mask)
 
 
+def subset_bits(size):
+    """Every subset of [0..size) as a boolean row: row m is the set with
+    bitmask m."""
+    return ((np.arange(1 << size)[:, None] >> np.arange(size)) & 1).astype(bool)
+
+
+def _mask_rows(masks, cells):
+    # bitmasks of any width -> boolean rows, through their little-endian
+    # bytes; bits beyond the cells are ignored, as a bit-shifting read would
+    width = (cells + 7) // 8
+    full = (1 << cells) - 1
+    raw = np.frombuffer(
+        b"".join((m & full).to_bytes(width, "little") for m in masks), dtype=np.uint8
+    )
+    bits = np.unpackbits(raw.reshape(-1, width), axis=1, bitorder="little")
+    return bits[:, :cells].astype(bool)
+
+
+def _unique_singleton(hits, operation):
+    """The point of an ultrafilter located by its membership evaluator run on
+    every singleton: exactly one singleton may be a member."""
+    found = np.flatnonzero(hits)
+    if len(found) != 1:
+        raise VerificationError(f"{operation} membership hit {len(found)} singletons")
+    return int(found[0])
+
+
+def _map_into(f, size):
+    f = np.asarray(f, dtype=np.int64)
+    bad = np.flatnonzero((f < 0) | (f >= size))
+    if len(bad):
+        s = int(bad[0])
+        raise CarrierMismatch(f"map sends {s} to {int(f[s])}, outside a carrier of size {size}")
+    return f
+
+
+def image_member(B, f, point):
+    """Which rows of B (subsets of the target) lie in the image under f of
+    the principal ultrafilter at ``point``: the full preimage f⁻¹(B) is built
+    for every row, then tested at the point."""
+    return B[:, f][:, point]
+
+
 def image(f, U, target, check=True):
     """Image ultrafilter of U under f, located through the membership law.
 
     The point is found as the unique q whose singleton has its f-preimage in
     U; no shortcut through f(point) is taken.  When the target is small
-    enough the full formula-level law is asserted on every subset.
+    enough the law is also checked on every subset.
     """
-    f = np.asarray(f, dtype=np.int64)
     _require_same_carrier(len(f), _size_of(U.carrier))
     tsize = _size_of(target)
-    found = None
-    for q in range(tsize):
-        pre = 0
-        for s in range(len(f)):
-            if f[s] == q:
-                pre |= 1 << s
-        if U.member_mask(pre):
-            if found is not None:
-                raise AssertionError("image membership hit two singletons")
-            found = q
-    if found is None:
-        raise AssertionError("image membership hit no singleton")
-    out = PrincipalUltrafilter(target, found)
-    if check and tsize <= IMAGE_LAW_BOUND:
-        if not _image_law_exhaustive(f, U.point, tsize):
-            raise AssertionError("image law failed a subset check")
-    return out
-
-
-def _image_law_exhaustive(f, upoint, tsize):
-    masks = np.arange(1 << tsize)
-    abits = ((masks[:, None] >> np.arange(tsize)) & 1).astype(bool)
-    pre = abits[:, f]  # pre[m, s] ⟺ f(s) ∈ A_m
-    formula = pre[:, upoint]
-    shortcut = abits[:, f[upoint]]
-    return bool(np.array_equal(formula, shortcut))
+    f = _map_into(f, tsize)
+    found = _unique_singleton(image_member(np.eye(tsize, dtype=bool), f, U.point), "image")
+    if check and tsize <= IMAGE_LAW_BOUND and not check_image_law(f, U, target):
+        raise VerificationError("image law failed a subset check")
+    return PrincipalUltrafilter(target, found)
 
 
 def check_image_law(f, U, target):
     """Exhaustively confirm A ∈ f(U) ⟺ f⁻¹(A) ∈ U over every subset."""
-    f = np.asarray(f, dtype=np.int64)
     tsize = _size_of(target)
     if tsize > IMAGE_LAW_BOUND:
         raise CarrierTooLarge(f"target size {tsize} exceeds {IMAGE_LAW_BOUND}")
     image(f, U, target, check=False)  # singleton search must succeed
-    return _image_law_exhaustive(f, U.point, tsize)
+    f = np.asarray(f, dtype=np.int64)
+    B = subset_bits(tsize)
+    return bool(np.array_equal(image_member(B, f, U.point), B[:, f[U.point]]))
+
+
+def product_member(B, table, f, points):
+    """Which rows of B lie in f(U₁)*(f(U₂)*(...*f(U_k))), right associated,
+    for the principal U_i at ``points`` (outermost first), f mapping into
+    the semigroup with Cayley ``table``; f is the identity for a plain
+    product.
+
+    At each level the translate sets {u : s*u ∈ B} are built for every s
+    and row, the inner levels decide which of them are members, and the full
+    set of qualifying s is tested through the image law.
+    """
+    if len(points) == 1:
+        return image_member(B, f, points[0])
+    batch, t = B.shape
+    trans = B[:, table]  # trans[b, s, u] ⟺ s*u ∈ B_b
+    inner = product_member(trans.reshape(batch * t, t), table, f, points[1:])
+    return image_member(inner.reshape(batch, t), f, points[0])
 
 
 def uf_product(U, V, S=None, check=True):
     """U*V on a finite semigroup, evaluated by the nested membership formula.
 
-    For each candidate point p the set {s : s⁻¹{p} ∈ V} is constructed in
-    full and then tested against U; the unique singleton hit is the product.
-    On small carriers the agreement with the principal shortcut is asserted
-    over every subset.
+    The formula is evaluated on every singleton {p}, building the set
+    {s : s⁻¹{p} ∈ V} in full; the unique hit is the product.  On small
+    carriers the agreement with the principal shortcut is also checked on
+    every subset.
     """
     if S is None:
         S = U.carrier
@@ -206,19 +226,10 @@ def uf_product(U, V, S=None, check=True):
     _require_same_carrier(S.order, _size_of(U.carrier))
     _require_same_carrier(S.order, _size_of(V.carrier))
     n = S.order
-    found = None
-    for p in range(n):
-        hits = S.table == p  # hits[s, t] ⟺ s*t ∈ {p}
-        qualifying = hits[:, V.point]  # s qualifies ⟺ translate set ∈ V
-        if qualifying[U.point]:
-            if found is not None:
-                raise AssertionError("product membership hit two singletons")
-            found = p
-    if found is None:
-        raise AssertionError("product membership hit no singleton")
-    if check and n <= PRODUCT_LAW_BOUND:
-        if not check_product_law(S, U, V):
-            raise AssertionError("product law failed a subset check")
+    hits = product_member(np.eye(n, dtype=bool), S.table, np.arange(n), (U.point, V.point))
+    found = _unique_singleton(hits, "product")
+    if check and n <= PRODUCT_LAW_BOUND and not check_product_law(S, U, V):
+        raise VerificationError("product law failed a subset check")
     return PrincipalUltrafilter(S, found)
 
 
@@ -238,62 +249,48 @@ def check_product_law(S, U, V):
     n = S.order
     if n > PRODUCT_LAW_BOUND:
         raise CarrierTooLarge(f"carrier size {n} exceeds {PRODUCT_LAW_BOUND}")
-    masks = np.arange(1 << n)
-    abits = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
-    trans = abits[:, S.table]  # trans[m, s, t] ⟺ s*t ∈ A_m
-    mem_v = trans[:, :, V.point]  # per s: translate set ∈ V
-    formula = mem_v[:, U.point]
-    shortcut = abits[:, S.mul(U.point, V.point)]
-    return bool(np.array_equal(formula, shortcut))
+    B = subset_bits(n)
+    formula = product_member(B, S.table, np.arange(n), (U.point, V.point))
+    return bool(np.array_equal(formula, B[:, S.mul(U.point, V.point)]))
+
+
+def tensor_rows(X, dims, points):
+    """Which rows of X (subsets of dims[0]×dims[1]×..., row-major) lie in
+    U₁⊗(U₂⊗...), right associated, for the principal U_i at ``points``.
+
+    At each level the full qualifying set {i : section_i ∈ inner} is built
+    for every row before it is tested at the outer point.
+    """
+    if len(dims) == 1:
+        return X[:, points[0]]
+    batch = X.shape[0]
+    inner = tensor_rows(X.reshape(batch * dims[0], -1), dims[1:], points[1:])
+    return inner.reshape(batch, dims[0])[:, points[0]]
+
+
+def _tensor_left_rows(X, dims, points):
+    # (U₁⊗U₂)⊗U₃: section ij lies in U₃ iff it holds U₃'s point, so the
+    # qualifying set over dims[0]×dims[1] is a pick of every dims[2]-th column
+    i, j, k = dims
+    return tensor_rows(X[:, points[2]::k], (i, j), points[:2])
 
 
 def uf_tensor(U, V):
     """U⊗V on the product carrier, evaluated by the section formula."""
-    isize = _size_of(U.carrier)
-    jsize = _size_of(V.carrier)
-    carrier = ProductCarrier((isize, jsize))
-    found = None
-    for flat in range(carrier.size):
-        mask = 1 << flat
-        if tensor_member(mask, (isize, jsize), (U.point, V.point)):
-            if found is not None:
-                raise AssertionError("tensor membership hit two singletons")
-            found = flat
-    if found is None:
-        raise AssertionError("tensor membership hit no singleton")
-    return PrincipalUltrafilter(carrier, found)
+    carrier = ProductCarrier((_size_of(U.carrier), _size_of(V.carrier)))
+    hits = tensor_rows(np.eye(carrier.size, dtype=bool), carrier.sizes, (U.point, V.point))
+    return PrincipalUltrafilter(carrier, _unique_singleton(hits, "tensor"))
 
 
 def tensor_member(mask, dims, points):
-    """X ∈ U₁⊗(U₂⊗...) by vertical sections, right associated.
-
-    ``mask`` encodes X ⊆ dims[0]×dims[1]×... row-major.  At each level the
-    full qualifying set {i : section_i ∈ inner} is built before testing it
-    against the outer ultrafilter's point.
-    """
-    if len(dims) == 1:
-        return bool((mask >> points[0]) & 1)
-    rest = dims[1:]
-    rest_size = prod(rest)
-    section_mask = (1 << rest_size) - 1
-    qualifying = 0
-    for i in range(dims[0]):
-        section = (mask >> (i * rest_size)) & section_mask
-        if tensor_member(section, rest, points[1:]):
-            qualifying |= 1 << i
-    return bool((qualifying >> points[0]) & 1)
+    """X ∈ U₁⊗(U₂⊗...) by vertical sections, right associated, for the
+    bitmask ``mask`` of X ⊆ dims[0]×dims[1]×... (row-major)."""
+    return bool(tensor_rows(_mask_rows([mask], prod(dims)), dims, points)[0])
 
 
 def tensor_member_left(mask, dims, points):
     """X ∈ (U₁⊗U₂)⊗U₃ for a triple, pairing the first two coordinates."""
-    i, j, k = dims
-    section_mask = (1 << k) - 1
-    qualifying = 0
-    for ij in range(i * j):
-        section = (mask >> (ij * k)) & section_mask
-        if (section >> points[2]) & 1:
-            qualifying |= 1 << ij
-    return tensor_member(qualifying, (i, j), points[:2])
+    return bool(_tensor_left_rows(_mask_rows([mask], prod(dims)), dims, points)[0])
 
 
 def check_tensor_assoc(dims, points, exhaustive_cells=16, samples=200_000, seed=0):
@@ -306,114 +303,51 @@ def check_tensor_assoc(dims, points, exhaustive_cells=16, samples=200_000, seed=
     cells = prod(dims)
     if cells <= exhaustive_cells:
         masks = range(1 << cells)
+        X = subset_bits(cells)
     else:
         rng = random.Random(seed)
         top = (1 << cells) - 1
-        masks = (rng.randint(0, top) for _ in range(samples))
-    for mask in masks:
-        if tensor_member(mask, dims, points) != tensor_member_left(mask, dims, points):
-            return False, mask
+        masks = [rng.randint(0, top) for _ in range(samples)]
+        X = _mask_rows(masks, cells)
+    diff = np.flatnonzero(tensor_rows(X, dims, points) != _tensor_left_rows(X, dims, points))
+    if len(diff):
+        return False, masks[diff[0]]
     return True, None
 
 
-def psi_map(S, sigma, k):
-    """The evaluator (v₁..v_k) -> sigma(v₁*...*v_k), for any semigroup.
-
-    ``sigma`` is a Retraction/Substitution (anything with .apply) or a bare
-    callable; k = 1 gives sigma itself.  Works on word semigroups as well as
-    finite ones.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    apply_sigma = sigma.apply if hasattr(sigma, "apply") else sigma
-
-    def psi(vs):
-        if len(vs) != k:
-            raise ValueError(f"expected a {k}-tuple")
-        acc = vs[0]
-        for v in vs[1:]:
-            acc = product(S, acc, v)
-        return apply_sigma(acc)
-
-    return psi
-
-
-def fold_product_map(S, h, k):
-    """The map S^k -> target sending (v₁..v_k) to h(v₁*...*v_k).
-
-    Returns (apply, flat) where flat is the row-major value table over S^k;
-    with k = 1 this is h itself.
-    """
-    h = np.asarray(h, dtype=np.int64)
-    if k == 1:
-        prod_idx = np.arange(S.order)
-    elif k == 2:
-        prod_idx = S.table
-    elif k == 3:
-        prod_idx = S.table[S.table]
-    else:
-        raise ValueError("fold_product_map supports k in {1, 2, 3}")
-    flat = h[prod_idx].reshape(-1)
-
-    def apply(vs):
-        if len(vs) != k:
-            raise ValueError(f"expected a {k}-tuple")
-        return int(h[S.fold(vs)]) if k > 1 else int(h[vs[0]])
-
-    return apply, flat
-
-
-def _tensor_member_vec(X, n, k, vpoint):
-    # X: (batch, n^k) boolean membership tables; same section recursion as
-    # tensor_member, vectorized over the batch of subsets.
-    if k == 1:
-        return X[:, vpoint]
-    batch = X.shape[0]
-    inner = _tensor_member_vec(X.reshape(batch * n, -1), n, k - 1, vpoint)
-    return inner.reshape(batch, n)[:, vpoint]
-
-
-def _image_member_vec(Bsets, h, vpoint):
-    # B ∈ image ultrafilter: build the h-preimage of every B, test at V.
-    return Bsets[:, h][:, vpoint]
-
-
-def _power_member_vec(Bsets, target_table, h, vpoint, k):
-    if k == 1:
-        return _image_member_vec(Bsets, h, vpoint)
-    batch, t = Bsets.shape
-    trans = Bsets[:, target_table]  # trans[b, t1, t2] ⟺ t1*t2 ∈ B_b
-    inner = _power_member_vec(
-        trans.reshape(batch * t, t), target_table, h, vpoint, k - 1
-    ).reshape(batch, t)
-    return _image_member_vec(inner, h, vpoint)
-
-
 class TensorPowerTables:
-    """Subset tables for the tensor-power identity of S mapped into
-    ``target`` (default S), built once and shared by every (h, k, V).
+    """The tensor-power identity of S mapped into ``target`` (default S),
+    with the subset table of the target built once and shared by every
+    (h, k, V).
 
-    The sharing covers only the subset bit tables: both sides are still
-    evaluated by their defining formulas, full section sets at every level.
+    Only the subset table is shared: both sides are still evaluated by their
+    defining formulas, full section sets at every level.  The target is
+    bounded by PRODUCT_LAW_BOUND because the k = 3 tables hold 2^t·n³
+    booleans.
     """
 
     def __init__(self, S, target=None):
         self.S = S
         self.target = S if target is None else target
         t = self.target.order
-        masks = np.arange(1 << t)
-        self.abits = ((masks[:, None] >> np.arange(t)) & 1).astype(bool)
+        if t > PRODUCT_LAW_BOUND:
+            raise CarrierTooLarge(f"target size {t} exceeds {PRODUCT_LAW_BOUND}")
+        self.bits = subset_bits(t)
 
     def first_failures(self, h, k, points):
         """Yield (V point, first subset mask where the image of V's k-fold
         tensor power and the k-fold power of h(V) differ, or None)."""
-        h = np.asarray(h, dtype=np.int64)
-        _, psi_flat = fold_product_map(self.S, h, k)
-        pre = self.abits[:, psi_flat]  # pre[m, w] ⟺ psi(w) ∈ A_m, over S^k
+        if k not in (2, 3):
+            raise ValueError("k must be 2 or 3")
+        n = self.S.order
+        _require_same_carrier(len(h), n)
+        h = _map_into(h, self.target.order)
+        folded = h[self.S.fold(np.indices((n,) * k))].reshape(-1)
+        pre = self.bits[:, folded]  # pre[m, w] ⟺ h(w₁*...*w_k) ∈ A_m, over S^k
         for vp in points:
-            lhs = _tensor_member_vec(pre, self.S.order, k, vp)
-            rhs = _power_member_vec(self.abits, self.target.table, h, vp, k)
-            diff = np.nonzero(lhs != rhs)[0]
+            lhs = tensor_rows(pre, (n,) * k, (vp,) * k)
+            rhs = product_member(self.bits, self.target.table, h, (vp,) * k)
+            diff = np.flatnonzero(lhs != rhs)
             yield vp, int(diff[0]) if len(diff) else None
 
 
@@ -425,16 +359,11 @@ def check_tensor_power_law(S, h, k, V, target=None):
     ultrafilter of V.  Both sides are evaluated by their defining formulas.
     Returns (ok, first failing SubsetQuery or None).
     """
-    if target is None:
-        target = S
-    if target.order > PRODUCT_LAW_BOUND:
-        raise CarrierTooLarge(f"target size {target.order} exceeds {PRODUCT_LAW_BOUND}")
-    if k not in (2, 3):
-        raise ValueError("k must be 2 or 3")
-    [(_, bad)] = TensorPowerTables(S, target).first_failures(h, k, [V.point])
+    tables = TensorPowerTables(S, target)
+    [(_, bad)] = tables.first_failures(h, k, [V.point])
     if bad is None:
         return True, None
-    return False, SubsetQuery(target, bad)
+    return False, SubsetQuery(tables.target, bad)
 
 
 def build_agreement_set(S, family, A):
@@ -526,7 +455,7 @@ def find_agreement_ultrafilter(S, family, within=None):
             U = PrincipalUltrafilter(S, u)
             imgs = [image(r.mapping, U, S) for r in family]
             if any(im != imgs[0] for im in imgs):  # formula-route cross-check
-                raise AssertionError("image law disagrees with pointwise images")
+                raise VerificationError("image law disagrees with pointwise images")
             return U
     return None
 
@@ -591,10 +520,7 @@ def check_agreement_equivalence(S, family, r, max_order=10, max_colors=3):
             a_counterexample = coloring
             break
 
-    r_mask = 0
-    for v in r_members:
-        r_mask |= 1 << v
-    b_in_r = find_agreement_ultrafilter(S, family, within=r_mask)
+    b_in_r = find_agreement_ultrafilter(S, family, within=view.complement_mask)
     b_any = find_agreement_ultrafilter(S, family)
     return AgreementEquivalenceReport(
         r=r,

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from hjlab import flag_semigroup
+from hjlab import cyclic_semigroup, flag_semigroup
 from hjlab.cli import main
 from hjlab.tableio import format_semigroup_file
 
@@ -198,6 +198,13 @@ def test_ultra_check_prop_single_semigroup(flag2, capsys):
     assert "pass" in capsys.readouterr().out
 
 
+def test_ultra_check_prop_rejects_a_carrier_above_the_bound(tmp_path, capsys):
+    path = tmp_path / "z13.sg"
+    path.write_text(format_semigroup_file(cyclic_semigroup(13)))
+    assert main(["ultra", "check-prop", "--semigroup", str(path)]) == 2
+    assert "carrier too large" in capsys.readouterr().out
+
+
 def test_ultra_lemma2(flag2, capsys):
     assert main(["ultra", "lemma2", "--semigroup", flag2, "--colors", "2"]) == 0
     out = capsys.readouterr().out
@@ -218,6 +225,13 @@ def test_ultra_corpus(capsys):
     out = capsys.readouterr().out
     assert "10 transformation semigroups" in out
     assert "tensor-power identity: pass" in out
+
+
+@pytest.mark.parametrize("k", ["4", "0", "x"])
+def test_ultra_corpus_rejects_bad_k(k, capsys):
+    assert main(["ultra", "corpus", "--count", "5", "--max-order", "4", "--k", k]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1
 
 
 # -- verify ---------------------------------------------------------------------

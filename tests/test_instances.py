@@ -1,4 +1,4 @@
-"""Concrete instances: lines in [n]^N, colorings, and the two reductions."""
+"""Concrete instances: lines in [n]^N, colorings, and the digit-sum reduction."""
 import itertools
 
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from hjlab import (
     ApResidueColoring,
     CombinatorialLine,
-    GallaiEncoding,
     ModSumColoring,
     PullbackColoring,
     TableColoring,
@@ -127,43 +126,3 @@ def test_pullback_color_matches_projection():
     pulled = enc.pullback(base)
     for w in itertools.product(range(3), repeat=4):
         assert pulled.color_of(w) == base.color_of(sum(w))
-
-
-# -- the Gallai coordinatewise-sum reduction ------------------------------------
-
-def test_gallai_line_image_is_a_homothetic_copy():
-    pattern = ((0, 0), (1, 0), (0, 1))
-    enc = GallaiEncoding(2, pattern, 3)
-    for line in enumerate_lines(3, 3):
-        image = enc.line_image(line.template)
-        assert image == [enc.point_sum(p) for p in line.points]
-        # image = a + m*P where m counts the variable positions
-        m = sum(1 for s in line.template if s < 0)
-        a = tuple(i - m * p for i, p in zip(image[0], pattern[0]))
-        assert m >= 1
-        assert image == [tuple(ai + m * pi for ai, pi in zip(a, p)) for p in pattern]
-
-
-class _FirstCoordColoring:
-    def __init__(self, base):
-        self.base = base
-        self.r = base.r
-
-    def color_of(self, point):
-        return self.base.color_of(point[0])
-
-
-def test_gallai_pullback_matches_projection():
-    pattern = ((0,), (2,), (5,))
-    enc = GallaiEncoding(1, pattern, 2)
-    base = ApResidueColoring(3)
-    pulled = enc.pullback(_FirstCoordColoring(base))
-    for w in itertools.product(range(3), repeat=2):
-        assert pulled.color_of(w) == base.color_of(enc.point_sum(w)[0])
-
-
-def test_gallai_pattern_validation():
-    with pytest.raises(ValueError):
-        GallaiEncoding(2, (((0, 0)),), 2)  # single point
-    with pytest.raises(ValueError):
-        GallaiEncoding(2, ((0, 0), (1,)), 2)  # wrong dimension

@@ -49,6 +49,14 @@ def test_fold_and_mul():
     assert S.order == 5
 
 
+def test_fold_tabulates_index_arrays():
+    S, _, _ = flag_semigroup(1)
+    n = S.order
+    folded = S.fold(np.indices((n, n, n)))
+    for a, b, c in itertools.product(range(n), repeat=3):
+        assert folded[a, b, c] == S.fold([a, b, c]) == S.mul(S.mul(a, b), c)
+
+
 def test_helpers_agree_with_definitions():
     M = max_semigroup(4)
     for a in range(4):

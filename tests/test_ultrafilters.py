@@ -21,10 +21,8 @@ from hjlab import (
     find_agreement_ultrafilter,
     flag_index,
     flag_semigroup,
-    fold_product_map,
     image,
     member,
-    psi_map,
     substitution_family,
     tensor_member,
     tensor_member_left,
@@ -34,7 +32,8 @@ from hjlab import (
     uf_tensor,
     WordSemigroup,
 )
-from hjlab.errors import CarrierMismatch, CarrierTooLarge
+from hjlab.errors import CarrierMismatch, CarrierTooLarge, HjlabError
+from hjlab.ultra import product_member, subset_bits
 
 import oracles
 
@@ -94,6 +93,14 @@ def test_image_matches_family_oracle():
     assert check_image_law(np.asarray(f), PrincipalUltrafilter(S, 4), T)
 
 
+def test_image_rejects_a_map_outside_the_target():
+    S, T = cyclic_semigroup(3), cyclic_semigroup(3)
+    for f in ([0, 1, 5], [0, -1, 2]):
+        for p in range(3):
+            with pytest.raises(HjlabError):
+                image(f, PrincipalUltrafilter(S, p), T)
+
+
 def test_image_law_bound_enforced():
     big = cyclic_semigroup(17)
     with pytest.raises(CarrierTooLarge):
@@ -130,6 +137,22 @@ def test_power_folds_the_point():
     S = cyclic_semigroup(5)
     U = PrincipalUltrafilter(S, 2)
     assert uf_power(U, 3, S).point == (2 + 2 + 2) % 5
+
+
+@pytest.mark.parametrize("S", [cyclic_semigroup(3), left_zero(3), flag_semigroup(1)[0]])
+def test_three_level_power_matches_nested_family_oracle(S):
+    n = S.order
+    table = S.table.tolist()
+    maps = [np.arange(n), (np.arange(n) + 1) % n]  # the identity and a shift
+    for p in range(n):
+        U = oracles.principal_family(n, p)
+        fam = oracles.product_family(table, U, oracles.product_family(table, U, U))
+        assert family_of(uf_power(PrincipalUltrafilter(S, p), 3, S), n) == fam
+        for h in maps:
+            W = oracles.image_family(h, U, n, n)
+            fam = oracles.product_family(table, W, oracles.product_family(table, W, W))
+            rows = product_member(subset_bits(n), S.table, h, (p, p, p))
+            assert set(np.flatnonzero(rows)) == fam
 
 
 def test_product_law_bound_enforced():
@@ -174,6 +197,11 @@ def test_tensor_assoc_sampled_at_27_cells():
     assert ok and bad is None
 
 
+def test_tensor_assoc_sampled_above_62_cells():
+    ok, bad = check_tensor_assoc((4, 4, 4), (3, 0, 2), samples=2_000)
+    assert ok and bad is None
+
+
 def test_tensor_member_left_agrees_by_definition():
     dims, points = (2, 3, 2), (1, 2, 0)
     for mask in range(1 << 12):
@@ -181,18 +209,6 @@ def test_tensor_member_left_agrees_by_definition():
 
 
 # -- the tensor-power identity ----------------------------------------------
-
-def test_psi_map_equals_fold_product_map():
-    S, view, family = flag_semigroup(2)
-    sigma = list(family)[1]
-    for k in (1, 2, 3):
-        psi = psi_map(S, sigma, k)
-        apply_h, flat = fold_product_map(S, sigma.mapping, k)
-        for _ in range(50):
-            vs = tuple(np.random.default_rng(_).integers(0, S.order, size=k))
-            assert psi(vs) == apply_h(vs)
-        assert len(flat) == S.order ** k
-
 
 def test_tensor_power_law_on_flag_retractions():
     S, view, family = flag_semigroup(2)
