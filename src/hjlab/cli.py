@@ -277,6 +277,9 @@ def cmd_ultra_check_prop(args):
             return EXIT_INPUT
         scope = f"semigroup {args.semigroup}"
     else:
+        if args.count < 1:
+            print(f"error: --count must be at least 1, not {args.count}")
+            return EXIT_INPUT
         entries = generate_corpus(
             count=args.count, max_order=args.corpus_order, seed=args.seed
         )
@@ -333,6 +336,9 @@ def cmd_ultra_corpus(args):
     ks = tuple(k.strip() for k in args.k.split(","))
     if any(k not in ("2", "3") for k in ks):
         print(f"error: --k takes comma-separated values from {{2, 3}}, not {args.k!r}")
+        return EXIT_INPUT
+    if args.count < 1:
+        print(f"error: --count must be at least 1, not {args.count}")
         return EXIT_INPUT
     ks = tuple(map(int, ks))
     entries = generate_corpus(count=args.count, max_order=args.max_order, seed=args.seed)

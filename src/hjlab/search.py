@@ -22,7 +22,6 @@ import numpy as np
 from .errors import InvalidInstance, VerificationError
 from .instances import (
     VdwEncoding,
-    decode_word,
     encode_word,
     enumerate_lines,
 )
@@ -88,6 +87,10 @@ SYMMETRY_GROUP_LIMIT = 100_000
 
 
 def hj_symmetry(n, N, r, include=("color", "coordinate", "alphabet")):
+    # n >= 2 makes every (coordinate, alphabet) pair a distinct row: constant
+    # words pin the alphabet permutation, one-nonzero-digit words the other
+    if n < 2 or N < 1:
+        raise InvalidInstance("need n >= 2, N >= 1")
     # an oversized subgroup is dropped rather than enumerated: pruning less
     # is always sound, and N! * n! explodes quickly on wide alphabets
     include = set(include)
@@ -98,24 +101,23 @@ def hj_symmetry(n, N, r, include=("color", "coordinate", "alphabet")):
         if width > SYMMETRY_GROUP_LIMIT:
             include.discard("alphabet")
     V = n ** N
-    words = [decode_word(v, n, N) for v in range(V)]
+    weights = n ** np.arange(N - 1, -1, -1, dtype=np.int64)
+    digits = np.arange(V, dtype=np.int64)[:, None] // weights % n  # (V, N), as decode_word
     coord = list(permutations(range(N))) if "coordinate" in include else [tuple(range(N))]
-    alpha = list(permutations(range(n))) if "alphabet" in include else [tuple(range(n))]
-    seen = {}
-    for cp in coord:
-        for ap in alpha:
-            arr = np.empty(V, dtype=np.int64)
-            for v, w in enumerate(words):
-                img = tuple(ap[w[cp[i]]] for i in range(N))
-                arr[v] = encode_word(img, n)
-            seen[arr.tobytes()] = arr
-    cells = np.stack(list(seen.values()))
+    alpha = np.array(
+        list(permutations(range(n))) if "alphabet" in include else [tuple(range(n))],
+        dtype=np.int64,
+    )
+    cells = np.empty((len(coord), len(alpha), V), dtype=np.int64)
+    for i, cp in enumerate(coord):
+        # word w goes to (ap[w[cp[0]]], ..., ap[w[cp[N-1]]]), every ap at once
+        cells[i] = alpha[:, digits[:, cp]] @ weights
     colors = (
         np.array(list(permutations(range(r))), dtype=np.int64)
         if "color" in include
         else np.arange(r, dtype=np.int64)[None, :]
     )
-    return Symmetry(cells, colors, tuple(sorted(include)))
+    return Symmetry(cells.reshape(-1, V), colors, tuple(sorted(include)))
 
 
 def vdw_symmetry(M, r, include=("color", "reflection")):

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     CarrierMismatch,
     CarrierTooLarge,
+    InvalidInstance,
     SearchSpaceTooLarge,
     VerificationError,
 )
@@ -268,6 +269,11 @@ def tensor_rows(X, dims, points):
     return inner.reshape(batch, dims[0])[:, points[0]]
 
 
+def _require_triple(dims, points):
+    if len(dims) != 3 or len(points) != 3:
+        raise InvalidInstance(f"(U⊗V)⊗W takes 3 factors, got dims {dims}, points {points}")
+
+
 def _tensor_left_rows(X, dims, points):
     # (U₁⊗U₂)⊗U₃: section ij lies in U₃ iff it holds U₃'s point, so the
     # qualifying set over dims[0]×dims[1] is a pick of every dims[2]-th column
@@ -290,6 +296,7 @@ def tensor_member(mask, dims, points):
 
 def tensor_member_left(mask, dims, points):
     """X ∈ (U₁⊗U₂)⊗U₃ for a triple, pairing the first two coordinates."""
+    _require_triple(dims, points)
     return bool(_tensor_left_rows(_mask_rows([mask], prod(dims)), dims, points)[0])
 
 
@@ -300,6 +307,7 @@ def check_tensor_assoc(dims, points, exhaustive_cells=16, samples=200_000, seed=
     (2^cells memberships); otherwise a seeded random sample of subsets.
     Returns (ok, first failing mask or None).
     """
+    _require_triple(dims, points)
     cells = prod(dims)
     if cells <= exhaustive_cells:
         masks = range(1 << cells)
@@ -338,7 +346,7 @@ class TensorPowerTables:
         """Yield (V point, first subset mask where the image of V's k-fold
         tensor power and the k-fold power of h(V) differ, or None)."""
         if k not in (2, 3):
-            raise ValueError("k must be 2 or 3")
+            raise InvalidInstance(f"tensor powers take k = 2 or 3 factors, not {k}")
         n = self.S.order
         _require_same_carrier(len(h), n)
         h = _map_into(h, self.target.order)

@@ -83,6 +83,27 @@ def hj_colorable(n, r, N):
     return colorable(n ** N, edges, r)
 
 
+def hj_symmetry_cells(n, N, include):
+    """Cell maps of [n]^N, one word at a time: for each coordinate
+    permutation cp (if "coordinate" in include) and each alphabet permutation
+    ap (if "alphabet" in include), word w goes to (ap[w[cp[0]]], ...,
+    ap[w[cp[N-1]]]).  Rows run cp-major, repeated maps kept once."""
+    words = list(itertools.product(range(n), repeat=N))  # index = base-n code
+    coord = list(itertools.permutations(range(N))) if "coordinate" in include else [tuple(range(N))]
+    alpha = list(itertools.permutations(range(n))) if "alphabet" in include else [tuple(range(n))]
+    seen = {}
+    for cp in coord:
+        for ap in alpha:
+            row = np.empty(len(words), dtype=np.int64)
+            for v, w in enumerate(words):
+                code = 0
+                for i in range(N):
+                    code = code * n + ap[w[cp[i]]]
+                row[v] = code
+            seen.setdefault(row.tobytes(), row)
+    return np.stack(list(seen.values()))
+
+
 # -- transformation semigroups --------------------------------------------
 
 def all_endomorphisms(table):

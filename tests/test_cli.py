@@ -136,6 +136,13 @@ def test_hj_lower_bound_only(capsys):
     assert "HJ(3,2) > 2 (lower bound only)" in capsys.readouterr().out
 
 
+def test_hj_42_lower_bound_node_counts(capsys):
+    assert main(["hj", "-n", "4", "-r", "2", "--max-N", "5"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"N={N}: SAT nodes={nodes}" for N, nodes in zip(range(1, 6), (3, 8, 20, 73, 191))
+    ] + ["HJ(4,2) > 5 (lower bound only)"]
+
+
 def test_vdw_32(capsys):
     assert main(["vdw", "-k", "3", "-r", "2", "--max-M", "16"]) == 0
     out = capsys.readouterr().out
@@ -230,6 +237,19 @@ def test_ultra_corpus(capsys):
 @pytest.mark.parametrize("k", ["4", "0", "x"])
 def test_ultra_corpus_rejects_bad_k(k, capsys):
     assert main(["ultra", "corpus", "--count", "5", "--max-order", "4", "--k", k]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["ultra", "corpus", "--count", "0"],
+    ["ultra", "corpus", "--count", "-1"],
+    ["ultra", "check-prop", "--count", "0"],
+    ["ultra", "check-prop", "--count", "-1"],
+])
+def test_ultra_sweeps_reject_an_empty_corpus(argv, capsys):
+    # a sweep of no semigroups is no evidence for the identity
+    assert main(argv) == 2
     out = capsys.readouterr().out
     assert out.startswith("error: ") and out.count("\n") == 1
 

@@ -1,5 +1,7 @@
 """Backtracking search: soundness against the naive oracles, symmetry
 pruning, budgets, and the witness searches."""
+from itertools import combinations
+
 import pytest
 
 from hjlab import (
@@ -21,6 +23,7 @@ from hjlab import (
     flag_semigroup,
     hj_check,
     hj_number,
+    hj_symmetry,
     substitution_family,
     vdw_check,
     vdw_number,
@@ -89,6 +92,37 @@ def test_symmetry_subsets_agree():
                  ("color", "coordinate", "alphabet")):
         assert hj_check(2, 2, 2, symmetry=spec).status == UNSAT
         assert hj_check(2, 3, 2, symmetry=spec).status == SAT
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_hj_symmetry_matches_the_per_word_oracle(n, N):
+    lines = {frozenset(e) for e in LineHypergraph.build(n, N).edges}
+    for size in range(3):
+        for include in combinations(("coordinate", "alphabet"), size):
+            cells = hj_symmetry(n, N, 2, include).cell_perms
+            want = oracles.hj_symmetry_cells(n, N, include)
+            assert cells.dtype == want.dtype and cells.shape == want.shape
+            assert cells.tobytes() == want.tobytes()
+            # every row is an automorphism of the line hypergraph
+            for row in cells:
+                assert sorted(row) == list(range(n ** N))
+                assert {frozenset(row[list(line)].tolist()) for line in lines} == lines
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_hj_symmetry_color_rows_are_permutations(r):
+    for include in (("color",), ()):
+        colors = hj_symmetry(3, 2, r, include).color_perms
+        for row in colors:
+            assert sorted(row) == list(range(r))
+
+
+def test_hj_symmetry_rejects_degenerate_sizes():
+    with pytest.raises(InvalidInstance):
+        hj_symmetry(1, 3, 2)
+    with pytest.raises(InvalidInstance):
+        hj_symmetry(2, 0, 2)
 
 
 def test_symmetry_prunes_nodes():

@@ -32,8 +32,8 @@ from hjlab import (
     uf_tensor,
     WordSemigroup,
 )
-from hjlab.errors import CarrierMismatch, CarrierTooLarge, HjlabError
-from hjlab.ultra import product_member, subset_bits
+from hjlab.errors import CarrierMismatch, CarrierTooLarge, HjlabError, InvalidInstance
+from hjlab.ultra import TensorPowerTables, product_member, subset_bits
 
 import oracles
 
@@ -206,6 +206,24 @@ def test_tensor_member_left_agrees_by_definition():
     dims, points = (2, 3, 2), (1, 2, 0)
     for mask in range(1 << 12):
         assert tensor_member_left(mask, dims, points) == tensor_member(mask, dims, points)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_tensor_assoc((2, 2), (0, 0)),
+    lambda: check_tensor_assoc((2, 2, 2), (0, 0)),
+    lambda: tensor_member_left(0, (2, 2), (0, 0)),
+    lambda: tensor_member_left(0, (2, 2, 2, 2), (0, 0, 0, 0)),
+])
+def test_left_associated_triple_rejects_other_arities(call):
+    with pytest.raises(InvalidInstance, match="3 factors"):
+        call()
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_tensor_power_tables_reject_k_outside_2_3(k):
+    S = cyclic_semigroup(3)
+    with pytest.raises(InvalidInstance, match="k = 2 or 3"):
+        list(TensorPowerTables(S).first_failures(list(range(3)), k, [0]))
 
 
 # -- the tensor-power identity ----------------------------------------------
