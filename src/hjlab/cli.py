@@ -53,7 +53,7 @@ from .search import (
     word_witness_search,
 )
 from .tableio import parse_semigroup_file
-from .ultra import check_agreement_equivalence
+from .ultra import PRODUCT_LAW_BOUND, check_agreement_equivalence
 from .words import WordSemigroup, format_word, substitution_family
 
 EXIT_OK = 0
@@ -280,6 +280,12 @@ def cmd_ultra_check_prop(args):
         if args.count < 1:
             print(f"error: --count must be at least 1, not {args.count}")
             return EXIT_INPUT
+        if not 1 <= args.corpus_order <= PRODUCT_LAW_BOUND:
+            print(
+                f"error: --corpus-order must be in 1..{PRODUCT_LAW_BOUND}, "
+                f"not {args.corpus_order}"
+            )
+            return EXIT_INPUT
         entries = generate_corpus(
             count=args.count, max_order=args.corpus_order, seed=args.seed
         )
@@ -339,6 +345,10 @@ def cmd_ultra_corpus(args):
         return EXIT_INPUT
     if args.count < 1:
         print(f"error: --count must be at least 1, not {args.count}")
+        return EXIT_INPUT
+    if not 1 <= args.max_order <= PRODUCT_LAW_BOUND:
+        # the sweep's tables stop there; checked before the corpus is drawn
+        print(f"error: --max-order must be in 1..{PRODUCT_LAW_BOUND}, not {args.max_order}")
         return EXIT_INPUT
     ks = tuple(map(int, ks))
     entries = generate_corpus(count=args.count, max_order=args.max_order, seed=args.seed)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidInstance
 from .semigroups import FiniteSemigroup
 from .ultra import TensorPowerTables
 
@@ -26,10 +27,12 @@ def compose(f, g):
 def mulclose(gens, maxsize=None):
     """Close a set of transformations under composition.
 
-    Returns the sorted element list, or None once the closure exceeds
-    ``maxsize``.
+    Returns the sorted element list, or None once the closure (the
+    generators included) exceeds ``maxsize``.
     """
     els = set(gens)
+    if maxsize is not None and len(els) > maxsize:
+        return None
     changed = True
     while changed:
         changed = False
@@ -62,6 +65,8 @@ class CorpusEntry:
 
 def generate_corpus(count=50, max_order=6, max_degree=4, seed=0, max_attempts=50_000):
     """Deterministic corpus: same seed, same semigroups, same order."""
+    if max_order < 1:
+        raise InvalidInstance(f"a corpus needs max_order >= 1, not {max_order}")
     rng = random.Random(seed)
     seen = set()
     out = []
@@ -155,8 +160,9 @@ def sweep_tensor_power(entries, ks=(2, 3)):
     For every entry, every endomorphism h, every k and every principal V the
     image of V's k-fold tensor power under (v1..vk) -> h(v1*...*vk) is
     compared, subset by subset, with the k-fold product power of h(V).  The
-    subset tables are shared per semigroup, so the sweep stays fast even on
-    endomorphism-rich semigroups.
+    subset table and its translate chain are built once per semigroup and
+    every point V of an (h, k) is checked in one batch, so the sweep stays
+    fast even on endomorphism-rich semigroups.
     """
     report = CorpusReport(semigroups=len(entries))
     for idx, entry in enumerate(entries):

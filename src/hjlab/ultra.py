@@ -160,11 +160,21 @@ def _map_into(f, size):
     return f
 
 
-def image_member(B, f, point):
+def _at(sets, points):
+    """Test sets (rows × carrier) at a point, or at a vector of points; sets
+    with a trailing axis hold one column per point, and each point tests its
+    own column (a diagonal pick)."""
+    if sets.ndim == 2:
+        return sets[:, points]
+    return sets[:, points, np.arange(len(points))]
+
+
+def image_member(B, f, points):
     """Which rows of B (subsets of the target) lie in the image under f of
-    the principal ultrafilter at ``point``: the full preimage f⁻¹(B) is built
-    for every row, then tested at the point."""
-    return B[:, f][:, point]
+    the principal ultrafilter at ``points`` (a point, or a vector of points
+    giving one column each): the full preimage f⁻¹(B) is built for every
+    row, then tested at the point.  B may carry one column per point."""
+    return _at(B[:, f], points)
 
 
 def image(f, U, target, check=True):
@@ -194,22 +204,34 @@ def check_image_law(f, U, target):
     return bool(np.array_equal(image_member(B, f, U.point), B[:, f[U.point]]))
 
 
-def product_member(B, table, f, points):
+def translate_chain(B, table, k):
+    """The translate sets of k right-associated product levels, as rows:
+    level 0 is B and level i+1 holds {u : s*u ∈ R} for every row R of level
+    i and every s, so it has t times the rows (t the order of ``table``)."""
+    chain = [B]
+    for _ in range(k - 1):
+        chain.append(chain[-1][:, table].reshape(-1, B.shape[1]))
+    return chain
+
+
+def product_member(B, table, f, points, chain=None):
     """Which rows of B lie in f(U₁)*(f(U₂)*(...*f(U_k))), right associated,
     for the principal U_i at ``points`` (outermost first), f mapping into
     the semigroup with Cayley ``table``; f is the identity for a plain
-    product.
+    product.  Each level's point may be a vector, one result column each.
 
     At each level the translate sets {u : s*u ∈ B} are built for every s
-    and row, the inner levels decide which of them are members, and the full
-    set of qualifying s is tested through the image law.
+    and row (or taken from ``chain``, a prebuilt ``translate_chain`` of B of
+    at least k levels), the inner levels decide which of them are members,
+    and the full set of qualifying s is tested through the image law.
     """
-    if len(points) == 1:
-        return image_member(B, f, points[0])
-    batch, t = B.shape
-    trans = B[:, table]  # trans[b, s, u] ⟺ s*u ∈ B_b
-    inner = product_member(trans.reshape(batch * t, t), table, f, points[1:])
-    return image_member(inner.reshape(batch, t), f, points[0])
+    if chain is None:
+        chain = translate_chain(B, table, len(points))
+    inner = image_member(chain[len(points) - 1], f, points[-1])
+    for level in reversed(range(len(points) - 1)):
+        rows = chain[level].shape[0]
+        inner = image_member(inner.reshape(rows, -1, *inner.shape[1:]), f, points[level])
+    return inner
 
 
 def uf_product(U, V, S=None, check=True):
@@ -258,15 +280,16 @@ def check_product_law(S, U, V):
 def tensor_rows(X, dims, points):
     """Which rows of X (subsets of dims[0]×dims[1]×..., row-major) lie in
     U₁⊗(U₂⊗...), right associated, for the principal U_i at ``points``.
+    Each level's point may be a vector, one result column each.
 
     At each level the full qualifying set {i : section_i ∈ inner} is built
-    for every row before it is tested at the outer point.
+    for every row (and point) before it is tested at the outer point.
     """
     if len(dims) == 1:
-        return X[:, points[0]]
+        return _at(X, points[0])
     batch = X.shape[0]
     inner = tensor_rows(X.reshape(batch * dims[0], -1), dims[1:], points[1:])
-    return inner.reshape(batch, dims[0])[:, points[0]]
+    return _at(inner.reshape(batch, dims[0], *inner.shape[1:]), points[0])
 
 
 def _require_triple(dims, points):
@@ -324,14 +347,15 @@ def check_tensor_assoc(dims, points, exhaustive_cells=16, samples=200_000, seed=
 
 
 class TensorPowerTables:
-    """The tensor-power identity of S mapped into ``target`` (default S),
-    with the subset table of the target built once and shared by every
-    (h, k, V).
+    """The tensor-power identity of S mapped into ``target`` (default S).
 
-    Only the subset table is shared: both sides are still evaluated by their
-    defining formulas, full section sets at every level.  The target is
-    bounded by PRODUCT_LAW_BOUND because the k = 3 tables hold 2^t·n³
-    booleans.
+    What depends on the target alone is built once and shared by every
+    (h, k, V): the subset table and, lazily up to the largest k asked for,
+    its translate chain (the translate sets of every product level).  Both
+    sides are still evaluated by their defining formulas, full preimage,
+    translate and section sets at every level, for all requested points in
+    one batch.  The target is bounded by PRODUCT_LAW_BOUND because the k = 3
+    tables hold 2^t·n³ booleans.
     """
 
     def __init__(self, S, target=None):
@@ -341,22 +365,26 @@ class TensorPowerTables:
         if t > PRODUCT_LAW_BOUND:
             raise CarrierTooLarge(f"target size {t} exceeds {PRODUCT_LAW_BOUND}")
         self.bits = subset_bits(t)
+        self.chain = [self.bits]
 
     def first_failures(self, h, k, points):
-        """Yield (V point, first subset mask where the image of V's k-fold
-        tensor power and the k-fold power of h(V) differ, or None)."""
+        """[(V point, first subset mask where the image of V's k-fold tensor
+        power and the k-fold power of h(V) differ, or None)] for every point."""
         if k not in (2, 3):
             raise InvalidInstance(f"tensor powers take k = 2 or 3 factors, not {k}")
         n = self.S.order
         _require_same_carrier(len(h), n)
         h = _map_into(h, self.target.order)
+        if len(self.chain) < k:
+            self.chain = translate_chain(self.bits, self.target.table, k)
+        points = np.asarray(points, dtype=np.int64)
         folded = h[self.S.fold(np.indices((n,) * k))].reshape(-1)
         pre = self.bits[:, folded]  # pre[m, w] ⟺ h(w₁*...*w_k) ∈ A_m, over S^k
-        for vp in points:
-            lhs = tensor_rows(pre, (n,) * k, (vp,) * k)
-            rhs = product_member(self.bits, self.target.table, h, (vp,) * k)
-            diff = np.flatnonzero(lhs != rhs)
-            yield vp, int(diff[0]) if len(diff) else None
+        lhs = tensor_rows(pre, (n,) * k, (points,) * k)
+        rhs = product_member(self.bits, self.target.table, h, (points,) * k, chain=self.chain)
+        diff = lhs != rhs  # one column per point
+        first = np.where(diff.any(axis=0), diff.argmax(axis=0), -1)
+        return [(int(vp), int(m) if m >= 0 else None) for vp, m in zip(points, first)]
 
 
 def check_tensor_power_law(S, h, k, V, target=None):

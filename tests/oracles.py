@@ -180,3 +180,52 @@ def tensor_family(size_x, size_y, fam_u, fam_v):
         if xmask in fam_u:
             out.add(cmask)
     return out
+
+
+def tensor_power_first_failure(S_table, T_table, h, k, point):
+    """Least mask A of the target where the two sides of the tensor-power
+    identity disagree at the principal V at ``point``, or None.
+
+    Tensor side: A lies in the image of V⊗(V⊗...) (k factors) under
+    w -> h(w1*...*wk) iff the fold-preimage X = {w : h(w1*...*wk) in A} is
+    a member, decided section by section: a section of X is a member iff the
+    set of next coordinates whose own section is a member contains ``point``.
+    Product side: A lies in h(V)*(h(V)*...) iff the set of s whose translate
+    {u : s*u in A} lies in the inner power has its h-preimage contain
+    ``point``.  Plain loops over sets; no numpy.
+    """
+    n, t = len(S_table), len(T_table)
+
+    def fold(word):
+        acc = word[0]
+        for x in word[1:]:
+            acc = S_table[acc][x]
+        return acc
+
+    def tensor_side(A, prefix):
+        qualifying = set()
+        for w in range(n):
+            word = prefix + (w,)
+            inside = h[fold(word)] in A if len(word) == k else tensor_side(A, word)
+            if inside:
+                qualifying.add(w)
+        return point in qualifying
+
+    def in_image(B):
+        return point in {x for x in range(n) if h[x] in B}
+
+    def product_side(A, levels):
+        if levels == 1:
+            return in_image(A)
+        qualifying = set()
+        for s in range(t):
+            translate = {u for u in range(t) if T_table[s][u] in A}
+            if product_side(translate, levels - 1):
+                qualifying.add(s)
+        return in_image(qualifying)
+
+    for mask in range(1 << t):
+        A = {x for x in range(t) if (mask >> x) & 1}
+        if tensor_side(A, ()) != product_side(A, k):
+            return mask
+    return None

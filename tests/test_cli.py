@@ -4,6 +4,7 @@ import os
 import pytest
 
 from hjlab import cyclic_semigroup, flag_semigroup
+from hjlab import cli
 from hjlab.cli import main
 from hjlab.tableio import format_semigroup_file
 
@@ -252,6 +253,32 @@ def test_ultra_sweeps_reject_an_empty_corpus(argv, capsys):
     assert main(argv) == 2
     out = capsys.readouterr().out
     assert out.startswith("error: ") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["ultra", "corpus", "--count", "3", "--max-order", "0"],
+    ["ultra", "corpus", "--count", "3", "--max-order", "13"],
+    ["ultra", "check-prop", "--count", "3", "--corpus-order", "0"],
+    ["ultra", "check-prop", "--count", "3", "--corpus-order", "13"],
+])
+def test_ultra_sweeps_reject_an_order_outside_the_bound(argv, monkeypatch, capsys):
+    # the sweep's tables stop at order 12, so the order is rejected before
+    # any corpus is drawn
+    def no_draw(**kwargs):
+        raise AssertionError("corpus drawn")
+    monkeypatch.setattr(cli, "generate_corpus", no_draw)
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1
+    assert "1..12" in out
+
+
+def test_ultra_corpus_baseline_row(capsys):
+    assert main(["ultra", "corpus", "--count", "200", "--max-order", "10",
+                 "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "endomorphisms: 1139; checks: 11834; failures: 0" in out
+    assert "tensor-power identity: pass" in out
 
 
 # -- verify ---------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hjlab import (
     sweep_tensor_power,
     transformation_semigroup,
 )
+from hjlab.errors import InvalidInstance
 
 import oracles
 
@@ -35,6 +36,24 @@ def test_mulclose_is_closed():
 
 def test_mulclose_overflow_returns_none():
     assert mulclose([(1, 2, 3, 0)], 3) is None
+
+
+def test_mulclose_counts_the_generators_against_maxsize():
+    assert mulclose([(0, 0, 0), (1, 1, 1)], 1) is None
+    assert mulclose([(0, 0, 0), (1, 1, 1)], 2) == [(0, 0, 0), (1, 1, 1)]
+
+
+@pytest.mark.parametrize("max_order", [1, 2, 3])
+def test_corpus_orders_stay_within_max_order(max_order):
+    entries = generate_corpus(count=5, max_order=max_order, seed=0)
+    assert len(entries) == 5
+    assert all(e.semigroup.order <= max_order for e in entries)
+
+
+@pytest.mark.parametrize("max_order", [0, -1])
+def test_corpus_rejects_max_order_below_1(max_order):
+    with pytest.raises(InvalidInstance):
+        generate_corpus(count=5, max_order=max_order)
 
 
 def test_transformation_semigroup_matches_composition():

@@ -18,9 +18,11 @@ from hjlab import (
     check_tensor_assoc,
     check_tensor_power_law,
     cyclic_semigroup,
+    enumerate_endomorphisms,
     find_agreement_ultrafilter,
     flag_index,
     flag_semigroup,
+    generate_corpus,
     image,
     member,
     substitution_family,
@@ -246,6 +248,57 @@ def test_tensor_power_law_flags_a_non_homomorphism():
     assert not ok and bad is not None
     # the returned subset really separates the two sides
     assert bad.contains(2) != bad.contains(0)
+
+
+def batch_against_oracle(tables, h, k):
+    """Every point's first failing mask from one batched call, checked
+    against the pure-Python oracle point by point; True if any point fails."""
+    S, T = tables.S, tables.target
+    got = list(tables.first_failures(np.asarray(h), k, range(S.order)))
+    want = [
+        (p, oracles.tensor_power_first_failure(
+            S.table.tolist(), T.table.tolist(), [int(x) for x in h], k, p))
+        for p in range(S.order)
+    ]
+    assert got == want
+    return any(bad is not None for _, bad in got)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_tensor_power_batch_matches_oracle_on_corpus_endomorphisms(k):
+    for entry in generate_corpus(count=25, max_order=4, seed=1):
+        tables = TensorPowerTables(entry.semigroup)
+        for h in enumerate_endomorphisms(entry.semigroup):
+            assert not batch_against_oracle(tables, h, k)
+
+
+def test_tensor_power_batch_matches_oracle_on_random_maps():
+    rng = np.random.default_rng(11)
+    failed = 0
+    for entry in generate_corpus(count=25, max_order=4, seed=1):
+        S = entry.semigroup
+        tables = TensorPowerTables(S)
+        for _ in range(4):
+            h = rng.integers(0, S.order, S.order)
+            for k in (3, 2):  # k = 3 first, so k = 2 reads a longer chain
+                failed += batch_against_oracle(tables, h, k)
+    assert failed > 0  # some random maps are no homomorphisms, and fail
+
+
+@pytest.mark.parametrize("S, T", [
+    (cyclic_semigroup(3), cyclic_semigroup(5)),
+    (flag_semigroup(1)[0], cyclic_semigroup(2)),
+    (cyclic_semigroup(4), left_zero(3)),
+])
+def test_tensor_power_batch_matches_oracle_into_a_foreign_target(S, T):
+    rng = np.random.default_rng(5)
+    tables = TensorPowerTables(S, T)
+    failed = 0
+    for _ in range(6):
+        h = rng.integers(0, T.order, S.order)
+        for k in (2, 3):
+            failed += batch_against_oracle(tables, h, k)
+    assert failed > 0
 
 
 # -- agreement sets, FIP, the equivalence report -----------------------------
