@@ -2,12 +2,16 @@
 families, and exact small Hales-Jewett / van der Waerden numbers via proper
 coloring of line hypergraphs.
 
-The solver is a plain trail-based backtracker.  Propagation is the hypergraph
-unit rule: an edge with all but one vertex colored alike prunes that color
-from the remaining vertex, and singleton domains cascade.  Symmetry pruning
-rejects partial colorings that are not lexicographically minimal in their
-orbit, compared along one fixed decision order, which keeps the pruning sound
-for SAT and UNSAT alike.
+The solver is a trail-based backtracker over an explicit decision stack.
+Each edge e and color c give the clause "e is not all colored c".  Every
+clause watches two vertices of its edge not colored c (the two-watched-literal
+scheme of Chaff), so coloring v with c visits only the clauses for c that
+watch v: one is satisfied by its other watch, moves the watch to another
+vertex not colored c, prunes c from an uncolored other watch (singleton
+domains cascade), or is a conflict.  Undo restores colors and domains only.
+Symmetry pruning rejects partial colorings that are not lexicographically
+minimal in their orbit, compared along one fixed decision order, which keeps
+the pruning sound for SAT and UNSAT alike.
 """
 from __future__ import annotations
 
@@ -178,7 +182,12 @@ class _BudgetHit(Exception):
 
 class HypergraphSolver:
     """Proper-coloring backtracker over a hypergraph: no edge may end up
-    with all its vertices the same color."""
+    with all its vertices the same color.
+
+    An edge is a vertex set (a repeated vertex adds nothing; an empty edge
+    constrains nothing).  ``solve`` builds all of its state, so the time
+    budget covers the set-up too.
+    """
 
     def __init__(
         self,
@@ -191,80 +200,92 @@ class HypergraphSolver:
     ):
         self.V = num_vertices
         self.r = r
-        self.edges = [tuple(e) for e in edges]
-        self.edge_len = [len(e) for e in self.edges]
-        self.vertex_edges = [[] for _ in range(num_vertices)]
-        for ei, e in enumerate(self.edges):
-            for v in e:
-                self.vertex_edges[v].append(ei)
-        degree = [len(self.vertex_edges[v]) for v in range(num_vertices)]
-        self.order = sorted(range(num_vertices), key=lambda v: (-degree[v], v))
-        self.order_np = np.array(self.order, dtype=np.int64)
+        self.edges = list(edges)
         self.symmetry = symmetry
         self.budget_nodes = budget_nodes
         self.budget_seconds = budget_seconds
 
     # -- state ---------------------------------------------------------
     def _reset(self):
-        self.colors = np.full(self.V, -1, dtype=np.int64)
-        self.domains = [(1 << self.r) - 1] * self.V
-        self.counts = [[0] * self.r for _ in self.edges]
-        self.uncolored = list(self.edge_len)
-        self.trail = []
+        V, r = self.V, self.r
+        self.deadline = time.monotonic() + self.budget_seconds
+        edges = [tuple(dict.fromkeys(e)) for e in self.edges if len(e)]
+        degree = [0] * V
+        for e in edges:
+            for v in e:
+                degree[v] += 1
+        self.order = sorted(range(V), key=lambda v: (-degree[v], v))
+        self.order_np = np.array(self.order, dtype=np.int64)
+        # clause (ei, c), "edge ei is not all colored c", watches two vertices
+        # of the edge (one vertex twice, for a 1-vertex edge); other[c][ei]
+        # holds their XOR, so either watch gives the other.  watching[c][v]
+        # lists the edges whose clause for c watches v.  A watch colored c
+        # was colored after every other c-colored vertex of its edge, or after
+        # its other watch took another color; undoing the trail in reverse
+        # keeps that true, so watches are never restored.
+        self.other = [[e[0] ^ e[min(1, len(e) - 1)] for e in edges] for _ in range(r)]
+        self.watching = [[[] for _ in range(V)] for _ in range(r)]
+        for watching in self.watching:
+            for ei, e in enumerate(edges):
+                for v in e[:2]:
+                    watching[v].append(ei)
+        self.vertex_sets = edges
+        self.colors = [-1] * V
+        self.domains = [(1 << r) - 1] * V
+        self.trail = []  # (v, -1) for a color, (v, old mask) for a domain
         self.forced = []
         self.nodes = 0
-        self.deadline = time.monotonic() + self.budget_seconds
 
     def _assign(self, v, c):
-        # all edge counters are updated before any conflict return, so the
-        # trail undo (which reverses every edge of v) stays symmetric
-        self.colors[v] = c
-        self.trail.append((0, v, 0))
-        conflict = False
-        pending = []
-        for ei in self.vertex_edges[v]:
-            cnt = self.counts[ei]
-            cnt[c] += 1
-            self.uncolored[ei] -= 1
-            if cnt[c] == self.edge_len[ei]:
-                conflict = True  # monochromatic edge
-            elif self.uncolored[ei] == 1 and cnt[c] == self.edge_len[ei] - 1:
-                pending.append(ei)
-        if conflict:
-            return False
-        for ei in pending:
-            for u in self.edges[ei]:
-                if self.colors[u] < 0:
+        """Color v with c and visit the clauses for c that watch v: each is
+        satisfied, moves its watch, prunes c from its other watch (trailed;
+        a singleton domain is queued as forced), or is a conflict (False)."""
+        colors, domains, edges = self.colors, self.domains, self.vertex_sets
+        other, watching = self.other[c], self.watching[c]
+        colors[v] = c
+        self.trail.append((v, -1))
+        watched = watching[v]
+        i, n = 0, len(watched)
+        while i < n:
+            ei = watched[i]
+            w = other[ei] ^ v
+            x = colors[w]
+            if x >= 0 and x != c:  # satisfied by the other watch
+                i += 1
+                continue
+            for u in edges[ei]:
+                if u != w and colors[u] != c:  # v itself is colored c
+                    other[ei] = w ^ u
+                    watching[u].append(ei)
+                    n -= 1
+                    watched[i] = watched[n]
+                    watched.pop()
                     break
-            if not self._remove_color(u, c):
-                return False
-        return True
-
-    def _remove_color(self, u, c):
-        m = self.domains[u]
-        bit = 1 << c
-        if not (m & bit):
-            return True
-        self.trail.append((1, u, m))
-        m &= ~bit
-        self.domains[u] = m
-        if m == 0:
-            return False
-        if m & (m - 1) == 0:
-            self.forced.append((u, m.bit_length() - 1))
+            else:
+                # every vertex but w is colored c: so is w (w is v on a
+                # 1-vertex edge), or w must avoid c
+                if x == c:
+                    return False
+                m = domains[w]
+                if m >> c & 1:
+                    self.trail.append((w, m))
+                    m ^= 1 << c
+                    domains[w] = m
+                    if m == 0:
+                        return False
+                    if m & (m - 1) == 0:
+                        self.forced.append((w, m.bit_length() - 1))
+                i += 1
         return True
 
     def _undo(self, mark):
-        while len(self.trail) > mark:
-            kind, v, old = self.trail.pop()
-            if kind == 0:
-                c = int(self.colors[v])
-                for ei in self.vertex_edges[v]:
-                    self.counts[ei][c] -= 1
-                    self.uncolored[ei] += 1
-                self.colors[v] = -1
+        trail, colors, domains = self.trail, self.colors, self.domains
+        while len(trail) > mark:
+            v, old = trail.pop()
+            if old < 0:
+                colors[v] = -1
             else:
-                self.domains[v] = old
+                domains[v] = old
 
     def _decide(self, v, c):
         """Assign + propagate; returns a trail mark, or None after undoing
@@ -285,46 +306,53 @@ class HypergraphSolver:
     def _pruned(self):
         if self.symmetry is None:
             return False
-        decided = self.colors[self.order_np] >= 0
-        d = int(np.argmin(decided)) if not decided.all() else self.V
-        if d > SYMMETRY_DEPTH:
+        head = self.order[: SYMMETRY_DEPTH + 1]
+        if len(head) > SYMMETRY_DEPTH and all(self.colors[v] >= 0 for v in head):
             return False
-        return canonical_prune(self.colors, self.order_np, self.symmetry)
+        return canonical_prune(np.array(self.colors), self.order_np, self.symmetry)
 
     def _charge_node(self):
         self.nodes += 1
-        if self.nodes > self.budget_nodes:
-            raise _BudgetHit
-        if self.nodes % 2048 == 0 and time.monotonic() > self.deadline:
+        if self.nodes > self.budget_nodes or time.monotonic() > self.deadline:
             raise _BudgetHit
 
-    def _search(self, hint):
-        d = hint
-        while d < self.V and self.colors[self.order[d]] >= 0:
-            d += 1
-        if d == self.V:
-            return [int(c) for c in self.colors]
-        v = self.order[d]
-        dom = self.domains[v]
-        for c in range(self.r):
-            if not (dom >> c) & 1:
-                continue
-            self._charge_node()
-            mark = self._decide(v, c)
-            if mark is None:
-                continue
-            if not self._pruned():
-                res = self._search(d + 1)
-                if res is not None:
-                    return res
-            self._undo(mark)
-        return None
+    def _search(self):
+        """Depth-first along the decision order, colors in increasing order,
+        on an explicit stack of [position, trail mark, next color]."""
+        colors, domains, order, r = self.colors, self.domains, self.order, self.r
+        stack = []
+        d = 0
+        while True:
+            while d < self.V and colors[order[d]] >= 0:
+                d += 1
+            if d == self.V:
+                return list(colors)
+            stack.append([d, None, 0])
+            while stack:
+                frame = stack[-1]
+                d, mark, c = frame
+                if mark is not None:
+                    self._undo(mark)
+                dom = domains[order[d]]
+                while c < r and not (dom >> c) & 1:
+                    c += 1
+                if c == r:
+                    stack.pop()
+                    continue
+                self._charge_node()
+                mark = self._decide(order[d], c)
+                frame[1:] = mark, c + 1
+                if mark is not None and not self._pruned():
+                    d += 1
+                    break
+            else:
+                return None
 
     def solve(self):
-        self._reset()
         start = time.monotonic()
         try:
-            res = self._search(0)
+            self._reset()
+            res = self._search()
         except _BudgetHit:
             return ColoringResult(BUDGET, None, self.nodes, time.monotonic() - start)
         elapsed = time.monotonic() - start
@@ -421,17 +449,21 @@ def check_instance(
     takes the family default, () prunes nothing.  SAT results carry an
     explicit coloring, re-verified against a freshly built edge list before
     return; UNSAT carries the node count of the completed backtracking;
-    budget exhaustion is reported as its own status.
+    budget exhaustion is reported as its own status.  ``budget_seconds``
+    covers building the edges and the symmetry group too.
     """
+    start = time.monotonic()
     if symmetry is None:
         symmetry = inst.default_symmetry
+    edges = inst.build_edges()
+    group = inst.build_symmetry(symmetry) if symmetry else None
     res = HypergraphSolver(
         inst.num_vertices,
-        inst.build_edges(),
+        edges,
         inst.r,
-        symmetry=inst.build_symmetry(symmetry) if symmetry else None,
+        symmetry=group,
         budget_nodes=budget_nodes,
-        budget_seconds=budget_seconds,
+        budget_seconds=budget_seconds - (time.monotonic() - start),
     ).solve()
     if res.status == SAT and not verify_proper_coloring(inst.build_edges(), res.coloring):
         raise VerificationError(f"solver returned an improper {inst.kind} for {inst.params}")

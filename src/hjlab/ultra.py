@@ -378,6 +378,9 @@ class TensorPowerTables:
         if len(self.chain) < k:
             self.chain = translate_chain(self.bits, self.target.table, k)
         points = np.asarray(points, dtype=np.int64)
+        bad = np.flatnonzero((points < 0) | (points >= n))
+        if len(bad):
+            raise CarrierMismatch(f"point {int(points[bad[0]])} is outside S of order {n}")
         folded = h[self.S.fold(np.indices((n,) * k))].reshape(-1)
         pre = self.bits[:, folded]  # pre[m, w] ⟺ h(w₁*...*w_k) ∈ A_m, over S^k
         lhs = tensor_rows(pre, (n,) * k, (points,) * k)

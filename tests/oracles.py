@@ -42,6 +42,66 @@ def colorable(num_vertices, edges, r):
     return True
 
 
+def counter_solve(num_vertices, edges, r):
+    """The proper-coloring backtracker without symmetry, by its rules alone.
+
+    Vertices are decided by degree (ties by index), colors in increasing
+    order, one node per color tried.  After each decision, propagation is
+    the counter unit rule, run to its fixpoint by rescanning every edge: an
+    edge colored all c is a conflict; an edge of two or more vertices with
+    all but one colored c and that one uncolored removes c from its domain;
+    an empty domain is a conflict; a domain cut down to one color colors
+    its vertex.  Returns (status, coloring or None, nodes).
+    """
+    degree = [sum(v in e for e in edges) for v in range(num_vertices)]
+    order = sorted(range(num_vertices), key=lambda v: (-degree[v], v))
+    full = (1 << r) - 1
+    nodes = 0
+
+    def propagate(colors, domains):
+        changed = True
+        while changed:
+            changed = False
+            for e in edges:
+                cs = [colors[u] for u in e]
+                for c in range(r):
+                    if cs.count(c) == len(e):
+                        return False
+                    if len(e) > 1 and cs.count(c) == len(e) - 1 and -1 in cs:
+                        u = e[cs.index(-1)]
+                        if domains[u] >> c & 1:
+                            domains[u] &= ~(1 << c)
+                            changed = True
+                            if domains[u] == 0:
+                                return False
+            for u in range(num_vertices):
+                m = domains[u]
+                if colors[u] < 0 and m != full and m & (m - 1) == 0:
+                    colors[u] = m.bit_length() - 1
+                    changed = True
+        return True
+
+    def search(colors, domains):
+        nonlocal nodes
+        undecided = [v for v in order if colors[v] < 0]
+        if not undecided:
+            return colors
+        v = undecided[0]
+        for c in range(r):
+            if domains[v] >> c & 1:
+                nodes += 1
+                child_colors, child_domains = list(colors), list(domains)
+                child_colors[v] = c
+                if propagate(child_colors, child_domains):
+                    found = search(child_colors, child_domains)
+                    if found is not None:
+                        return found
+        return None
+
+    coloring = search([-1] * num_vertices, [full] * num_vertices)
+    return ("unsat" if coloring is None else "sat"), coloring, nodes
+
+
 # -- combinatorial lines and progressions --------------------------------
 
 def line_point_sets(n, N):

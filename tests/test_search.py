@@ -1,8 +1,10 @@
 """Backtracking search: soundness against the naive oracles, symmetry
 pruning, budgets, and the witness searches."""
+import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hjlab import (
     ApResidueColoring,
@@ -85,6 +87,64 @@ def test_vdw_check_matches_oracle(k, r):
         assert res.status == want
         if res.status == SAT:
             assert verify_proper_coloring(ap_edges(k, M), res.coloring)
+
+
+@st.composite
+def small_hypergraphs(draw):
+    V = draw(st.integers(1, 10))
+    edge = st.lists(st.integers(0, V - 1), min_size=1, max_size=min(4, V), unique=True)
+    edges = draw(st.lists(edge.map(tuple), max_size=25))
+    return V, edges, draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_hypergraphs())
+def test_solver_matches_the_counter_oracle(case):
+    # same status, first coloring and node count as the counter unit rule
+    V, edges, r = case
+    res = HypergraphSolver(V, edges, r, symmetry=None).solve()
+    status, coloring, nodes = oracles.counter_solve(V, edges, r)
+    assert (res.status, res.coloring, res.nodes) == (status, coloring, nodes)
+    assert (status == SAT) == oracles.colorable(V, edges, r)
+
+
+def test_deep_search_needs_no_recursion():
+    # 1500 decision levels, past the interpreter's recursion limit
+    edges = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(500)]
+    res = HypergraphSolver(1500, edges, 2).solve()
+    assert res.status == SAT
+    assert verify_proper_coloring(edges, res.coloring)
+
+
+def test_time_budget_stops_close_to_its_limit():
+    # the budget covers the edge build and the solver set-up (85879 edges)
+    start = time.monotonic()
+    res = vdw_check(8, 2, 1100, symmetry=(), budget_seconds=1)
+    assert res.status == BUDGET
+    assert time.monotonic() - start < 4.0
+
+
+def _number_runs(nodes):
+    # every size SAT but the last, which is UNSAT
+    last = len(nodes)
+    return [[M, SAT if M < last else UNSAT, n] for M, n in enumerate(nodes, 1)]
+
+
+W42_NODES = [1, 2, 3, 3, 3, 4, 4, 5, 5, 6, 7, 8, 7, 8, 7, 9, 9, 10, 8, 9, 10, 10,
+             10, 9, 6, 11, 8, 11, 8, 10, 8, 11, 8, 89]
+W33_NODES = [1, 2, 3, 4, 5, 6, 7, 8, 7, 8, 8, 8, 8, 8, 9, 10, 12, 12, 13, 14, 13,
+             12, 10, 8, 44]
+
+
+@pytest.mark.parametrize("k,r,M_max,symmetry,nodes", [
+    (4, 2, 40, None, W42_NODES + [206]),
+    (4, 2, 40, (), W42_NODES + [514]),
+    (3, 3, 30, None, W33_NODES + [35, 491]),
+    (3, 3, 30, (), W33_NODES + [41, 5172]),
+])
+def test_number_sweeps_keep_their_node_counts(k, r, M_max, symmetry, nodes):
+    res = vdw_number(k, r, M_max, symmetry=symmetry)
+    assert [[M, run.status, run.nodes] for M, run in res.runs] == _number_runs(nodes)
 
 
 def test_symmetry_subsets_agree():

@@ -228,6 +228,16 @@ def test_tensor_power_tables_reject_k_outside_2_3(k):
         list(TensorPowerTables(S).first_failures(list(range(3)), k, [0]))
 
 
+@pytest.mark.parametrize("point", [-1, 4])
+def test_tensor_power_tables_reject_points_outside_s(point):
+    # -1 would wrap to point 3 and 4 would index past the tables
+    S = cyclic_semigroup(4)
+    tables = TensorPowerTables(S)
+    assert tables.first_failures(np.arange(4), 2, [3]) == [(3, None)]
+    with pytest.raises(CarrierMismatch, match=f"point {point}"):
+        tables.first_failures(np.arange(4), 2, [0, point])
+
+
 # -- the tensor-power identity ----------------------------------------------
 
 def test_tensor_power_law_on_flag_retractions():
