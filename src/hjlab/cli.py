@@ -408,8 +408,10 @@ def build_parser():
     p.add_argument("-n", type=int, required=True, help="alphabet size")
     p.add_argument("-r", type=int, required=True, help="number of colors")
     p.add_argument("--max-N", type=int, required=True)
-    p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--budget-seconds", type=float, default=DEFAULT_TIME_BUDGET)
+    p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET,
+                   help="search nodes allowed for each size")
+    p.add_argument("--budget-seconds", type=float, default=DEFAULT_TIME_BUDGET,
+                   help="seconds allowed for the whole sweep, set-up included")
     p.add_argument("--no-symmetry", action="store_true")
     p.add_argument("--cert-dir", help="write SAT coloring certificates here")
 
@@ -417,8 +419,10 @@ def build_parser():
     p.add_argument("-k", type=int, required=True, help="progression length")
     p.add_argument("-r", type=int, default=2, help="number of colors")
     p.add_argument("--max-M", type=int)
-    p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--budget-seconds", type=float, default=DEFAULT_TIME_BUDGET)
+    p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET,
+                   help="search nodes allowed for each size")
+    p.add_argument("--budget-seconds", type=float, default=DEFAULT_TIME_BUDGET,
+                   help="seconds allowed for the whole sweep, set-up included")
     p.add_argument("--no-symmetry", action="store_true")
     p.add_argument("--cert-dir", help="write SAT coloring certificates here")
     p.add_argument("--via-hj", action="store_true", help="cross-validate the reduction")

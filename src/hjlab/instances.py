@@ -1,75 +1,17 @@
 """Concrete instances of the abstract framework.
 
-Combinatorial lines in [n]^N, coloring kinds (modular digit sum, explicit
-tables, integer residues), and the classical reduction of van der Waerden to
-Hales-Jewett via digit sums.
+The base-n code of a constant word, coloring kinds (modular digit sum,
+explicit tables, integer residues), and the classical reduction of van der
+Waerden to Hales-Jewett via digit sums.  Combinatorial lines are one-variable
+words (``words``); ``search.LineHypergraph`` turns them into edges.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from .errors import ColoringSpecError, InvalidColoring
-from .words import (
-    contains_variable,
-    format_word,
-    is_variable,
-    parse_word,
-    substitute,
-    variable,
-    variable_positions,
-)
-
-
-@dataclass(frozen=True)
-class CombinatorialLine:
-    """A line template: one variable word over letters {0..n-1} and x.
-
-    The n points of the line are the substitutions of each letter; they
-    agree off the variable positions and sweep the alphabet uniformly on
-    them.
-    """
-
-    n: int
-    template: tuple
-
-    def __post_init__(self):
-        if not contains_variable(self.template):
-            raise ValueError("a line template needs a variable occurrence")
-        for sym in self.template:
-            if is_variable(sym):
-                if sym != variable(0):
-                    raise ValueError("line templates use the single variable x")
-            elif not (0 <= sym < self.n):
-                raise ValueError(f"letter {sym} outside alphabet of size {self.n}")
-
-    @property
-    def points(self):
-        return [substitute(self.template, (a,)) for a in range(self.n)]
-
-    def __str__(self):
-        return format_word(self.template)
-
-
-def enumerate_lines(n, N):
-    """Every line template of length N over [n], each exactly once.
-
-    Count is (n+1)^N - n^N: all words over letters plus x, minus the
-    variable-free ones.
-    """
-    if n < 2:
-        raise ValueError("alphabet size must be >= 2")
-    if N < 1:
-        raise ValueError("length must be >= 1")
-    symbols = list(range(n)) + [variable(0)]
-    for word in iproduct(symbols, repeat=N):
-        if contains_variable(word):
-            yield CombinatorialLine(n, word)
-
-
-def line_count(n, N):
-    return (n + 1) ** N - n ** N
+from .words import format_word, is_variable, variable_positions
 
 
 def encode_word(w, n):
@@ -78,14 +20,6 @@ def encode_word(w, n):
     for sym in w:
         value = value * n + sym
     return value
-
-
-def decode_word(value, n, N):
-    out = []
-    for _ in range(N):
-        out.append(value % n)
-        value //= n
-    return tuple(reversed(out))
 
 
 class ModSumColoring:
@@ -220,7 +154,7 @@ def parse_coloring_spec(spec):
 class VdwEncoding:
     """Digit-sum reduction from words over [k] to integers.
 
-    A line template with v variable positions maps to the arithmetic
+    A one-variable word with v variable positions maps to the arithmetic
     progression a, a+v, ..., a+(k-1)v where a is the sum of the fixed
     letters; v >= 1 keeps the difference nonzero.
     """
@@ -241,11 +175,7 @@ class VdwEncoding:
 
 
 __all__ = [
-    "CombinatorialLine",
-    "enumerate_lines",
-    "line_count",
     "encode_word",
-    "decode_word",
     "ModSumColoring",
     "ApResidueColoring",
     "TableColoring",
@@ -253,7 +183,4 @@ __all__ = [
     "parse_coloring_spec",
     "parse_coloring_table_text",
     "VdwEncoding",
-    "substitute",
-    "parse_word",
-    "format_word",
 ]

@@ -2,6 +2,10 @@
 families, and exact small Hales-Jewett / van der Waerden numbers via proper
 coloring of line hypergraphs.
 
+The Hales-Jewett edges are image sets of the diagonal retraction family: a
+combinatorial line of [n]^N is {sigma_a(w) : a in [n]} for a length-N word w
+with the one variable x, where sigma_a substitutes the letter a for x.
+
 The solver is a trail-based backtracker over an explicit decision stack.
 Each edge e and color c give the clause "e is not all colored c".  Every
 clause watches two vertices of its edge not colored c (the two-watched-literal
@@ -24,11 +28,7 @@ from math import factorial
 import numpy as np
 
 from .errors import InvalidInstance, VerificationError
-from .instances import (
-    VdwEncoding,
-    encode_word,
-    enumerate_lines,
-)
+from .instances import VdwEncoding, encode_word
 from .words import WordSemigroup, substitution_family
 
 DEFAULT_NODE_BUDGET = 10 ** 9
@@ -45,7 +45,9 @@ BUDGET = "budget"
 @dataclass
 class LineHypergraph:
     """Vertices are the n^N constant words (base-n encoded); edges are the
-    point sets of the combinatorial lines."""
+    combinatorial lines: the images of each one-variable word of length N
+    under the n diagonal substitutions, in lexicographic word order (letters
+    before x)."""
 
     n: int
     N: int
@@ -53,9 +55,13 @@ class LineHypergraph:
 
     @classmethod
     def build(cls, n, N):
+        if n < 2 or N < 1:
+            raise InvalidInstance("need n >= 2, N >= 1")
+        ws = WordSemigroup(n)
+        subs = ws.substitutions()
         edges = [
-            tuple(encode_word(p, n) for p in line.points)
-            for line in enumerate_lines(n, N)
+            tuple(encode_word(s.apply(w), n) for s in subs)
+            for w in ws.iter_words(N, min_len=N, require_variable=True)
         ]
         return cls(n, N, edges)
 
@@ -106,7 +112,7 @@ def hj_symmetry(n, N, r, include=("color", "coordinate", "alphabet")):
             include.discard("alphabet")
     V = n ** N
     weights = n ** np.arange(N - 1, -1, -1, dtype=np.int64)
-    digits = np.arange(V, dtype=np.int64)[:, None] // weights % n  # (V, N), as decode_word
+    digits = np.arange(V, dtype=np.int64)[:, None] // weights % n  # (V, N), inverts encode_word
     coord = list(permutations(range(N))) if "coordinate" in include else [tuple(range(N))]
     alpha = np.array(
         list(permutations(range(n))) if "alphabet" in include else [tuple(range(n))],
@@ -497,13 +503,21 @@ class NumberResult:
         return self.value is not None
 
 
-def least_size(make, a, r, max_size, **kwargs):
+def least_size(make, a, r, max_size, budget_seconds=DEFAULT_TIME_BUDGET, **kwargs):
     """Least size <= max_size at which ``make(a, r, size)`` has no proper
-    coloring; keyword arguments as for ``check_instance``."""
+    coloring.
+
+    ``budget_seconds`` covers the whole sweep: one deadline starts here and
+    each size gets the time left.  Other keyword arguments are as for
+    ``check_instance``, so ``budget_nodes`` applies to each size alone.
+    """
     make(a, r, max_size)  # rejects bad parameters before any search
+    deadline = time.monotonic() + budget_seconds
     runs = []
     for size in range(1, max_size + 1):
-        res = check_instance(make(a, r, size), **kwargs)
+        res = check_instance(
+            make(a, r, size), budget_seconds=deadline - time.monotonic(), **kwargs
+        )
         runs.append((size, res))
         if res.status == UNSAT:
             return NumberResult(size, size - 1, False, runs)

@@ -89,16 +89,8 @@ class FiniteSemigroup:
             return self.labels[i]
         return str(i)
 
-    def idempotents(self):
-        return [i for i in range(self.order) if self.mul(i, i) == i]
-
     def __repr__(self):
         return f"FiniteSemigroup(order={self.order})"
-
-
-def validate_finite_semigroup(table, labels=None):
-    """Validate closure and associativity; raises on the first violation."""
-    return FiniteSemigroup(table, labels=labels)
 
 
 def product(S, a, b):

@@ -113,17 +113,6 @@ def member(U, A):
     return U.member_mask(A.mask)
 
 
-def translate_preimage(S, s, A):
-    """{t : s*t ∈ A} as a SubsetQuery on S."""
-    _require_same_carrier(S.order, _size_of(A.carrier))
-    mask = 0
-    row = S.table[s]
-    for t in range(S.order):
-        if (A.mask >> int(row[t])) & 1:
-            mask |= 1 << t
-    return SubsetQuery(A.carrier, mask)
-
-
 def subset_bits(size):
     """Every subset of [0..size) as a boolean row: row m is the set with
     bitmask m."""
@@ -418,18 +407,6 @@ def build_agreement_set(S, family, A):
         if inside == 0 or inside == len(images):
             mask |= 1 << v
     return SubsetQuery(S, mask)
-
-
-def build_agreement_set_window(ws, family, in_A, max_len):
-    """Word-semigroup window variant: members of the agreement set among all
-    words of length <= max_len.  ``in_A`` is a predicate on constant words."""
-    out = []
-    for w in ws.iter_words(max_len):
-        images = {r.apply(w) for r in family}
-        inside = sum(1 for x in images if in_A(x))
-        if inside == 0 or inside == len(images):
-            out.append(w)
-    return out
 
 
 @dataclass

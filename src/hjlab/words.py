@@ -124,9 +124,6 @@ class WordSemigroup:
                 return False
         return len(word) > 0
 
-    def is_constant(self, word):
-        return not contains_variable(word)
-
     def iter_words(self, max_len, min_len=1, require_variable=False):
         """Length-lexicographic stream; letters sort before variables."""
         syms = self.symbols()

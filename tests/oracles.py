@@ -102,6 +102,16 @@ def counter_solve(num_vertices, edges, r):
     return ("unsat" if coloring is None else "sat"), coloring, nodes
 
 
+def automorphisms(num_vertices, edges):
+    """Every vertex permutation that maps the edge set onto itself, found by
+    trying all num_vertices! permutations.  Edges are read as vertex sets."""
+    edge_set = {frozenset(e) for e in edges}
+    return [
+        perm for perm in itertools.permutations(range(num_vertices))
+        if {frozenset(perm[v] for v in e) for e in edge_set} == edge_set
+    ]
+
+
 # -- combinatorial lines and progressions --------------------------------
 
 def line_point_sets(n, N):

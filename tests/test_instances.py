@@ -5,19 +5,17 @@ import pytest
 
 from hjlab import (
     ApResidueColoring,
-    CombinatorialLine,
+    LineHypergraph,
     ModSumColoring,
     PullbackColoring,
     TableColoring,
     VdwEncoding,
-    decode_word,
+    WordSemigroup,
     encode_word,
-    enumerate_lines,
-    line_count,
     parse_coloring_spec,
+    substitution_family,
 )
-from hjlab.errors import ColoringSpecError, InvalidColoring
-from hjlab.words import variable
+from hjlab.errors import ColoringSpecError, InvalidColoring, InvalidInstance
 
 import oracles
 
@@ -26,36 +24,34 @@ import oracles
 
 @pytest.mark.parametrize("n,N,count", [(2, 1, 1), (2, 2, 5), (3, 4, 175)])
 def test_line_counts(n, N, count):
-    lines = list(enumerate_lines(n, N))
-    assert len(lines) == count == line_count(n, N)
+    # every word over the letters and x, minus the variable-free ones
+    assert len(LineHypergraph.build(n, N).edges) == count == (n + 1) ** N - n ** N
 
 
-@pytest.mark.parametrize("n,N", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n,N", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
 def test_lines_match_the_naive_enumeration(n, N):
-    got = {frozenset(encode_word(p, n) for p in line.points)
-           for line in enumerate_lines(n, N)}
-    assert got == oracles.line_point_sets(n, N)
+    want = oracles.line_point_sets(n, N)
+    assert {frozenset(e) for e in LineHypergraph.build(n, N).edges} == want
+    # the lines are the image sets of the validated diagonal retraction family
+    ws = WordSemigroup(n)
+    family = substitution_family(ws)
+    images = {frozenset(encode_word(p, n) for p in family.images(w))
+              for w in ws.iter_words(N, min_len=N, require_variable=True)}
+    assert images == want
 
 
-def test_line_points_sweep_the_variable():
-    line = CombinatorialLine(3, (0, variable(0), 2, variable(0)))
-    assert line.points == [(0, a, 2, a) for a in range(3)]
-    assert str(line) == "0x2x"
-
-
-def test_line_template_validation():
-    with pytest.raises(ValueError):
-        CombinatorialLine(2, (0, 1))  # no variable
-    with pytest.raises(ValueError):
-        CombinatorialLine(2, (0, 2, variable(0)))  # letter out of range
-    with pytest.raises(ValueError):
-        CombinatorialLine(2, (variable(1),))  # only x is allowed
+def test_lines_need_two_letters_and_one_coordinate():
+    for n, N in ((1, 3), (2, 0)):
+        with pytest.raises(InvalidInstance):
+            LineHypergraph.build(n, N)
 
 
 def test_encode_decode_roundtrip():
+    # the base-n codes of the words in lexicographic order are 0, 1, 2, ...,
+    # so a code decodes to exactly one word
     for n, N in ((2, 4), (3, 3)):
-        for w in itertools.product(range(n), repeat=N):
-            assert decode_word(encode_word(w, n), n, N) == w
+        codes = [encode_word(w, n) for w in itertools.product(range(n), repeat=N)]
+        assert codes == list(range(n ** N))
 
 
 # -- colorings ----------------------------------------------------------------
@@ -112,10 +108,11 @@ def test_parse_coloring_table_file(tmp_path):
 
 def test_digit_sum_reduction_sends_lines_to_progressions():
     enc = VdwEncoding(3, 4)
-    for line in enumerate_lines(3, 4):
-        image = enc.line_image(line.template)
+    ws = WordSemigroup(3)
+    for w in ws.iter_words(4, min_len=4, require_variable=True):
+        image = enc.line_image(w)
         # the image really is the pointwise digit sum over the line
-        assert image == [enc.digit_sum(p) for p in line.points]
+        assert image == [enc.digit_sum(s.apply(w)) for s in ws.substitutions()]
         diffs = {b - a for a, b in zip(image, image[1:])}
         assert len(diffs) == 1 and diffs.pop() >= 1
 

@@ -10,7 +10,6 @@ from hjlab import (
     ProductCarrier,
     SubsetQuery,
     build_agreement_set,
-    build_agreement_set_window,
     check_agreement_equivalence,
     check_fip,
     check_image_law,
@@ -25,14 +24,11 @@ from hjlab import (
     generate_corpus,
     image,
     member,
-    substitution_family,
     tensor_member,
     tensor_member_left,
-    translate_preimage,
     uf_power,
     uf_product,
     uf_tensor,
-    WordSemigroup,
 )
 from hjlab.errors import CarrierMismatch, CarrierTooLarge, HjlabError, InvalidInstance
 from hjlab.ultra import TensorPowerTables, product_member, subset_bits
@@ -71,13 +67,6 @@ def test_carrier_mismatch_rejected():
     A = SubsetQuery.from_members(cyclic_semigroup(4), [1])
     with pytest.raises(CarrierMismatch):
         member(PrincipalUltrafilter(cyclic_semigroup(5), 0), A)
-
-
-def test_translate_preimage():
-    S = cyclic_semigroup(6)
-    A = SubsetQuery.from_members(S, [0, 1])
-    # {t : 4 + t in {0,1}} = {2, 3}
-    assert translate_preimage(S, 4, A).members() == [2, 3]
 
 
 # -- image ultrafilter -----------------------------------------------------
@@ -392,18 +381,3 @@ def test_equivalence_negative_side():
     # sigma_0 alone: every image set is the singleton {sigma_0(v)}, so (b)
     # still holds and (a) stays true
     assert report.b_holds and report.a_holds
-
-
-def test_agreement_window_on_words():
-    ws = WordSemigroup(2)
-    family = substitution_family(ws)
-    members = build_agreement_set_window(
-        ws, family, in_A=lambda w: w[0] == 0, max_len=2
-    )
-    # a variable word agrees iff substituting 0 and 1 lands on the same side
-    # of the split "first letter is 0", i.e. iff its first symbol is a letter
-    for w in ws.iter_words(2):
-        should = (w[0] >= 0) or all(
-            (s.apply(w)[0] == 0) == (list(family)[0].apply(w)[0] == 0) for s in family
-        )
-        assert (w in members) == should
