@@ -29,7 +29,7 @@ from .errors import (
     SearchSpaceTooLarge,
     TableParseError,
 )
-from .instances import parse_coloring_spec
+from .instances import VdwEncoding, parse_coloring_spec
 from .semigroups import (
     FiniteSemigroup,
     NiceSubsemigroupView,
@@ -150,8 +150,6 @@ def cmd_witness(args):
         if coloring.kind == "apres":
             # integer colorings reach words through the digit-sum reduction
             reduction = "vdw"
-            from .instances import VdwEncoding
-
             search_coloring = VdwEncoding(args.alphabet, args.max_len).pullback(coloring)
         outcome = word_witness_search(ws, family, search_coloring, max_len=args.max_len)
         if outcome.status != "found":
@@ -234,8 +232,16 @@ def cmd_number(args):
 
 
 def cmd_via_hj(args):
-    coloring = parse_coloring_spec(args.coloring or f"apres:{args.r}")
-    out = find_ap_via_words(args.k, coloring, max_len=args.max_len)
+    try:
+        coloring = parse_coloring_spec(args.coloring or f"apres:{args.r}")
+    except ColoringSpecError as e:
+        print(f"coloring spec error: {e}")
+        return EXIT_INPUT
+    try:
+        out = find_ap_via_words(args.k, coloring, max_len=args.max_len)
+    except InvalidInstance as e:
+        print(f"error: {e}")
+        return EXIT_INPUT
     if out.status != "found":
         print(f"exhausted after {out.checked} words")
         return EXIT_NEGATIVE
@@ -318,6 +324,9 @@ def cmd_ultra_lemma2(args):
         report = check_agreement_equivalence(S, family, args.colors)
     except SearchSpaceTooLarge as e:
         print(f"search space too large: {e}")
+        return EXIT_INPUT
+    except InvalidInstance as e:
+        print(f"error: {e}")
         return EXIT_INPUT
     a_note = (
         f"true (witness for the constant coloring: {S.element_name(report.a_first_witness)})"

@@ -592,6 +592,8 @@ def find_ap_via_words(k, integer_coloring, max_len=8):
     """Cross-validate the digit-sum reduction: pull an integer coloring back
     to words over [k], find a monochromatic line, and read off the
     arithmetic progression it projects to."""
+    if k < 2:
+        raise InvalidInstance(f"need k >= 2, not {k}")
     ws = WordSemigroup(k)
     family = substitution_family(ws)
     enc = VdwEncoding(k, max_len)

@@ -21,14 +21,13 @@ class CheckResult:
     ok: bool
     clause: str | None = None
     witness: tuple | None = None
-    mode: str = "exhaustive"
 
     def __bool__(self):
         return self.ok
 
     def describe(self):
         if self.ok:
-            return f"ok ({self.mode})"
+            return "ok"
         return f"{self.clause} fails at {self.witness}"
 
 
@@ -93,13 +92,6 @@ class FiniteSemigroup:
         return f"FiniteSemigroup(order={self.order})"
 
 
-def product(S, a, b):
-    """a*b in S (table lookup for finite S, concatenation for words)."""
-    if isinstance(S, FiniteSemigroup):
-        return S.mul(a, b)
-    return S.concat(a, b)
-
-
 class NiceSubsemigroupView:
     """A subsemigroup T of a finite semigroup, held as a bitmask.
 
@@ -121,6 +113,9 @@ class NiceSubsemigroupView:
     def contains(self, i):
         return bool((self.mask >> i) & 1)
 
+    def check_retraction(self, retraction):
+        return validate_retraction(self.parent, self, retraction)
+
     def members(self):
         return [i for i in range(self.parent.order) if self.contains(i)]
 
@@ -140,18 +135,11 @@ class NiceSubsemigroupView:
 
 
 def is_nice_subsemigroup(S, subset):
-    """Decide whether T is a subsemigroup with ideal complement.
+    """Decide whether T is a subsemigroup of the finite S with ideal complement.
 
-    ``subset`` is a NiceSubsemigroupView, a bitmask, or a member list for a
-    finite S; for a WordSemigroup it must be the constant-words view, which
-    is nice by construction and re-checked here by sampling.  Returns a
-    CheckResult whose witness is the first violating pair.
+    ``subset`` is a NiceSubsemigroupView, a bitmask, or a member list.
+    Returns a CheckResult whose witness is the first violating pair.
     """
-    from .words import WordSemigroup  # lazy: words builds on this module
-
-    if isinstance(S, WordSemigroup):
-        return S.check_constant_view_nice()
-
     view = _as_view(S, subset)
     members = view.members()
     if not members:
@@ -201,17 +189,10 @@ class Retraction:
 
 
 def validate_retraction(S, view, retraction):
-    """Check homomorphism, identity-on-T and range-in-T for one map.
-
-    Works for finite semigroups (exhaustive) and word semigroups (structural
-    plus sampling, via the substitution's own checker).  Returns a
-    CheckResult naming the first failing clause.
+    """Check homomorphism, identity-on-T and range-in-T for one map on the
+    finite S, exhaustively.  Returns a CheckResult naming the first failing
+    clause.
     """
-    from .words import WordSemigroup
-
-    if isinstance(S, WordSemigroup):
-        return S.check_substitution_retraction(retraction)
-
     sigma = retraction.mapping if isinstance(retraction, Retraction) else np.asarray(retraction)
     if sigma.shape != (S.order,):
         return CheckResult(False, "totality", (len(sigma), S.order))
@@ -235,15 +216,19 @@ def validate_retraction(S, view, retraction):
 
 
 class RetractionFamily:
-    """A validated, duplicate-free family of retractions onto one view."""
+    """A validated, duplicate-free family of retractions onto one view.
+
+    Each member is checked by ``view.check_retraction``: exhaustively for a
+    finite semigroup, by its exact clauses for the constant words of a free
+    word semigroup.
+    """
 
     def __init__(self, view, retractions):
         retractions = list(retractions)
         if not retractions:
             raise ValueError("retraction family must be nonempty")
-        parent = view.parent
         for r in retractions:
-            res = validate_retraction(parent, view, r)
+            res = view.check_retraction(r)
             if not res:
                 raise ValueError(f"invalid retraction: {res.describe()}")
         for i in range(len(retractions)):

@@ -504,6 +504,8 @@ class AgreementEquivalenceReport:
 
 def check_agreement_equivalence(S, family, r, max_order=10, max_colors=3):
     """Exhaustively compare statements (a) and (b) above on a finite S."""
+    if r < 1:
+        raise InvalidInstance(f"need r >= 1 colors, not {r}")
     if S.order > max_order:
         raise SearchSpaceTooLarge(f"order {S.order} exceeds {max_order}")
     if r > max_colors:

@@ -4,14 +4,15 @@ Words are tuples of ints: letters are 0..n-1 and variable j is encoded as
 -(j+1).  The semigroup is never materialized; the constant words (those with
 no variable) form a nice subsemigroup by construction, and substitutions
 assigning a letter to every variable are exactly the retractions onto it.
+These laws hold by construction, so nothing here re-tests them at run time;
+``tests/test_semigroups.py`` property-tests them instead.
 """
 from __future__ import annotations
 
-import random
 from itertools import product as iproduct
 
-from .errors import UnassignedVariable
-from .semigroups import CheckResult
+from .errors import InvalidInstance, UnassignedVariable
+from .semigroups import CheckResult, RetractionFamily
 
 VARIABLE_GLYPHS = "xyz"
 
@@ -103,12 +104,12 @@ class WordSemigroup:
 
     def __init__(self, alphabet_size, variable_count=1):
         if alphabet_size < 1 or variable_count < 1:
-            raise ValueError("alphabet_size and variable_count must be positive")
+            raise InvalidInstance(
+                f"need alphabet size >= 1 and variable count >= 1, "
+                f"not {alphabet_size} and {variable_count}"
+            )
         self.alphabet_size = alphabet_size
         self.variable_count = variable_count
-
-    def concat(self, a, b):
-        return tuple(a) + tuple(b)
 
     def symbols(self):
         """All symbols, letters first; this fixes the length-lex order."""
@@ -133,14 +134,6 @@ class WordSemigroup:
                     continue
                 yield w
 
-    def random_word(self, rng, max_len, require_variable=False):
-        syms = self.symbols()
-        while True:
-            L = rng.randint(1, max_len)
-            w = tuple(rng.choice(syms) for _ in range(L))
-            if not require_variable or contains_variable(w):
-                return w
-
     def constant_view(self):
         return ConstantWordsView(self)
 
@@ -152,51 +145,6 @@ class WordSemigroup:
             for a in range(self.alphabet_size)
         ]
 
-    # -- structural checks (laws hold by construction; sampling is
-    #    defense-in-depth on top of that, per the concurrency-free design) --
-
-    def check_constant_view_nice(self, samples=2000, max_len=12, seed=0):
-        """Constants are closed; any factor with a variable poisons the
-        product, so the complement is a two-sided ideal."""
-        rng = random.Random(seed)
-        for _ in range(samples):
-            a = self.random_word(rng, max_len)
-            b = self.random_word(rng, max_len)
-            ab = self.concat(a, b)
-            if contains_variable(ab) != (contains_variable(a) or contains_variable(b)):
-                return CheckResult(False, "niceness", (a, b), mode="sampled")
-        return CheckResult(True, mode="sampled")
-
-    def check_associativity(self, samples=10_000, max_len=12, seed=0):
-        rng = random.Random(seed)
-        for _ in range(samples):
-            a = self.random_word(rng, max_len)
-            b = self.random_word(rng, max_len)
-            c = self.random_word(rng, max_len)
-            if self.concat(self.concat(a, b), c) != self.concat(a, self.concat(b, c)):
-                return CheckResult(False, "associativity", (a, b, c), mode="sampled")
-        return CheckResult(True, mode="sampled")
-
-    def check_substitution_retraction(self, sub, samples=2000, max_len=12, seed=0):
-        if not isinstance(sub, Substitution):
-            return CheckResult(False, "type", (type(sub).__name__,), mode="sampled")
-        if len(sub.assignment) != self.variable_count:
-            return CheckResult(False, "totality", (len(sub.assignment),), mode="sampled")
-        for a in sub.assignment:
-            if not (0 <= a < self.alphabet_size):
-                return CheckResult(False, "range", (a,), mode="sampled")
-        rng = random.Random(seed)
-        for _ in range(samples):
-            a = self.random_word(rng, max_len)
-            b = self.random_word(rng, max_len)
-            if sub.apply(self.concat(a, b)) != self.concat(sub.apply(a), sub.apply(b)):
-                return CheckResult(False, "homomorphism", (a, b), mode="sampled")
-            if contains_variable(sub.apply(a)):
-                return CheckResult(False, "range-in-T", (a,), mode="sampled")
-            if not contains_variable(a) and sub.apply(a) != a:
-                return CheckResult(False, "identity-on-T", (a,), mode="sampled")
-        return CheckResult(True, mode="sampled")
-
 
 class ConstantWordsView:
     """The nice subsemigroup of constant words, given by a predicate."""
@@ -206,6 +154,24 @@ class ConstantWordsView:
 
     def contains(self, word):
         return not contains_variable(word)
+
+    def check_retraction(self, sub):
+        """Exact membership test for a retraction family onto the constants.
+
+        In a free semigroup a substitution that assigns a letter of the
+        alphabet to every variable is a homomorphism onto the constant words
+        fixing them, so the type, totality and range clauses are the whole
+        retraction condition.
+        """
+        ws = self.parent
+        if not isinstance(sub, Substitution):
+            return CheckResult(False, "type", (type(sub).__name__,))
+        if len(sub.assignment) != ws.variable_count:
+            return CheckResult(False, "totality", (len(sub.assignment),))
+        for a in sub.assignment:
+            if not (0 <= a < ws.alphabet_size):
+                return CheckResult(False, "range", (a,))
+        return CheckResult(True)
 
 
 class Substitution:
@@ -237,7 +203,5 @@ class Substitution:
 
 
 def substitution_family(ws):
-    """The validated diagonal retraction family of a word semigroup."""
-    from .semigroups import RetractionFamily
-
+    """The diagonal retraction family of a word semigroup."""
     return RetractionFamily(ws.constant_view(), ws.substitutions())

@@ -90,6 +90,13 @@ def test_witness_needs_exactly_one_instance(flag2, capsys):
     assert main(["witness", "--hj", "--semigroup", flag2, "--coloring", "mod:2"]) == 2
 
 
+@pytest.mark.parametrize("size", [["--alphabet", "0"], ["--variables", "0"]])
+def test_witness_hj_rejects_a_zero_size(size, capsys):
+    assert main(["witness", "--hj", *size, "--coloring", "mod:2"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1
+
+
 def test_witness_finite_table_coloring(flag2, tmp_path, capsys):
     ctab = tmp_path / "c.txt"
     ctab.write_text("0 0\n2 1\n4 0\n")
@@ -186,6 +193,18 @@ def test_vdw_via_hj(tmp_path, capsys):
     assert main(["verify", cert_line.split(": ", 1)[1]]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["-k", "0"],
+    ["-k", "1"],
+    ["-k", "3", "--coloring", "table:/no/such/table"],
+    ["-k", "3", "-r", "0"],
+])
+def test_vdw_via_hj_bad_input_exits_2(argv, capsys):
+    assert main(["vdw", "--via-hj", "--max-len", "4", *argv]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(("error: ", "coloring spec error: ")) and out.count("\n") == 1
+
+
 def test_no_symmetry_flag(capsys):
     assert main(["hj", "-n", "2", "-r", "2", "--max-N", "2", "--no-symmetry"]) == 0
     assert "HJ(2,2) = 2" in capsys.readouterr().out
@@ -219,6 +238,13 @@ def test_ultra_lemma2(flag2, capsys):
     assert "(a) every 2-coloring has a monochromatic image set: true" in out
     assert "(b) agreement ultrafilter with point in R: true" in out
     assert "equivalent: yes" in out
+
+
+@pytest.mark.parametrize("colors", ["0", "-1"])
+def test_ultra_lemma2_rejects_fewer_than_one_color(flag2, colors, capsys):
+    assert main(["ultra", "lemma2", "--semigroup", flag2, "--colors", colors]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1
 
 
 def test_ultra_lemma2_needs_structures(tmp_path, capsys):

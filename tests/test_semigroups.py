@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hjlab import (
     FiniteSemigroup,
@@ -20,7 +21,15 @@ from hjlab import (
     validate_retraction,
 )
 from hjlab.errors import AssociativityViolation, EmptySubset
-from hjlab.words import contains_variable, format_word, parse_word, substitute, variable
+from hjlab.words import (
+    contains_variable,
+    format_word,
+    is_variable,
+    parse_word,
+    substitute,
+    variable,
+    variable_index,
+)
 
 import oracles
 
@@ -164,8 +173,20 @@ def test_substitution_family_is_retraction_like():
     assert family.images(w) == [(0, 0, 0), (1, 0, 1)]
     # constant words are fixed
     assert family.images((1, 0)) == [(1, 0)]
-    for sub in family:
-        assert ws.check_substitution_retraction(sub).ok
+
+
+def test_word_family_rejects_a_letter_outside_the_alphabet():
+    # a substitution of the 3-letter semigroup assigning letter 2 is no
+    # retraction of the 2-letter one
+    ws = WordSemigroup(2)
+    foreign = Substitution(WordSemigroup(3), (2,))
+    assert ws.constant_view().check_retraction(foreign).clause == "range"
+    with pytest.raises(ValueError, match="range"):
+        RetractionFamily(ws.constant_view(), [*ws.substitutions(), foreign])
+    with pytest.raises(ValueError, match="totality"):
+        RetractionFamily(ws.constant_view(), [Substitution(WordSemigroup(2, 2), (0, 1))])
+    with pytest.raises(ValueError, match="type"):
+        RetractionFamily(ws.constant_view(), [Retraction([0, 1])])
 
 
 def test_substitution_requires_full_assignment():
@@ -176,11 +197,30 @@ def test_substitution_requires_full_assignment():
         substitute(w, {0: 1})
 
 
-def test_word_semigroup_checks():
-    ws = WordSemigroup(2)
-    assert ws.check_associativity(samples=500).ok
-    assert ws.check_constant_view_nice(samples=500).ok
-    assert is_nice_subsemigroup(ws, ws.constant_view()).ok
+@st.composite
+def word_pairs(draw):
+    ws = WordSemigroup(draw(st.integers(2, 4)), draw(st.integers(1, 2)))
+    word = st.lists(st.sampled_from(ws.symbols()), min_size=1, max_size=12).map(tuple)
+    return ws, draw(word), draw(word)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(word_pairs())
+def test_word_semigroup_laws(case):
+    """The laws the word side relies on by construction: the diagonal
+    substitutions are homomorphisms onto the constant words fixing them, and
+    the words with a variable form an ideal, so the constants are nice."""
+    ws, a, b = case
+    for sigma in ws.substitutions():
+        assert sigma.apply(a + b) == sigma.apply(a) + sigma.apply(b)
+        assert not contains_variable(sigma.apply(a))
+        assert sigma.apply(a) == tuple(
+            sigma.assignment[variable_index(s)] if is_variable(s) else s for s in a
+        )
+        for c in (a, b):
+            if not contains_variable(c):
+                assert sigma.apply(c) == c
+    assert contains_variable(a + b) == (contains_variable(a) or contains_variable(b))
 
 
 def test_line_points_from_variable_word():

@@ -20,3 +20,41 @@ def test_no_assert_survives_python_O():
                 if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                     found.append(f"{path.name}:{node.lineno} raise AssertionError")
     assert found == []
+
+
+def _package_imports(path):
+    """Package modules that ``path`` imports, at any depth of its body."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hjlab."):
+            names.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names.update(
+                alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("hjlab.")
+            )
+    return names
+
+
+def test_package_imports_have_no_cycle():
+    modules = {path.stem: path for path in SRC.glob("*.py")}
+    graph = {m: sorted(_package_imports(p) & modules.keys()) for m, p in modules.items()}
+    done, path = set(), []
+
+    def visit(m):
+        assert m not in path, "import cycle: " + " -> ".join(path[path.index(m):] + [m])
+        if m in done:
+            return
+        path.append(m)
+        for dep in graph[m]:
+            visit(dep)
+        path.pop()
+        done.add(m)
+
+    for m in sorted(graph):
+        visit(m)
