@@ -85,7 +85,6 @@ from .search import (
     ViaHjOutcome,
     WitnessOutcome,
     ap_edges,
-    canonical_prune,
     check_instance,
     find_ap_via_words,
     finite_witness_search,

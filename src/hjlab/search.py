@@ -15,13 +15,18 @@ vertex not colored c, prunes c from an uncolored other watch (singleton
 domains cascade), or is a conflict.  Undo restores colors and domains only.
 Symmetry pruning rejects partial colorings that are not lexicographically
 minimal in their orbit, compared along one fixed decision order, which keeps
-the pruning sound for SAT and UNSAT alike.
+the pruning sound for SAT and UNSAT alike.  The check is incremental along
+the decision stack: each frame keeps, as arrays, the group elements whose
+permuted prefix still equals the prefix or stopped on an undecided cell,
+with the position each stopped at.  A child node resumes only those, from
+there; an element that compared greater is dropped for the whole subtree.
 """
 from __future__ import annotations
 
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 from math import factorial
 
@@ -88,12 +93,24 @@ class Symmetry:
     old colors to new.
     """
 
-    cell_perms: np.ndarray  # (G, V)
+    cell_perms: np.ndarray  # (G, V), int16 up to 32767 vertices, else int32
     color_perms: np.ndarray  # (C, r)
     spec: tuple = ()
 
+    @cached_property
+    def color_table(self):
+        """``color_perms`` with a last column r, which an undecided cell (-1)
+        reads: above every color, so it equals none."""
+        C, r = self.color_perms.shape
+        return np.hstack([self.color_perms, np.full((C, 1), r)])
+
 
 SYMMETRY_GROUP_LIMIT = 100_000
+
+
+def _cell_dtype(V):
+    """The smallest integer type that holds every vertex index below V."""
+    return np.int16 if V <= np.iinfo(np.int16).max else np.int32
 
 
 def hj_symmetry(n, N, r, include=("color", "coordinate", "alphabet")):
@@ -118,7 +135,7 @@ def hj_symmetry(n, N, r, include=("color", "coordinate", "alphabet")):
         list(permutations(range(n))) if "alphabet" in include else [tuple(range(n))],
         dtype=np.int64,
     )
-    cells = np.empty((len(coord), len(alpha), V), dtype=np.int64)
+    cells = np.empty((len(coord), len(alpha), V), dtype=_cell_dtype(V))
     for i, cp in enumerate(coord):
         # word w goes to (ap[w[cp[0]]], ..., ap[w[cp[N-1]]]), every ap at once
         cells[i] = alpha[:, digits[:, cp]] @ weights
@@ -131,7 +148,7 @@ def hj_symmetry(n, N, r, include=("color", "coordinate", "alphabet")):
 
 
 def vdw_symmetry(M, r, include=("color", "reflection")):
-    idx = np.arange(M, dtype=np.int64)
+    idx = np.arange(M, dtype=_cell_dtype(M))
     rows = [idx]
     if "reflection" in include and M > 1:
         rows.append(idx[::-1].copy())
@@ -143,35 +160,69 @@ def vdw_symmetry(M, r, include=("color", "reflection")):
     return Symmetry(np.stack(rows), colors, tuple(sorted(include)))
 
 
-def canonical_prune(colors, order, symmetry):
+def _identity_rows(cells):
+    """Indices of the identity rows of ``cells``, narrowed one column at a
+    time so that no (G, V) temporary is built."""
+    V = cells.shape[1]
+    rows = np.arange(len(cells))
+    v = 0
+    while len(rows) > 1 and v < V:
+        rows = rows[cells[rows, v] == v]
+        v += 1
+    return [i for i in rows if np.array_equal(cells[i], np.arange(V))]
+
+
+def _root_survivors(symmetry):
+    """The survivors above the first decision: every (cell row, color row)
+    pair, to resume at position 0, but the identity, which never stops."""
+    cells, perms = symmetry.cell_perms, symmetry.color_perms
+    G, C = len(cells), len(perms)
+    g, c = np.repeat(np.arange(G), C), np.tile(np.arange(C), G)
+    fixed_colors = (perms == np.arange(perms.shape[1])).all(axis=1)
+    keep = ~(np.isin(g, _identity_rows(cells)) & fixed_colors[c])
+    return g[keep], c[keep], np.zeros(int(keep.sum()), dtype=np.intp)
+
+
+def canonical_prune(colors, order, symmetry, survivors, frame):
     """True when the colors decided so far (read along ``order``) are not
     lexicographically minimal in their orbit, so the node can be discarded.
 
-    The comparison walks the fixed order and stops at the first position
-    where either side is undecided; only a strict defined difference prunes.
+    For each group element the comparison walks the fixed order and stops at
+    the first position where the permuted color differs from the color there
+    or reads an undecided cell; only a strict defined difference prunes.
+    ``frame`` holds the node: it has just decided position ``frame.d``, and
+    every position before it was decided at its parent.  ``survivors`` are
+    the parent's: arrays of cell rows, color rows and resume positions, for
+    the elements whose comparison was equal up to the resume position and
+    stopped there on an undecided cell or at the end of the decided prefix.
+    The others stopped on a greater defined color, which no deeper node
+    changes.  Decided colors stay, so each survivor resumes where it
+    stopped.  Unless the node is pruned, its own survivors go to
+    ``frame.survivors``.
     """
-    colors = np.asarray(colors)
-    order = np.asarray(order)
-    decided = colors[order] >= 0
-    d = int(np.argmin(decided)) if not decided.all() else len(order)
-    if d == 0:
+    g, c, p = survivors
+    if not len(p):
+        frame.survivors = survivors
         return False
-    sub = symmetry.cell_perms[:, order[:d]]  # (G, d) cells to read from
-    av = colors[sub]  # (G, d) their colors, -1 undecided
-    undef = av < 0
-    t = symmetry.color_perms[:, np.maximum(av, 0)]  # (C, G, d)
-    t = np.where(undef[None, :, :], -1, t)
-    s = colors[order[:d]]
-    stop = undef[None, :, :] | (t != s)
-    any_stop = stop.any(axis=2)
-    first = np.argmax(stop, axis=2)
-    t_first = np.take_along_axis(t, first[:, :, None], axis=2)[:, :, 0]
+    d = frame.d + 1
+    while d < len(order) and colors[order[d]] >= 0:
+        d += 1
+    colors = np.asarray(colors)
+    lo = int(p.min())
+    window = order[lo:d]
+    # (S, W) permuted colors, r where the cell is undecided; a survivor
+    # equals the prefix below its resume position, so no mask is needed
+    t = symmetry.color_table[c[:, None], colors[symmetry.cell_perms[g[:, None], window]]]
+    s = colors[window]
+    first = np.argmax(t != s, axis=1)  # 0 for a survivor equal throughout
+    t_first = t[np.arange(len(p)), first]
     s_first = s[first]
-    undef_first = np.take_along_axis(
-        np.broadcast_to(undef[None, :, :], t.shape), first[:, :, None], axis=2
-    )[:, :, 0]
-    prune = any_stop & ~undef_first & (t_first < s_first)
-    return bool(prune.any())
+    if (t_first < s_first).any():
+        return True
+    equal = t_first == s_first
+    keep = equal | (t_first == symmetry.color_perms.shape[1])
+    frame.survivors = g[keep], c[keep], np.where(equal, d, lo + first)[keep]
+    return False
 
 
 @dataclass
@@ -184,6 +235,18 @@ class ColoringResult:
 
 class _BudgetHit(Exception):
     pass
+
+
+@dataclass(slots=True)
+class _Frame:
+    """One decision level: its position in the decision order, the trail
+    mark of the color being tried, the next color to try, and the lex-leader
+    survivors of the node it holds."""
+
+    d: int
+    mark: int | None = None
+    c: int = 0
+    survivors: tuple | None = None
 
 
 class HypergraphSolver:
@@ -222,6 +285,8 @@ class HypergraphSolver:
                 degree[v] += 1
         self.order = sorted(range(V), key=lambda v: (-degree[v], v))
         self.order_np = np.array(self.order, dtype=np.int64)
+        if self.symmetry is not None:
+            self.root_survivors = _root_survivors(self.symmetry)
         # clause (ei, c), "edge ei is not all colored c", watches two vertices
         # of the edge (one vertex twice, for a 1-vertex edge); other[c][ei]
         # holds their XOR, so either watch gives the other.  watching[c][v]
@@ -309,13 +374,17 @@ class HypergraphSolver:
             return None
         return mark
 
-    def _pruned(self):
+    def _pruned(self, frame, parent):
+        """Lex-leader check of the node just decided in ``frame``, resuming
+        from the survivors of ``parent`` (the frame below, None at the
+        root)."""
         if self.symmetry is None:
             return False
         head = self.order[: SYMMETRY_DEPTH + 1]
         if len(head) > SYMMETRY_DEPTH and all(self.colors[v] >= 0 for v in head):
             return False
-        return canonical_prune(np.array(self.colors), self.order_np, self.symmetry)
+        survivors = self.root_survivors if parent is None else parent.survivors
+        return canonical_prune(self.colors, self.order_np, self.symmetry, survivors, frame)
 
     def _charge_node(self):
         self.nodes += 1
@@ -324,7 +393,9 @@ class HypergraphSolver:
 
     def _search(self):
         """Depth-first along the decision order, colors in increasing order,
-        on an explicit stack of [position, trail mark, next color]."""
+        on an explicit stack of frames.  A frame retries its colors against
+        the lex-leader survivors of the frame below, so backtracking undoes
+        only the trail."""
         colors, domains, order, r = self.colors, self.domains, self.order, self.r
         stack = []
         d = 0
@@ -333,12 +404,12 @@ class HypergraphSolver:
                 d += 1
             if d == self.V:
                 return list(colors)
-            stack.append([d, None, 0])
+            stack.append(_Frame(d))
             while stack:
                 frame = stack[-1]
-                d, mark, c = frame
-                if mark is not None:
-                    self._undo(mark)
+                d, c = frame.d, frame.c
+                if frame.mark is not None:
+                    self._undo(frame.mark)
                 dom = domains[order[d]]
                 while c < r and not (dom >> c) & 1:
                     c += 1
@@ -346,9 +417,10 @@ class HypergraphSolver:
                     stack.pop()
                     continue
                 self._charge_node()
-                mark = self._decide(order[d], c)
-                frame[1:] = mark, c + 1
-                if mark is not None and not self._pruned():
+                frame.mark = self._decide(order[d], c)
+                frame.c = c + 1
+                parent = stack[-2] if len(stack) > 1 else None
+                if frame.mark is not None and not self._pruned(frame, parent):
                     d += 1
                     break
             else:
@@ -565,6 +637,8 @@ def word_witness_search(ws, family, coloring, max_len=8):
     """First variable word (length-lexicographic) whose substitution images
     are monochromatic.  Exhausted only means the length budget ran out: the
     abstract theorem guarantees a witness at some finite length."""
+    if max_len < 1:
+        raise InvalidInstance(f"need max_len >= 1, not {max_len}")
     return _first_monochromatic(
         ws.iter_words(max_len, require_variable=True),
         family,

@@ -112,6 +112,36 @@ def automorphisms(num_vertices, edges):
     ]
 
 
+def lex_leader_prunes(colors, order, symmetry):
+    """True when the decided prefix of ``order`` (up to the first undecided
+    position) is not lexicographically minimal in its orbit: the full scan
+    of every (cell row, color row) pair from position 0.  Each comparison
+    stops at the first position where the permuted color differs or reads an
+    undecided cell; only a strict defined difference prunes."""
+    colors = np.asarray(colors)
+    order = np.asarray(order)
+    decided = colors[order] >= 0
+    d = int(np.argmin(decided)) if not decided.all() else len(order)
+    if d == 0:
+        return False
+    sub = symmetry.cell_perms[:, order[:d]]  # (G, d) cells to read from
+    av = colors[sub]  # (G, d) their colors, -1 undecided
+    undef = av < 0
+    t = symmetry.color_perms[:, np.maximum(av, 0)]  # (C, G, d)
+    t = np.where(undef[None, :, :], -1, t)
+    s = colors[order[:d]]
+    stop = undef[None, :, :] | (t != s)
+    any_stop = stop.any(axis=2)
+    first = np.argmax(stop, axis=2)
+    t_first = np.take_along_axis(t, first[:, :, None], axis=2)[:, :, 0]
+    s_first = s[first]
+    undef_first = np.take_along_axis(
+        np.broadcast_to(undef[None, :, :], t.shape), first[:, :, None], axis=2
+    )[:, :, 0]
+    prune = any_stop & ~undef_first & (t_first < s_first)
+    return bool(prune.any())
+
+
 # -- combinatorial lines and progressions --------------------------------
 
 def line_point_sets(n, N):

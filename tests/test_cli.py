@@ -97,6 +97,19 @@ def test_witness_hj_rejects_a_zero_size(size, capsys):
     assert out.startswith("error: ") and out.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["witness", "--hj", "--coloring", "mod:2", "--max-len", "0"],
+    ["witness", "--hj", "--coloring", "apres:2", "--max-len", "-2"],
+    ["vdw", "--via-hj", "-k", "3", "--max-len", "0"],
+    ["vdw", "--via-hj", "-k", "3", "--max-len", "-2"],
+])
+def test_word_length_budget_below_one_exits_2(argv, capsys):
+    # a search over no words is no negative
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1
+
+
 def test_witness_finite_table_coloring(flag2, tmp_path, capsys):
     ctab = tmp_path / "c.txt"
     ctab.write_text("0 0\n2 1\n4 0\n")

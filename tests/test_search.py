@@ -1,6 +1,7 @@
 """Backtracking search: soundness against the naive oracles, symmetry
 pruning, budgets, and the witness searches."""
 import time
+from contextlib import contextmanager
 from itertools import combinations, permutations
 
 import numpy as np
@@ -26,14 +27,18 @@ from hjlab import (
     flag_index,
     flag_semigroup,
     hj_check,
+    hj_instance,
     hj_number,
     hj_symmetry,
     substitution_family,
     vdw_check,
+    vdw_instance,
     vdw_number,
+    vdw_symmetry,
     verify_proper_coloring,
     word_witness_search,
 )
+import hjlab.search
 from hjlab.errors import InvalidInstance, VerificationError
 from hjlab.words import parse_word, variable
 
@@ -110,19 +115,73 @@ def test_solver_matches_the_counter_oracle(case):
     assert (status == SAT) == oracles.colorable(V, edges, r)
 
 
+@contextmanager
+def prune_answers():
+    """Collect (incremental answer, full-scan answer) at every lex-leader
+    check the solver makes, through the module global it calls."""
+    answers = []
+    incremental = hjlab.search.canonical_prune
+
+    def checked(colors, order, symmetry, survivors, frame):
+        got = incremental(colors, order, symmetry, survivors, frame)
+        answers.append((got, oracles.lex_leader_prunes(colors, order, symmetry)))
+        return got
+
+    hjlab.search.canonical_prune = checked
+    try:
+        yield answers
+    finally:
+        hjlab.search.canonical_prune = incremental
+
+
+def _agree(answers):
+    return all(type(got) is bool and got == want for got, want in answers)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(small_hypergraphs(max_vertices=6))
 def test_symmetry_pruning_keeps_the_answer(case):
-    # lex-leader pruning under every automorphism times every color permutation
+    # every automorphism times every color permutation; at every node the
+    # incremental check answers as the full scan
     V, edges, r = case
     group = Symmetry(
         np.array(oracles.automorphisms(V, edges), dtype=np.int64),
         np.array(list(permutations(range(r))), dtype=np.int64),
     )
-    res = HypergraphSolver(V, edges, r, symmetry=group).solve()
+    with prune_answers() as answers:
+        res = HypergraphSolver(V, edges, r, symmetry=group).solve()
+    assert _agree(answers)
     assert res.status == (SAT if oracles.colorable(V, edges, r) else UNSAT)
     if res.status == SAT:
         assert oracles.proper(edges, res.coloring)
+
+
+@pytest.mark.parametrize("inst", [
+    hj_instance(3, 2, 4), hj_instance(2, 3, 3), vdw_instance(3, 2, 9),
+], ids=lambda inst: f"{inst.family}{inst.params}r{inst.r}")
+def test_incremental_prune_matches_the_full_scan_on_instances(inst):
+    group = inst.build_symmetry(inst.default_symmetry)
+    solver = HypergraphSolver(inst.num_vertices, inst.build_edges(), inst.r, symmetry=group)
+    with prune_answers() as answers:
+        solver.solve()
+    # some non-identity cell row fixes the first decision, so survivors get
+    # past position 0
+    first, identity = solver.order[0], np.arange(inst.num_vertices)
+    assert any(row[first] == first and (row != identity).any() for row in group.cell_perms)
+    assert any(got for got, _ in answers)
+    assert _agree(answers)
+
+
+@pytest.mark.parametrize("number,args,calls,hits", [
+    (hj_number, (3, 2, 4), 50, 8),
+    (vdw_number, (4, 2, 40), 374, 7),
+])
+def test_prune_counts_stay_the_full_scan_counts(number, args, calls, hits):
+    # the calls and hits of the full-scan check this search used to run
+    with prune_answers() as answers:
+        number(*args)
+    assert (len(answers), sum(got for got, _ in answers)) == (calls, hits)
+    assert _agree(answers)
 
 
 def test_deep_search_needs_no_recursion():
@@ -187,13 +246,19 @@ def test_hj_symmetry_matches_the_per_word_oracle(n, N):
     for size in range(3):
         for include in combinations(("coordinate", "alphabet"), size):
             cells = hj_symmetry(n, N, 2, include).cell_perms
-            want = oracles.hj_symmetry_cells(n, N, include)
-            assert cells.dtype == want.dtype and cells.shape == want.shape
-            assert cells.tobytes() == want.tobytes()
+            assert cells.dtype == np.int16
+            assert np.array_equal(cells, oracles.hj_symmetry_cells(n, N, include))
             # every row is an automorphism of the line hypergraph
             for row in cells:
                 assert sorted(row) == list(range(n ** N))
                 assert {frozenset(row[list(line)].tolist()) for line in lines} == lines
+
+
+def test_cell_rows_use_the_smallest_integer_type():
+    for M, dtype in ((32767, np.int16), (32768, np.int32)):
+        cells = vdw_symmetry(M, 2).cell_perms
+        assert cells.dtype == dtype
+        assert np.array_equal(cells, [np.arange(M), np.arange(M)[::-1]])
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
