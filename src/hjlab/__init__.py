@@ -59,7 +59,6 @@ from .corpus import (
     enumerate_endomorphisms,
     generate_corpus,
     mulclose,
-    sweep_semigroups,
     sweep_tensor_power,
     transformation_semigroup,
 )

@@ -287,6 +287,8 @@ def _verify_witness_finite(cert):
     if not nice:
         return False, f"declared T is not nice: {nice.describe()}"
     family = RetractionFamily(view, [Retraction(row) for row in cert.retractions])
+    if not 0 <= cert.witness < S.order:
+        return False, f"witness {cert.witness} is outside the carrier [0..{S.order})"
     if view.contains(cert.witness):
         return False, "witness lies in T (must be in R)"
     images = family.images(cert.witness)

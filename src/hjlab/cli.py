@@ -5,6 +5,12 @@ small Hales-Jewett and van der Waerden numbers, the ultrafilter-identity
 checks, and certificate re-verification.  Exit codes: 0 success/verified,
 1 honest negative (exhausted search, lower bound only, failed check),
 2 input error, 3 budget exceeded.
+
+Each subcommand's parser names its handler.  ``main`` is the one input-error
+boundary: a package error (other than a failed solver re-check) or an
+unreadable file named on the command line prints one ``error:`` line and
+exits 2.  Every command that reads a semigroup file goes through
+``_load_structures``, which checks S, T and the retraction family.
 """
 from __future__ import annotations
 
@@ -20,15 +26,8 @@ from .certificates import (
     words_witness_certificate,
     finite_witness_certificate,
 )
-from .corpus import generate_corpus, sweep_semigroups, sweep_tensor_power
-from .errors import (
-    CarrierTooLarge,
-    ColoringSpecError,
-    HjlabError,
-    InvalidInstance,
-    SearchSpaceTooLarge,
-    TableParseError,
-)
+from .corpus import CorpusEntry, generate_corpus, sweep_tensor_power
+from .errors import HjlabError, InvalidInstance, InvalidStructure, VerificationError
 from .instances import VdwEncoding, parse_coloring_spec
 from .semigroups import (
     FiniteSemigroup,
@@ -77,20 +76,22 @@ def _fail():
 
 
 def _load_structures(path, need_family=False):
-    """Parse a semigroup file into (S, view, family); view/family may be
-    None when the file does not declare them."""
+    """Parse a semigroup file into (S, view, family) and check it: S
+    associative, T nice, every retraction valid and none repeated.  The view
+    and family are None when the file does not declare them."""
     parsed = parse_semigroup_file(path)
     S = FiniteSemigroup(parsed.rows)
     view = None
     family = None
     if parsed.t_members is not None:
         view = NiceSubsemigroupView.from_members(S, parsed.t_members)
+        nice = is_nice_subsemigroup(S, view)
+        if not nice:
+            raise InvalidStructure(f"T is not a nice subsemigroup: {nice.describe()}")
     if parsed.retractions:
-        if view is None:
-            raise TableParseError(1, 1, "retractions need a declared T line")
         family = RetractionFamily(view, [Retraction(r) for r in parsed.retractions])
     if need_family and family is None:
-        raise TableParseError(1, 1, "this command needs T and retraction lines")
+        raise InvalidStructure("this command needs T and retraction lines")
     return S, view, family
 
 
@@ -98,25 +99,21 @@ def _load_structures(path, need_family=False):
 
 
 def cmd_validate(args):
-    try:
-        parsed = parse_semigroup_file(args.semigroup)
-    except (TableParseError, OSError) as e:
-        print(f"parse error: {e}")
-        return EXIT_INPUT
-    all_ok = True
+    """Report every clause of the file on its own line, unlike the other
+    commands, which stop at the first fault."""
+    parsed = parse_semigroup_file(args.semigroup)
     try:
         S = FiniteSemigroup(parsed.rows)
-        print(f"closure: {_pass()}")
-        print(f"associativity: {_pass()} ({S.order}^3 triples)")
-    except HjlabError as e:
+    except InvalidStructure as e:
         print(f"table: {_fail()} ({e})")
         return EXIT_NEGATIVE
-    if parsed.retractions and parsed.t_members is None:
-        print("retraction lines need a declared T line")
-        return EXIT_INPUT
     view = None
     if parsed.t_members is not None:
         view = NiceSubsemigroupView.from_members(S, parsed.t_members)
+    print(f"closure: {_pass()}")
+    print(f"associativity: {_pass()} ({S.order}^3 triples)")
+    all_ok = True
+    if view is not None:
         res = is_nice_subsemigroup(S, view)
         if res:
             print(f"nice subsemigroup: {_pass()} (|T| = {len(view.members())})")
@@ -125,11 +122,13 @@ def cmd_validate(args):
             print(f"nice subsemigroup: {_fail()} ({res.describe()})")
     for i, row in enumerate(parsed.retractions):
         res = validate_retraction(S, view, Retraction(row))
-        if res:
+        first = parsed.retractions.index(row)
+        if res and first == i:
             print(f"retraction {i}: {_pass()}")
         else:
             all_ok = False
-            print(f"retraction {i}: {_fail()} ({res.describe()})")
+            why = f"repeats retraction {first}" if res else res.describe()
+            print(f"retraction {i}: {_fail()} ({why})")
     return EXIT_OK if all_ok else EXIT_NEGATIVE
 
 
@@ -137,11 +136,9 @@ def cmd_validate(args):
 
 
 def cmd_witness(args):
-    try:
-        coloring = parse_coloring_spec(args.coloring)
-    except ColoringSpecError as e:
-        print(f"coloring spec error: {e}")
-        return EXIT_INPUT
+    if bool(args.hj) == bool(args.semigroup):
+        raise InvalidInstance("choose exactly one of --hj or --semigroup")
+    coloring = parse_coloring_spec(args.coloring)
     if args.hj:
         ws = WordSemigroup(args.alphabet, args.variables)
         family = substitution_family(ws)
@@ -160,14 +157,9 @@ def cmd_witness(args):
         print("images: " + " ".join(format_word(w) for w in outcome.images))
         print(f"color: {outcome.color}")
     else:
-        try:
-            S, view, family = _load_structures(args.semigroup, need_family=True)
-        except (TableParseError, OSError) as e:
-            print(f"parse error: {e}")
-            return EXIT_INPUT
+        S, view, family = _load_structures(args.semigroup, need_family=True)
         if coloring.kind != "table":
-            print("finite instances need an explicit table coloring")
-            return EXIT_INPUT
+            raise InvalidInstance("finite instances need an explicit table coloring")
         outcome = finite_witness_search(S, family, coloring)
         if outcome.status != "found":
             print(f"exhausted: {outcome.budget_note} ({outcome.checked} elements checked)")
@@ -194,19 +186,15 @@ def cmd_number(args):
     else:
         make, symbol, a, max_size = vdw_instance, "W", args.k, args.max_M
     name = f"{symbol}({a},{args.r})"
-    try:
-        result = least_size(
-            make,
-            a,
-            args.r,
-            max_size,
-            budget_nodes=args.budget_nodes,
-            budget_seconds=args.budget_seconds,
-            symmetry=() if args.no_symmetry else None,
-        )
-    except InvalidInstance as e:
-        print(f"error: {e}")
-        return EXIT_INPUT
+    result = least_size(
+        make,
+        a,
+        args.r,
+        max_size,
+        budget_nodes=args.budget_nodes,
+        budget_seconds=args.budget_seconds,
+        symmetry=() if args.no_symmetry else None,
+    )
     size_field = INSTANCE_FIELDS[args.command][1]
     for size, res in result.runs:
         if res.status == SAT:
@@ -231,17 +219,17 @@ def cmd_number(args):
     return EXIT_NEGATIVE
 
 
+def cmd_vdw(args):
+    if args.via_hj:
+        return cmd_via_hj(args)
+    if args.max_M is None:
+        raise InvalidInstance("--max-M is required unless --via-hj is given")
+    return cmd_number(args)
+
+
 def cmd_via_hj(args):
-    try:
-        coloring = parse_coloring_spec(args.coloring or f"apres:{args.r}")
-    except ColoringSpecError as e:
-        print(f"coloring spec error: {e}")
-        return EXIT_INPUT
-    try:
-        out = find_ap_via_words(args.k, coloring, max_len=args.max_len)
-    except InvalidInstance as e:
-        print(f"error: {e}")
-        return EXIT_INPUT
+    coloring = parse_coloring_spec(args.coloring or f"apres:{args.r}")
+    out = find_ap_via_words(args.k, coloring, max_len=args.max_len)
     if out.status != "found":
         print(f"exhausted after {out.checked} words")
         return EXIT_NEGATIVE
@@ -268,66 +256,9 @@ def cmd_via_hj(args):
 # -- ultra ----------------------------------------------------------------
 
 
-def cmd_ultra_check_prop(args):
-    ks = (args.k,)
-    if args.semigroup:
-        try:
-            S, _, _ = _load_structures(args.semigroup)
-        except (TableParseError, OSError) as e:
-            print(f"parse error: {e}")
-            return EXIT_INPUT
-        try:
-            report = sweep_semigroups([S], ks=ks)
-        except CarrierTooLarge as e:
-            print(f"carrier too large: {e}")
-            return EXIT_INPUT
-        scope = f"semigroup {args.semigroup}"
-    else:
-        if args.count < 1:
-            print(f"error: --count must be at least 1, not {args.count}")
-            return EXIT_INPUT
-        if not 1 <= args.corpus_order <= PRODUCT_LAW_BOUND:
-            print(
-                f"error: --corpus-order must be in 1..{PRODUCT_LAW_BOUND}, "
-                f"not {args.corpus_order}"
-            )
-            return EXIT_INPUT
-        entries = generate_corpus(
-            count=args.count, max_order=args.corpus_order, seed=args.seed
-        )
-        report = sweep_tensor_power(entries, ks=ks)
-        scope = f"corpus of {report.semigroups} semigroups (seed {args.seed})"
-    print(
-        f"checked {scope}: {report.endomorphisms} homomorphisms, "
-        f"{report.checks} (h, V, k) checks, {len(report.failures)} failures"
-    )
-    for f in report.failures[:5]:
-        print(
-            f"  failure: entry {f.entry_index} h={f.endomorphism} k={f.k} "
-            f"V@{f.v_point} subset mask {f.subset_mask:#x}"
-        )
-    print(f"tensor-power identity: {_pass() if report.ok else _fail()}")
-    return EXIT_OK if report.ok else EXIT_NEGATIVE
-
-
 def cmd_ultra_lemma2(args):
-    try:
-        S, view, family = _load_structures(args.semigroup, need_family=True)
-    except (TableParseError, OSError) as e:
-        print(f"parse error: {e}")
-        return EXIT_INPUT
-    nice = is_nice_subsemigroup(S, view)
-    if not nice:
-        print(f"T is not a nice subsemigroup: {nice.describe()}")
-        return EXIT_INPUT
-    try:
-        report = check_agreement_equivalence(S, family, args.colors)
-    except SearchSpaceTooLarge as e:
-        print(f"search space too large: {e}")
-        return EXIT_INPUT
-    except InvalidInstance as e:
-        print(f"error: {e}")
-        return EXIT_INPUT
+    S, view, family = _load_structures(args.semigroup, need_family=True)
+    report = check_agreement_equivalence(S, family, args.colors)
     a_note = (
         f"true (witness for the constant coloring: {S.element_name(report.a_first_witness)})"
         if report.a_holds
@@ -348,28 +279,41 @@ def cmd_ultra_lemma2(args):
 
 
 def cmd_ultra_corpus(args):
-    ks = tuple(k.strip() for k in args.k.split(","))
-    if any(k not in ("2", "3") for k in ks):
-        print(f"error: --k takes comma-separated values from {{2, 3}}, not {args.k!r}")
-        return EXIT_INPUT
-    if args.count < 1:
-        print(f"error: --count must be at least 1, not {args.count}")
-        return EXIT_INPUT
-    if not 1 <= args.max_order <= PRODUCT_LAW_BOUND:
-        # the sweep's tables stop there; checked before the corpus is drawn
-        print(f"error: --max-order must be in 1..{PRODUCT_LAW_BOUND}, not {args.max_order}")
-        return EXIT_INPUT
-    ks = tuple(map(int, ks))
-    entries = generate_corpus(count=args.count, max_order=args.max_order, seed=args.seed)
-    report = sweep_tensor_power(entries, ks=ks)
-    print(
-        f"corpus: {report.semigroups} transformation semigroups "
-        f"(max order {args.max_order}, seed {args.seed})"
-    )
+    """The tensor-power sweep over a seeded corpus, or over one file."""
+    ks = [k.strip() for k in args.k.split(",")]
+    if not set(ks) <= {"2", "3"} or len(set(ks)) < len(ks):
+        raise InvalidInstance(
+            f"--k takes distinct comma-separated values from {{2, 3}}, not {args.k!r}"
+        )
+    if args.semigroup:
+        S, _, _ = _load_structures(args.semigroup)
+        # a file semigroup has no generating transformations
+        entries = [CorpusEntry(0, [], [], S)]
+        scope = f"semigroup {args.semigroup}"
+    else:
+        if args.count < 1:
+            raise InvalidInstance(f"--count must be at least 1, not {args.count}")
+        if not 1 <= args.max_order <= PRODUCT_LAW_BOUND:
+            # the sweep's tables stop there; checked before the corpus is drawn
+            raise InvalidInstance(
+                f"--max-order must be in 1..{PRODUCT_LAW_BOUND}, not {args.max_order}"
+            )
+        entries = generate_corpus(count=args.count, max_order=args.max_order, seed=args.seed)
+        scope = (
+            f"{len(entries)} transformation semigroups "
+            f"(max order {args.max_order}, seed {args.seed})"
+        )
+    report = sweep_tensor_power(entries, ks=tuple(map(int, ks)))
+    print(f"corpus: {scope}")
     print(
         f"endomorphisms: {report.endomorphisms}; checks: {report.checks}; "
         f"failures: {len(report.failures)}"
     )
+    for f in report.failures[:5]:
+        print(
+            f"  failure: entry {f.entry_index} h={f.endomorphism} k={f.k} "
+            f"V@{f.v_point} subset mask {f.subset_mask:#x}"
+        )
     print(f"tensor-power identity: {_pass() if report.ok else _fail()}")
     return EXIT_OK if report.ok else EXIT_NEGATIVE
 
@@ -377,13 +321,10 @@ def cmd_ultra_corpus(args):
 # -- verify ---------------------------------------------------------------
 
 
-def cmd_verify(path):
-    if not os.path.exists(path):
-        print(f"no such certificate: {path}")
-        return EXIT_INPUT
-    with open(path) as fh:
+def cmd_verify(args):
+    with open(args.certificate) as fh:
         ok, message = verify_certificate_text(fh.read())
-    print(f"{path}: {_pass() if ok else _fail()} ({message})")
+    print(f"{args.certificate}: {_pass() if ok else _fail()} ({message})")
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
@@ -396,13 +337,11 @@ def build_parser():
         description="Semigroup retraction structures, ultrafilter identity "
         "checks, and monochromatic-witness search at desk scale.",
     )
-    parser.add_argument(
-        "--verify", metavar="CERT", help="re-check a certificate file and exit"
-    )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a semigroup file")
     p.add_argument("semigroup")
+    p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("witness", help="search for a monochromatic image set")
     p.add_argument("--hj", action="store_true", help="word-semigroup instance")
@@ -412,94 +351,64 @@ def build_parser():
     p.add_argument("--semigroup", help="finite instance from a semigroup file")
     p.add_argument("--coloring", required=True, help="mod:<r> | table:<path> | apres:<r>")
     p.add_argument("-o", "--output", help="certificate output path")
+    p.set_defaults(handler=cmd_witness)
 
-    p = sub.add_parser("hj", help="Hales-Jewett number by backtracking")
+    # the options every least-size sweep shares
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET,
+                       help="search nodes allowed for each size")
+    sweep.add_argument("--budget-seconds", type=float, default=DEFAULT_TIME_BUDGET,
+                       help="seconds allowed for the whole sweep, set-up included")
+    sweep.add_argument("--no-symmetry", action="store_true")
+    sweep.add_argument("--cert-dir", help="write SAT coloring certificates here")
+
+    p = sub.add_parser("hj", parents=[sweep], help="Hales-Jewett number by backtracking")
     p.add_argument("-n", type=int, required=True, help="alphabet size")
     p.add_argument("-r", type=int, required=True, help="number of colors")
     p.add_argument("--max-N", type=int, required=True)
-    p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET,
-                   help="search nodes allowed for each size")
-    p.add_argument("--budget-seconds", type=float, default=DEFAULT_TIME_BUDGET,
-                   help="seconds allowed for the whole sweep, set-up included")
-    p.add_argument("--no-symmetry", action="store_true")
-    p.add_argument("--cert-dir", help="write SAT coloring certificates here")
+    p.set_defaults(handler=cmd_number)
 
-    p = sub.add_parser("vdw", help="van der Waerden number by backtracking")
+    p = sub.add_parser("vdw", parents=[sweep], help="van der Waerden number by backtracking")
     p.add_argument("-k", type=int, required=True, help="progression length")
     p.add_argument("-r", type=int, default=2, help="number of colors")
     p.add_argument("--max-M", type=int)
-    p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET,
-                   help="search nodes allowed for each size")
-    p.add_argument("--budget-seconds", type=float, default=DEFAULT_TIME_BUDGET,
-                   help="seconds allowed for the whole sweep, set-up included")
-    p.add_argument("--no-symmetry", action="store_true")
-    p.add_argument("--cert-dir", help="write SAT coloring certificates here")
     p.add_argument("--via-hj", action="store_true", help="cross-validate the reduction")
     p.add_argument("--coloring", help="integer coloring for --via-hj (default apres:r)")
     p.add_argument("--max-len", type=int, default=8, help="word budget for --via-hj")
+    p.set_defaults(handler=cmd_vdw)
 
     p = sub.add_parser("ultra", help="ultrafilter identity checks")
-    usub = p.add_subparsers(dest="ultra_command")
-
-    q = usub.add_parser("check-prop", help="tensor-power identity sweep")
-    q.add_argument("--semigroup", help="check one semigroup file")
-    q.add_argument("--corpus-order", type=int, default=6, help="corpus max order")
-    q.add_argument("--count", type=int, default=50, help="corpus size")
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--k", type=int, default=2, choices=(2, 3))
+    usub = p.add_subparsers(dest="ultra_command", required=True)
 
     q = usub.add_parser("lemma2", help="agreement equivalence on a finite semigroup")
     q.add_argument("--semigroup", required=True)
     q.add_argument("--colors", type=int, default=2)
+    q.set_defaults(handler=cmd_ultra_lemma2)
 
-    q = usub.add_parser("corpus", help="seeded corpus sweep, both k values")
-    q.add_argument("--count", type=int, default=50)
-    q.add_argument("--max-order", "--order", type=int, default=6, dest="max_order")
+    q = usub.add_parser("corpus", help="tensor-power identity sweep")
+    q.add_argument("--semigroup", help="sweep this semigroup file instead of a corpus")
+    q.add_argument("--count", type=int, default=50, help="corpus size")
+    q.add_argument("--max-order", type=int, default=6, help="corpus max order")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--k", default="2,3", help="comma-separated k values")
+    q.set_defaults(handler=cmd_ultra_corpus)
 
     p = sub.add_parser("verify", help="re-check a certificate file")
     p.add_argument("certificate")
+    p.set_defaults(handler=cmd_verify)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.verify:
-        return cmd_verify(args.verify)
-    if args.command == "validate":
-        return cmd_validate(args)
-    if args.command == "witness":
-        if bool(args.hj) == bool(args.semigroup):
-            print("choose exactly one of --hj or --semigroup")
-            return EXIT_INPUT
-        try:
-            return cmd_witness(args)
-        except HjlabError as e:
-            print(f"error: {e}")
-            return EXIT_INPUT
-    if args.command == "vdw" and args.via_hj:
-        return cmd_via_hj(args)
-    if args.command == "vdw" and args.max_M is None:
-        print("--max-M is required unless --via-hj is given")
+    args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except VerificationError:
+        raise  # a failed re-check of a solver result is a fault, not bad input
+    except (HjlabError, OSError, UnicodeDecodeError) as e:
+        print(f"error: {e}")
         return EXIT_INPUT
-    if args.command in ("hj", "vdw"):
-        return cmd_number(args)
-    if args.command == "ultra":
-        if args.ultra_command == "check-prop":
-            return cmd_ultra_check_prop(args)
-        if args.ultra_command == "lemma2":
-            return cmd_ultra_lemma2(args)
-        if args.ultra_command == "corpus":
-            return cmd_ultra_corpus(args)
-        parser.parse_args(["ultra", "--help"])
-        return EXIT_INPUT
-    if args.command == "verify":
-        return cmd_verify(args.certificate)
-    parser.print_help()
-    return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -147,13 +147,6 @@ class CorpusReport:
         return not self.failures
 
 
-def sweep_semigroups(semigroups, ks=(2, 3)):
-    """Sweep bare FiniteSemigroup objects (no corpus bookkeeping)."""
-    return sweep_tensor_power(
-        [CorpusEntry(0, [], [], S) for S in semigroups], ks
-    )
-
-
 def sweep_tensor_power(entries, ks=(2, 3)):
     """Check the tensor-power identity across a corpus.
 

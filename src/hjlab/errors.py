@@ -5,7 +5,11 @@ class HjlabError(Exception):
     pass
 
 
-class ClosureViolation(HjlabError):
+class InvalidStructure(HjlabError, ValueError):
+    """A semigroup, subsemigroup or retraction family fails its checks."""
+
+
+class ClosureViolation(InvalidStructure):
     """A Cayley table entry falls outside the carrier."""
 
     def __init__(self, i, j, value, order):
@@ -15,7 +19,7 @@ class ClosureViolation(HjlabError):
         )
 
 
-class AssociativityViolation(HjlabError):
+class AssociativityViolation(InvalidStructure):
     """First triple (i, j, k) with (i*j)*k != i*(j*k)."""
 
     def __init__(self, i, j, k):
@@ -23,7 +27,7 @@ class AssociativityViolation(HjlabError):
         super().__init__(f"associativity fails at triple ({i}, {j}, {k})")
 
 
-class EmptySubset(HjlabError):
+class EmptySubset(InvalidStructure):
     pass
 
 
@@ -68,7 +72,7 @@ class CertificateError(HjlabError):
 
 
 class InvalidInstance(HjlabError, ValueError):
-    """Hypergraph-instance parameters out of range (e.g. n < 2 or r < 1)."""
+    """Instance or command parameters out of range (e.g. n < 2 or r < 1)."""
 
 
 class VerificationError(HjlabError):

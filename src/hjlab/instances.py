@@ -108,6 +108,13 @@ class PullbackColoring:
         return f"pullback({self.base.spec()})"
 
 
+def _table_color(token, line):
+    try:
+        return int(token)
+    except ValueError:
+        raise ColoringSpecError(line, f"color {token!r} is not an integer") from None
+
+
 def parse_coloring_table_text(text, source=None):
     entries = {}
     default = None
@@ -119,11 +126,11 @@ def parse_coloring_table_text(text, source=None):
         if parts[0] == "default":
             if len(parts) != 2:
                 raise ColoringSpecError("default", "expected: default <color>")
-            default = int(parts[1])
+            default = _table_color(parts[1], line)
             continue
         if len(parts) != 2:
             raise ColoringSpecError(line, "expected: <word-or-int> <color>")
-        entries[parts[0]] = int(parts[1])
+        entries[parts[0]] = _table_color(parts[1], line)
     return TableColoring(entries, default=default, source=source)
 
 

@@ -11,7 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssociativityViolation, ClosureViolation, EmptySubset
+from .errors import (
+    AssociativityViolation,
+    ClosureViolation,
+    EmptySubset,
+    InvalidStructure,
+)
 
 
 @dataclass
@@ -41,7 +46,7 @@ class FiniteSemigroup:
     def __init__(self, table, labels=None):
         table = np.asarray(table, dtype=np.int64)
         if table.ndim != 2 or table.shape[0] != table.shape[1] or table.shape[0] < 1:
-            raise ValueError("Cayley table must be a nonempty square matrix")
+            raise InvalidStructure("Cayley table must be a nonempty square matrix")
         n = table.shape[0]
         bad = np.argwhere((table < 0) | (table >= n))
         if len(bad):
@@ -106,7 +111,7 @@ class NiceSubsemigroupView:
         if mask <= 0:
             raise EmptySubset("subsemigroup mask selects no element")
         if mask >> parent.order:
-            raise ValueError("mask selects elements outside the carrier")
+            raise InvalidStructure("mask selects elements outside the carrier")
         self.parent = parent
         self.mask = mask
 
@@ -130,6 +135,10 @@ class NiceSubsemigroupView:
     def from_members(cls, parent, members):
         mask = 0
         for i in members:
+            if not 0 <= i < parent.order:
+                raise InvalidStructure(
+                    f"T member {i} is outside the carrier [0..{parent.order})"
+                )
             mask |= 1 << i
         return cls(parent, mask)
 
@@ -226,15 +235,15 @@ class RetractionFamily:
     def __init__(self, view, retractions):
         retractions = list(retractions)
         if not retractions:
-            raise ValueError("retraction family must be nonempty")
+            raise InvalidStructure("retraction family must be nonempty")
         for r in retractions:
             res = view.check_retraction(r)
             if not res:
-                raise ValueError(f"invalid retraction: {res.describe()}")
+                raise InvalidStructure(f"invalid retraction: {res.describe()}")
         for i in range(len(retractions)):
             for j in range(i + 1, len(retractions)):
                 if retractions[i].same_as(retractions[j]):
-                    raise ValueError(f"duplicate retractions at positions {i} and {j}")
+                    raise InvalidStructure(f"duplicate retractions at positions {i} and {j}")
         self.view = view
         self.retractions = retractions
 

@@ -5,7 +5,7 @@ Format::
     semigroup n
     <n rows of n space-separated indices>
     T: i1 i2 ...            (optional, the nice subsemigroup)
-    retraction: j1 ... jn   (optional, repeatable; image of k is jk)
+    retraction: j1 ... jn   (optional, repeatable, needs T; image of k is jk)
 
 Blank lines and lines starting with '#' are ignored.  Parse errors carry
 1-based line and column numbers.
@@ -71,6 +71,7 @@ def parse_semigroup_text(text):
             raise TableParseError(lineno, col, f"expected {n} entries in row, found {len(toks)}")
         parsed.rows.append([_int_at(t, lineno, c, "table entry") for t, c in toks])
 
+    first_retraction = None
     for lineno, line in body[n:]:
         toks = _tokens(line)
         head, col0 = toks[0]
@@ -89,8 +90,11 @@ def parse_semigroup_text(text):
             parsed.retractions.append(
                 [_int_at(t, lineno, c, "retraction image") for t, c in toks[1:]]
             )
+            first_retraction = first_retraction or (lineno, col0)
         else:
             raise TableParseError(lineno, col0, f"unknown directive {head!r}")
+    if first_retraction is not None and parsed.t_members is None:
+        raise TableParseError(*first_retraction, "retraction lines need a declared T line")
     return parsed
 
 

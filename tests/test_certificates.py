@@ -146,6 +146,14 @@ def test_semantic_lies_are_caught_not_just_bytes():
     assert not ok
 
 
+@pytest.mark.parametrize("witness", [99, -1])
+def test_finite_witness_outside_the_carrier_is_rejected(witness):
+    import dataclasses
+    bad = dataclasses.replace(finite_cert(), witness=witness)
+    ok, msg = verify_certificate_text(render_certificate(bad))
+    assert not ok and "outside the carrier" in msg
+
+
 def test_vdw_semantic_check_catches_bad_assignment():
     import dataclasses
     cert = vdw_cert()

@@ -1,5 +1,8 @@
 """End-to-end command-line behavior: outputs, exit codes, certificates."""
 import os
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -215,7 +218,7 @@ def test_vdw_via_hj(tmp_path, capsys):
 def test_vdw_via_hj_bad_input_exits_2(argv, capsys):
     assert main(["vdw", "--via-hj", "--max-len", "4", *argv]) == 2
     out = capsys.readouterr().out
-    assert out.startswith(("error: ", "coloring spec error: ")) and out.count("\n") == 1
+    assert out.startswith("error: ") and out.count("\n") == 1
 
 
 def test_no_symmetry_flag(capsys):
@@ -225,24 +228,28 @@ def test_no_symmetry_flag(capsys):
 
 # -- ultra --------------------------------------------------------------------
 
-def test_ultra_check_prop_corpus(capsys):
-    assert main(["ultra", "check-prop", "--corpus-order", "4", "--seed", "0",
+def test_ultra_corpus_single_k(capsys):
+    assert main(["ultra", "corpus", "--max-order", "4", "--seed", "0",
                  "--k", "2"]) == 0
     out = capsys.readouterr().out
     assert "tensor-power identity: pass" in out
-    assert "0 failures" in out
+    assert "failures: 0" in out
 
 
-def test_ultra_check_prop_single_semigroup(flag2, capsys):
-    assert main(["ultra", "check-prop", "--semigroup", flag2, "--k", "3"]) == 0
-    assert "pass" in capsys.readouterr().out
+def test_ultra_corpus_single_semigroup(flag2, capsys):
+    assert main(["ultra", "corpus", "--semigroup", flag2, "--k", "3"]) == 0
+    out = capsys.readouterr().out
+    assert f"corpus: semigroup {flag2}" in out
+    assert "tensor-power identity: pass" in out
 
 
-def test_ultra_check_prop_rejects_a_carrier_above_the_bound(tmp_path, capsys):
+def test_ultra_corpus_rejects_a_carrier_above_the_bound(tmp_path, capsys):
     path = tmp_path / "z13.sg"
     path.write_text(format_semigroup_file(cyclic_semigroup(13)))
-    assert main(["ultra", "check-prop", "--semigroup", str(path)]) == 2
-    assert "carrier too large" in capsys.readouterr().out
+    assert main(["ultra", "corpus", "--semigroup", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1
+    assert "12" in out
 
 
 def test_ultra_lemma2(flag2, capsys):
@@ -274,7 +281,7 @@ def test_ultra_corpus(capsys):
     assert "tensor-power identity: pass" in out
 
 
-@pytest.mark.parametrize("k", ["4", "0", "x"])
+@pytest.mark.parametrize("k", ["4", "0", "x", "2,2"])
 def test_ultra_corpus_rejects_bad_k(k, capsys):
     assert main(["ultra", "corpus", "--count", "5", "--max-order", "4", "--k", k]) == 2
     out = capsys.readouterr().out
@@ -284,8 +291,8 @@ def test_ultra_corpus_rejects_bad_k(k, capsys):
 @pytest.mark.parametrize("argv", [
     ["ultra", "corpus", "--count", "0"],
     ["ultra", "corpus", "--count", "-1"],
-    ["ultra", "check-prop", "--count", "0"],
-    ["ultra", "check-prop", "--count", "-1"],
+    ["ultra", "corpus", "--count", "0", "--k", "2"],
+    ["ultra", "corpus", "--count", "-1", "--k", "2"],
 ])
 def test_ultra_sweeps_reject_an_empty_corpus(argv, capsys):
     # a sweep of no semigroups is no evidence for the identity
@@ -297,8 +304,8 @@ def test_ultra_sweeps_reject_an_empty_corpus(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["ultra", "corpus", "--count", "3", "--max-order", "0"],
     ["ultra", "corpus", "--count", "3", "--max-order", "13"],
-    ["ultra", "check-prop", "--count", "3", "--corpus-order", "0"],
-    ["ultra", "check-prop", "--count", "3", "--corpus-order", "13"],
+    ["ultra", "corpus", "--count", "3", "--max-order", "0", "--k", "2"],
+    ["ultra", "corpus", "--count", "3", "--max-order", "13", "--k", "2"],
 ])
 def test_ultra_sweeps_reject_an_order_outside_the_bound(argv, monkeypatch, capsys):
     # the sweep's tables stop at order 12, so the order is rejected before
@@ -336,8 +343,56 @@ def test_verify_missing_file(capsys):
     assert main(["verify", "/no/such.cert"]) == 2
 
 
-def test_top_level_verify_flag(tmp_path, capsys):
-    cert = tmp_path / "w.cert"
-    main(["witness", "--hj", "--coloring", "mod:2", "-o", str(cert)])
-    capsys.readouterr()
-    assert main(["--verify", str(cert)]) == 0
+
+# -- input errors ---------------------------------------------------------------
+
+BAD_FILES = {
+    # name: (file bytes, exit code of validate, which reports clause by clause)
+    "non-associative": (b"semigroup 2\n0 0\n1 0\n", 1),
+    "invalid retraction": (
+        b"semigroup 4\n0 1 2 3\n1 1 3 3\n2 3 2 3\n3 3 3 3\nT: 0 2\nretraction: 0 0 0 0\n", 1),
+    "repeated retraction": (
+        b"semigroup 4\n0 1 2 3\n1 1 3 3\n2 3 2 3\n3 3 3 3\nT: 0 2\n"
+        b"retraction: 0 0 2 2\nretraction: 0 0 2 2\n", 1),
+    "T outside the carrier": (b"semigroup 2\n0 1\n1 1\nT: 0 5\n", 2),
+    "non-nice T": (b"semigroup 2\n0 1\n1 0\nT: 0\nretraction: 0 0\n", 1),
+    "not UTF-8": (b"semigroup 2\n\xff\xfe\n", 2),
+}
+
+
+@pytest.mark.parametrize("command", ["witness", "lemma2", "corpus", "validate"])
+@pytest.mark.parametrize("name", list(BAD_FILES))
+def test_bad_semigroup_files_give_one_error_line(name, command, tmp_path, capsys):
+    content, validate_code = BAD_FILES[name]
+    path = tmp_path / "bad.sg"
+    path.write_bytes(content)
+    colors = tmp_path / "c.txt"
+    colors.write_text("0 0\n")
+    argv = {
+        "witness": ["witness", "--semigroup", str(path), "--coloring", f"table:{colors}"],
+        "lemma2": ["ultra", "lemma2", "--semigroup", str(path)],
+        "corpus": ["ultra", "corpus", "--semigroup", str(path)],
+        "validate": ["validate", str(path)],
+    }[command]
+    code = main(argv)
+    out = capsys.readouterr().out
+    if command == "validate" and validate_code == 1:
+        assert code == 1 and ": fail (" in out
+    else:
+        assert code == 2
+        assert out.startswith("error: ") and out.count("\n") == 1
+
+
+def test_readme_commands_parse():
+    # every command the README shows must still parse; nothing is run
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    lines = [
+        line
+        for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+        for line in block.splitlines()
+        if line.startswith("hjlab ")
+    ]
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])

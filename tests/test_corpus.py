@@ -10,7 +10,6 @@ from hjlab import (
     enumerate_endomorphisms,
     generate_corpus,
     mulclose,
-    sweep_semigroups,
     sweep_tensor_power,
     transformation_semigroup,
 )
@@ -114,7 +113,7 @@ def test_sweep_is_clean_on_the_default_corpus():
     assert report.failures == []
 
 
-def test_sweep_semigroups_single_k():
+def test_sweep_tensor_power_single_k():
     entries = generate_corpus(count=10, max_order=5, seed=0)
-    report = sweep_semigroups([e.semigroup for e in entries], ks=(2,))
+    report = sweep_tensor_power(entries, ks=(2,))
     assert report.ok and report.semigroups == 10

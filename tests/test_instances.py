@@ -102,6 +102,10 @@ def test_parse_coloring_table_file(tmp_path):
     p.write_text("# colors\n0 1\n1 0\ndefault 1\n")
     c = parse_coloring_spec(f"table:{p}")
     assert c.color_of(0) == 1 and c.color_of(1) == 0 and c.color_of(9) == 1
+    for bad in ("0 zz\n", "0 1\ndefault 1.5\n"):
+        p.write_text(bad)
+        with pytest.raises(ColoringSpecError, match="not an integer"):
+            parse_coloring_spec(f"table:{p}")
 
 
 # -- the vdW digit-sum reduction ----------------------------------------------

@@ -53,6 +53,7 @@ def test_table_only_file():
         ("semigroup 2\n0 1\n1 1\nT:\n", 4),         # empty T
         ("semigroup 2\n0 1\n1 1\nT: 0\nT: 1\n", 5),  # duplicate T
         ("semigroup 2\n0 1\n1 1\nretraction: 0\n", 4),  # short retraction
+        ("semigroup 2\n0 1\n1 1\nretraction: 0 1\n", 4),  # retraction without T
         ("semigroup 2\n0 1\n1 1\nbogus: 1\n", 4),   # unknown directive
     ],
 )
