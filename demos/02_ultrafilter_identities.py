@@ -47,8 +47,6 @@ print(f"f(U) (x) 2: principal at flat index {W.point} on 3x3 cells")
 
 ok, bad = check_tensor_assoc((2, 2, 4), (1, 0, 3))
 print(f"tensor associativity, 16 cells exhaustive: {ok}")
-ok, bad = check_tensor_assoc((3, 3, 3), (0, 1, 2), samples=50_000)
-print(f"tensor associativity, 27 cells sampled:    {ok}")
 
 # the headline identity: pushing V^(x)k through fold-then-retract equals
 # the k-fold product of the pushed-forward V

@@ -332,18 +332,20 @@ def cmd_verify(args):
 
 
 def build_parser():
+    # allow_abbrev=False everywhere: a prefix of a long option is no alias
     parser = argparse.ArgumentParser(
         prog="hjlab",
+        allow_abbrev=False,
         description="Semigroup retraction structures, ultrafilter identity "
         "checks, and monochromatic-witness search at desk scale.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="validate a semigroup file")
+    p = sub.add_parser("validate", allow_abbrev=False, help="validate a semigroup file")
     p.add_argument("semigroup")
     p.set_defaults(handler=cmd_validate)
 
-    p = sub.add_parser("witness", help="search for a monochromatic image set")
+    p = sub.add_parser("witness", allow_abbrev=False, help="search for a monochromatic image set")
     p.add_argument("--hj", action="store_true", help="word-semigroup instance")
     p.add_argument("--alphabet", type=int, default=2)
     p.add_argument("--variables", type=int, default=1)
@@ -354,7 +356,7 @@ def build_parser():
     p.set_defaults(handler=cmd_witness)
 
     # the options every least-size sweep shares
-    sweep = argparse.ArgumentParser(add_help=False)
+    sweep = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     sweep.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET,
                        help="search nodes allowed for each size")
     sweep.add_argument("--budget-seconds", type=float, default=DEFAULT_TIME_BUDGET,
@@ -362,13 +364,15 @@ def build_parser():
     sweep.add_argument("--no-symmetry", action="store_true")
     sweep.add_argument("--cert-dir", help="write SAT coloring certificates here")
 
-    p = sub.add_parser("hj", parents=[sweep], help="Hales-Jewett number by backtracking")
+    p = sub.add_parser("hj", allow_abbrev=False, parents=[sweep],
+                       help="Hales-Jewett number by backtracking")
     p.add_argument("-n", type=int, required=True, help="alphabet size")
     p.add_argument("-r", type=int, required=True, help="number of colors")
     p.add_argument("--max-N", type=int, required=True)
     p.set_defaults(handler=cmd_number)
 
-    p = sub.add_parser("vdw", parents=[sweep], help="van der Waerden number by backtracking")
+    p = sub.add_parser("vdw", allow_abbrev=False, parents=[sweep],
+                       help="van der Waerden number by backtracking")
     p.add_argument("-k", type=int, required=True, help="progression length")
     p.add_argument("-r", type=int, default=2, help="number of colors")
     p.add_argument("--max-M", type=int)
@@ -377,15 +381,16 @@ def build_parser():
     p.add_argument("--max-len", type=int, default=8, help="word budget for --via-hj")
     p.set_defaults(handler=cmd_vdw)
 
-    p = sub.add_parser("ultra", help="ultrafilter identity checks")
+    p = sub.add_parser("ultra", allow_abbrev=False, help="ultrafilter identity checks")
     usub = p.add_subparsers(dest="ultra_command", required=True)
 
-    q = usub.add_parser("lemma2", help="agreement equivalence on a finite semigroup")
+    q = usub.add_parser("lemma2", allow_abbrev=False,
+                        help="agreement equivalence on a finite semigroup")
     q.add_argument("--semigroup", required=True)
     q.add_argument("--colors", type=int, default=2)
     q.set_defaults(handler=cmd_ultra_lemma2)
 
-    q = usub.add_parser("corpus", help="tensor-power identity sweep")
+    q = usub.add_parser("corpus", allow_abbrev=False, help="tensor-power identity sweep")
     q.add_argument("--semigroup", help="sweep this semigroup file instead of a corpus")
     q.add_argument("--count", type=int, default=50, help="corpus size")
     q.add_argument("--max-order", type=int, default=6, help="corpus max order")
@@ -393,7 +398,7 @@ def build_parser():
     q.add_argument("--k", default="2,3", help="comma-separated k values")
     q.set_defaults(handler=cmd_ultra_corpus)
 
-    p = sub.add_parser("verify", help="re-check a certificate file")
+    p = sub.add_parser("verify", allow_abbrev=False, help="re-check a certificate file")
     p.add_argument("certificate")
     p.set_defaults(handler=cmd_verify)
 

@@ -139,16 +139,14 @@ def parse_coloring_spec(spec):
     if ":" not in spec:
         raise ColoringSpecError(spec, "expected kind:argument")
     kind, arg = spec.split(":", 1)
-    if kind == "mod":
+    if kind in ("mod", "apres"):
         try:
-            return ModSumColoring(int(arg))
+            count = int(arg)
         except ValueError:
-            raise ColoringSpecError(spec, "mod wants an integer color count") from None
-    if kind == "apres":
-        try:
-            return ApResidueColoring(int(arg))
-        except ValueError:
-            raise ColoringSpecError(spec, "apres wants an integer color count") from None
+            raise ColoringSpecError(spec, f"{kind} wants an integer color count") from None
+        if count < 1:
+            raise ColoringSpecError(spec, f"{kind} needs at least one color, not {count}")
+        return (ModSumColoring if kind == "mod" else ApResidueColoring)(count)
     if kind == "table":
         if not os.path.exists(arg):
             raise ColoringSpecError(spec, f"no such table file: {arg}")

@@ -20,6 +20,11 @@ the decision stack: each frame keeps, as arrays, the group elements whose
 permuted prefix still equals the prefix or stopped on an undecided cell,
 with the position each stopped at.  A child node resumes only those, from
 there; an element that compared greater is dropped for the whole subtree.
+Pruning is tried only within the decision head, the first
+SYMMETRY_DEPTH + 1 positions of the order, so the group is tabulated on
+those cells alone: the solver takes a builder ``cells -> Symmetry`` and
+calls it with the head once the order is known, and column j of the table
+it returns holds the images of decision position j.
 """
 from __future__ import annotations
 
@@ -88,14 +93,14 @@ def ap_edges(k, M):
 class Symmetry:
     """A group of cell permutations paired with color permutations.
 
-    ``cell_perms`` has one row per group element (the set is closed under
-    inverses, so rows can be read in either direction); ``color_perms`` maps
-    old colors to new.
+    ``cell_perms`` has one row per group element and one column per cell it
+    is tabulated on: entry (g, j) is the image of the j-th cell under g (the
+    set is closed under inverses, so g can be read in either direction).
+    ``color_perms`` maps old colors to new.
     """
 
-    cell_perms: np.ndarray  # (G, V), int16 up to 32767 vertices, else int32
+    cell_perms: np.ndarray  # (G, len(cells))
     color_perms: np.ndarray  # (C, r)
-    spec: tuple = ()
 
     @cached_property
     def color_table(self):
@@ -108,13 +113,25 @@ class Symmetry:
 SYMMETRY_GROUP_LIMIT = 100_000
 
 
-def _cell_dtype(V):
-    """The smallest integer type that holds every vertex index below V."""
-    return np.int16 if V <= np.iinfo(np.int16).max else np.int32
+def _cells(cells, V):
+    """``cells`` as an int64 array, after checking each is a vertex below V."""
+    cells = np.asarray(cells, dtype=np.int64)
+    if cells.size and (cells.min() < 0 or cells.max() >= V):
+        raise InvalidInstance(f"cells must lie in [0, {V})")
+    return cells
 
 
-def hj_symmetry(n, N, r, include=("color", "coordinate", "alphabet")):
-    # n >= 2 makes every (coordinate, alphabet) pair a distinct row: constant
+def _color_perms(r, include):
+    if "color" in include:
+        return np.array(list(permutations(range(r))), dtype=np.int64)
+    return np.arange(r, dtype=np.int64)[None, :]
+
+
+def hj_symmetry(n, N, r, cells, include=("color", "coordinate", "alphabet")):
+    """The coordinate x alphabet x color group of [n]^N, tabulated on
+    ``cells`` (base-n word codes): column j holds the images of cells[j].
+    Rows run coordinate-permutation-major."""
+    # n >= 2 makes every (coordinate, alphabet) pair a distinct element: constant
     # words pin the alphabet permutation, one-nonzero-digit words the other
     if n < 2 or N < 1:
         raise InvalidInstance("need n >= 2, N >= 1")
@@ -127,65 +144,46 @@ def hj_symmetry(n, N, r, include=("color", "coordinate", "alphabet")):
         width = factorial(n) * (factorial(N) if "coordinate" in include else 1)
         if width > SYMMETRY_GROUP_LIMIT:
             include.discard("alphabet")
-    V = n ** N
+    cells = _cells(cells, n ** N)
     weights = n ** np.arange(N - 1, -1, -1, dtype=np.int64)
-    digits = np.arange(V, dtype=np.int64)[:, None] // weights % n  # (V, N), inverts encode_word
+    digits = cells[:, None] // weights % n  # (len(cells), N), inverts encode_word
     coord = list(permutations(range(N))) if "coordinate" in include else [tuple(range(N))]
     alpha = np.array(
         list(permutations(range(n))) if "alphabet" in include else [tuple(range(n))],
         dtype=np.int64,
     )
-    cells = np.empty((len(coord), len(alpha), V), dtype=_cell_dtype(V))
+    table = np.empty((len(coord), len(alpha), len(cells)), dtype=np.int64)
     for i, cp in enumerate(coord):
         # word w goes to (ap[w[cp[0]]], ..., ap[w[cp[N-1]]]), every ap at once
-        cells[i] = alpha[:, digits[:, cp]] @ weights
-    colors = (
-        np.array(list(permutations(range(r))), dtype=np.int64)
-        if "color" in include
-        else np.arange(r, dtype=np.int64)[None, :]
-    )
-    return Symmetry(cells.reshape(-1, V), colors, tuple(sorted(include)))
+        table[i] = alpha[:, digits[:, cp]] @ weights
+    return Symmetry(table.reshape(-1, len(cells)), _color_perms(r, include))
 
 
-def vdw_symmetry(M, r, include=("color", "reflection")):
-    idx = np.arange(M, dtype=_cell_dtype(M))
-    rows = [idx]
-    if "reflection" in include and M > 1:
-        rows.append(idx[::-1].copy())
-    colors = (
-        np.array(list(permutations(range(r))), dtype=np.int64)
-        if "color" in include
-        else np.arange(r, dtype=np.int64)[None, :]
-    )
-    return Symmetry(np.stack(rows), colors, tuple(sorted(include)))
+def vdw_symmetry(M, r, cells, include=("color", "reflection")):
+    """The reflection x color group of [1..M] (0-based cells), tabulated on
+    ``cells``: column j holds the images of cells[j]."""
+    cells = _cells(cells, M)
+    rows = [cells, M - 1 - cells] if "reflection" in include and M > 1 else [cells]
+    return Symmetry(np.stack(rows), _color_perms(r, include))
 
 
-def _identity_rows(cells):
-    """Indices of the identity rows of ``cells``, narrowed one column at a
-    time so that no (G, V) temporary is built."""
-    V = cells.shape[1]
-    rows = np.arange(len(cells))
-    v = 0
-    while len(rows) > 1 and v < V:
-        rows = rows[cells[rows, v] == v]
-        v += 1
-    return [i for i in rows if np.array_equal(cells[i], np.arange(V))]
-
-
-def _root_survivors(symmetry):
+def _root_survivors(symmetry, head):
     """The survivors above the first decision: every (cell row, color row)
-    pair, to resume at position 0, but the identity, which never stops."""
+    pair, to resume at position 0, but those that fix every head cell and
+    every color, which never prune within the head."""
     cells, perms = symmetry.cell_perms, symmetry.color_perms
     G, C = len(cells), len(perms)
     g, c = np.repeat(np.arange(G), C), np.tile(np.arange(C), G)
+    fixed_cells = (cells == head).all(axis=1)
     fixed_colors = (perms == np.arange(perms.shape[1])).all(axis=1)
-    keep = ~(np.isin(g, _identity_rows(cells)) & fixed_colors[c])
+    keep = ~(fixed_cells[g] & fixed_colors[c])
     return g[keep], c[keep], np.zeros(int(keep.sum()), dtype=np.intp)
 
 
 def canonical_prune(colors, order, symmetry, survivors, frame):
-    """True when the colors decided so far (read along ``order``) are not
-    lexicographically minimal in their orbit, so the node can be discarded.
+    """True when the colors decided so far (read along ``order``, the
+    decision head) are not lexicographically minimal in their orbit, so the
+    node can be discarded.  Column j of ``symmetry`` maps position j.
 
     For each group element the comparison walks the fixed order and stops at
     the first position where the permuted color differs from the color there
@@ -209,11 +207,10 @@ def canonical_prune(colors, order, symmetry, survivors, frame):
         d += 1
     colors = np.asarray(colors)
     lo = int(p.min())
-    window = order[lo:d]
     # (S, W) permuted colors, r where the cell is undecided; a survivor
     # equals the prefix below its resume position, so no mask is needed
-    t = symmetry.color_table[c[:, None], colors[symmetry.cell_perms[g[:, None], window]]]
-    s = colors[window]
+    t = symmetry.color_table[c[:, None], colors[symmetry.cell_perms[g, lo:d]]]
+    s = colors[order[lo:d]]
     first = np.argmax(t != s, axis=1)  # 0 for a survivor equal throughout
     t_first = t[np.arange(len(p)), first]
     s_first = s[first]
@@ -254,8 +251,11 @@ class HypergraphSolver:
     with all its vertices the same color.
 
     An edge is a vertex set (a repeated vertex adds nothing; an empty edge
-    constrains nothing).  ``solve`` builds all of its state, so the time
-    budget covers the set-up too.
+    constrains nothing).  ``symmetry`` is None (no pruning) or a builder
+    ``cells -> Symmetry``, called with the decision head: the first
+    SYMMETRY_DEPTH + 1 cells of the decision order, so the group's column j
+    maps decision position j.  ``solve`` builds all of its state, group
+    included, so the time budget covers the set-up too.
     """
 
     def __init__(
@@ -270,7 +270,7 @@ class HypergraphSolver:
         self.V = num_vertices
         self.r = r
         self.edges = list(edges)
-        self.symmetry = symmetry
+        self.build_symmetry = symmetry
         self.budget_nodes = budget_nodes
         self.budget_seconds = budget_seconds
 
@@ -284,9 +284,10 @@ class HypergraphSolver:
             for v in e:
                 degree[v] += 1
         self.order = sorted(range(V), key=lambda v: (-degree[v], v))
-        self.order_np = np.array(self.order, dtype=np.int64)
+        self.head = self.order[: SYMMETRY_DEPTH + 1]
+        self.symmetry = None if self.build_symmetry is None else self.build_symmetry(self.head)
         if self.symmetry is not None:
-            self.root_survivors = _root_survivors(self.symmetry)
+            self.root_survivors = _root_survivors(self.symmetry, self.head)
         # clause (ei, c), "edge ei is not all colored c", watches two vertices
         # of the edge (one vertex twice, for a 1-vertex edge); other[c][ei]
         # holds their XOR, so either watch gives the other.  watching[c][v]
@@ -380,11 +381,11 @@ class HypergraphSolver:
         root)."""
         if self.symmetry is None:
             return False
-        head = self.order[: SYMMETRY_DEPTH + 1]
+        head = self.head
         if len(head) > SYMMETRY_DEPTH and all(self.colors[v] >= 0 for v in head):
             return False
         survivors = self.root_survivors if parent is None else parent.survivors
-        return canonical_prune(self.colors, self.order_np, self.symmetry, survivors, frame)
+        return canonical_prune(self.colors, head, self.symmetry, survivors, frame)
 
     def _charge_node(self):
         self.nodes += 1
@@ -472,7 +473,7 @@ class Instance:
     r: int
     num_vertices: int
     build_edges: Callable  # () -> list of vertex tuples
-    build_symmetry: Callable  # (generator spec) -> Symmetry
+    build_symmetry: Callable  # (generator spec, cells) -> Symmetry
     default_symmetry: tuple
 
     def __post_init__(self):
@@ -494,7 +495,7 @@ def hj_instance(n, r, N):
         r,
         n ** N,
         lambda: LineHypergraph.build(n, N).edges,
-        lambda spec: hj_symmetry(n, N, r, spec),
+        lambda spec, cells: hj_symmetry(n, N, r, cells, spec),
         ("color", "coordinate", "alphabet"),
     )
 
@@ -507,7 +508,7 @@ def vdw_instance(k, r, M):
         r,
         M,
         lambda: ap_edges(k, M),
-        lambda spec: vdw_symmetry(M, r, spec),
+        lambda spec, cells: vdw_symmetry(M, r, cells, spec),
         ("color", "reflection"),
     )
 
@@ -534,12 +535,11 @@ def check_instance(
     if symmetry is None:
         symmetry = inst.default_symmetry
     edges = inst.build_edges()
-    group = inst.build_symmetry(symmetry) if symmetry else None
     res = HypergraphSolver(
         inst.num_vertices,
         edges,
         inst.r,
-        symmetry=group,
+        symmetry=(lambda cells: inst.build_symmetry(symmetry, cells)) if symmetry else None,
         budget_nodes=budget_nodes,
         budget_seconds=budget_seconds - (time.monotonic() - start),
     ).solve()

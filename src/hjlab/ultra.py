@@ -10,7 +10,6 @@ verifiable at desk scale.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations, product as iproduct
 from math import prod
@@ -312,26 +311,19 @@ def tensor_member_left(mask, dims, points):
     return bool(_tensor_left_rows(_mask_rows([mask], prod(dims)), dims, points)[0])
 
 
-def check_tensor_assoc(dims, points, exhaustive_cells=16, samples=200_000, seed=0):
-    """(U⊗V)⊗W and U⊗(V⊗W) agree on subsets of the triple product.
-
-    Exhaustive when the product has at most ``exhaustive_cells`` cells
-    (2^cells memberships); otherwise a seeded random sample of subsets.
+def check_tensor_assoc(dims, points):
+    """(U⊗V)⊗W and U⊗(V⊗W) agree on every subset of the triple product,
+    which may have at most IMAGE_LAW_BOUND cells (2^cells memberships).
     Returns (ok, first failing mask or None).
     """
     _require_triple(dims, points)
     cells = prod(dims)
-    if cells <= exhaustive_cells:
-        masks = range(1 << cells)
-        X = subset_bits(cells)
-    else:
-        rng = random.Random(seed)
-        top = (1 << cells) - 1
-        masks = [rng.randint(0, top) for _ in range(samples)]
-        X = _mask_rows(masks, cells)
+    if cells > IMAGE_LAW_BOUND:
+        raise CarrierTooLarge(f"triple product of {cells} cells exceeds {IMAGE_LAW_BOUND}")
+    X = subset_bits(cells)
     diff = np.flatnonzero(tensor_rows(X, dims, points) != _tensor_left_rows(X, dims, points))
     if len(diff):
-        return False, masks[diff[0]]
+        return False, int(diff[0])
     return True, None
 
 

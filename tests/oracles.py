@@ -117,14 +117,15 @@ def lex_leader_prunes(colors, order, symmetry):
     position) is not lexicographically minimal in its orbit: the full scan
     of every (cell row, color row) pair from position 0.  Each comparison
     stops at the first position where the permuted color differs or reads an
-    undecided cell; only a strict defined difference prunes."""
+    undecided cell; only a strict defined difference prunes.  Column j of
+    ``symmetry`` holds the images of position j of ``order``."""
     colors = np.asarray(colors)
     order = np.asarray(order)
     decided = colors[order] >= 0
     d = int(np.argmin(decided)) if not decided.all() else len(order)
     if d == 0:
         return False
-    sub = symmetry.cell_perms[:, order[:d]]  # (G, d) cells to read from
+    sub = symmetry.cell_perms[:, :d]  # (G, d) images of positions 0..d-1
     av = colors[sub]  # (G, d) their colors, -1 undecided
     undef = av < 0
     t = symmetry.color_perms[:, np.maximum(av, 0)]  # (C, G, d)

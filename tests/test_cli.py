@@ -1,4 +1,5 @@
 """End-to-end command-line behavior: outputs, exit codes, certificates."""
+import argparse
 import os
 import pathlib
 import re
@@ -75,6 +76,13 @@ def test_witness_hj_mod2(tmp_path, capsys):
     assert "witness: xx" in out
     assert "images: 00 11" in out
     assert main(["verify", str(cert)]) == 0
+
+
+def test_witness_rejects_a_zero_color_count(capsys):
+    assert main(["witness", "--hj", "--coloring", "mod:0"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1
+    assert "at least one color, not 0" in out
 
 
 def test_witness_prints_certificate_without_output_path(capsys):
@@ -396,3 +404,30 @@ def test_readme_commands_parse():
     parser = cli.build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
+@pytest.mark.parametrize("argv", [
+    ["ultra", "corpus", "--max", "4", "--cou", "3"],
+    ["vdw", "-k", "3", "--max-M", "9", "--budget-s", "1"],
+])
+def test_option_prefixes_are_no_aliases(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _parsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from _parsers(child)
+
+
+def test_no_parser_takes_option_prefixes():
+    # a prefix of a long option must never parse as that option, for every
+    # parser and subparser, so a later option cannot bring aliases back
+    parsers = list(_parsers(cli.build_parser()))
+    assert [p.prog for p in parsers if p.allow_abbrev] == []
+    assert len(parsers) == 9  # hjlab, its 6 commands and ultra's 2

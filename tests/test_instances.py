@@ -95,6 +95,10 @@ def test_parse_coloring_spec():
         parse_coloring_spec("nope:1")
     with pytest.raises(ColoringSpecError):
         parse_coloring_spec("mod:zero")
+    # a valid integer below one is named as such, not as a non-integer
+    for spec in ("mod:0", "apres:0"):
+        with pytest.raises(ColoringSpecError, match="at least one color, not 0"):
+            parse_coloring_spec(spec)
 
 
 def test_parse_coloring_table_file(tmp_path):

@@ -144,10 +144,9 @@ def test_symmetry_pruning_keeps_the_answer(case):
     # every automorphism times every color permutation; at every node the
     # incremental check answers as the full scan
     V, edges, r = case
-    group = Symmetry(
-        np.array(oracles.automorphisms(V, edges), dtype=np.int64),
-        np.array(list(permutations(range(r))), dtype=np.int64),
-    )
+    perms = np.array(oracles.automorphisms(V, edges), dtype=np.int64)
+    colors = np.array(list(permutations(range(r))), dtype=np.int64)
+    group = lambda cells: Symmetry(perms[:, cells], colors)
     with prune_answers() as answers:
         res = HypergraphSolver(V, edges, r, symmetry=group).solve()
     assert _agree(answers)
@@ -160,14 +159,20 @@ def test_symmetry_pruning_keeps_the_answer(case):
     hj_instance(3, 2, 4), hj_instance(2, 3, 3), vdw_instance(3, 2, 9),
 ], ids=lambda inst: f"{inst.family}{inst.params}r{inst.r}")
 def test_incremental_prune_matches_the_full_scan_on_instances(inst):
-    group = inst.build_symmetry(inst.default_symmetry)
-    solver = HypergraphSolver(inst.num_vertices, inst.build_edges(), inst.r, symmetry=group)
+    groups = []
+
+    def build(cells):
+        groups.append(inst.build_symmetry(inst.default_symmetry, cells))
+        return groups[-1]
+
+    solver = HypergraphSolver(inst.num_vertices, inst.build_edges(), inst.r, symmetry=build)
     with prune_answers() as answers:
         solver.solve()
-    # some non-identity cell row fixes the first decision, so survivors get
-    # past position 0
-    first, identity = solver.order[0], np.arange(inst.num_vertices)
-    assert any(row[first] == first and (row != identity).any() for row in group.cell_perms)
+    # some cell row that moves a head cell fixes the first decision, so
+    # survivors get past position 0
+    (group,) = groups
+    head = solver.head
+    assert any(row[0] == head[0] and (row != head).any() for row in group.cell_perms)
     assert any(got for got, _ in answers)
     assert _agree(answers)
 
@@ -243,37 +248,69 @@ def test_symmetry_subsets_agree():
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_hj_symmetry_matches_the_per_word_oracle(n, N):
     lines = {frozenset(e) for e in LineHypergraph.build(n, N).edges}
+    V = n ** N
+    # a shuffled subset of the cells: column j must be the image of subset[j]
+    subset = np.random.default_rng(10 * n + N).permutation(V)[: (V + 1) // 2]
     for size in range(3):
         for include in combinations(("coordinate", "alphabet"), size):
-            cells = hj_symmetry(n, N, 2, include).cell_perms
-            assert cells.dtype == np.int16
-            assert np.array_equal(cells, oracles.hj_symmetry_cells(n, N, include))
+            want = oracles.hj_symmetry_cells(n, N, include)
+            cells = hj_symmetry(n, N, 2, np.arange(V), include).cell_perms
+            assert np.array_equal(cells, want)
+            some = hj_symmetry(n, N, 2, subset, include).cell_perms
+            assert np.array_equal(some, want[:, subset])
             # every row is an automorphism of the line hypergraph
             for row in cells:
-                assert sorted(row) == list(range(n ** N))
+                assert sorted(row) == list(range(V))
                 assert {frozenset(row[list(line)].tolist()) for line in lines} == lines
 
 
-def test_cell_rows_use_the_smallest_integer_type():
-    for M, dtype in ((32767, np.int16), (32768, np.int32)):
-        cells = vdw_symmetry(M, 2).cell_perms
-        assert cells.dtype == dtype
-        assert np.array_equal(cells, [np.arange(M), np.arange(M)[::-1]])
+def test_vdw_symmetry_maps_arbitrary_cells():
+    # identity and reversal, column by column, past the int16 range too
+    for M, cells in ((10, [5, 0, 9, 3]), (40000, [0, 39999, 12345])):
+        table = vdw_symmetry(M, 2, cells).cell_perms
+        assert np.array_equal(table, [cells, [M - 1 - v for v in cells]])
+        assert vdw_symmetry(M, 2, cells, ("color",)).cell_perms.tolist() == [cells]
+
+
+@pytest.mark.parametrize("build", [
+    lambda cells: hj_symmetry(2, 2, 2, cells),
+    lambda cells: vdw_symmetry(5, 2, cells),
+])
+def test_symmetry_rejects_cells_outside_the_carrier(build):
+    for cells in ([-1], [0, 5]):
+        with pytest.raises(InvalidInstance, match="cells must lie"):
+            build(cells)
+
+
+def test_hj_solver_tabulates_the_decision_head_only(monkeypatch):
+    # 720 coordinate x 24 alphabet permutations, on SYMMETRY_DEPTH + 1 cells
+    # of the 4096
+    shapes = []
+    build = hjlab.search.hj_symmetry
+
+    def spy(*args, **kwargs):
+        group = build(*args, **kwargs)
+        shapes.append(group.cell_perms.shape)
+        return group
+
+    monkeypatch.setattr(hjlab.search, "hj_symmetry", spy)
+    assert hj_check(4, 2, 6, budget_nodes=1).status == BUDGET
+    assert shapes == [(17280, 33)]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_hj_symmetry_color_rows_are_permutations(r):
     for include in (("color",), ()):
-        colors = hj_symmetry(3, 2, r, include).color_perms
+        colors = hj_symmetry(3, 2, r, range(9), include).color_perms
         for row in colors:
             assert sorted(row) == list(range(r))
 
 
 def test_hj_symmetry_rejects_degenerate_sizes():
     with pytest.raises(InvalidInstance):
-        hj_symmetry(1, 3, 2)
+        hj_symmetry(1, 3, 2, [])
     with pytest.raises(InvalidInstance):
-        hj_symmetry(2, 0, 2)
+        hj_symmetry(2, 0, 2, [])
 
 
 def test_symmetry_prunes_nodes():

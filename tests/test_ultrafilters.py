@@ -183,14 +183,23 @@ def test_tensor_assoc_exhaustive(dims):
     assert ok and bad is None
 
 
-def test_tensor_assoc_sampled_at_27_cells():
-    ok, bad = check_tensor_assoc((3, 3, 3), (0, 1, 2), samples=20_000)
-    assert ok and bad is None
+def test_tensor_assoc_rejects_27_cells():
+    # no sampled positives: above IMAGE_LAW_BOUND cells it checks nothing
+    with pytest.raises(CarrierTooLarge, match="27 cells"):
+        check_tensor_assoc((3, 3, 3), (0, 1, 2))
 
 
-def test_tensor_assoc_sampled_above_62_cells():
-    ok, bad = check_tensor_assoc((4, 4, 4), (3, 0, 2), samples=2_000)
-    assert ok and bad is None
+def test_tensor_member_at_64_cells():
+    # 64 cells fill the mask's 8 bytes, the top bit at points (3, 3, 3);
+    # bits past the cells are ignored
+    dims = (4, 4, 4)
+    for points in ((3, 0, 2), (3, 3, 3)):
+        flat = (points[0] * 4 + points[1]) * 4 + points[2]
+        for bit in range(70):
+            for mask in (1 << bit, (1 << 70) - 1 - (1 << bit)):
+                want = bool((mask >> flat) & 1)
+                assert tensor_member(mask, dims, points) == want
+                assert tensor_member_left(mask, dims, points) == want
 
 
 def test_tensor_member_left_agrees_by_definition():
