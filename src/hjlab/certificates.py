@@ -10,10 +10,10 @@ byte-identical certificates.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import CertificateError, HjlabError
-from .instances import ApResidueColoring, ModSumColoring, TableColoring
+from .errors import CertificateError, HjlabError, VerificationError
+from .instances import TableColoring, parse_coloring_spec
 from .semigroups import (
     FiniteSemigroup,
     NiceSubsemigroupView,
@@ -22,67 +22,42 @@ from .semigroups import (
     is_nice_subsemigroup,
 )
 from .search import INSTANCE_FIELDS, INSTANCES, hj_instance, vdw_instance, verify_proper_coloring
-from .words import WordSemigroup, contains_variable, format_word, parse_word, substitution_family
+from .words import WordSemigroup, format_word, parse_word, substitution_family
 
 HEADER = "hjlab certificate v1"
 
 
-# -- coloring payloads ---------------------------------------------------
+# -- coloring blocks -----------------------------------------------------
 
 
-@dataclass
-class ColoringFields:
-    kind: str  # mod | apres | table
-    r: int
-    entries: dict = field(default_factory=dict)
-    default: int | None = None
-
-    @classmethod
-    def from_coloring(cls, coloring):
-        if isinstance(coloring, ModSumColoring):
-            return cls("mod", coloring.r)
-        if isinstance(coloring, ApResidueColoring):
-            return cls("apres", coloring.r)
-        if isinstance(coloring, TableColoring):
-            return cls("table", coloring.r, dict(coloring.entries), coloring.default)
+def _render_coloring(coloring):
+    if coloring.kind in ("mod", "apres"):
+        return [f"coloring: {coloring.spec()}"]
+    if coloring.kind != "table":
         raise CertificateError(f"coloring kind {coloring.kind!r} cannot be embedded")
+    lines = ["coloring: table", f"table-colors: {coloring.r}"]
+    lines += [f"table: {k} {v}" for k, v in coloring.entries.items()]
+    if coloring.default is not None:
+        lines.append(f"table-default: {coloring.default}")
+    return lines
 
-    def build(self):
-        if self.kind == "mod":
-            return ModSumColoring(self.r)
-        if self.kind == "apres":
-            return ApResidueColoring(self.r)
-        return TableColoring(self.entries, r=self.r, default=self.default)
 
-    def render(self):
-        if self.kind in ("mod", "apres"):
-            return [f"coloring: {self.kind}:{self.r}"]
-        lines = ["coloring: table", f"table-colors: {self.r}"]
-        lines += [f"table: {k} {v}" for k, v in self.entries.items()]
-        if self.default is not None:
-            lines.append(f"table-default: {self.default}")
-        return lines
-
-    @classmethod
-    def parse(cls, fields):
-        spec = _one(fields, "coloring")
-        if spec in ("table",):
-            r = int(_one(fields, "table-colors"))
-            entries = {}
-            for line in fields.get("table", []):
-                parts = line.split()
-                if len(parts) != 2:
-                    raise CertificateError(f"bad table line: {line!r}")
-                entries[parts[0]] = int(parts[1])
-            default = fields.get("table-default")
-            default = int(default[0]) if default else None
-            return cls("table", r, entries, default)
-        if ":" not in spec:
+def _parse_coloring(fields):
+    spec = _one(fields, "coloring")
+    if spec != "table":
+        # only the count specs: an embedded coloring never names a file
+        if not spec.startswith(("mod:", "apres:")):
             raise CertificateError(f"bad coloring spec: {spec!r}")
-        kind, r = spec.split(":", 1)
-        if kind not in ("mod", "apres"):
-            raise CertificateError(f"unknown embedded coloring kind: {kind!r}")
-        return cls(kind, int(r))
+        return parse_coloring_spec(spec)
+    entries = {}
+    for line in fields.pop("table", []):
+        parts = line.split()
+        if len(parts) != 2:
+            raise CertificateError(f"bad table line: {line!r}")
+        entries[parts[0]] = int(parts[1])
+    r = int(_one(fields, "table-colors"))
+    default = int(_one(fields, "table-default")) if "table-default" in fields else None
+    return TableColoring(entries, r=r, default=default)
 
 
 # -- certificate kinds ---------------------------------------------------
@@ -94,7 +69,7 @@ class WitnessWordsCertificate:
     alphabet: int
     variables: int
     reduction: str  # none | vdw
-    coloring: ColoringFields
+    coloring: object  # ModSumColoring | ApResidueColoring | TableColoring
     witness: tuple
     images: list
     color: int
@@ -107,7 +82,7 @@ class WitnessFiniteCertificate:
     table: list  # n rows of n ints
     t_members: list
     retractions: list  # one image row per family member
-    coloring: ColoringFields
+    coloring: object  # TableColoring
     witness: int
     images: list
     color: int
@@ -136,7 +111,7 @@ def render_certificate(cert):
         lines.append(f"alphabet: {cert.alphabet}")
         lines.append(f"variables: {cert.variables}")
         lines.append(f"reduction: {cert.reduction}")
-        lines += cert.coloring.render()
+        lines += _render_coloring(cert.coloring)
         lines.append(f"witness: {format_word(cert.witness)}")
         lines.append("images: " + " ".join(format_word(w) for w in cert.images))
         lines.append(f"color: {cert.color}")
@@ -148,7 +123,7 @@ def render_certificate(cert):
         lines += [
             "retraction: " + " ".join(str(x) for x in row) for row in cert.retractions
         ]
-        lines += cert.coloring.render()
+        lines += _render_coloring(cert.coloring)
         lines.append(f"witness: {cert.witness}")
         lines.append("images: " + " ".join(str(x) for x in cert.images))
         lines.append(f"color: {cert.color}")
@@ -174,20 +149,13 @@ def _payload_digest(payload_lines):
 
 
 def _one(fields, key):
-    vals = fields.get(key)
+    """Consume the one value of ``key``."""
+    vals = fields.pop(key, None)
     if not vals:
         raise CertificateError(f"missing field {key!r}")
     if len(vals) > 1:
         raise CertificateError(f"field {key!r} repeated")
     return vals[0]
-
-
-_KNOWN_KEYS = {
-    "kind", "alphabet", "variables", "reduction", "coloring", "table",
-    "table-colors", "table-default", "witness", "images", "color", "checked",
-    "order", "row", "subset", "retraction", "n", "N", "colors", "assignment",
-    "nodes", "k", "M",
-}
 
 
 def parse_certificate(text):
@@ -206,96 +174,106 @@ def parse_certificate(text):
         if ": " not in ln:
             raise CertificateError(f"malformed line: {ln!r}")
         key, value = ln.split(": ", 1)
-        if key not in _KNOWN_KEYS:
-            raise CertificateError(f"unknown field {key!r}")
         fields.setdefault(key, []).append(value)
     kind = _one(fields, "kind")
+    family = kind.removesuffix("-coloring")
+    # each kind consumes its own fields; whatever is left belongs to none
     try:
         if kind == "witness-words":
-            return WitnessWordsCertificate(
+            cert = WitnessWordsCertificate(
                 alphabet=int(_one(fields, "alphabet")),
                 variables=int(_one(fields, "variables")),
                 reduction=_one(fields, "reduction"),
-                coloring=ColoringFields.parse(fields),
+                coloring=_parse_coloring(fields),
                 witness=parse_word(_one(fields, "witness")),
                 images=[parse_word(t) for t in _one(fields, "images").split()],
                 color=int(_one(fields, "color")),
                 checked=int(_one(fields, "checked")),
             )
-        if kind == "witness-finite":
+        elif kind == "witness-finite":
             order = int(_one(fields, "order"))
-            rows = [[int(x) for x in ln.split()] for ln in fields.get("row", [])]
+            rows = [[int(x) for x in ln.split()] for ln in fields.pop("row", [])]
             if len(rows) != order:
                 raise CertificateError("row count does not match order")
-            return WitnessFiniteCertificate(
+            cert = WitnessFiniteCertificate(
                 table=rows,
                 t_members=[int(x) for x in _one(fields, "subset").split()],
                 retractions=[
-                    [int(x) for x in ln.split()] for ln in fields.get("retraction", [])
+                    [int(x) for x in ln.split()] for ln in fields.pop("retraction", [])
                 ],
-                coloring=ColoringFields.parse(fields),
+                coloring=_parse_coloring(fields),
                 witness=int(_one(fields, "witness")),
                 images=[int(x) for x in _one(fields, "images").split()],
                 color=int(_one(fields, "color")),
                 checked=int(_one(fields, "checked")),
             )
-        family = kind.removesuffix("-coloring")
-        if kind.endswith("-coloring") and family in INSTANCE_FIELDS:
-            return ColoringCertificate(
+        elif kind.endswith("-coloring") and family in INSTANCE_FIELDS:
+            cert = ColoringCertificate(
                 family=family,
                 params=tuple(int(_one(fields, name)) for name in INSTANCE_FIELDS[family]),
                 r=int(_one(fields, "colors")),
                 assignment=[int(x) for x in _one(fields, "assignment").split()],
                 nodes=int(_one(fields, "nodes")),
             )
+        else:
+            raise CertificateError(f"unknown certificate kind {kind!r}")
     except CertificateError:
         raise
-    except (ValueError, KeyError) as e:
+    except (HjlabError, ValueError) as e:
         raise CertificateError(f"bad field value: {e}") from None
-    raise CertificateError(f"unknown certificate kind {kind!r}")
+    if fields:
+        raise CertificateError(f"field {next(iter(fields))!r} is not a {kind} field")
+    return cert
 
 
 # -- verification --------------------------------------------------------
 
 
-def _verify_witness_words(cert):
-    ws = WordSemigroup(cert.alphabet, cert.variables)
-    if not ws.valid_word(cert.witness):
-        return False, "witness is not a word over the declared alphabet"
-    if not contains_variable(cert.witness):
-        return False, "witness is a constant word (not in R)"
-    family = substitution_family(ws)
-    images = family.images(cert.witness)
-    if images != sorted(cert.images):
-        return False, "stated images differ from the recomputed substitution images"
-    base = cert.coloring.build()
-    if cert.reduction == "vdw":
-        colors = {base.color_of(sum(w)) for w in images}
-    elif cert.reduction == "none":
-        colors = {base.color_of(w) for w in images}
+def _fitting(coloring, kinds, points):
+    """``coloring.color_of`` if the coloring is one of ``kinds``, those that
+    color ``points``."""
+    if coloring.kind not in kinds:
+        raise VerificationError(f"{coloring.kind} colorings do not color {points}")
+    return coloring.color_of
+
+
+def _words_claim(cert):
+    """The carrier test, family and image coloring of a witness-words claim:
+    reduction none colors the image words, vdw their digit sums."""
+    if cert.reduction == "none":
+        color_of = _fitting(cert.coloring, ("mod", "table"), "words")
+    elif cert.reduction == "vdw":
+        base = _fitting(cert.coloring, ("apres", "table"), "digit sums")
+        color_of = lambda w: base(sum(w))
     else:
-        return False, f"unknown reduction {cert.reduction!r}"
-    if colors != {cert.color}:
-        return False, f"image colors {sorted(colors)} do not match color {cert.color}"
-    return True, "ok"
+        raise VerificationError(f"unknown reduction {cert.reduction!r}")
+    ws = WordSemigroup(cert.alphabet, cert.variables)
+    return ws.valid_word, substitution_family(ws), color_of
 
 
-def _verify_witness_finite(cert):
+def _finite_claim(cert):
+    """The carrier test, family and image coloring of a witness-finite claim."""
+    color_of = _fitting(cert.coloring, ("apres", "table"), "semigroup elements")
     S = FiniteSemigroup(cert.table)
     view = NiceSubsemigroupView.from_members(S, cert.t_members)
     nice = is_nice_subsemigroup(S, view)
     if not nice:
-        return False, f"declared T is not nice: {nice.describe()}"
+        raise VerificationError(f"declared T is not nice: {nice.describe()}")
     family = RetractionFamily(view, [Retraction(row) for row in cert.retractions])
-    if not 0 <= cert.witness < S.order:
-        return False, f"witness {cert.witness} is outside the carrier [0..{S.order})"
-    if view.contains(cert.witness):
+    return (lambda v: 0 <= v < S.order), family, color_of
+
+
+def _verify_witness(cert, in_carrier, family, color_of):
+    """The witness claim: the witness lies in R, its recomputed images are
+    the stated ones, and they all have the stated color."""
+    if not in_carrier(cert.witness):
+        return False, "witness is outside the carrier"
+    if family.view.contains(cert.witness):
         return False, "witness lies in T (must be in R)"
     images = family.images(cert.witness)
     if images != sorted(cert.images):
         return False, "stated images differ from the recomputed retraction images"
-    coloring = cert.coloring.build()
-    colors = {coloring.color_of(x) for x in images}
+    colors = {color_of(x) for x in images}
     if colors != {cert.color}:
         return False, f"image colors {sorted(colors)} do not match color {cert.color}"
     return True, "ok"
@@ -317,12 +295,12 @@ def verify_certificate(cert):
     """Re-check a certificate by direct evaluation; returns (ok, message)."""
     try:
         if isinstance(cert, WitnessWordsCertificate):
-            return _verify_witness_words(cert)
+            return _verify_witness(cert, *_words_claim(cert))
         if isinstance(cert, WitnessFiniteCertificate):
-            return _verify_witness_finite(cert)
+            return _verify_witness(cert, *_finite_claim(cert))
         if isinstance(cert, ColoringCertificate):
             return _verify_coloring(cert)
-    except (HjlabError, ValueError, AssertionError) as e:
+    except (HjlabError, ValueError) as e:
         return False, f"verification error: {e}"
     return False, "unknown certificate object"
 
@@ -353,7 +331,7 @@ def words_witness_certificate(ws, coloring, outcome, reduction="none"):
         alphabet=ws.alphabet_size,
         variables=ws.variable_count,
         reduction=reduction,
-        coloring=ColoringFields.from_coloring(coloring),
+        coloring=coloring,
         witness=outcome.witness,
         images=list(outcome.images),
         color=outcome.color,
@@ -366,7 +344,7 @@ def finite_witness_certificate(S, family, coloring, outcome):
         table=[[int(x) for x in row] for row in S.table],
         t_members=family.view.members(),
         retractions=[[int(x) for x in r.mapping] for r in family],
-        coloring=ColoringFields.from_coloring(coloring),
+        coloring=coloring,
         witness=outcome.witness,
         images=list(outcome.images),
         color=outcome.color,

@@ -62,7 +62,7 @@ class TableColoring:
 
     kind = "table"
 
-    def __init__(self, entries, r=None, default=None, source=None):
+    def __init__(self, entries, r=None, default=None):
         self.entries = dict(entries)
         self.default = default
         observed = list(self.entries.values()) + ([] if default is None else [default])
@@ -71,7 +71,6 @@ class TableColoring:
         self.r = r if r is not None else max(observed) + 1
         if any(c < 0 or c >= self.r for c in observed):
             raise InvalidColoring("color out of range in table")
-        self.source = source
 
     @staticmethod
     def key_for(x):
@@ -87,9 +86,6 @@ class TableColoring:
             return self.default
         raise InvalidColoring(f"no color assigned to {key}")
 
-    def spec(self):
-        return f"table:{self.source}" if self.source else "table:<inline>"
-
 
 class PullbackColoring:
     """A coloring pulled back along a mapping (word -> integer or point)."""
@@ -104,9 +100,6 @@ class PullbackColoring:
     def color_of(self, x):
         return self.base.color_of(self.mapping(x))
 
-    def spec(self):
-        return f"pullback({self.base.spec()})"
-
 
 def _table_color(token, line):
     try:
@@ -115,7 +108,7 @@ def _table_color(token, line):
         raise ColoringSpecError(line, f"color {token!r} is not an integer") from None
 
 
-def parse_coloring_table_text(text, source=None):
+def parse_coloring_table_text(text):
     entries = {}
     default = None
     for raw in text.splitlines():
@@ -131,7 +124,7 @@ def parse_coloring_table_text(text, source=None):
         if len(parts) != 2:
             raise ColoringSpecError(line, "expected: <word-or-int> <color>")
         entries[parts[0]] = _table_color(parts[1], line)
-    return TableColoring(entries, default=default, source=source)
+    return TableColoring(entries, default=default)
 
 
 def parse_coloring_spec(spec):
@@ -151,7 +144,7 @@ def parse_coloring_spec(spec):
         if not os.path.exists(arg):
             raise ColoringSpecError(spec, f"no such table file: {arg}")
         with open(arg) as fh:
-            return parse_coloring_table_text(fh.read(), source=arg)
+            return parse_coloring_table_text(fh.read())
     raise ColoringSpecError(kind, "unknown coloring kind")
 
 

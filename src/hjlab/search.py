@@ -583,7 +583,9 @@ def least_size(make, a, r, max_size, budget_seconds=DEFAULT_TIME_BUDGET, **kwarg
     each size gets the time left.  Other keyword arguments are as for
     ``check_instance``, so ``budget_nodes`` applies to each size alone.
     """
-    make(a, r, max_size)  # rejects bad parameters before any search
+    # rejects bad parameters before any search; the smallest size is cheap to
+    # build, where hj's largest would compute n ** max_size first
+    make(a, r, min(max_size, 1))
     deadline = time.monotonic() + budget_seconds
     runs = []
     for size in range(1, max_size + 1):

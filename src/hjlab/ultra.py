@@ -87,9 +87,6 @@ class PrincipalUltrafilter:
     def member_mask(self, mask):
         return bool((mask >> self.point) & 1)
 
-    def member(self, A):
-        return member(self, A)
-
     def __eq__(self, other):
         return (
             isinstance(other, PrincipalUltrafilter)
@@ -165,7 +162,7 @@ def image_member(B, f, points):
     return _at(B[:, f], points)
 
 
-def image(f, U, target, check=True):
+def image(f, U, target):
     """Image ultrafilter of U under f, located through the membership law.
 
     The point is found as the unique q whose singleton has its f-preimage in
@@ -176,7 +173,7 @@ def image(f, U, target, check=True):
     tsize = _size_of(target)
     f = _map_into(f, tsize)
     found = _unique_singleton(image_member(np.eye(tsize, dtype=bool), f, U.point), "image")
-    if check and tsize <= IMAGE_LAW_BOUND and not check_image_law(f, U, target):
+    if tsize <= IMAGE_LAW_BOUND and not check_image_law(f, U, target):
         raise VerificationError("image law failed a subset check")
     return PrincipalUltrafilter(target, found)
 
@@ -186,8 +183,8 @@ def check_image_law(f, U, target):
     tsize = _size_of(target)
     if tsize > IMAGE_LAW_BOUND:
         raise CarrierTooLarge(f"target size {tsize} exceeds {IMAGE_LAW_BOUND}")
-    image(f, U, target, check=False)  # singleton search must succeed
-    f = np.asarray(f, dtype=np.int64)
+    _require_same_carrier(len(f), _size_of(U.carrier))
+    f = _map_into(f, tsize)
     B = subset_bits(tsize)
     return bool(np.array_equal(image_member(B, f, U.point), B[:, f[U.point]]))
 
@@ -482,7 +479,6 @@ class AgreementEquivalenceReport:
     a_counterexample: tuple | None  # coloring of T (by member order) or None
     a_first_witness: int | None  # witness for the all-zero coloring
     b_point_in_r: int | None
-    b_point_any: int | None
     colorings_checked: int
 
     @property
@@ -531,13 +527,11 @@ def check_agreement_equivalence(S, family, r, max_order=10, max_colors=3):
             break
 
     b_in_r = find_agreement_ultrafilter(S, family, within=view.complement_mask)
-    b_any = find_agreement_ultrafilter(S, family)
     return AgreementEquivalenceReport(
         r=r,
         a_holds=a_holds,
         a_counterexample=a_counterexample,
         a_first_witness=a_first_witness,
         b_point_in_r=None if b_in_r is None else b_in_r.point,
-        b_point_any=None if b_any is None else b_any.point,
         colorings_checked=checked,
     )

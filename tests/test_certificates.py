@@ -38,6 +38,22 @@ def words_cert():
     return words_witness_certificate(ws, coloring, out)
 
 
+def apres_vdw_cert():
+    # as `hjlab witness --hj --alphabet 3 --max-len 5 --coloring apres:2` builds it
+    ws = WordSemigroup(3)
+    base = ApResidueColoring(2)
+    search = VdwEncoding(3, 5).pullback(base)
+    out = word_witness_search(ws, substitution_family(ws), search, max_len=5)
+    return words_witness_certificate(ws, base, out, reduction="vdw")
+
+
+def words_table_cert():
+    ws = WordSemigroup(2)
+    coloring = TableColoring({"0": 0, "1": 1, "00": 1}, r=2, default=0)
+    out = word_witness_search(ws, substitution_family(ws), coloring)
+    return words_witness_certificate(ws, coloring, out)
+
+
 def finite_cert():
     S, view, family = flag_semigroup(2)
     coloring = TableColoring({"0": 0, "2": 1, "4": 0}, r=2)
@@ -53,7 +69,7 @@ def vdw_cert():
     return vdw_coloring_certificate(3, 8, 2, vdw_check(3, 2, 8))
 
 
-ALL_BUILDERS = [words_cert, finite_cert, hj_cert, vdw_cert]
+ALL_BUILDERS = [words_cert, apres_vdw_cert, words_table_cert, finite_cert, hj_cert, vdw_cert]
 
 # sha256 of the rendered coloring certificates, recorded before the hj and vdw
 # certificate kinds shared one class; the bytes must never change
@@ -63,6 +79,23 @@ PINNED_COLORINGS = [
     (vdw_cert, "vdw-coloring", (3, 8),
      "2e1650a81a8afda7b9d57bcd31850ea0e2cb68698f10124261f3f5855b5ac6bb"),
 ]
+
+
+# sha256 of the rendered witness certificates, one per coloring block, recorded
+# while certificates still kept their own copy of each coloring
+PINNED_WITNESSES = [
+    (words_cert, "059e364b2492ebc63f708a6c1b05b17c62a20cd01a7229a626dbb26750813555"),
+    (apres_vdw_cert, "8ca7b916bfbb979320a232893e1dad5cf8e7c6bed8c6adc47e2734f5edcec874"),
+    (words_table_cert, "d4d69bf9be4ed8176bb72c2f20f5b4ceae806dd53e000503ebde6b92057d7414"),
+    (finite_cert, "3414f81a82be1ce21a8b919395b75e7c0e21f211e5bee9ef983a45dc0c11f537"),
+]
+
+
+@pytest.mark.parametrize("build,digest", PINNED_WITNESSES)
+def test_witness_certificate_bytes_are_pinned(build, digest):
+    text = render_certificate(build())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    assert render_certificate(parse_certificate(text)) == text
 
 
 @pytest.mark.parametrize("build", ALL_BUILDERS)
@@ -163,12 +196,54 @@ def test_vdw_semantic_check_catches_bad_assignment():
 
 
 def test_reduction_field_drives_the_recheck():
-    ws = WordSemigroup(3)
-    base = ApResidueColoring(2)
-    enc = VdwEncoding(3, 5)
-    out = word_witness_search(ws, substitution_family(ws), enc.pullback(base), max_len=5)
-    cert = words_witness_certificate(ws, base, out, reduction="vdw")
+    cert = apres_vdw_cert()
     ok, msg = verify_certificate(cert)
     assert ok, msg
     text = render_certificate(cert)
     assert "reduction: vdw" in text
+
+
+def reseal(text, edit):
+    """``text`` with ``edit`` applied to its payload and a fresh digest, so
+    that only parsing and the semantic re-check can object."""
+    payload = edit(text.rsplit("check: ", 1)[0])
+    return payload + f"check: {hashlib.sha256(payload.encode('utf-8')).hexdigest()}\nend\n"
+
+
+@pytest.mark.parametrize("build,line", [
+    (hj_cert, "alphabet: 2\nwitness: xx\n"),
+    (words_cert, "row: 0 1\n"),
+    (finite_cert, "reduction: none\n"),
+    (vdw_cert, "n: 2\n"),
+])
+def test_a_field_of_another_kind_is_rejected(build, line):
+    text = reseal(render_certificate(build()), lambda p: p + line)
+    ok, msg = verify_certificate_text(text)
+    assert not ok and "is not a" in msg, msg
+
+
+def test_an_embedded_coloring_never_names_a_file(tmp_path):
+    # the file holds the very coloring the certificate was built with, so
+    # verification could only pass by opening it
+    table = tmp_path / "colors.txt"
+    table.write_text("0 0\n2 1\n4 0\n")
+    block = "coloring: table\ntable-colors: 2\ntable: 0 0\ntable: 2 1\ntable: 4 0\n"
+    text = render_certificate(finite_cert())
+    assert block in text
+    ok, msg = verify_certificate_text(
+        reseal(text, lambda p: p.replace(block, f"coloring: table:{table}\n"))
+    )
+    assert not ok and "bad coloring spec" in msg, msg
+
+
+@pytest.mark.parametrize("build,old,new", [
+    (words_cert, "reduction: none", "reduction: vdw"),
+    (apres_vdw_cert, "reduction: vdw", "reduction: none"),
+    (finite_cert, "coloring: table\ntable-colors: 2\ntable: 0 0\ntable: 2 1\ntable: 4 0\n",
+     "coloring: mod:2\n"),
+])
+def test_a_coloring_that_does_not_fit_its_points_fails(build, old, new):
+    text = render_certificate(build())
+    assert old in text
+    ok, msg = verify_certificate_text(reseal(text, lambda p: p.replace(old, new)))
+    assert not ok and "do not color" in msg, msg

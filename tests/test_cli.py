@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, exit codes, certificates."""
 import argparse
+import hashlib
 import os
 import pathlib
 import re
@@ -345,6 +346,23 @@ def test_verify_rejects_tampering(tmp_path, capsys):
     cert.write_text(text)
     assert main(["verify", str(cert)]) == 1
     assert "fail" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,old,new", [
+    (["--coloring", "apres:2", "--alphabet", "3", "--max-len", "5"],
+     "reduction: vdw", "reduction: none"),
+    (["--coloring", "mod:2"], "reduction: none", "reduction: vdw"),
+])
+def test_verify_fails_a_coloring_that_does_not_fit_its_reduction(tmp_path, capsys, argv, old, new):
+    cert = tmp_path / "w.cert"
+    assert main(["witness", "--hj", *argv, "-o", str(cert)]) == 0
+    capsys.readouterr()
+    payload = cert.read_text().rsplit("check: ", 1)[0].replace(old, new)
+    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    cert.write_text(payload + f"check: {digest}\nend\n")
+    assert main(["verify", str(cert)]) == 1
+    out = capsys.readouterr().out
+    assert "fail" in out and "do not color" in out
 
 
 def test_verify_missing_file(capsys):

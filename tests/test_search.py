@@ -328,6 +328,13 @@ def test_hj_22_is_2():
     assert [(size, run.status) for size, run in res.runs] == [(1, SAT), (2, UNSAT)]
 
 
+def test_sweep_never_sizes_its_largest_instance():
+    # [3]^(10**7) would need 3 ** 10**7 computed before the sweep could start
+    start = time.monotonic()
+    assert hj_number(3, 2, 10**7).value == 4
+    assert time.monotonic() - start < 1.0
+
+
 def test_vdw_32_is_9():
     res = vdw_number(3, 2, 16)
     assert res.value == 9 and res.decided

@@ -86,10 +86,12 @@ def test_image_matches_family_oracle():
 
 def test_image_rejects_a_map_outside_the_target():
     S, T = cyclic_semigroup(3), cyclic_semigroup(3)
-    for f in ([0, 1, 5], [0, -1, 2]):
+    for f in ([0, 1, 5], [0, -1, 2], [0, 1]):
         for p in range(3):
             with pytest.raises(HjlabError):
                 image(f, PrincipalUltrafilter(S, p), T)
+            with pytest.raises(CarrierMismatch):
+                check_image_law(f, PrincipalUltrafilter(S, p), T)
 
 
 def test_image_law_bound_enforced():
