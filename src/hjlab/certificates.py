@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .errors import CertificateError, HjlabError, VerificationError
-from .instances import TableColoring, parse_coloring_spec
+from .instances import INTEGER_KINDS, TableColoring, parse_coloring_spec
 from .semigroups import (
     FiniteSemigroup,
     NiceSubsemigroupView,
@@ -243,7 +243,7 @@ def _words_claim(cert):
     if cert.reduction == "none":
         color_of = _fitting(cert.coloring, ("mod", "table"), "words")
     elif cert.reduction == "vdw":
-        base = _fitting(cert.coloring, ("apres", "table"), "digit sums")
+        base = _fitting(cert.coloring, INTEGER_KINDS, "digit sums")
         color_of = lambda w: base(sum(w))
     else:
         raise VerificationError(f"unknown reduction {cert.reduction!r}")
@@ -253,7 +253,7 @@ def _words_claim(cert):
 
 def _finite_claim(cert):
     """The carrier test, family and image coloring of a witness-finite claim."""
-    color_of = _fitting(cert.coloring, ("apres", "table"), "semigroup elements")
+    color_of = _fitting(cert.coloring, INTEGER_KINDS, "semigroup elements")
     S = FiniteSemigroup(cert.table)
     view = NiceSubsemigroupView.from_members(S, cert.t_members)
     nice = is_nice_subsemigroup(S, view)

@@ -153,9 +153,9 @@ def sweep_tensor_power(entries, ks=(2, 3)):
     For every entry, every endomorphism h, every k and every principal V the
     image of V's k-fold tensor power under (v1..vk) -> h(v1*...*vk) is
     compared, subset by subset, with the k-fold product power of h(V).  The
-    subset table and its translate chain are built once per semigroup and
-    every point V of an (h, k) is checked in one batch, so the sweep stays
-    fast even on endomorphism-rich semigroups.
+    subset table and its translate chain are built once per semigroup, and
+    every endomorphism and point V of a k is checked in one batched call, so
+    the sweep stays fast even on endomorphism-rich semigroups.
     """
     report = CorpusReport(semigroups=len(entries))
     for idx, entry in enumerate(entries):
@@ -163,10 +163,11 @@ def sweep_tensor_power(entries, ks=(2, 3)):
         tables = TensorPowerTables(S)
         endos = enumerate_endomorphisms(S)
         report.endomorphisms += len(endos)
-        for h in endos:
-            for k in ks:
-                for vp, bad in tables.first_failures(h, k, range(S.order)):
-                    report.checks += 1
+        per_k = [tables.first_failures(endos, k, range(S.order)) for k in ks]
+        for e, h in enumerate(endos):
+            for k, results in zip(ks, per_k):
+                report.checks += len(results[e])
+                for vp, bad in results[e]:
                     if bad is not None:
                         report.failures.append(
                             CorpusFailure(idx, tuple(int(x) for x in h), k, vp, bad)

@@ -22,6 +22,10 @@ def encode_word(w, n):
     return value
 
 
+# the coloring kinds that color integers: digit sums, semigroup elements
+INTEGER_KINDS = ("apres", "table")
+
+
 class ModSumColoring:
     """Digit sum modulo r, defined on every constant word."""
 

@@ -38,7 +38,7 @@ from math import factorial
 import numpy as np
 
 from .errors import InvalidInstance, VerificationError
-from .instances import VdwEncoding, encode_word
+from .instances import INTEGER_KINDS, VdwEncoding, encode_word
 from .words import WordSemigroup, substitution_family
 
 DEFAULT_NODE_BUDGET = 10 ** 9
@@ -670,6 +670,8 @@ def find_ap_via_words(k, integer_coloring, max_len=8):
     arithmetic progression it projects to."""
     if k < 2:
         raise InvalidInstance(f"need k >= 2, not {k}")
+    if integer_coloring.kind not in INTEGER_KINDS:
+        raise InvalidInstance(f"{integer_coloring.kind} colorings do not color integers")
     ws = WordSemigroup(k)
     family = substitution_family(ws)
     enc = VdwEncoding(k, max_len)

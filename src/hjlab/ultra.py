@@ -7,6 +7,17 @@ their defining membership formulas* (nested set constructions), and separate
 checkers confirm, subset by subset, that the formula route agrees with the
 principal shortcut.  That makes the classical identities mechanically
 verifiable at desk scale.
+
+A family of subsets of a carrier of order t is held as a *set table*: a
+uint8 array whose carrier axes come first (one per coordinate; membership
+tests read the last of them), then a map axis and a point axis (one column
+per map of a stack and per point tested, or a unit axis shared by every
+column), and last the subset axis, its 2^t subsets packed 8 per byte,
+little-endian: bit m of a cell's packed row says whether the cell lies in
+the m-th subset.  A gather along a carrier axis then copies packed rows of
+2^t/8 bytes.  Every level of every formula still evaluates every subset;
+only the edges unpack: the unique singleton, a first failing mask and a
+single membership.
 """
 from __future__ import annotations
 
@@ -26,7 +37,10 @@ from .errors import (
 from .semigroups import FiniteSemigroup
 
 IMAGE_LAW_BOUND = 16  # exhaustive subset checks up to 2^16 memberships
+# product and tensor-power tables: the k = 3 translate chain of a target of
+# order t holds t³ cells × 2^t/8 packed bytes, 864 KiB at t = 12
 PRODUCT_LAW_BOUND = 12
+CHUNK_BYTES = 1 << 20  # largest intermediate of one chunk of a map stack
 FIP_EXHAUSTIVE_LIMIT = 20
 
 
@@ -109,57 +123,90 @@ def member(U, A):
     return U.member_mask(A.mask)
 
 
+def _pack(member):
+    """The set table of member[x, m] (cell x lies in subset m): the cell
+    axis, unit map and point axes, and the subset axis packed."""
+    return np.packbits(member, axis=-1, bitorder="little")[:, None, None, :]
+
+
+def _unpack(table, count):
+    """The first ``count`` subset bits of a set table, as booleans."""
+    return np.unpackbits(table, axis=-1, count=count, bitorder="little").astype(bool)
+
+
 def subset_bits(size):
-    """Every subset of [0..size) as a boolean row: row m is the set with
-    bitmask m."""
-    return ((np.arange(1 << size)[:, None] >> np.arange(size)) & 1).astype(bool)
+    """Every subset of [0..size) as a set table: subset m is the set with
+    bitmask m, so bit m of cell x's row is bit x of m."""
+    cells = np.arange(size, dtype=np.uint32)[:, None]
+    return _pack((np.arange(1 << size, dtype=np.uint32) >> cells) & 1)
+
+
+def _singletons(size):
+    """The singletons {0}, ..., {size - 1} as a set table."""
+    return _pack(np.eye(size, dtype=bool))
 
 
 def _mask_rows(masks, cells):
-    # bitmasks of any width -> boolean rows, through their little-endian
+    # bitmasks of any width -> a set table, through their little-endian
     # bytes; bits beyond the cells are ignored, as a bit-shifting read would
     width = (cells + 7) // 8
     full = (1 << cells) - 1
     raw = np.frombuffer(
         b"".join((m & full).to_bytes(width, "little") for m in masks), dtype=np.uint8
     )
-    bits = np.unpackbits(raw.reshape(-1, width), axis=1, bitorder="little")
-    return bits[:, :cells].astype(bool)
+    bits = np.unpackbits(raw.reshape(-1, width), axis=1, count=cells, bitorder="little")
+    return _pack(bits.T)
 
 
-def _unique_singleton(hits, operation):
+def _unique_singleton(hits, size, operation):
     """The point of an ultrafilter located by its membership evaluator run on
     every singleton: exactly one singleton may be a member."""
-    found = np.flatnonzero(hits)
+    found = np.flatnonzero(_unpack(hits, size))
     if len(found) != 1:
         raise VerificationError(f"{operation} membership hit {len(found)} singletons")
     return int(found[0])
 
 
 def _map_into(f, size):
+    """f (a map, or a stack of maps) as int64, every value inside ``size``."""
     f = np.asarray(f, dtype=np.int64)
-    bad = np.flatnonzero((f < 0) | (f >= size))
+    bad = np.argwhere((f < 0) | (f >= size))
     if len(bad):
-        s = int(bad[0])
-        raise CarrierMismatch(f"map sends {s} to {int(f[s])}, outside a carrier of size {size}")
+        *stack, s = (int(i) for i in bad[0])
+        name = f"map {stack[0]}" if stack else "map"
+        raise CarrierMismatch(
+            f"{name} sends {s} to {int(f[tuple(bad[0])])}, outside a carrier of size {size}"
+        )
     return f
 
 
 def _at(sets, points):
-    """Test sets (rows × carrier) at a point, or at a vector of points; sets
-    with a trailing axis hold one column per point, and each point tests its
-    own column (a diagonal pick)."""
-    if sets.ndim == 2:
-        return sets[:, points]
-    return sets[:, points, np.arange(len(points))]
+    """Test a set table at points along its last carrier axis c:
+    (..., c, E, P, W) -> (..., E, P, W).  ``points`` is a point, or a vector
+    of one point per point column; a unit map or point axis is shared by
+    every column."""
+    points = np.atleast_1d(points)
+    *outer, c, maps, _, width = sets.shape
+    cols = np.broadcast_to(sets, (*outer, c, maps, len(points), width))
+    return cols[..., points, np.arange(maps)[:, None], np.arange(len(points)), :]
+
+
+def _preimage(sets, f):
+    """The full preimage of every set of a table, along its last carrier axis,
+    under every map of the stack f (E, m): (..., c, E, P, W) ->
+    (..., m, E, P, W); a single map is a stack of one."""
+    f = np.atleast_2d(f)
+    *outer, c, _, cols, width = sets.shape
+    sets = np.broadcast_to(sets, (*outer, c, len(f), cols, width))
+    return sets[..., f.T, np.arange(len(f)), :, :]
 
 
 def image_member(B, f, points):
-    """Which rows of B (subsets of the target) lie in the image under f of
-    the principal ultrafilter at ``points`` (a point, or a vector of points
-    giving one column each): the full preimage f⁻¹(B) is built for every
-    row, then tested at the point.  B may carry one column per point."""
-    return _at(B[:, f], points)
+    """Which sets of the table B (subsets of the target) lie in the image
+    under f of the principal ultrafilter at ``points``: the full preimage
+    f⁻¹(B) is built for every set, then tested at the point.  f may be a
+    stack of maps and ``points`` a vector, one map and point column each."""
+    return _at(_preimage(B, f), points)
 
 
 def image(f, U, target):
@@ -172,7 +219,8 @@ def image(f, U, target):
     _require_same_carrier(len(f), _size_of(U.carrier))
     tsize = _size_of(target)
     f = _map_into(f, tsize)
-    found = _unique_singleton(image_member(np.eye(tsize, dtype=bool), f, U.point), "image")
+    hits = image_member(_singletons(tsize), f, U.point)
+    found = _unique_singleton(hits, tsize, "image")
     if tsize <= IMAGE_LAW_BOUND and not check_image_law(f, U, target):
         raise VerificationError("image law failed a subset check")
     return PrincipalUltrafilter(target, found)
@@ -186,36 +234,36 @@ def check_image_law(f, U, target):
     _require_same_carrier(len(f), _size_of(U.carrier))
     f = _map_into(f, tsize)
     B = subset_bits(tsize)
-    return bool(np.array_equal(image_member(B, f, U.point), B[:, f[U.point]]))
+    return bool(np.array_equal(image_member(B, f, U.point), B[f[U.point]]))
 
 
 def translate_chain(B, table, k):
-    """The translate sets of k right-associated product levels, as rows:
-    level 0 is B and level i+1 holds {u : s*u ∈ R} for every row R of level
-    i and every s, so it has t times the rows (t the order of ``table``)."""
+    """The translate sets of k right-associated product levels, as set
+    tables: level 0 is B and level i+1 holds {u : s*u ∈ R} for every set R of
+    level i and every s, a new carrier axis s before the axis u."""
     chain = [B]
     for _ in range(k - 1):
-        chain.append(chain[-1][:, table].reshape(-1, B.shape[1]))
+        chain.append(chain[-1][..., table, :, :, :])
     return chain
 
 
 def product_member(B, table, f, points, chain=None):
-    """Which rows of B lie in f(U₁)*(f(U₂)*(...*f(U_k))), right associated,
-    for the principal U_i at ``points`` (outermost first), f mapping into
-    the semigroup with Cayley ``table``; f is the identity for a plain
-    product.  Each level's point may be a vector, one result column each.
+    """Which sets of the table B lie in f(U₁)*(f(U₂)*(...*f(U_k))), right
+    associated, for the principal U_i at ``points`` (outermost first), f
+    mapping into the semigroup with Cayley ``table``; f is the identity for a
+    plain product.  f may be a stack of maps and each level's point a vector,
+    one map and point column each.
 
     At each level the translate sets {u : s*u ∈ B} are built for every s
-    and row (or taken from ``chain``, a prebuilt ``translate_chain`` of B of
+    and set (or taken from ``chain``, a prebuilt ``translate_chain`` of B of
     at least k levels), the inner levels decide which of them are members,
     and the full set of qualifying s is tested through the image law.
     """
     if chain is None:
         chain = translate_chain(B, table, len(points))
-    inner = image_member(chain[len(points) - 1], f, points[-1])
-    for level in reversed(range(len(points) - 1)):
-        rows = chain[level].shape[0]
-        inner = image_member(inner.reshape(rows, -1, *inner.shape[1:]), f, points[level])
+    inner = chain[len(points) - 1]
+    for p in reversed(points):
+        inner = image_member(inner, f, p)
     return inner
 
 
@@ -234,8 +282,8 @@ def uf_product(U, V, S=None, check=True):
     _require_same_carrier(S.order, _size_of(U.carrier))
     _require_same_carrier(S.order, _size_of(V.carrier))
     n = S.order
-    hits = product_member(np.eye(n, dtype=bool), S.table, np.arange(n), (U.point, V.point))
-    found = _unique_singleton(hits, "product")
+    hits = product_member(_singletons(n), S.table, np.arange(n), (U.point, V.point))
+    found = _unique_singleton(hits, n, "product")
     if check and n <= PRODUCT_LAW_BOUND and not check_product_law(S, U, V):
         raise VerificationError("product law failed a subset check")
     return PrincipalUltrafilter(S, found)
@@ -259,22 +307,21 @@ def check_product_law(S, U, V):
         raise CarrierTooLarge(f"carrier size {n} exceeds {PRODUCT_LAW_BOUND}")
     B = subset_bits(n)
     formula = product_member(B, S.table, np.arange(n), (U.point, V.point))
-    return bool(np.array_equal(formula, B[:, S.mul(U.point, V.point)]))
+    return bool(np.array_equal(formula, B[S.mul(U.point, V.point)]))
 
 
 def tensor_rows(X, dims, points):
-    """Which rows of X (subsets of dims[0]×dims[1]×..., row-major) lie in
-    U₁⊗(U₂⊗...), right associated, for the principal U_i at ``points``.
-    Each level's point may be a vector, one result column each.
+    """Which sets of the table X over dims[0]×dims[1]×... (cells row-major)
+    lie in U₁⊗(U₂⊗...), right associated, for the principal U_i at
+    ``points``.  Each level's point may be a vector, one point column each.
 
     At each level the full qualifying set {i : section_i ∈ inner} is built
-    for every row (and point) before it is tested at the outer point.
+    for every set (and column) before it is tested at the outer point.
     """
-    if len(dims) == 1:
-        return _at(X, points[0])
-    batch = X.shape[0]
-    inner = tensor_rows(X.reshape(batch * dims[0], -1), dims[1:], points[1:])
-    return _at(inner.reshape(batch, dims[0], *inner.shape[1:]), points[0])
+    sets = X.reshape(*dims, *X.shape[-3:])
+    for p in reversed(points):
+        sets = _at(sets, p)
+    return sets
 
 
 def _require_triple(dims, points):
@@ -284,28 +331,29 @@ def _require_triple(dims, points):
 
 def _tensor_left_rows(X, dims, points):
     # (U₁⊗U₂)⊗U₃: section ij lies in U₃ iff it holds U₃'s point, so the
-    # qualifying set over dims[0]×dims[1] is a pick of every dims[2]-th column
+    # qualifying set over dims[0]×dims[1] is a pick along the last axis
     i, j, k = dims
-    return tensor_rows(X[:, points[2]::k], (i, j), points[:2])
+    return tensor_rows(_at(X.reshape(i * j, k, *X.shape[-3:]), points[2]), (i, j), points[:2])
 
 
 def uf_tensor(U, V):
     """U⊗V on the product carrier, evaluated by the section formula."""
     carrier = ProductCarrier((_size_of(U.carrier), _size_of(V.carrier)))
-    hits = tensor_rows(np.eye(carrier.size, dtype=bool), carrier.sizes, (U.point, V.point))
-    return PrincipalUltrafilter(carrier, _unique_singleton(hits, "tensor"))
+    hits = tensor_rows(_singletons(carrier.size), carrier.sizes, (U.point, V.point))
+    return PrincipalUltrafilter(carrier, _unique_singleton(hits, carrier.size, "tensor"))
 
 
 def tensor_member(mask, dims, points):
     """X ∈ U₁⊗(U₂⊗...) by vertical sections, right associated, for the
     bitmask ``mask`` of X ⊆ dims[0]×dims[1]×... (row-major)."""
-    return bool(tensor_rows(_mask_rows([mask], prod(dims)), dims, points)[0])
+    return bool(_unpack(tensor_rows(_mask_rows([mask], prod(dims)), dims, points), 1).item())
 
 
 def tensor_member_left(mask, dims, points):
     """X ∈ (U₁⊗U₂)⊗U₃ for a triple, pairing the first two coordinates."""
     _require_triple(dims, points)
-    return bool(_tensor_left_rows(_mask_rows([mask], prod(dims)), dims, points)[0])
+    rows = _tensor_left_rows(_mask_rows([mask], prod(dims)), dims, points)
+    return bool(_unpack(rows, 1).item())
 
 
 def check_tensor_assoc(dims, points):
@@ -318,9 +366,10 @@ def check_tensor_assoc(dims, points):
     if cells > IMAGE_LAW_BOUND:
         raise CarrierTooLarge(f"triple product of {cells} cells exceeds {IMAGE_LAW_BOUND}")
     X = subset_bits(cells)
-    diff = np.flatnonzero(tensor_rows(X, dims, points) != _tensor_left_rows(X, dims, points))
-    if len(diff):
-        return False, int(diff[0])
+    diff = tensor_rows(X, dims, points) ^ _tensor_left_rows(X, dims, points)
+    bad = np.flatnonzero(_unpack(diff, 1 << cells))
+    if len(bad):
+        return False, int(bad[0])
     return True, None
 
 
@@ -331,9 +380,13 @@ class TensorPowerTables:
     (h, k, V): the subset table and, lazily up to the largest k asked for,
     its translate chain (the translate sets of every product level).  Both
     sides are still evaluated by their defining formulas, full preimage,
-    translate and section sets at every level, for all requested points in
-    one batch.  The target is bounded by PRODUCT_LAW_BOUND because the k = 3
-    tables hold 2^t·n³ booleans.
+    translate and section sets at every level and for every subset, for a
+    stack of maps and all requested points in one batch.  Sets are held in
+    the module's set-table layout: carrier axes, then one column per map and
+    per point, then the 2^t subsets packed 8 per byte.  The stack is
+    evaluated in chunks whose largest intermediate stays near CHUNK_BYTES.
+    The target is bounded by PRODUCT_LAW_BOUND because the k = 3 chain holds
+    t³ packed rows of 2^t/8 bytes.
     """
 
     def __init__(self, S, target=None):
@@ -345,27 +398,42 @@ class TensorPowerTables:
         self.bits = subset_bits(t)
         self.chain = [self.bits]
 
-    def first_failures(self, h, k, points):
-        """[(V point, first subset mask where the image of V's k-fold tensor
-        power and the k-fold power of h(V) differ, or None)] for every point."""
+    def first_failures(self, maps, k, points):
+        """For every map h of the stack ``maps`` (E maps S -> target), the
+        list [(V point, first subset mask where the image of V's k-fold tensor
+        power and the k-fold power of h(V) differ, or None)] over ``points``."""
         if k not in (2, 3):
             raise InvalidInstance(f"tensor powers take k = 2 or 3 factors, not {k}")
-        n = self.S.order
-        _require_same_carrier(len(h), n)
-        h = _map_into(h, self.target.order)
-        if len(self.chain) < k:
-            self.chain = translate_chain(self.bits, self.target.table, k)
+        n, t = self.S.order, self.target.order
+        for i, h in enumerate(maps):
+            if np.ndim(h) != 1 or len(h) != n:
+                raise CarrierMismatch(f"map {i} has shape {np.shape(h)}, not ({n},) for S")
+        maps = _map_into(np.reshape(maps, (-1, n)), t)
         points = np.asarray(points, dtype=np.int64)
         bad = np.flatnonzero((points < 0) | (points >= n))
         if len(bad):
             raise CarrierMismatch(f"point {int(points[bad[0]])} is outside S of order {n}")
-        folded = h[self.S.fold(np.indices((n,) * k))].reshape(-1)
-        pre = self.bits[:, folded]  # pre[m, w] ⟺ h(w₁*...*w_k) ∈ A_m, over S^k
-        lhs = tensor_rows(pre, (n,) * k, (points,) * k)
-        rhs = product_member(self.bits, self.target.table, h, (points,) * k, chain=self.chain)
-        diff = lhs != rhs  # one column per point
-        first = np.where(diff.any(axis=0), diff.argmax(axis=0), -1)
-        return [(int(vp), int(m) if m >= 0 else None) for vp, m in zip(points, first)]
+        if len(self.chain) < k:
+            self.chain = translate_chain(self.bits, self.target.table, k)
+        folded = self.S.fold(np.indices((n,) * k)).reshape(-1)  # w₁*...*w_k over S^k
+        # bytes of the largest intermediate one map adds to a chunk
+        per_map = self.bits.shape[-1] * max(n, t) ** (k - 1) * max(n, t, len(points))
+        step = max(1, CHUNK_BYTES // per_map)
+        out = []
+        for lo in range(0, len(maps), step):
+            h = maps[lo:lo + step]
+            pre = _preimage(self.bits, h[:, folded])  # subsets holding h(w₁*...*w_k)
+            lhs = tensor_rows(pre, (n,) * k, (points,) * k)
+            rhs = product_member(self.bits, self.target.table, h, (points,) * k, chain=self.chain)
+            diff = lhs ^ rhs  # (maps, points, packed subsets)
+            first = np.full(diff.shape[:2], -1)
+            failing = diff.any(axis=-1)
+            first[failing] = _unpack(diff[failing], 1 << t).argmax(axis=-1)
+            out.extend(
+                [(vp, m if m >= 0 else None) for vp, m in zip(points.tolist(), row)]
+                for row in first.tolist()
+            )
+        return out
 
 
 def check_tensor_power_law(S, h, k, V, target=None):
@@ -377,7 +445,7 @@ def check_tensor_power_law(S, h, k, V, target=None):
     Returns (ok, first failing SubsetQuery or None).
     """
     tables = TensorPowerTables(S, target)
-    [(_, bad)] = tables.first_failures(h, k, [V.point])
+    [[(_, bad)]] = tables.first_failures([h], k, [V.point])
     if bad is None:
         return True, None
     return False, SubsetQuery(tables.target, bad)

@@ -223,6 +223,7 @@ def test_vdw_via_hj(tmp_path, capsys):
     ["-k", "1"],
     ["-k", "3", "--coloring", "table:/no/such/table"],
     ["-k", "3", "-r", "0"],
+    ["-k", "3", "-r", "2", "--coloring", "mod:2"],  # mod colors words, not integers
 ])
 def test_vdw_via_hj_bad_input_exits_2(argv, capsys):
     assert main(["vdw", "--via-hj", "--max-len", "4", *argv]) == 2

@@ -31,7 +31,7 @@ from hjlab import (
     uf_tensor,
 )
 from hjlab.errors import CarrierMismatch, CarrierTooLarge, HjlabError, InvalidInstance
-from hjlab.ultra import TensorPowerTables, product_member, subset_bits
+from hjlab.ultra import CHUNK_BYTES, TensorPowerTables, _unpack, product_member, subset_bits
 
 import oracles
 
@@ -144,7 +144,7 @@ def test_three_level_power_matches_nested_family_oracle(S):
         for h in maps:
             W = oracles.image_family(h, U, n, n)
             fam = oracles.product_family(table, W, oracles.product_family(table, W, W))
-            rows = product_member(subset_bits(n), S.table, h, (p, p, p))
+            rows = _unpack(product_member(subset_bits(n), S.table, h, (p, p, p)), 1 << n)
             assert set(np.flatnonzero(rows)) == fam
 
 
@@ -221,21 +221,39 @@ def test_left_associated_triple_rejects_other_arities(call):
         call()
 
 
+# two good maps on the cyclic group of order 4; each input-check test puts
+# its bad input after them, so the bad map is never first in the stack
+GOOD_MAPS = [np.arange(4), np.zeros(4, dtype=int)]
+
+
 @pytest.mark.parametrize("k", [1, 4])
 def test_tensor_power_tables_reject_k_outside_2_3(k):
-    S = cyclic_semigroup(3)
+    tables = TensorPowerTables(cyclic_semigroup(4))
     with pytest.raises(InvalidInstance, match="k = 2 or 3"):
-        list(TensorPowerTables(S).first_failures(list(range(3)), k, [0]))
+        tables.first_failures([*GOOD_MAPS, np.arange(4)], k, [0])
 
 
 @pytest.mark.parametrize("point", [-1, 4])
 def test_tensor_power_tables_reject_points_outside_s(point):
     # -1 would wrap to point 3 and 4 would index past the tables
-    S = cyclic_semigroup(4)
-    tables = TensorPowerTables(S)
-    assert tables.first_failures(np.arange(4), 2, [3]) == [(3, None)]
+    tables = TensorPowerTables(cyclic_semigroup(4))
+    assert tables.first_failures(GOOD_MAPS, 2, [3]) == [[(3, None)], [(3, None)]]
     with pytest.raises(CarrierMismatch, match=f"point {point}"):
-        tables.first_failures(np.arange(4), 2, [0, point])
+        tables.first_failures(GOOD_MAPS, 2, [0, point])
+
+
+@pytest.mark.parametrize("value", [-1, 4])
+def test_tensor_power_tables_reject_map_values_outside_the_target(value):
+    tables = TensorPowerTables(cyclic_semigroup(4))
+    with pytest.raises(CarrierMismatch, match=f"map 2 sends 1 to {value}, outside"):
+        tables.first_failures([*GOOD_MAPS, [0, value, 2, 3]], 2, [0])
+
+
+@pytest.mark.parametrize("bad", [[0, 1, 2], [0, 1, 2, 3, 0], 0, [[0, 1, 2, 3]]])
+def test_tensor_power_tables_reject_maps_of_the_wrong_shape(bad):
+    tables = TensorPowerTables(cyclic_semigroup(4))
+    with pytest.raises(CarrierMismatch, match="map 2 has shape"):
+        tables.first_failures([*GOOD_MAPS, bad], 2, [0])
 
 
 # -- the tensor-power identity ----------------------------------------------
@@ -260,26 +278,27 @@ def test_tensor_power_law_flags_a_non_homomorphism():
     assert bad.contains(2) != bad.contains(0)
 
 
-def batch_against_oracle(tables, h, k):
-    """Every point's first failing mask from one batched call, checked
-    against the pure-Python oracle point by point; True if any point fails."""
+def batch_against_oracle(tables, maps, k):
+    """Every map's and point's first failing mask from one call on the
+    stack, checked against the pure-Python oracle map by map and point by
+    point; the number of failing points."""
     S, T = tables.S, tables.target
-    got = list(tables.first_failures(np.asarray(h), k, range(S.order)))
+    got = tables.first_failures(maps, k, range(S.order))
     want = [
-        (p, oracles.tensor_power_first_failure(
+        [(p, oracles.tensor_power_first_failure(
             S.table.tolist(), T.table.tolist(), [int(x) for x in h], k, p))
-        for p in range(S.order)
+         for p in range(S.order)]
+        for h in maps
     ]
     assert got == want
-    return any(bad is not None for _, bad in got)
+    return sum(bad is not None for row in got for _, bad in row)
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_tensor_power_batch_matches_oracle_on_corpus_endomorphisms(k):
     for entry in generate_corpus(count=25, max_order=4, seed=1):
         tables = TensorPowerTables(entry.semigroup)
-        for h in enumerate_endomorphisms(entry.semigroup):
-            assert not batch_against_oracle(tables, h, k)
+        assert not batch_against_oracle(tables, enumerate_endomorphisms(entry.semigroup), k)
 
 
 def test_tensor_power_batch_matches_oracle_on_random_maps():
@@ -288,11 +307,28 @@ def test_tensor_power_batch_matches_oracle_on_random_maps():
     for entry in generate_corpus(count=25, max_order=4, seed=1):
         S = entry.semigroup
         tables = TensorPowerTables(S)
-        for _ in range(4):
-            h = rng.integers(0, S.order, S.order)
-            for k in (3, 2):  # k = 3 first, so k = 2 reads a longer chain
-                failed += batch_against_oracle(tables, h, k)
+        maps = rng.integers(0, S.order, (4, S.order))
+        for k in (3, 2):  # k = 3 first, so k = 2 reads a longer chain
+            failed += batch_against_oracle(tables, maps, k)
     assert failed > 0  # some random maps are no homomorphisms, and fail
+
+
+def test_tensor_power_stack_split_into_chunks_matches_maps_run_alone():
+    # the first order-10 semigroup of the benchmark's order-10 corpus: its 18
+    # endomorphisms and 8 random maps, which fail at most points
+    S = next(e.semigroup for e in generate_corpus(count=200, max_order=10, seed=1)
+             if e.semigroup.order == 10)
+    rng = np.random.default_rng(3)
+    maps = np.vstack([enumerate_endomorphisms(S), rng.integers(0, 10, (8, 10))])
+    assert len(maps) * 10**3 * (2**10 // 8) > 2 * CHUNK_BYTES  # the k = 3 preimages alone
+    tables = TensorPowerTables(S)
+    got = tables.first_failures(maps, 3, range(10))
+    assert got == [tables.first_failures([h], 3, range(10))[0] for h in maps]
+    table = S.table.tolist()
+    failing = [(h, p, bad) for h, row in zip(maps, got) for p, bad in row if bad is not None]
+    assert len(failing) > 20
+    for h, p, bad in failing:  # a failing point stops the oracle early
+        assert oracles.tensor_power_first_failure(table, table, h.tolist(), 3, p) == bad
 
 
 @pytest.mark.parametrize("S, T", [
@@ -303,11 +339,10 @@ def test_tensor_power_batch_matches_oracle_on_random_maps():
 def test_tensor_power_batch_matches_oracle_into_a_foreign_target(S, T):
     rng = np.random.default_rng(5)
     tables = TensorPowerTables(S, T)
+    maps = rng.integers(0, T.order, (6, S.order))
     failed = 0
-    for _ in range(6):
-        h = rng.integers(0, T.order, S.order)
-        for k in (2, 3):
-            failed += batch_against_oracle(tables, h, k)
+    for k in (2, 3):
+        failed += batch_against_oracle(tables, maps, k)
     assert failed > 0
 
 
