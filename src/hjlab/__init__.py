@@ -67,7 +67,6 @@ from .instances import (
     ModSumColoring,
     PullbackColoring,
     TableColoring,
-    VdwEncoding,
     encode_word,
     parse_coloring_spec,
 )

@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .errors import CertificateError, HjlabError, VerificationError
-from .instances import INTEGER_KINDS, TableColoring, parse_coloring_spec
+from .instances import INTEGER_KINDS, WORD_KINDS, TableColoring, parse_coloring_spec
 from .semigroups import (
     FiniteSemigroup,
     NiceSubsemigroupView,
@@ -241,7 +241,7 @@ def _words_claim(cert):
     """The carrier test, family and image coloring of a witness-words claim:
     reduction none colors the image words, vdw their digit sums."""
     if cert.reduction == "none":
-        color_of = _fitting(cert.coloring, ("mod", "table"), "words")
+        color_of = _fitting(cert.coloring, WORD_KINDS, "words")
     elif cert.reduction == "vdw":
         base = _fitting(cert.coloring, INTEGER_KINDS, "digit sums")
         color_of = lambda w: base(sum(w))

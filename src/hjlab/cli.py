@@ -28,7 +28,7 @@ from .certificates import (
 )
 from .corpus import CorpusEntry, generate_corpus, sweep_tensor_power
 from .errors import HjlabError, InvalidInstance, InvalidStructure, VerificationError
-from .instances import VdwEncoding, parse_coloring_spec
+from .instances import WORD_KINDS, parse_coloring_spec
 from .semigroups import (
     FiniteSemigroup,
     NiceSubsemigroupView,
@@ -140,19 +140,18 @@ def cmd_witness(args):
         raise InvalidInstance("choose exactly one of --hj or --semigroup")
     coloring = parse_coloring_spec(args.coloring)
     if args.hj:
+        if coloring.kind not in WORD_KINDS:
+            raise InvalidInstance(
+                f"{coloring.kind} colorings do not color words; "
+                "integer colorings go through hjlab vdw --via-hj"
+            )
         ws = WordSemigroup(args.alphabet, args.variables)
         family = substitution_family(ws)
-        reduction = "none"
-        search_coloring = coloring
-        if coloring.kind == "apres":
-            # integer colorings reach words through the digit-sum reduction
-            reduction = "vdw"
-            search_coloring = VdwEncoding(args.alphabet, args.max_len).pullback(coloring)
-        outcome = word_witness_search(ws, family, search_coloring, max_len=args.max_len)
+        outcome = word_witness_search(ws, family, coloring, max_len=args.max_len)
         if outcome.status != "found":
             print(f"exhausted: {outcome.budget_note} ({outcome.checked} words checked)")
             return EXIT_NEGATIVE
-        cert = words_witness_certificate(ws, coloring, outcome, reduction=reduction)
+        cert = words_witness_certificate(ws, coloring, outcome)
         print(f"witness: {format_word(outcome.witness)}")
         print("images: " + " ".join(format_word(w) for w in outcome.images))
         print(f"color: {outcome.color}")
@@ -351,7 +350,8 @@ def build_parser():
     p.add_argument("--variables", type=int, default=1)
     p.add_argument("--max-len", type=int, default=8)
     p.add_argument("--semigroup", help="finite instance from a semigroup file")
-    p.add_argument("--coloring", required=True, help="mod:<r> | table:<path> | apres:<r>")
+    p.add_argument("--coloring", required=True,
+                   help="mod:<r> | table:<path> for --hj, table:<path> for --semigroup")
     p.add_argument("-o", "--output", help="certificate output path")
     p.set_defaults(handler=cmd_witness)
 

@@ -18,6 +18,11 @@ from .errors import InvalidInstance
 from .semigroups import FiniteSemigroup
 from .ultra import TensorPowerTables
 
+# transformations act on 2..CORPUS_MAX_DEGREE points; a draw stops after
+# CORPUS_MAX_ATTEMPTS generator sets even if it has fewer semigroups than asked
+CORPUS_MAX_DEGREE = 4
+CORPUS_MAX_ATTEMPTS = 50_000
+
 
 def compose(f, g):
     """f after g, on tuples: x -> f[g[x]]."""
@@ -63,7 +68,7 @@ class CorpusEntry:
     semigroup: FiniteSemigroup
 
 
-def generate_corpus(count=50, max_order=6, max_degree=4, seed=0, max_attempts=50_000):
+def generate_corpus(count=50, max_order=6, seed=0):
     """Deterministic corpus: same seed, same semigroups, same order."""
     if max_order < 1:
         raise InvalidInstance(f"a corpus needs max_order >= 1, not {max_order}")
@@ -71,9 +76,9 @@ def generate_corpus(count=50, max_order=6, max_degree=4, seed=0, max_attempts=50
     seen = set()
     out = []
     attempts = 0
-    while len(out) < count and attempts < max_attempts:
+    while len(out) < count and attempts < CORPUS_MAX_ATTEMPTS:
         attempts += 1
-        degree = rng.randint(2, max_degree)
+        degree = rng.randint(2, CORPUS_MAX_DEGREE)
         gen_count = rng.randint(1, 2)
         gens = [
             tuple(rng.randrange(degree) for _ in range(degree))

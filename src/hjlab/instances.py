@@ -1,17 +1,19 @@
 """Concrete instances of the abstract framework.
 
-The base-n code of a constant word, coloring kinds (modular digit sum,
-explicit tables, integer residues), and the classical reduction of van der
-Waerden to Hales-Jewett via digit sums.  Combinatorial lines are one-variable
-words (``words``); ``search.LineHypergraph`` turns them into edges.
+The base-n code of a constant word and the coloring kinds: words take the
+modular digit sum or an explicit table, integers the residue or a table
+(``WORD_KINDS``, ``INTEGER_KINDS``).  An integer coloring reaches words only
+by a pullback along the digit sum, in ``search.find_ap_via_words``, the
+classical reduction of van der Waerden to Hales-Jewett.  Combinatorial lines
+are one-variable words (``words``); ``search.LineHypergraph`` turns them
+into edges.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .errors import ColoringSpecError, InvalidColoring
-from .words import format_word, is_variable, variable_positions
+from .words import format_word
 
 
 def encode_word(w, n):
@@ -24,6 +26,8 @@ def encode_word(w, n):
 
 # the coloring kinds that color integers: digit sums, semigroup elements
 INTEGER_KINDS = ("apres", "table")
+# the coloring kinds that color words
+WORD_KINDS = ("mod", "table")
 
 
 class ModSumColoring:
@@ -150,39 +154,3 @@ def parse_coloring_spec(spec):
         with open(arg) as fh:
             return parse_coloring_table_text(fh.read())
     raise ColoringSpecError(kind, "unknown coloring kind")
-
-
-@dataclass(frozen=True)
-class VdwEncoding:
-    """Digit-sum reduction from words over [k] to integers.
-
-    A one-variable word with v variable positions maps to the arithmetic
-    progression a, a+v, ..., a+(k-1)v where a is the sum of the fixed
-    letters; v >= 1 keeps the difference nonzero.
-    """
-
-    k: int
-    N: int
-
-    def digit_sum(self, w):
-        return sum(w)
-
-    def pullback(self, integer_coloring):
-        return PullbackColoring(integer_coloring, self.digit_sum)
-
-    def line_image(self, template):
-        fixed = sum(s for s in template if not is_variable(s))
-        diff = len(variable_positions(template))
-        return [fixed + diff * a for a in range(self.k)]
-
-
-__all__ = [
-    "encode_word",
-    "ModSumColoring",
-    "ApResidueColoring",
-    "TableColoring",
-    "PullbackColoring",
-    "parse_coloring_spec",
-    "parse_coloring_table_text",
-    "VdwEncoding",
-]

@@ -6,6 +6,13 @@ The Hales-Jewett edges are image sets of the diagonal retraction family: a
 combinatorial line of [n]^N is {sigma_a(w) : a in [n]} for a length-N word w
 with the one variable x, where sigma_a substitutes the letter a for x.
 
+The witness searches share one scan for the first candidate whose image set
+is monochromatic: variable words of a word semigroup, or the points of R in
+a finite one (``ultra.check_agreement_equivalence`` decides statement (a)
+with it).  ``find_ap_via_words`` is the one place an integer coloring
+reaches words: pulled back along the digit sum, a monochromatic line sums to
+a monochromatic arithmetic progression.
+
 The solver is a trail-based backtracker over an explicit decision stack.
 Each edge e and color c give the clause "e is not all colored c".  Every
 clause watches two vertices of its edge not colored c (the two-watched-literal
@@ -33,12 +40,12 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
-from math import factorial
+from math import factorial, isnan
 
 import numpy as np
 
 from .errors import InvalidInstance, VerificationError
-from .instances import INTEGER_KINDS, VdwEncoding, encode_word
+from .instances import INTEGER_KINDS, PullbackColoring, encode_word
 from .words import WordSemigroup, substitution_family
 
 DEFAULT_NODE_BUDGET = 10 ** 9
@@ -267,6 +274,9 @@ class HypergraphSolver:
         budget_nodes=DEFAULT_NODE_BUDGET,
         budget_seconds=DEFAULT_TIME_BUDGET,
     ):
+        # every comparison with a nan deadline is false: the search would never stop
+        if isnan(budget_nodes) or isnan(budget_seconds):
+            raise InvalidInstance("a node or time budget is a number or inf, not nan")
         self.V = num_vertices
         self.r = r
         self.edges = list(edges)
@@ -666,20 +676,20 @@ class ViaHjOutcome:
 
 def find_ap_via_words(k, integer_coloring, max_len=8):
     """Cross-validate the digit-sum reduction: pull an integer coloring back
-    to words over [k], find a monochromatic line, and read off the
-    arithmetic progression it projects to."""
+    to words over [k] along the digit sum, find a monochromatic line, and
+    read off the arithmetic progression its images sum to."""
     if k < 2:
         raise InvalidInstance(f"need k >= 2, not {k}")
     if integer_coloring.kind not in INTEGER_KINDS:
         raise InvalidInstance(f"{integer_coloring.kind} colorings do not color integers")
     ws = WordSemigroup(k)
-    family = substitution_family(ws)
-    enc = VdwEncoding(k, max_len)
-    pulled = enc.pullback(integer_coloring)
-    out = word_witness_search(ws, family, pulled, max_len=max_len)
+    pulled = PullbackColoring(integer_coloring, sum)
+    out = word_witness_search(ws, substitution_family(ws), pulled, max_len=max_len)
     if out.status != "found":
         return ViaHjOutcome("exhausted", checked=out.checked)
-    ap = enc.line_image(out.witness)
+    # the images sort by substitution letter a, so their digit sums should
+    # run s + a*v: s the fixed letters' sum, v the number of variable positions
+    ap = [sum(w) for w in out.images]
     diffs = {b - a for a, b in zip(ap, ap[1:])}
     if len(diffs) != 1 or diffs.pop() < 1:
         raise VerificationError(f"line image {ap} is not a progression")

@@ -34,6 +34,8 @@ from .errors import (
     SearchSpaceTooLarge,
     VerificationError,
 )
+from .instances import TableColoring
+from .search import finite_witness_search
 from .semigroups import FiniteSemigroup
 
 IMAGE_LAW_BOUND = 16  # exhaustive subset checks up to 2^16 memberships
@@ -267,7 +269,7 @@ def product_member(B, table, f, points, chain=None):
     return inner
 
 
-def uf_product(U, V, S=None, check=True):
+def uf_product(U, V, S=None):
     """U*V on a finite semigroup, evaluated by the nested membership formula.
 
     The formula is evaluated on every singleton {p}, building the set
@@ -284,7 +286,7 @@ def uf_product(U, V, S=None, check=True):
     n = S.order
     hits = product_member(_singletons(n), S.table, np.arange(n), (U.point, V.point))
     found = _unique_singleton(hits, n, "product")
-    if check and n <= PRODUCT_LAW_BOUND and not check_product_law(S, U, V):
+    if n <= PRODUCT_LAW_BOUND and not check_product_law(S, U, V):
         raise VerificationError("product law failed a subset check")
     return PrincipalUltrafilter(S, found)
 
@@ -295,13 +297,15 @@ def uf_power(U, k, S=None):
         raise ValueError("power must be >= 1")
     acc = U
     for _ in range(k - 1):
-        acc = uf_product(U, acc, S, check=False)
+        acc = uf_product(U, acc, S)
     return acc
 
 
 def check_product_law(S, U, V):
     """Confirm, for every subset, that the nested formula for U*V agrees
     with the principal shortcut point(U)*point(V)."""
+    _require_same_carrier(S.order, _size_of(U.carrier))
+    _require_same_carrier(S.order, _size_of(V.carrier))
     n = S.order
     if n > PRODUCT_LAW_BOUND:
         raise CarrierTooLarge(f"carrier size {n} exceeds {PRODUCT_LAW_BOUND}")
@@ -324,9 +328,18 @@ def tensor_rows(X, dims, points):
     return sets
 
 
-def _require_triple(dims, points):
-    if len(dims) != 3 or len(points) != 3:
+def _tensor_query(dims, points, mask=0, triple=False):
+    """Check a tensor query: three factors if ``triple``, each of size at
+    least 1 (InvalidInstance), one point inside each and a mask that is not
+    negative (CarrierMismatch)."""
+    if triple and (len(dims) != 3 or len(points) != 3):
         raise InvalidInstance(f"(U⊗V)⊗W takes 3 factors, got dims {dims}, points {points}")
+    if any(d < 1 for d in dims):
+        raise InvalidInstance(f"factor sizes must be at least 1, not {dims}")
+    if len(points) != len(dims) or not all(0 <= p < d for p, d in zip(points, dims)):
+        raise CarrierMismatch(f"points {points} are not one inside each factor of {dims}")
+    if mask < 0:
+        raise CarrierMismatch(f"mask {mask} is negative")
 
 
 def _tensor_left_rows(X, dims, points):
@@ -346,12 +359,13 @@ def uf_tensor(U, V):
 def tensor_member(mask, dims, points):
     """X ∈ U₁⊗(U₂⊗...) by vertical sections, right associated, for the
     bitmask ``mask`` of X ⊆ dims[0]×dims[1]×... (row-major)."""
+    _tensor_query(dims, points, mask)
     return bool(_unpack(tensor_rows(_mask_rows([mask], prod(dims)), dims, points), 1).item())
 
 
 def tensor_member_left(mask, dims, points):
     """X ∈ (U₁⊗U₂)⊗U₃ for a triple, pairing the first two coordinates."""
-    _require_triple(dims, points)
+    _tensor_query(dims, points, mask, triple=True)
     rows = _tensor_left_rows(_mask_rows([mask], prod(dims)), dims, points)
     return bool(_unpack(rows, 1).item())
 
@@ -361,7 +375,7 @@ def check_tensor_assoc(dims, points):
     which may have at most IMAGE_LAW_BOUND cells (2^cells memberships).
     Returns (ok, first failing mask or None).
     """
-    _require_triple(dims, points)
+    _tensor_query(dims, points, triple=True)
     cells = prod(dims)
     if cells > IMAGE_LAW_BOUND:
         raise CarrierTooLarge(f"triple product of {cells} cells exceeds {IMAGE_LAW_BOUND}")
@@ -473,10 +487,10 @@ class FipResult:
     subfamilies_checked: int = 0
 
 
-def check_fip(sets, exhaustive_limit=FIP_EXHAUSTIVE_LIMIT):
+def check_fip(sets):
     """Finite intersection property over a list of SubsetQuery.
 
-    Up to ``exhaustive_limit`` sets every nonempty subfamily is intersected
+    Up to FIP_EXHAUSTIVE_LIMIT sets every nonempty subfamily is intersected
     (smallest subfamilies first, so a returned witness is minimal); beyond
     that only pairwise and total intersections are tried.
     """
@@ -487,7 +501,7 @@ def check_fip(sets, exhaustive_limit=FIP_EXHAUSTIVE_LIMIT):
         _require_same_carrier(size, _size_of(s.carrier))
     masks = [s.mask for s in sets]
     checked = 0
-    if len(masks) <= exhaustive_limit:
+    if len(masks) <= FIP_EXHAUSTIVE_LIMIT:
         for take in range(1, len(masks) + 1):
             for combo in combinations(range(len(masks)), take):
                 checked += 1
@@ -559,7 +573,10 @@ class AgreementEquivalenceReport:
 
 
 def check_agreement_equivalence(S, family, r, max_order=10, max_colors=3):
-    """Exhaustively compare statements (a) and (b) above on a finite S."""
+    """Exhaustively compare statements (a) and (b) above on a finite S.
+
+    (a) runs the witness scan of ``search.finite_witness_search`` on every
+    r-coloring of T in turn, up to the first that has no witness."""
     if r < 1:
         raise InvalidInstance(f"need r >= 1 colors, not {r}")
     if S.order > max_order:
@@ -567,26 +584,14 @@ def check_agreement_equivalence(S, family, r, max_order=10, max_colors=3):
     if r > max_colors:
         raise SearchSpaceTooLarge(f"{r} colors exceed {max_colors}")
     view = family.view
-    t_members = view.members()
-    r_members = view.complement()
-    color_of = {}
-
-    def witness_for(coloring):
-        for i, t in enumerate(t_members):
-            color_of[t] = coloring[i]
-        for v in r_members:
-            colors = {color_of[x] for x in family.images(v)}
-            if len(colors) == 1:
-                return v
-        return None
-
+    keys = [TableColoring.key_for(t) for t in view.members()]
     a_holds = True
     a_counterexample = None
     a_first_witness = None
     checked = 0
-    for coloring in iproduct(range(r), repeat=len(t_members)):
+    for coloring in iproduct(range(r), repeat=len(keys)):
         checked += 1
-        w = witness_for(coloring)
+        w = finite_witness_search(S, family, TableColoring(zip(keys, coloring), r=r)).witness
         if checked == 1:
             a_first_witness = w
         if w is None:

@@ -33,10 +33,6 @@ def contains_variable(word):
     return any(s < 0 for s in word)
 
 
-def variable_positions(word):
-    return [p for p, s in enumerate(word) if s < 0]
-
-
 def format_word(word):
     """Compact form: digits for letters, x/y/z for variables 0..2.
 

@@ -16,18 +16,15 @@ from hjlab import (
     ApResidueColoring,
     SubsetQuery,
     TableColoring,
-    VdwEncoding,
-    WordSemigroup,
     build_agreement_set,
     check_agreement_equivalence,
     check_fip,
+    find_ap_via_words,
     flag_semigroup,
     generate_corpus,
     hj_check,
-    substitution_family,
     sweep_tensor_power,
     vdw_check,
-    word_witness_search,
 )
 from hjlab.cli import main
 from hjlab.search import SAT, UNSAT
@@ -83,9 +80,6 @@ def test_criterion_2_w_3_2(capsys):
 
 def test_criterion_3_reduction_cross_check():
     k, N = 3, 5
-    ws = WordSemigroup(k)
-    family = substitution_family(ws)
-    enc = VdwEncoding(k, N)
     domain = list(range(2 * N + 1))  # digit sums of words of length <= N
     colorings = [ApResidueColoring(2)]
     rng = random.Random(0)
@@ -95,10 +89,10 @@ def test_criterion_3_reduction_cross_check():
         )
     passed = 0
     for coloring in colorings:
-        out = word_witness_search(ws, family, enc.pullback(coloring), max_len=N)
+        out = find_ap_via_words(k, coloring, max_len=N)
         if out.status != "found":
             continue
-        ap = enc.line_image(out.witness)
+        ap = out.progression
         diffs = {b - a for a, b in zip(ap, ap[1:])}
         if (
             len(diffs) == 1
@@ -194,15 +188,15 @@ def test_criterion_7_certificate_round_trip(tmp_path, capsys):
     # regenerate every certificate the first three criteria emit
     hj_dir = tmp_path / "hj"
     vdw_dir = tmp_path / "vdw"
-    wit = tmp_path / "w.cert"
+    wit_dir = tmp_path / "wit"
     assert main(["hj", "-n", "2", "-r", "2", "--max-N", "4",
                  "--cert-dir", str(hj_dir)]) == 0
     assert main(["vdw", "-k", "3", "-r", "2", "--max-M", "16",
                  "--cert-dir", str(vdw_dir)]) == 0
-    assert main(["witness", "--hj", "--alphabet", "3", "--coloring",
-                 "apres:2", "--max-len", "5", "-o", str(wit)]) == 0
+    assert main(["vdw", "-k", "3", "--via-hj", "--coloring", "apres:2",
+                 "--max-len", "5", "--cert-dir", str(wit_dir)]) == 0
     certs = sorted(str(p) for d in (hj_dir, vdw_dir) for p in d.iterdir())
-    certs.append(str(wit))
+    certs += [str(p) for p in wit_dir.iterdir()]
 
     all_verify = all(main(["verify", c]) == 0 for c in certs)
     capsys.readouterr()

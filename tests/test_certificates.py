@@ -8,8 +8,8 @@ from hjlab import (
     ApResidueColoring,
     ColoringCertificate,
     ModSumColoring,
+    PullbackColoring,
     TableColoring,
-    VdwEncoding,
     WordSemigroup,
     finite_witness_search,
     flag_semigroup,
@@ -39,10 +39,10 @@ def words_cert():
 
 
 def apres_vdw_cert():
-    # as `hjlab witness --hj --alphabet 3 --max-len 5 --coloring apres:2` builds it
+    # as `hjlab vdw -k 3 --via-hj --coloring apres:2 --max-len 5 --cert-dir` builds it
     ws = WordSemigroup(3)
     base = ApResidueColoring(2)
-    search = VdwEncoding(3, 5).pullback(base)
+    search = PullbackColoring(base, sum)
     out = word_witness_search(ws, substitution_family(ws), search, max_len=5)
     return words_witness_certificate(ws, base, out, reduction="vdw")
 

@@ -111,7 +111,7 @@ def test_witness_hj_rejects_a_zero_size(size, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["witness", "--hj", "--coloring", "mod:2", "--max-len", "0"],
-    ["witness", "--hj", "--coloring", "apres:2", "--max-len", "-2"],
+    ["witness", "--hj", "--coloring", "mod:2", "--max-len", "-2"],
     ["vdw", "--via-hj", "-k", "3", "--max-len", "0"],
     ["vdw", "--via-hj", "-k", "3", "--max-len", "-2"],
 ])
@@ -140,14 +140,16 @@ def test_witness_finite_rejects_non_table_coloring(flag2, capsys):
     assert main(["witness", "--semigroup", flag2, "--coloring", "mod:2"]) == 2
 
 
-def test_witness_apres_goes_through_the_reduction(tmp_path, capsys):
+def test_witness_apres_names_vdw_via_hj(tmp_path, capsys):
+    # integer colorings reach words only through the digit-sum reduction
     cert = tmp_path / "r.cert"
     code = main(["witness", "--hj", "--alphabet", "3",
                  "--coloring", "apres:2", "--max-len", "5", "-o", str(cert)])
-    assert code == 0
-    assert main(["verify", str(cert)]) == 0
+    assert code == 2
     out = capsys.readouterr().out
-    assert "pass" in out
+    assert out.startswith("error: ") and out.count("\n") == 1
+    assert "hjlab vdw --via-hj" in out
+    assert not cert.exists()
 
 
 # -- hj / vdw -----------------------------------------------------------------
@@ -200,6 +202,8 @@ def test_vdw_needs_max_m(capsys):
     ["hj", "-n", "2", "-r", "0", "--max-N", "3"],
     ["hj", "-n", "2", "-r", "2", "--max-N", "0"],
     ["vdw", "-k", "1", "--max-M", "5"],
+    # a nan deadline compares false with every time, so the sweep never stops
+    ["hj", "-n", "2", "-r", "2", "--max-N", "3", "--budget-seconds", "nan"],
 ])
 def test_invalid_number_parameters_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -350,14 +354,16 @@ def test_verify_rejects_tampering(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,old,new", [
-    (["--coloring", "apres:2", "--alphabet", "3", "--max-len", "5"],
+    # the last option names the certificate file or its directory
+    (["vdw", "-k", "3", "--via-hj", "--coloring", "apres:2", "--max-len", "5", "--cert-dir"],
      "reduction: vdw", "reduction: none"),
-    (["--coloring", "mod:2"], "reduction: none", "reduction: vdw"),
+    (["witness", "--hj", "--coloring", "mod:2", "-o"], "reduction: none", "reduction: vdw"),
 ])
 def test_verify_fails_a_coloring_that_does_not_fit_its_reduction(tmp_path, capsys, argv, old, new):
-    cert = tmp_path / "w.cert"
-    assert main(["witness", "--hj", *argv, "-o", str(cert)]) == 0
+    written = tmp_path / "out"
+    assert main([*argv, str(written)]) == 0
     capsys.readouterr()
+    cert = written if written.is_file() else next(written.iterdir())
     payload = cert.read_text().rsplit("check: ", 1)[0].replace(old, new)
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     cert.write_text(payload + f"check: {digest}\nend\n")

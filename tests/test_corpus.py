@@ -75,7 +75,7 @@ def test_corpus_is_seed_deterministic():
 
 
 def test_corpus_respects_bounds_and_is_duplicate_free():
-    entries = generate_corpus(count=30, max_order=6, max_degree=4, seed=3)
+    entries = generate_corpus(count=30, max_order=6, seed=3)
     assert len(entries) == 30
     seen = set()
     for e in entries:

@@ -9,7 +9,6 @@ from hjlab import (
     ModSumColoring,
     PullbackColoring,
     TableColoring,
-    VdwEncoding,
     WordSemigroup,
     encode_word,
     parse_coloring_spec,
@@ -114,20 +113,32 @@ def test_parse_coloring_table_file(tmp_path):
 
 # -- the vdW digit-sum reduction ----------------------------------------------
 
+def _variable_positions(w):
+    return sum(1 for s in w if s < 0)
+
+
 def test_digit_sum_reduction_sends_lines_to_progressions():
-    enc = VdwEncoding(3, 4)
+    # the images sort by substitution letter, so their digit sums step by the
+    # number of variable positions
     ws = WordSemigroup(3)
-    for w in ws.iter_words(4, min_len=4, require_variable=True):
-        image = enc.line_image(w)
-        # the image really is the pointwise digit sum over the line
-        assert image == [enc.digit_sum(s.apply(w)) for s in ws.substitutions()]
-        diffs = {b - a for a, b in zip(image, image[1:])}
-        assert len(diffs) == 1 and diffs.pop() >= 1
+    family = substitution_family(ws)
+    for w in ws.iter_words(4, require_variable=True):
+        sums = [sum(image) for image in family.images(w)]
+        fixed = sum(s for s in w if s >= 0)
+        assert sums == [fixed + a * _variable_positions(w) for a in range(3)]
 
 
 def test_pullback_color_matches_projection():
-    enc = VdwEncoding(3, 4)
+    # pulled back along the digit sum, a line is monochromatic exactly when
+    # its progression is
+    ws = WordSemigroup(3)
+    family = substitution_family(ws)
     base = ApResidueColoring(2)
-    pulled = enc.pullback(base)
+    pulled = PullbackColoring(base, sum)
     for w in itertools.product(range(3), repeat=4):
         assert pulled.color_of(w) == base.color_of(sum(w))
+    for w in ws.iter_words(4, require_variable=True):
+        images = family.images(w)
+        step = _variable_positions(w)
+        ap = [sum(images[0]) + a * step for a in range(3)]
+        assert {pulled.color_of(x) for x in images} == {base.color_of(m) for m in ap}

@@ -19,7 +19,7 @@ from hjlab import (
     Symmetry,
     TableColoring,
     UNSAT,
-    VdwEncoding,
+    WitnessOutcome,
     WordSemigroup,
     ap_edges,
     find_ap_via_words,
@@ -212,6 +212,19 @@ def test_time_budget_covers_the_whole_sweep():
     res = vdw_number(5, 2, 178, budget_seconds=0.5)
     assert res.budget_hit and not res.decided
     assert time.monotonic() - start < 1.5
+
+
+@pytest.mark.parametrize("budget", ["budget_seconds", "budget_nodes"])
+def test_a_nan_budget_is_rejected(budget):
+    # every comparison with nan is false, so a nan budget would never stop
+    # the search: hj_check(2, 2, 2) ran to UNSAT
+    with pytest.raises(InvalidInstance, match="nan"):
+        hj_check(2, 2, 2, **{budget: float("nan")})
+    with pytest.raises(InvalidInstance, match="nan"):
+        hj_number(2, 2, 3, **{budget: float("nan")})
+    # inf is no budget at all, and stays legal
+    assert hj_check(2, 2, 2, **{budget: float("inf")}).status == UNSAT
+    assert hj_number(2, 2, 3, **{budget: float("inf")}).value == 2
 
 
 def _number_runs(nodes):
@@ -433,6 +446,9 @@ def test_via_hj_reduction_cross_check():
 
 
 def test_via_hj_rejects_a_line_image_that_is_no_progression(monkeypatch):
-    monkeypatch.setattr(VdwEncoding, "line_image", lambda self, template: [1, 2, 4])
-    with pytest.raises(VerificationError):
-        find_ap_via_words(3, ApResidueColoring(2), max_len=5)
+    # a "line" whose images have the digit sums 1, 2, 4, under one color, so
+    # only the step check can reject it
+    line = WitnessOutcome("found", parse_word("x"), [(1,), (2,), (2, 2)], 0, 1)
+    monkeypatch.setattr(hjlab.search, "word_witness_search", lambda *args, **kwargs: line)
+    with pytest.raises(VerificationError, match="not a progression"):
+        find_ap_via_words(3, ApResidueColoring(1), max_len=5)

@@ -1,10 +1,12 @@
 """Checks on the package source itself."""
 import ast
+import importlib.util
 import pathlib
 
 import hjlab
 
 SRC = pathlib.Path(hjlab.__file__).parent
+TRACING = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
 def test_no_assert_survives_python_O():
@@ -58,3 +60,18 @@ def test_package_imports_have_no_cycle():
 
     for m in sorted(graph):
         visit(m)
+
+
+def test_every_traced_layer_resolves():
+    """Each (module, attribute path) the benchmark's tracer wraps still
+    exists, so a refactor cannot leave a layer unmeasured unnoticed."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for span, module_name, path, _ in tracing.LAYERS:
+        try:
+            tracing._resolve(module_name, path)
+        except (ImportError, AttributeError):
+            missing.append(f"{span} ({module_name}.{path})")
+    assert missing == []

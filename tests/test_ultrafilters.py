@@ -154,6 +154,16 @@ def test_product_law_bound_enforced():
         check_product_law(S, PrincipalUltrafilter(S, 0), PrincipalUltrafilter(S, 1))
 
 
+def test_product_law_rejects_an_ultrafilter_on_another_carrier():
+    # point 7 of a 9-point carrier would index past the order-4 table
+    S = cyclic_semigroup(4)
+    U, V = PrincipalUltrafilter(9, 7), PrincipalUltrafilter(S, 1)
+    with pytest.raises(CarrierMismatch):
+        check_product_law(S, U, V)
+    with pytest.raises(CarrierMismatch):
+        check_product_law(S, V, U)
+
+
 # -- tensor product ----------------------------------------------------------
 
 @pytest.mark.parametrize("sizes", [(2, 2), (2, 3), (3, 2), (4, 3)])
@@ -218,6 +228,25 @@ def test_tensor_member_left_agrees_by_definition():
 ])
 def test_left_associated_triple_rejects_other_arities(call):
     with pytest.raises(InvalidInstance, match="3 factors"):
+        call()
+
+
+@pytest.mark.parametrize("call,error", [
+    # -1 wrapped to the last index and answered for it
+    (lambda: tensor_member(1, (2, 2), (-1, 0)), CarrierMismatch),
+    (lambda: check_tensor_assoc((2, 2, 2), (0, 0, -1)), CarrierMismatch),
+    # past the factor: a numpy IndexError
+    (lambda: check_tensor_assoc((2, 2, 2), (0, 0, 5)), CarrierMismatch),
+    (lambda: tensor_member_left(1, (2, 2, 2), (0, 0, 2)), CarrierMismatch),
+    # fewer points than factors: a bare reshape ValueError
+    (lambda: tensor_member(1, (2, 2), (0,)), CarrierMismatch),
+    # a negative mask, which SubsetQuery rejects, answered as True
+    (lambda: tensor_member(-1, (2, 2), (0, 0)), CarrierMismatch),
+    # "negative shift count"
+    (lambda: check_tensor_assoc((2, -2, 2), (0, 0, 0)), InvalidInstance),
+])
+def test_tensor_queries_check_their_inputs(call, error):
+    with pytest.raises(error):
         call()
 
 
