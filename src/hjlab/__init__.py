@@ -67,7 +67,6 @@ from .instances import (
     ModSumColoring,
     PullbackColoring,
     TableColoring,
-    encode_word,
     parse_coloring_spec,
 )
 from .search import (

@@ -1,12 +1,11 @@
 """Concrete instances of the abstract framework.
 
-The base-n code of a constant word and the coloring kinds: words take the
-modular digit sum or an explicit table, integers the residue or a table
-(``WORD_KINDS``, ``INTEGER_KINDS``).  An integer coloring reaches words only
-by a pullback along the digit sum, in ``search.find_ap_via_words``, the
-classical reduction of van der Waerden to Hales-Jewett.  Combinatorial lines
-are one-variable words (``words``); ``search.LineHypergraph`` turns them
-into edges.
+The coloring kinds: words take the modular digit sum or an explicit table,
+integers the residue or a table (``WORD_KINDS``, ``INTEGER_KINDS``).  An
+integer coloring reaches words only by a pullback along the digit sum, in
+``search.find_ap_via_words``, the classical reduction of van der Waerden to
+Hales-Jewett.  Combinatorial lines are one-variable words (``words``);
+``search.LineHypergraph`` turns all of them into base-n coded edges at once.
 """
 from __future__ import annotations
 
@@ -14,14 +13,6 @@ import os
 
 from .errors import ColoringSpecError, InvalidColoring
 from .words import format_word
-
-
-def encode_word(w, n):
-    """Base-n value of a constant word, most significant digit first."""
-    value = 0
-    for sym in w:
-        value = value * n + sym
-    return value
 
 
 # the coloring kinds that color integers: digit sums, semigroup elements

@@ -45,7 +45,7 @@ from math import factorial, isnan
 import numpy as np
 
 from .errors import InvalidInstance, VerificationError
-from .instances import INTEGER_KINDS, PullbackColoring, encode_word
+from .instances import INTEGER_KINDS, PullbackColoring
 from .words import WordSemigroup, substitution_family
 
 DEFAULT_NODE_BUDGET = 10 ** 9
@@ -62,24 +62,26 @@ BUDGET = "budget"
 @dataclass
 class LineHypergraph:
     """Vertices are the n^N constant words (base-n encoded); edges are the
-    combinatorial lines: the images of each one-variable word of length N
-    under the n diagonal substitutions, in lexicographic word order (letters
-    before x)."""
+    combinatorial lines, one row per one-variable word of length N in
+    lexicographic word order (letters before x): column a holds its image
+    under sigma_a, computed for every word and every a at once."""
 
     n: int
     N: int
-    edges: list
+    edges: np.ndarray  # (lines, n)
 
     @classmethod
     def build(cls, n, N):
         if n < 2 or N < 1:
             raise InvalidInstance("need n >= 2, N >= 1")
-        ws = WordSemigroup(n)
-        subs = ws.substitutions()
-        edges = [
-            tuple(encode_word(s.apply(w), n) for s in subs)
-            for w in ws.iter_words(N, min_len=N, require_variable=True)
-        ]
+        # the words over the letters and x = n, in lexicographic order, are
+        # the base-(n+1) digit rows of 0, 1, 2, ...; the lines are those with x
+        powers = np.arange(N - 1, -1, -1, dtype=np.int64)
+        words = np.arange((n + 1) ** N, dtype=np.int64)[:, None] // (n + 1) ** powers % (n + 1)
+        lines = words[(words == n).any(axis=1)]
+        # column a: sigma_a substitutes a for x in every line, base-n coded
+        is_x, weights = lines == n, n ** powers
+        edges = np.stack([np.where(is_x, a, lines) @ weights for a in range(n)], axis=1)
         return cls(n, N, edges)
 
     @property
@@ -88,12 +90,11 @@ class LineHypergraph:
 
 
 def ap_edges(k, M):
-    """All k-term arithmetic progressions inside [1..M], as 0-based tuples."""
-    edges = []
-    for d in range(1, M):
-        for a in range(1, M + 1 - (k - 1) * d):
-            edges.append(tuple(a - 1 + i * d for i in range(k)))
-    return edges
+    """All k-term arithmetic progressions inside [1..M], 0-based, as a
+    (count, k) array ordered by step, then by first term."""
+    terms = np.arange(k, dtype=np.int64)
+    blocks = [np.arange(M - (k - 1) * d)[:, None] + d * terms for d in range(1, M)]
+    return np.concatenate([np.empty((0, k), dtype=np.int64), *blocks])
 
 
 @dataclass
@@ -153,7 +154,7 @@ def hj_symmetry(n, N, r, cells, include=("color", "coordinate", "alphabet")):
             include.discard("alphabet")
     cells = _cells(cells, n ** N)
     weights = n ** np.arange(N - 1, -1, -1, dtype=np.int64)
-    digits = cells[:, None] // weights % n  # (len(cells), N), inverts encode_word
+    digits = cells[:, None] // weights % n  # (len(cells), N): the word each cell codes
     coord = list(permutations(range(N))) if "coordinate" in include else [tuple(range(N))]
     alpha = np.array(
         list(permutations(range(n))) if "alphabet" in include else [tuple(range(n))],
@@ -241,6 +242,17 @@ class _BudgetHit(Exception):
     pass
 
 
+def _check_budgets(budget_nodes, budget_seconds):
+    """A caller's budgets are numbers >= 0 or inf: a negative one would stop
+    a search never allowed to run and report it as a budget stop, and a nan
+    one never stop it (this test is false for nan too)."""
+    if not (budget_nodes >= 0 and budget_seconds >= 0):
+        raise InvalidInstance(
+            f"budgets are numbers >= 0 or inf, not budget_nodes={budget_nodes}, "
+            f"budget_seconds={budget_seconds}"
+        )
+
+
 @dataclass(slots=True)
 class _Frame:
     """One decision level: its position in the decision order, the trail
@@ -279,7 +291,7 @@ class HypergraphSolver:
             raise InvalidInstance("a node or time budget is a number or inf, not nan")
         self.V = num_vertices
         self.r = r
-        self.edges = list(edges)
+        self.edges = edges.tolist() if isinstance(edges, np.ndarray) else list(edges)
         self.build_symmetry = symmetry
         self.budget_nodes = budget_nodes
         self.budget_seconds = budget_seconds
@@ -392,7 +404,9 @@ class HypergraphSolver:
         if self.symmetry is None:
             return False
         head = self.head
-        if len(head) > SYMMETRY_DEPTH and all(self.colors[v] >= 0 for v in head):
+        # every position up to frame.d is colored: the stack pushes the
+        # first uncolored position, and the frame has just decided it
+        if len(head) > SYMMETRY_DEPTH and all(self.colors[v] >= 0 for v in head[frame.d + 1:]):
             return False
         survivors = self.root_survivors if parent is None else parent.survivors
         return canonical_prune(self.colors, head, self.symmetry, survivors, frame)
@@ -451,14 +465,15 @@ class HypergraphSolver:
 
 
 def verify_proper_coloring(edges, coloring):
-    """Full edge scan: no edge monochromatic, all vertices colored."""
+    """Full edge scan: no edge monochromatic, all vertices colored.
+    ``edges`` is an (E, k) vertex array, or E rows of k vertices."""
     if any(c is None or c < 0 for c in coloring):
         return False
-    for e in edges:
-        first = coloring[e[0]]
-        if all(coloring[u] == first for u in e[1:]):
-            return False
-    return True
+    edges = np.asarray(edges, dtype=np.int64)
+    if not len(edges):
+        return True
+    colors = np.asarray(coloring, dtype=np.int64)
+    return not (colors[edges] == colors[edges[:, :1]]).all(axis=1).any()
 
 
 # -- hypergraph instances ------------------------------------------------
@@ -482,7 +497,7 @@ class Instance:
     params: tuple
     r: int
     num_vertices: int
-    build_edges: Callable  # () -> list of vertex tuples
+    build_edges: Callable  # () -> (E, k) int64 array of edge vertices
     build_symmetry: Callable  # (generator spec, cells) -> Symmetry
     default_symmetry: tuple
 
@@ -542,6 +557,7 @@ def check_instance(
     covers building the edges and the symmetry group too.
     """
     start = time.monotonic()
+    _check_budgets(budget_nodes, budget_seconds)
     if symmetry is None:
         symmetry = inst.default_symmetry
     edges = inst.build_edges()
@@ -596,11 +612,13 @@ def least_size(make, a, r, max_size, budget_seconds=DEFAULT_TIME_BUDGET, **kwarg
     # rejects bad parameters before any search; the smallest size is cheap to
     # build, where hj's largest would compute n ** max_size first
     make(a, r, min(max_size, 1))
+    _check_budgets(kwargs.get("budget_nodes", DEFAULT_NODE_BUDGET), budget_seconds)
     deadline = time.monotonic() + budget_seconds
     runs = []
     for size in range(1, max_size + 1):
+        # a spent deadline hands down 0 s: an honest budget stop, not bad input
         res = check_instance(
-            make(a, r, size), budget_seconds=deadline - time.monotonic(), **kwargs
+            make(a, r, size), budget_seconds=max(0.0, deadline - time.monotonic()), **kwargs
         )
         runs.append((size, res))
         if res.status == UNSAT:

@@ -329,11 +329,13 @@ def tensor_rows(X, dims, points):
 
 
 def _tensor_query(dims, points, mask=0, triple=False):
-    """Check a tensor query: three factors if ``triple``, each of size at
-    least 1 (InvalidInstance), one point inside each and a mask that is not
-    negative (CarrierMismatch)."""
+    """Check a tensor query: at least one factor, three if ``triple``, each
+    of size at least 1 (InvalidInstance), one point inside each and a mask
+    that is not negative (CarrierMismatch)."""
     if triple and (len(dims) != 3 or len(points) != 3):
         raise InvalidInstance(f"(U⊗V)⊗W takes 3 factors, got dims {dims}, points {points}")
+    if not len(dims):
+        raise InvalidInstance("a tensor query takes at least one factor")
     if any(d < 1 for d in dims):
         raise InvalidInstance(f"factor sizes must be at least 1, not {dims}")
     if len(points) != len(dims) or not all(0 <= p < d for p, d in zip(points, dims)):

@@ -10,6 +10,8 @@ import itertools
 
 import numpy as np
 
+from hjlab import WordSemigroup
+
 
 # -- hypergraph colorings -------------------------------------------------
 
@@ -161,6 +163,36 @@ def line_point_sets(n, N):
             points.append(code)
         lines.add(frozenset(points))
     return lines
+
+
+def encode_word(w, n):
+    """Base-n value of a constant word, most significant digit first."""
+    value = 0
+    for sym in w:
+        value = value * n + sym
+    return value
+
+
+def line_edges(n, N):
+    """The combinatorial lines of [n]^N by their definition, one word at a
+    time: each one-variable word of length N in word order, under each
+    diagonal substitution."""
+    ws = WordSemigroup(n)
+    subs = ws.substitutions()
+    return [
+        tuple(encode_word(s.apply(w), n) for s in subs)
+        for w in ws.iter_words(N, min_len=N, require_variable=True)
+    ]
+
+
+def ap_edge_list(k, M):
+    """The k-term progressions inside [1..M] (0-based) ordered by step,
+    then by first term."""
+    edges = []
+    for d in range(1, M):
+        for a in range(1, M + 1 - (k - 1) * d):
+            edges.append(tuple(a - 1 + i * d for i in range(k)))
+    return edges
 
 
 def ap_triples(k, M):

@@ -204,6 +204,9 @@ def test_vdw_needs_max_m(capsys):
     ["vdw", "-k", "1", "--max-M", "5"],
     # a nan deadline compares false with every time, so the sweep never stops
     ["hj", "-n", "2", "-r", "2", "--max-N", "3", "--budget-seconds", "nan"],
+    # a negative budget was reported as a budget stop
+    ["hj", "-n", "2", "-r", "2", "--max-N", "3", "--budget-seconds", "-1"],
+    ["hj", "-n", "2", "-r", "2", "--max-N", "3", "--budget-nodes", "-1"],
 ])
 def test_invalid_number_parameters_exit_2(argv, capsys):
     assert main(argv) == 2

@@ -10,7 +10,6 @@ from hjlab import (
     PullbackColoring,
     TableColoring,
     WordSemigroup,
-    encode_word,
     parse_coloring_spec,
     substitution_family,
 )
@@ -30,11 +29,11 @@ def test_line_counts(n, N, count):
 @pytest.mark.parametrize("n,N", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
 def test_lines_match_the_naive_enumeration(n, N):
     want = oracles.line_point_sets(n, N)
-    assert {frozenset(e) for e in LineHypergraph.build(n, N).edges} == want
+    assert {frozenset(e) for e in map(tuple, LineHypergraph.build(n, N).edges.tolist())} == want
     # the lines are the image sets of the validated diagonal retraction family
     ws = WordSemigroup(n)
     family = substitution_family(ws)
-    images = {frozenset(encode_word(p, n) for p in family.images(w))
+    images = {frozenset(oracles.encode_word(p, n) for p in family.images(w))
               for w in ws.iter_words(N, min_len=N, require_variable=True)}
     assert images == want
 
@@ -49,7 +48,7 @@ def test_encode_decode_roundtrip():
     # the base-n codes of the words in lexicographic order are 0, 1, 2, ...,
     # so a code decodes to exactly one word
     for n, N in ((2, 4), (3, 3)):
-        codes = [encode_word(w, n) for w in itertools.product(range(n), repeat=N)]
+        codes = [oracles.encode_word(w, n) for w in itertools.product(range(n), repeat=N)]
         assert codes == list(range(n ** N))
 
 

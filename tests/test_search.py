@@ -51,14 +51,32 @@ def test_line_hypergraph_shape():
     hg = LineHypergraph.build(2, 2)
     assert hg.num_vertices == 4
     assert len(hg.edges) == 5
-    got = {frozenset(e) for e in hg.edges}
+    got = {frozenset(e) for e in map(tuple, hg.edges.tolist())}
     assert got == oracles.line_point_sets(2, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_line_edges_are_the_substitution_images_in_word_order(n, N):
+    # at most 6^5 words over the letters and x: the per-word oracle stays quick
+    edges = LineHypergraph.build(n, N).edges
+    assert edges.dtype == np.int64 and edges.shape == ((n + 1) ** N - n ** N, n)
+    assert list(map(tuple, edges.tolist())) == oracles.line_edges(n, N)
 
 
 def test_ap_edges_match_oracle():
     for k in (3, 4):
         for M in range(k, 13):
-            assert sorted(ap_edges(k, M)) == sorted(oracles.ap_triples(k, M))
+            got = sorted(map(tuple, ap_edges(k, M).tolist()))
+            assert got == sorted(oracles.ap_triples(k, M))
+
+
+def test_ap_edges_keep_the_step_major_order():
+    for k in range(2, 6):
+        for M in range(1, 41):
+            edges = ap_edges(k, M)
+            assert edges.dtype == np.int64 and edges.shape[1] == k
+            assert list(map(tuple, edges.tolist())) == oracles.ap_edge_list(k, M)
 
 
 def test_verify_proper_coloring():
@@ -67,6 +85,35 @@ def test_verify_proper_coloring():
         edges, [0, 1, 1, 0, 0]
     )
     assert not verify_proper_coloring(edges, [0, 0, 0, 1, 1])
+
+
+@pytest.mark.parametrize("edges", [
+    LineHypergraph.build(3, 2).edges, ap_edges(3, 8), ap_edges(4, 20),
+], ids=["hj3x2", "vdw3x8", "vdw4x20"])
+def test_verify_proper_coloring_matches_the_oracle(edges):
+    V = int(edges.max()) + 1
+    rows = list(map(tuple, edges.tolist()))
+    for coloring in np.random.default_rng(V).integers(0, 2, (300, V)).tolist():
+        assert verify_proper_coloring(edges, coloring) == oracles.proper(rows, coloring)
+    status, proper, _ = oracles.counter_solve(V, rows, 2)
+    assert status == SAT and verify_proper_coloring(edges, proper)
+    # after rows that are not monochromatic, a last one that is
+    major = max(set(proper), key=proper.count)
+    mono = [v for v in range(V) if proper[v] == major][: edges.shape[1]]
+    assert not verify_proper_coloring(np.vstack([edges, [mono]]), proper)
+    # no edges: a complete coloring is proper, an incomplete one is not
+    assert verify_proper_coloring(edges[:0], proper)
+    assert not verify_proper_coloring(edges[:0], [*proper[:-1], None])
+    assert not verify_proper_coloring(edges, [-1, *proper[1:]])
+
+
+@pytest.mark.parametrize("inst", [hj_instance(3, 2, 3), vdw_instance(3, 2, 9)],
+                         ids=["hj", "vdw"])
+def test_every_build_edges_call_builds_afresh(inst):
+    # the solver's answer is checked against edges it never held
+    first, second = inst.build_edges(), inst.build_edges()
+    assert np.array_equal(first, second)
+    assert not np.shares_memory(first, second)
 
 
 # -- solver soundness ---------------------------------------------------------
@@ -227,6 +274,24 @@ def test_a_nan_budget_is_rejected(budget):
     assert hj_number(2, 2, 3, **{budget: float("inf")}).value == 2
 
 
+@pytest.mark.parametrize("budget", ["budget_seconds", "budget_nodes"])
+def test_a_negative_budget_is_rejected(budget):
+    # it was reported as a budget stop of a search never allowed to run
+    with pytest.raises(InvalidInstance, match=">= 0"):
+        hj_check(2, 2, 2, **{budget: -1})
+    with pytest.raises(InvalidInstance, match=">= 0"):
+        hj_number(2, 2, 3, **{budget: -1})
+    # 0 is a budget, spent at once
+    assert hj_check(2, 2, 2, **{budget: 0}).status == BUDGET
+
+
+def test_a_spent_sweep_deadline_is_a_budget_stop():
+    # the time left for a size is clamped at 0, never handed down negative
+    res = hj_number(3, 2, 4, budget_seconds=0)
+    assert res.budget_hit and res.lower_bound == 0
+    assert [(N, run.status) for N, run in res.runs] == [(1, BUDGET)]
+
+
 def _number_runs(nodes):
     # every size SAT but the last, which is UNSAT
     last = len(nodes)
@@ -260,7 +325,7 @@ def test_symmetry_subsets_agree():
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_hj_symmetry_matches_the_per_word_oracle(n, N):
-    lines = {frozenset(e) for e in LineHypergraph.build(n, N).edges}
+    lines = {frozenset(e) for e in map(tuple, LineHypergraph.build(n, N).edges.tolist())}
     V = n ** N
     # a shuffled subset of the cells: column j must be the image of subset[j]
     subset = np.random.default_rng(10 * n + N).permutation(V)[: (V + 1) // 2]

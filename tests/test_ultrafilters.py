@@ -244,6 +244,8 @@ def test_left_associated_triple_rejects_other_arities(call):
     (lambda: tensor_member(-1, (2, 2), (0, 0)), CarrierMismatch),
     # "negative shift count"
     (lambda: check_tensor_assoc((2, -2, 2), (0, 0, 0)), InvalidInstance),
+    # no factors at all, answered as True
+    pytest.param(lambda: tensor_member(1, (), ()), InvalidInstance, id="no-factors"),
 ])
 def test_tensor_queries_check_their_inputs(call, error):
     with pytest.raises(error):
