@@ -18,13 +18,13 @@ from .semigroups import (
     validate_retraction,
 )
 from .words import (
+    X,
     Substitution,
     WordSemigroup,
     format_word,
     parse_word,
     substitute,
     substitution_family,
-    variable,
 )
 from .tableio import (
     format_semigroup_file,

@@ -67,7 +67,6 @@ def _parse_coloring(fields):
 class WitnessWordsCertificate:
     kind = "witness-words"
     alphabet: int
-    variables: int
     reduction: str  # none | vdw
     coloring: object  # ModSumColoring | ApResidueColoring | TableColoring
     witness: tuple
@@ -109,7 +108,7 @@ def render_certificate(cert):
     lines = [HEADER, f"kind: {cert.kind}"]
     if isinstance(cert, WitnessWordsCertificate):
         lines.append(f"alphabet: {cert.alphabet}")
-        lines.append(f"variables: {cert.variables}")
+        lines.append("variables: 1")  # words have the one variable x
         lines.append(f"reduction: {cert.reduction}")
         lines += _render_coloring(cert.coloring)
         lines.append(f"witness: {format_word(cert.witness)}")
@@ -180,9 +179,10 @@ def parse_certificate(text):
     # each kind consumes its own fields; whatever is left belongs to none
     try:
         if kind == "witness-words":
+            if int(_one(fields, "variables")) != 1:
+                raise CertificateError("a witness-words certificate has one variable")
             cert = WitnessWordsCertificate(
                 alphabet=int(_one(fields, "alphabet")),
-                variables=int(_one(fields, "variables")),
                 reduction=_one(fields, "reduction"),
                 coloring=_parse_coloring(fields),
                 witness=parse_word(_one(fields, "witness")),
@@ -247,7 +247,7 @@ def _words_claim(cert):
         color_of = lambda w: base(sum(w))
     else:
         raise VerificationError(f"unknown reduction {cert.reduction!r}")
-    ws = WordSemigroup(cert.alphabet, cert.variables)
+    ws = WordSemigroup(cert.alphabet)
     return ws.valid_word, substitution_family(ws), color_of
 
 
@@ -329,7 +329,6 @@ def load_certificate(path):
 def words_witness_certificate(ws, coloring, outcome, reduction="none"):
     return WitnessWordsCertificate(
         alphabet=ws.alphabet_size,
-        variables=ws.variable_count,
         reduction=reduction,
         coloring=coloring,
         witness=outcome.witness,

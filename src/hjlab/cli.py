@@ -44,6 +44,7 @@ from .search import (
     DEFAULT_TIME_BUDGET,
     INSTANCE_FIELDS,
     WitnessOutcome,
+    check_budgets,
     finite_witness_search,
     find_ap_via_words,
     hj_instance,
@@ -145,7 +146,7 @@ def cmd_witness(args):
                 f"{coloring.kind} colorings do not color words; "
                 "integer colorings go through hjlab vdw --via-hj"
             )
-        ws = WordSemigroup(args.alphabet, args.variables)
+        ws = WordSemigroup(args.alphabet)
         family = substitution_family(ws)
         outcome = word_witness_search(ws, family, coloring, max_len=args.max_len)
         if outcome.status != "found":
@@ -219,6 +220,8 @@ def cmd_number(args):
 
 
 def cmd_vdw(args):
+    # --via-hj runs no sweep, but a bad budget is bad input on both paths
+    check_budgets(args.budget_nodes, args.budget_seconds)
     if args.via_hj:
         return cmd_via_hj(args)
     if args.max_M is None:
@@ -347,7 +350,6 @@ def build_parser():
     p = sub.add_parser("witness", allow_abbrev=False, help="search for a monochromatic image set")
     p.add_argument("--hj", action="store_true", help="word-semigroup instance")
     p.add_argument("--alphabet", type=int, default=2)
-    p.add_argument("--variables", type=int, default=1)
     p.add_argument("--max-len", type=int, default=8)
     p.add_argument("--semigroup", help="finite instance from a semigroup file")
     p.add_argument("--coloring", required=True,
@@ -358,9 +360,10 @@ def build_parser():
     # the options every least-size sweep shares
     sweep = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     sweep.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET,
-                       help="search nodes allowed for each size")
+                       help="search nodes allowed for each size (vdw --via-hj runs no sweep)")
     sweep.add_argument("--budget-seconds", type=float, default=DEFAULT_TIME_BUDGET,
-                       help="seconds allowed for the whole sweep, set-up included")
+                       help="seconds allowed for the whole sweep, set-up included "
+                       "(vdw --via-hj runs no sweep)")
     sweep.add_argument("--no-symmetry", action="store_true")
     sweep.add_argument("--cert-dir", help="write SAT coloring certificates here")
 

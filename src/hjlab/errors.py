@@ -43,10 +43,6 @@ class SearchSpaceTooLarge(HjlabError):
     pass
 
 
-class UnassignedVariable(HjlabError):
-    pass
-
-
 class InvalidColoring(HjlabError):
     pass
 

@@ -40,7 +40,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
-from math import factorial, isnan
+from math import factorial
 
 import numpy as np
 
@@ -92,6 +92,9 @@ class LineHypergraph:
 def ap_edges(k, M):
     """All k-term arithmetic progressions inside [1..M], 0-based, as a
     (count, k) array ordered by step, then by first term."""
+    if k < 2:
+        # every step would repeat the same one-term progressions
+        raise InvalidInstance(f"need k >= 2, not {k}")
     terms = np.arange(k, dtype=np.int64)
     blocks = [np.arange(M - (k - 1) * d)[:, None] + d * terms for d in range(1, M)]
     return np.concatenate([np.empty((0, k), dtype=np.int64), *blocks])
@@ -242,7 +245,7 @@ class _BudgetHit(Exception):
     pass
 
 
-def _check_budgets(budget_nodes, budget_seconds):
+def check_budgets(budget_nodes, budget_seconds):
     """A caller's budgets are numbers >= 0 or inf: a negative one would stop
     a search never allowed to run and report it as a budget stop, and a nan
     one never stop it (this test is false for nan too)."""
@@ -286,9 +289,7 @@ class HypergraphSolver:
         budget_nodes=DEFAULT_NODE_BUDGET,
         budget_seconds=DEFAULT_TIME_BUDGET,
     ):
-        # every comparison with a nan deadline is false: the search would never stop
-        if isnan(budget_nodes) or isnan(budget_seconds):
-            raise InvalidInstance("a node or time budget is a number or inf, not nan")
+        check_budgets(budget_nodes, budget_seconds)
         self.V = num_vertices
         self.r = r
         self.edges = edges.tolist() if isinstance(edges, np.ndarray) else list(edges)
@@ -557,7 +558,7 @@ def check_instance(
     covers building the edges and the symmetry group too.
     """
     start = time.monotonic()
-    _check_budgets(budget_nodes, budget_seconds)
+    check_budgets(budget_nodes, budget_seconds)
     if symmetry is None:
         symmetry = inst.default_symmetry
     edges = inst.build_edges()
@@ -567,7 +568,8 @@ def check_instance(
         inst.r,
         symmetry=(lambda cells: inst.build_symmetry(symmetry, cells)) if symmetry else None,
         budget_nodes=budget_nodes,
-        budget_seconds=budget_seconds - (time.monotonic() - start),
+        # a slow set-up hands down 0 s: an honest budget stop, not bad input
+        budget_seconds=max(0.0, budget_seconds - (time.monotonic() - start)),
     ).solve()
     if res.status == SAT and not verify_proper_coloring(inst.build_edges(), res.coloring):
         raise VerificationError(f"solver returned an improper {inst.kind} for {inst.params}")
@@ -612,7 +614,7 @@ def least_size(make, a, r, max_size, budget_seconds=DEFAULT_TIME_BUDGET, **kwarg
     # rejects bad parameters before any search; the smallest size is cheap to
     # build, where hj's largest would compute n ** max_size first
     make(a, r, min(max_size, 1))
-    _check_budgets(kwargs.get("budget_nodes", DEFAULT_NODE_BUDGET), budget_seconds)
+    check_budgets(kwargs.get("budget_nodes", DEFAULT_NODE_BUDGET), budget_seconds)
     deadline = time.monotonic() + budget_seconds
     runs = []
     for size in range(1, max_size + 1):

@@ -1,56 +1,33 @@
-"""The free semigroup of words over letters plus variable symbols.
+"""The free semigroup of words over letters plus the one variable symbol x.
 
-Words are tuples of ints: letters are 0..n-1 and variable j is encoded as
--(j+1).  The semigroup is never materialized; the constant words (those with
-no variable) form a nice subsemigroup by construction, and substitutions
-assigning a letter to every variable are exactly the retractions onto it.
-These laws hold by construction, so nothing here re-tests them at run time;
-``tests/test_semigroups.py`` property-tests them instead.
+Words are tuples of ints: letters are 0..n-1 and x is encoded as X = -1.
+The semigroup is never materialized; the constant words (those without x)
+form a nice subsemigroup by construction, and substituting a letter for x
+gives exactly the retractions onto it.  These laws hold by construction, so
+nothing here re-tests them at run time; ``tests/test_semigroups.py``
+property-tests them instead.
 """
 from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .errors import InvalidInstance, UnassignedVariable
+from .errors import InvalidInstance
 from .semigroups import CheckResult, RetractionFamily
 
-VARIABLE_GLYPHS = "xyz"
-
-
-def variable(j):
-    return -(j + 1)
-
-
-def variable_index(sym):
-    return -sym - 1
-
-
-def is_variable(sym):
-    return sym < 0
+X = -1
 
 
 def contains_variable(word):
-    return any(s < 0 for s in word)
+    return X in word
 
 
 def format_word(word):
-    """Compact form: digits for letters, x/y/z for variables 0..2.
+    """Compact form: digits for letters, x for the variable.
 
-    Falls back to dot-separated tokens when a symbol has no single glyph.
+    Falls back to dot-separated tokens once a letter is above 9.
     """
-    glyphs = []
-    compact = True
-    for s in word:
-        if s >= 0:
-            glyphs.append(str(s))
-            if s > 9:
-                compact = False
-        else:
-            j = variable_index(s)
-            glyphs.append(VARIABLE_GLYPHS[j] if j < len(VARIABLE_GLYPHS) else f"x{j}")
-            if j >= len(VARIABLE_GLYPHS):
-                compact = False
-    return "".join(glyphs) if compact else ".".join(glyphs)
+    glyphs = ["x" if s == X else str(s) for s in word]
+    return ".".join(glyphs) if any(s > 9 for s in word) else "".join(glyphs)
 
 
 def parse_word(text):
@@ -63,66 +40,36 @@ def parse_word(text):
     for tok in tokens:
         if tok.isdigit():
             word.append(int(tok))
-        elif tok in VARIABLE_GLYPHS:
-            word.append(variable(VARIABLE_GLYPHS.index(tok)))
-        elif tok.startswith("x") and tok[1:].isdigit():
-            word.append(variable(int(tok[1:])))
+        elif tok == "x":
+            word.append(X)
         else:
             raise ValueError(f"unknown word symbol {tok!r}")
     return tuple(word)
 
 
-def substitute(word, assignment):
-    """Replace every variable occurrence; assignment is a dict or sequence.
-
-    Raises UnassignedVariable when a variable of the word has no letter.
-    Substituting into a constant word is the identity.
-    """
-    out = []
-    for s in word:
-        if s >= 0:
-            out.append(s)
-            continue
-        j = variable_index(s)
-        if isinstance(assignment, dict):
-            if j not in assignment:
-                raise UnassignedVariable(f"variable {j} has no assigned letter")
-            out.append(assignment[j])
-        else:
-            if j >= len(assignment):
-                raise UnassignedVariable(f"variable {j} has no assigned letter")
-            out.append(assignment[j])
-    return tuple(out)
+def substitute(word, letter):
+    """Replace every occurrence of x by ``letter``; the identity on a
+    constant word."""
+    return tuple(letter if s == X else s for s in word)
 
 
 class WordSemigroup:
-    """Lazily-generated free semigroup on n letters and m variable symbols."""
+    """Lazily-generated free semigroup on n letters and the variable x."""
 
-    def __init__(self, alphabet_size, variable_count=1):
-        if alphabet_size < 1 or variable_count < 1:
-            raise InvalidInstance(
-                f"need alphabet size >= 1 and variable count >= 1, "
-                f"not {alphabet_size} and {variable_count}"
-            )
+    def __init__(self, alphabet_size):
+        if alphabet_size < 1:
+            raise InvalidInstance(f"need alphabet size >= 1, not {alphabet_size}")
         self.alphabet_size = alphabet_size
-        self.variable_count = variable_count
 
     def symbols(self):
         """All symbols, letters first; this fixes the length-lex order."""
-        return list(range(self.alphabet_size)) + [
-            variable(j) for j in range(self.variable_count)
-        ]
+        return list(range(self.alphabet_size)) + [X]
 
     def valid_word(self, word):
-        for s in word:
-            if s >= self.alphabet_size:
-                return False
-            if s < 0 and variable_index(s) >= self.variable_count:
-                return False
-        return len(word) > 0
+        return len(word) > 0 and all(s == X or 0 <= s < self.alphabet_size for s in word)
 
     def iter_words(self, max_len, min_len=1, require_variable=False):
-        """Length-lexicographic stream; letters sort before variables."""
+        """Length-lexicographic stream; letters sort before x."""
         syms = self.symbols()
         for L in range(min_len, max_len + 1):
             for w in iproduct(syms, repeat=L):
@@ -134,12 +81,14 @@ class WordSemigroup:
         return ConstantWordsView(self)
 
     def substitutions(self):
-        """The diagonal family: one substitution per letter, every variable
-        mapped to that letter.  This is the classical retraction family."""
-        return [
-            Substitution(self, (a,) * self.variable_count)
-            for a in range(self.alphabet_size)
-        ]
+        """The diagonal family: one substitution per letter a, mapping x to a.
+        This is the classical retraction family.
+
+        One variable loses nothing here: under a diagonal family, renaming
+        every variable of a word to x keeps its image set, and the renamed
+        word comes no later in length-lex order (x sorts before any other
+        variable), so the first witness over many variables has one."""
+        return [Substitution(self, a) for a in range(self.alphabet_size)]
 
 
 class ConstantWordsView:
@@ -154,48 +103,37 @@ class ConstantWordsView:
     def check_retraction(self, sub):
         """Exact membership test for a retraction family onto the constants.
 
-        In a free semigroup a substitution that assigns a letter of the
-        alphabet to every variable is a homomorphism onto the constant words
-        fixing them, so the type, totality and range clauses are the whole
-        retraction condition.
+        In a free semigroup substituting a letter of the alphabet for x is a
+        homomorphism onto the constant words fixing them, so the type and
+        range clauses are the whole retraction condition.
         """
-        ws = self.parent
         if not isinstance(sub, Substitution):
             return CheckResult(False, "type", (type(sub).__name__,))
-        if len(sub.assignment) != ws.variable_count:
-            return CheckResult(False, "totality", (len(sub.assignment),))
-        for a in sub.assignment:
-            if not (0 <= a < ws.alphabet_size):
-                return CheckResult(False, "range", (a,))
+        if not (0 <= sub.letter < self.parent.alphabet_size):
+            return CheckResult(False, "range", (sub.letter,))
         return CheckResult(True)
 
 
 class Substitution:
-    """Retraction of a word semigroup: assigns a letter to every variable."""
+    """Retraction of a word semigroup: substitutes one letter for x."""
 
-    def __init__(self, parent, assignment):
-        assignment = tuple(assignment)
-        if len(assignment) != parent.variable_count:
-            raise UnassignedVariable(
-                f"assignment covers {len(assignment)} of {parent.variable_count} variables"
-            )
-        for a in assignment:
-            if not (0 <= a < parent.alphabet_size):
-                raise ValueError(f"assigned letter {a} outside the alphabet")
+    def __init__(self, parent, letter):
+        if not (0 <= letter < parent.alphabet_size):
+            raise ValueError(f"letter {letter} outside the alphabet")
         self.parent = parent
-        self.assignment = assignment
+        self.letter = letter
 
     def apply(self, word):
-        return substitute(word, self.assignment)
+        return substitute(word, self.letter)
 
     def same_as(self, other):
-        return isinstance(other, Substitution) and self.assignment == other.assignment
+        return isinstance(other, Substitution) and self.letter == other.letter
 
     def describe(self):
-        return "subst:" + ",".join(str(a) for a in self.assignment)
+        return f"subst:{self.letter}"
 
     def __repr__(self):
-        return f"Substitution({self.assignment})"
+        return f"Substitution({self.letter})"
 
 
 def substitution_family(ws):

@@ -222,6 +222,16 @@ def test_a_field_of_another_kind_is_rejected(build, line):
     assert not ok and "is not a" in msg, msg
 
 
+@pytest.mark.parametrize("build", [words_cert, apres_vdw_cert])
+def test_a_words_certificate_has_one_variable(build):
+    text = render_certificate(build())
+    assert "variables: 1\n" in text
+    ok, msg = verify_certificate_text(
+        reseal(text, lambda p: p.replace("variables: 1\n", "variables: 2\n"))
+    )
+    assert not ok and "one variable" in msg, msg
+
+
 def test_an_embedded_coloring_never_names_a_file(tmp_path):
     # the file holds the very coloring the certificate was built with, so
     # verification could only pass by opening it

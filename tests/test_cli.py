@@ -102,11 +102,19 @@ def test_witness_needs_exactly_one_instance(flag2, capsys):
     assert main(["witness", "--hj", "--semigroup", flag2, "--coloring", "mod:2"]) == 2
 
 
-@pytest.mark.parametrize("size", [["--alphabet", "0"], ["--variables", "0"]])
+@pytest.mark.parametrize("size", [["--alphabet", "0"]])
 def test_witness_hj_rejects_a_zero_size(size, capsys):
     assert main(["witness", "--hj", *size, "--coloring", "mod:2"]) == 2
     out = capsys.readouterr().out
     assert out.startswith("error: ") and out.count("\n") == 1
+
+
+def test_witness_takes_no_variable_count(capsys):
+    # words have the one variable x
+    with pytest.raises(SystemExit) as exc:
+        main(["witness", "--hj", "--variables", "2", "--coloring", "mod:2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --variables 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -207,6 +215,10 @@ def test_vdw_needs_max_m(capsys):
     # a negative budget was reported as a budget stop
     ["hj", "-n", "2", "-r", "2", "--max-N", "3", "--budget-seconds", "-1"],
     ["hj", "-n", "2", "-r", "2", "--max-N", "3", "--budget-nodes", "-1"],
+    # --via-hj runs no sweep, and ignored its budgets
+    ["vdw", "-k", "3", "--via-hj", "--max-len", "4", "--budget-seconds", "-1"],
+    ["vdw", "-k", "3", "--via-hj", "--max-len", "4", "--budget-seconds", "nan"],
+    ["vdw", "-k", "3", "--via-hj", "--max-len", "4", "--budget-nodes", "-1"],
 ])
 def test_invalid_number_parameters_exit_2(argv, capsys):
     assert main(argv) == 2

@@ -40,7 +40,7 @@ from hjlab import (
 )
 import hjlab.search
 from hjlab.errors import InvalidInstance, VerificationError
-from hjlab.words import parse_word, variable
+from hjlab.words import parse_word
 
 import oracles
 
@@ -77,6 +77,12 @@ def test_ap_edges_keep_the_step_major_order():
             edges = ap_edges(k, M)
             assert edges.dtype == np.int64 and edges.shape[1] == k
             assert list(map(tuple, edges.tolist())) == oracles.ap_edge_list(k, M)
+
+
+def test_ap_edges_need_two_terms():
+    # with one term every step repeated the same one-vertex edges
+    with pytest.raises(InvalidInstance, match="k >= 2"):
+        ap_edges(1, 3)
 
 
 def test_verify_proper_coloring():
@@ -281,6 +287,8 @@ def test_a_negative_budget_is_rejected(budget):
         hj_check(2, 2, 2, **{budget: -1})
     with pytest.raises(InvalidInstance, match=">= 0"):
         hj_number(2, 2, 3, **{budget: -1})
+    with pytest.raises(InvalidInstance, match=">= 0"):
+        HypergraphSolver(3, [(0, 1, 2)], 2, **{budget: -1})
     # 0 is a budget, spent at once
     assert hj_check(2, 2, 2, **{budget: 0}).status == BUDGET
 
