@@ -37,7 +37,7 @@ print(f"  image law over all 2^3 subsets: {check_image_law(f, U, Z3)}")
 
 # product by the nested formula: A in U*V iff {s : s^-1 A in V} in U
 V = PrincipalUltrafilter(Z6, 5)
-UV = uf_product(U, V, Z6)
+UV = uf_product(U, V)
 print(f"U*V on Z/6: principal at {UV.point} (4 + 5 = {(4 + 5) % 6})")
 print(f"  product law over all 2^6 subsets: {check_product_law(Z6, U, V)}")
 

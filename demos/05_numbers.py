@@ -31,7 +31,7 @@ print(f"\nW(4,2) = 35  (UNSAT at M=35 took {time.perf_counter() - t0:.2f}s, "
 # symmetry pruning does the heavy lifting: compare node counts at the
 # critical instance HJ(3,2), N=4
 pruned = hj_check(3, 2, 4)
-plain = hj_check(3, 2, 4, symmetry=())
+plain = hj_check(3, 2, 4, symmetry=False)
 assert pruned.status == plain.status == UNSAT
 print(f"\nHJ(3,2), N=4 is UNSAT: {pruned.nodes} nodes with symmetry pruning, "
       f"{plain.nodes} without")

@@ -193,7 +193,7 @@ def cmd_number(args):
         max_size,
         budget_nodes=args.budget_nodes,
         budget_seconds=args.budget_seconds,
-        symmetry=() if args.no_symmetry else None,
+        symmetry=not args.no_symmetry,
     )
     size_field = INSTANCE_FIELDS[args.command][1]
     for size, res in result.runs:

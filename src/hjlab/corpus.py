@@ -29,14 +29,14 @@ def compose(f, g):
     return tuple(f[y] for y in g)
 
 
-def mulclose(gens, maxsize=None):
+def mulclose(gens, maxsize):
     """Close a set of transformations under composition.
 
     Returns the sorted element list, or None once the closure (the
     generators included) exceeds ``maxsize``.
     """
     els = set(gens)
-    if maxsize is not None and len(els) > maxsize:
+    if len(els) > maxsize:
         return None
     changed = True
     while changed:
@@ -47,7 +47,7 @@ def mulclose(gens, maxsize=None):
                 if c not in els:
                     els.add(c)
                     changed = True
-                    if maxsize is not None and len(els) > maxsize:
+                    if len(els) > maxsize:
                         return None
     return sorted(els)
 

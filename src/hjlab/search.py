@@ -132,50 +132,44 @@ def _cells(cells, V):
     return cells
 
 
-def _color_perms(r, include):
-    if "color" in include:
-        return np.array(list(permutations(range(r))), dtype=np.int64)
-    return np.arange(r, dtype=np.int64)[None, :]
+def _color_perms(r):
+    return np.array(list(permutations(range(r))), dtype=np.int64)
 
 
-def hj_symmetry(n, N, r, cells, include=("color", "coordinate", "alphabet")):
+def hj_symmetry(n, N, r, cells):
     """The coordinate x alphabet x color group of [n]^N, tabulated on
     ``cells`` (base-n word codes): column j holds the images of cells[j].
-    Rows run coordinate-permutation-major."""
+    Rows run coordinate-permutation-major.  A subgroup whose rows would pass
+    SYMMETRY_GROUP_LIMIT is left out: the coordinate one when N! does, then
+    the alphabet one when n! times the rows kept so far does."""
     # n >= 2 makes every (coordinate, alphabet) pair a distinct element: constant
     # words pin the alphabet permutation, one-nonzero-digit words the other
     if n < 2 or N < 1:
         raise InvalidInstance("need n >= 2, N >= 1")
     # an oversized subgroup is dropped rather than enumerated: pruning less
     # is always sound, and N! * n! explodes quickly on wide alphabets
-    include = set(include)
-    if "coordinate" in include and factorial(N) > SYMMETRY_GROUP_LIMIT:
-        include.discard("coordinate")
-    if "alphabet" in include:
-        width = factorial(n) * (factorial(N) if "coordinate" in include else 1)
-        if width > SYMMETRY_GROUP_LIMIT:
-            include.discard("alphabet")
+    coordinate = factorial(N) <= SYMMETRY_GROUP_LIMIT
+    alphabet = factorial(n) * (factorial(N) if coordinate else 1) <= SYMMETRY_GROUP_LIMIT
     cells = _cells(cells, n ** N)
     weights = n ** np.arange(N - 1, -1, -1, dtype=np.int64)
     digits = cells[:, None] // weights % n  # (len(cells), N): the word each cell codes
-    coord = list(permutations(range(N))) if "coordinate" in include else [tuple(range(N))]
+    coord = list(permutations(range(N))) if coordinate else [tuple(range(N))]
     alpha = np.array(
-        list(permutations(range(n))) if "alphabet" in include else [tuple(range(n))],
-        dtype=np.int64,
+        list(permutations(range(n))) if alphabet else [tuple(range(n))], dtype=np.int64
     )
     table = np.empty((len(coord), len(alpha), len(cells)), dtype=np.int64)
     for i, cp in enumerate(coord):
         # word w goes to (ap[w[cp[0]]], ..., ap[w[cp[N-1]]]), every ap at once
         table[i] = alpha[:, digits[:, cp]] @ weights
-    return Symmetry(table.reshape(-1, len(cells)), _color_perms(r, include))
+    return Symmetry(table.reshape(-1, len(cells)), _color_perms(r))
 
 
-def vdw_symmetry(M, r, cells, include=("color", "reflection")):
+def vdw_symmetry(M, r, cells):
     """The reflection x color group of [1..M] (0-based cells), tabulated on
     ``cells``: column j holds the images of cells[j]."""
     cells = _cells(cells, M)
-    rows = [cells, M - 1 - cells] if "reflection" in include and M > 1 else [cells]
-    return Symmetry(np.stack(rows), _color_perms(r, include))
+    rows = [cells, M - 1 - cells] if M > 1 else [cells]
+    return Symmetry(np.stack(rows), _color_perms(r))
 
 
 def _root_survivors(symmetry, head):
@@ -499,8 +493,7 @@ class Instance:
     r: int
     num_vertices: int
     build_edges: Callable  # () -> (E, k) int64 array of edge vertices
-    build_symmetry: Callable  # (generator spec, cells) -> Symmetry
-    default_symmetry: tuple
+    build_symmetry: Callable  # cells -> Symmetry
 
     def __post_init__(self):
         a, size = self.params
@@ -521,8 +514,7 @@ def hj_instance(n, r, N):
         r,
         n ** N,
         lambda: LineHypergraph.build(n, N).edges,
-        lambda spec, cells: hj_symmetry(n, N, r, cells, spec),
-        ("color", "coordinate", "alphabet"),
+        lambda cells: hj_symmetry(n, N, r, cells),
     )
 
 
@@ -534,8 +526,7 @@ def vdw_instance(k, r, M):
         r,
         M,
         lambda: ap_edges(k, M),
-        lambda spec, cells: vdw_symmetry(M, r, cells, spec),
-        ("color", "reflection"),
+        lambda cells: vdw_symmetry(M, r, cells),
     )
 
 
@@ -546,27 +537,25 @@ def check_instance(
     inst,
     budget_nodes=DEFAULT_NODE_BUDGET,
     budget_seconds=DEFAULT_TIME_BUDGET,
-    symmetry=None,
+    symmetry=True,
 ):
     """Decide whether ``inst`` has a proper coloring.
 
-    ``symmetry`` is the generator spec used for lex-leader pruning: None
-    takes the family default, () prunes nothing.  SAT results carry an
-    explicit coloring, re-verified against a freshly built edge list before
-    return; UNSAT carries the node count of the completed backtracking;
-    budget exhaustion is reported as its own status.  ``budget_seconds``
-    covers building the edges and the symmetry group too.
+    ``symmetry``, read by its truth value, turns lex-leader pruning with
+    the instance's own group (``inst.build_symmetry``) on or off.  SAT
+    results carry an explicit coloring, re-verified against a freshly built
+    edge list before return; UNSAT carries the node count of the completed
+    backtracking; budget exhaustion is reported as its own status.
+    ``budget_seconds`` covers building the edges and the symmetry group too.
     """
     start = time.monotonic()
     check_budgets(budget_nodes, budget_seconds)
-    if symmetry is None:
-        symmetry = inst.default_symmetry
     edges = inst.build_edges()
     res = HypergraphSolver(
         inst.num_vertices,
         edges,
         inst.r,
-        symmetry=(lambda cells: inst.build_symmetry(symmetry, cells)) if symmetry else None,
+        symmetry=inst.build_symmetry if symmetry else None,
         budget_nodes=budget_nodes,
         # a slow set-up hands down 0 s: an honest budget stop, not bad input
         budget_seconds=max(0.0, budget_seconds - (time.monotonic() - start)),

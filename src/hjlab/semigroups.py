@@ -127,10 +127,6 @@ class NiceSubsemigroupView:
     def complement(self):
         return [i for i in range(self.parent.order) if not self.contains(i)]
 
-    @property
-    def complement_mask(self):
-        return ((1 << self.parent.order) - 1) & ~self.mask
-
     @classmethod
     def from_members(cls, parent, members):
         mask = 0

@@ -39,11 +39,14 @@ from .search import finite_witness_search
 from .semigroups import FiniteSemigroup
 
 IMAGE_LAW_BOUND = 16  # exhaustive subset checks up to 2^16 memberships
-# product and tensor-power tables: the k = 3 translate chain of a target of
-# order t holds t³ cells × 2^t/8 packed bytes, 864 KiB at t = 12
+# product and tensor-power tables: the k = 3 translate chain of a semigroup
+# of order n holds n³ cells × 2^n/8 packed bytes, 864 KiB at n = 12
 PRODUCT_LAW_BOUND = 12
 CHUNK_BYTES = 1 << 20  # largest intermediate of one chunk of a map stack
 FIP_EXHAUSTIVE_LIMIT = 20
+# the agreement equivalence enumerates all r^|T| colorings of T
+AGREEMENT_MAX_ORDER = 10
+AGREEMENT_MAX_COLORS = 3
 
 
 @dataclass(frozen=True)
@@ -269,16 +272,16 @@ def product_member(B, table, f, points, chain=None):
     return inner
 
 
-def uf_product(U, V, S=None):
-    """U*V on a finite semigroup, evaluated by the nested membership formula.
+def uf_product(U, V):
+    """U*V on the finite semigroup U lives on, evaluated by the nested
+    membership formula.
 
     The formula is evaluated on every singleton {p}, building the set
     {s : s⁻¹{p} ∈ V} in full; the unique hit is the product.  On small
     carriers the agreement with the principal shortcut is also checked on
     every subset.
     """
-    if S is None:
-        S = U.carrier
+    S = U.carrier
     if not isinstance(S, FiniteSemigroup):
         raise TypeError("uf_product needs a FiniteSemigroup carrier")
     _require_same_carrier(S.order, _size_of(U.carrier))
@@ -291,13 +294,13 @@ def uf_product(U, V, S=None):
     return PrincipalUltrafilter(S, found)
 
 
-def uf_power(U, k, S=None):
+def uf_power(U, k):
     """The k-fold product U*U*...*U (right associated)."""
     if k < 1:
         raise ValueError("power must be >= 1")
     acc = U
     for _ in range(k - 1):
-        acc = uf_product(U, acc, S)
+        acc = uf_product(U, acc)
     return acc
 
 
@@ -390,61 +393,59 @@ def check_tensor_assoc(dims, points):
 
 
 class TensorPowerTables:
-    """The tensor-power identity of S mapped into ``target`` (default S).
+    """The tensor-power identity of S for maps h: S -> S.
 
-    What depends on the target alone is built once and shared by every
-    (h, k, V): the subset table and, lazily up to the largest k asked for,
-    its translate chain (the translate sets of every product level).  Both
+    What depends on S alone is built once and shared by every (h, k, V):
+    the subset table and, lazily up to the largest k asked for, its
+    translate chain (the translate sets of every product level).  Both
     sides are still evaluated by their defining formulas, full preimage,
     translate and section sets at every level and for every subset, for a
     stack of maps and all requested points in one batch.  Sets are held in
     the module's set-table layout: carrier axes, then one column per map and
-    per point, then the 2^t subsets packed 8 per byte.  The stack is
+    per point, then the 2^n subsets packed 8 per byte.  The stack is
     evaluated in chunks whose largest intermediate stays near CHUNK_BYTES.
-    The target is bounded by PRODUCT_LAW_BOUND because the k = 3 chain holds
-    t³ packed rows of 2^t/8 bytes.
+    The order n of S is bounded by PRODUCT_LAW_BOUND because the k = 3
+    chain holds n³ packed rows of 2^n/8 bytes.
     """
 
-    def __init__(self, S, target=None):
+    def __init__(self, S):
         self.S = S
-        self.target = S if target is None else target
-        t = self.target.order
-        if t > PRODUCT_LAW_BOUND:
-            raise CarrierTooLarge(f"target size {t} exceeds {PRODUCT_LAW_BOUND}")
-        self.bits = subset_bits(t)
+        if S.order > PRODUCT_LAW_BOUND:
+            raise CarrierTooLarge(f"order {S.order} exceeds {PRODUCT_LAW_BOUND}")
+        self.bits = subset_bits(S.order)
         self.chain = [self.bits]
 
     def first_failures(self, maps, k, points):
-        """For every map h of the stack ``maps`` (E maps S -> target), the
+        """For every map h of the stack ``maps`` (E maps S -> S), the
         list [(V point, first subset mask where the image of V's k-fold tensor
         power and the k-fold power of h(V) differ, or None)] over ``points``."""
         if k not in (2, 3):
             raise InvalidInstance(f"tensor powers take k = 2 or 3 factors, not {k}")
-        n, t = self.S.order, self.target.order
+        n = self.S.order
         for i, h in enumerate(maps):
             if np.ndim(h) != 1 or len(h) != n:
                 raise CarrierMismatch(f"map {i} has shape {np.shape(h)}, not ({n},) for S")
-        maps = _map_into(np.reshape(maps, (-1, n)), t)
+        maps = _map_into(np.reshape(maps, (-1, n)), n)
         points = np.asarray(points, dtype=np.int64)
         bad = np.flatnonzero((points < 0) | (points >= n))
         if len(bad):
             raise CarrierMismatch(f"point {int(points[bad[0]])} is outside S of order {n}")
         if len(self.chain) < k:
-            self.chain = translate_chain(self.bits, self.target.table, k)
+            self.chain = translate_chain(self.bits, self.S.table, k)
         folded = self.S.fold(np.indices((n,) * k)).reshape(-1)  # w₁*...*w_k over S^k
         # bytes of the largest intermediate one map adds to a chunk
-        per_map = self.bits.shape[-1] * max(n, t) ** (k - 1) * max(n, t, len(points))
+        per_map = self.bits.shape[-1] * n ** (k - 1) * max(n, len(points))
         step = max(1, CHUNK_BYTES // per_map)
         out = []
         for lo in range(0, len(maps), step):
             h = maps[lo:lo + step]
             pre = _preimage(self.bits, h[:, folded])  # subsets holding h(w₁*...*w_k)
             lhs = tensor_rows(pre, (n,) * k, (points,) * k)
-            rhs = product_member(self.bits, self.target.table, h, (points,) * k, chain=self.chain)
+            rhs = product_member(self.bits, self.S.table, h, (points,) * k, chain=self.chain)
             diff = lhs ^ rhs  # (maps, points, packed subsets)
             first = np.full(diff.shape[:2], -1)
             failing = diff.any(axis=-1)
-            first[failing] = _unpack(diff[failing], 1 << t).argmax(axis=-1)
+            first[failing] = _unpack(diff[failing], 1 << n).argmax(axis=-1)
             out.extend(
                 [(vp, m if m >= 0 else None) for vp, m in zip(points.tolist(), row)]
                 for row in first.tolist()
@@ -452,19 +453,19 @@ class TensorPowerTables:
         return out
 
 
-def check_tensor_power_law(S, h, k, V, target=None):
+def check_tensor_power_law(S, h, k, V):
     """Image of the k-fold tensor power equals the k-th product power.
 
-    For every subset A of the target: A lies in the image of V^⊗k under the
-    fold-then-map homomorphism iff A lies in the k-fold product of the image
-    ultrafilter of V.  Both sides are evaluated by their defining formulas.
+    For h a map S -> S and every subset A of S: A lies in the image of V^⊗k
+    under the fold-then-map homomorphism iff A lies in the k-fold product of
+    the image ultrafilter of V.  Both sides are evaluated by their defining formulas.
     Returns (ok, first failing SubsetQuery or None).
     """
-    tables = TensorPowerTables(S, target)
+    tables = TensorPowerTables(S)
     [[(_, bad)]] = tables.first_failures([h], k, [V.point])
     if bad is None:
         return True, None
-    return False, SubsetQuery(tables.target, bad)
+    return False, SubsetQuery(S, bad)
 
 
 def build_agreement_set(S, family, A):
@@ -529,17 +530,15 @@ def check_fip(sets):
     return FipResult(True, None, checked)
 
 
-def find_agreement_ultrafilter(S, family, within=None):
-    """Least point whose retraction images all coincide, as a principal
-    ultrafilter; None when no point qualifies.
+def find_agreement_ultrafilter(S, family):
+    """Least point of R = S\\T whose retraction images all coincide, as a
+    principal ultrafilter; None when no point of R qualifies.
 
-    ``within`` optionally restricts the candidate points (a bitmask).  The
-    agreement of image ultrafilters is re-checked through the image
-    membership formula, not just pointwise.
+    Every point of T qualifies trivially, since a retraction fixes T, so only
+    R is scanned.  The agreement of image ultrafilters is re-checked through
+    the image membership formula, not just pointwise.
     """
-    for u in range(S.order):
-        if within is not None and not ((within >> u) & 1):
-            continue
+    for u in family.view.complement():
         if len(family.images(u)) == 1:
             U = PrincipalUltrafilter(S, u)
             imgs = [image(r.mapping, U, S) for r in family]
@@ -574,19 +573,19 @@ class AgreementEquivalenceReport:
         return self.a_holds == self.b_holds
 
 
-def check_agreement_equivalence(S, family, r, max_order=10, max_colors=3):
-    """Exhaustively compare statements (a) and (b) above on a finite S.
+def check_agreement_equivalence(S, family, r):
+    """Exhaustively compare statements (a) and (b) above on a finite S of
+    order up to AGREEMENT_MAX_ORDER, with up to AGREEMENT_MAX_COLORS colors.
 
     (a) runs the witness scan of ``search.finite_witness_search`` on every
     r-coloring of T in turn, up to the first that has no witness."""
     if r < 1:
         raise InvalidInstance(f"need r >= 1 colors, not {r}")
-    if S.order > max_order:
-        raise SearchSpaceTooLarge(f"order {S.order} exceeds {max_order}")
-    if r > max_colors:
-        raise SearchSpaceTooLarge(f"{r} colors exceed {max_colors}")
-    view = family.view
-    keys = [TableColoring.key_for(t) for t in view.members()]
+    if S.order > AGREEMENT_MAX_ORDER:
+        raise SearchSpaceTooLarge(f"order {S.order} exceeds {AGREEMENT_MAX_ORDER}")
+    if r > AGREEMENT_MAX_COLORS:
+        raise SearchSpaceTooLarge(f"{r} colors exceed {AGREEMENT_MAX_COLORS}")
+    keys = [TableColoring.key_for(t) for t in family.view.members()]
     a_holds = True
     a_counterexample = None
     a_first_witness = None
@@ -601,7 +600,7 @@ def check_agreement_equivalence(S, family, r, max_order=10, max_colors=3):
             a_counterexample = coloring
             break
 
-    b_in_r = find_agreement_ultrafilter(S, family, within=view.complement_mask)
+    b_in_r = find_agreement_ultrafilter(S, family)
     return AgreementEquivalenceReport(
         r=r,
         a_holds=a_holds,

@@ -24,10 +24,13 @@ def contains_variable(word):
 def format_word(word):
     """Compact form: digits for letters, x for the variable.
 
-    Falls back to dot-separated tokens once a letter is above 9.
+    Falls back to dot-separated tokens once a letter is above 9; a word of
+    one such token ends in a dot ("10."), so it never reads as digits.
     """
     glyphs = ["x" if s == X else str(s) for s in word]
-    return ".".join(glyphs) if any(s > 9 for s in word) else "".join(glyphs)
+    if not any(s > 9 for s in word):
+        return "".join(glyphs)
+    return ".".join(glyphs) + ("." if len(glyphs) == 1 else "")
 
 
 def parse_word(text):
@@ -36,6 +39,8 @@ def parse_word(text):
     if not text:
         raise ValueError("empty word")
     tokens = text.split(".") if "." in text else list(text)
+    if len(tokens) == 2 and not tokens[1]:  # one dotted token: "10."
+        tokens.pop()
     word = []
     for tok in tokens:
         if tok.isdigit():

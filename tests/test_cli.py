@@ -79,6 +79,16 @@ def test_witness_hj_mod2(tmp_path, capsys):
     assert main(["verify", str(cert)]) == 0
 
 
+def test_witness_over_a_wide_alphabet_verifies(tmp_path, capsys):
+    # the image 10 rendered as "10" read back as the word 1 0, and the
+    # certificate failed with "stated images differ"
+    cert = tmp_path / "a.cert"
+    assert main(["witness", "--hj", "--alphabet", "11", "--coloring", "mod:1",
+                 "--max-len", "1", "-o", str(cert)]) == 0
+    assert "images: 0 1 2 3 4 5 6 7 8 9 10." in capsys.readouterr().out
+    assert main(["verify", str(cert)]) == 0
+
+
 def test_witness_rejects_a_zero_color_count(capsys):
     assert main(["witness", "--hj", "--coloring", "mod:0"]) == 2
     out = capsys.readouterr().out

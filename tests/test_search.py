@@ -2,7 +2,7 @@
 pruning, budgets, and the witness searches."""
 import time
 from contextlib import contextmanager
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -131,7 +131,7 @@ def test_hj_check_matches_oracle(n, r):
         want = SAT if oracles.hj_colorable(n, r, N) else UNSAT
         res = hj_check(n, r, N)
         assert res.status == want
-        plain = hj_check(n, r, N, symmetry=())
+        plain = hj_check(n, r, N, symmetry=False)
         assert plain.status == want
         if res.status == SAT:
             hg = LineHypergraph.build(n, N)
@@ -215,7 +215,7 @@ def test_incremental_prune_matches_the_full_scan_on_instances(inst):
     groups = []
 
     def build(cells):
-        groups.append(inst.build_symmetry(inst.default_symmetry, cells))
+        groups.append(inst.build_symmetry(cells))
         return groups[-1]
 
     solver = HypergraphSolver(inst.num_vertices, inst.build_edges(), inst.r, symmetry=build)
@@ -253,7 +253,7 @@ def test_deep_search_needs_no_recursion():
 def test_time_budget_stops_close_to_its_limit():
     # the budget covers the edge build and the solver set-up (85879 edges)
     start = time.monotonic()
-    res = vdw_check(8, 2, 1100, symmetry=(), budget_seconds=1)
+    res = vdw_check(8, 2, 1100, symmetry=False, budget_seconds=1)
     assert res.status == BUDGET
     assert time.monotonic() - start < 4.0
 
@@ -313,9 +313,13 @@ W33_NODES = [1, 2, 3, 4, 5, 6, 7, 8, 7, 8, 8, 8, 8, 8, 9, 10, 12, 12, 13, 14, 13
 
 
 @pytest.mark.parametrize("k,r,M_max,symmetry,nodes", [
-    (4, 2, 40, None, W42_NODES + [206]),
-    (4, 2, 40, (), W42_NODES + [514]),
-    (3, 3, 30, None, W33_NODES + [35, 491]),
+    (4, 2, 40, True, W42_NODES + [206]),
+    (4, 2, 40, False, W42_NODES + [514]),
+    (3, 3, 30, True, W33_NODES + [35, 491]),
+    (3, 3, 30, False, W33_NODES + [41, 5172]),
+    # symmetry is read by its truth value: the benchmark's spellings of the
+    # whole vdw group and of no pruning
+    (3, 3, 30, ("color", "reflection"), W33_NODES + [35, 491]),
     (3, 3, 30, (), W33_NODES + [41, 5172]),
 ])
 def test_number_sweeps_keep_their_node_counts(k, r, M_max, symmetry, nodes):
@@ -324,30 +328,46 @@ def test_number_sweeps_keep_their_node_counts(k, r, M_max, symmetry, nodes):
 
 
 def test_symmetry_subsets_agree():
-    for spec in ((), ("color",), ("color", "coordinate"),
-                 ("color", "coordinate", "alphabet")):
-        assert hj_check(2, 2, 2, symmetry=spec).status == UNSAT
-        assert hj_check(2, 3, 2, symmetry=spec).status == SAT
+    for symmetry in (True, False):
+        assert hj_check(2, 2, 2, symmetry=symmetry).status == UNSAT
+        assert hj_check(2, 3, 2, symmetry=symmetry).status == SAT
+    # the whole group, and none of it, at the critical HJ(3,2) instance
+    assert hj_check(3, 2, 4, symmetry=True).nodes == 50
+    assert hj_check(3, 2, 4, symmetry=False).nodes == 482
+
+
+def _assert_hj_symmetry_matches(n, N, include):
+    """hj_symmetry against the per-word oracle for the subgroups in
+    ``include``, on every cell and on a shuffled subset of the cells; every
+    row is an automorphism of the line hypergraph."""
+    lines = {frozenset(e) for e in map(tuple, LineHypergraph.build(n, N).edges.tolist())}
+    V = n ** N
+    want = oracles.hj_symmetry_cells(n, N, include)
+    cells = hj_symmetry(n, N, 2, np.arange(V)).cell_perms
+    assert np.array_equal(cells, want)
+    # column j must be the image of subset[j]
+    subset = np.random.default_rng(10 * n + N).permutation(V)[: (V + 1) // 2]
+    assert np.array_equal(hj_symmetry(n, N, 2, subset).cell_perms, want[:, subset])
+    for row in cells:
+        assert sorted(row) == list(range(V))
+        assert {frozenset(row[list(line)].tolist()) for line in lines} == lines
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_hj_symmetry_matches_the_per_word_oracle(n, N):
-    lines = {frozenset(e) for e in map(tuple, LineHypergraph.build(n, N).edges.tolist())}
-    V = n ** N
-    # a shuffled subset of the cells: column j must be the image of subset[j]
-    subset = np.random.default_rng(10 * n + N).permutation(V)[: (V + 1) // 2]
-    for size in range(3):
-        for include in combinations(("coordinate", "alphabet"), size):
-            want = oracles.hj_symmetry_cells(n, N, include)
-            cells = hj_symmetry(n, N, 2, np.arange(V), include).cell_perms
-            assert np.array_equal(cells, want)
-            some = hj_symmetry(n, N, 2, subset, include).cell_perms
-            assert np.array_equal(some, want[:, subset])
-            # every row is an automorphism of the line hypergraph
-            for row in cells:
-                assert sorted(row) == list(range(V))
-                assert {frozenset(row[list(line)].tolist()) for line in lines} == lines
+    _assert_hj_symmetry_matches(n, N, ("coordinate", "alphabet"))
+
+
+@pytest.mark.parametrize("limit,include", [
+    (144, ("coordinate", "alphabet")),  # 4! coordinate x 3! alphabet rows
+    (143, ("coordinate",)),  # the product is over the limit: alphabet goes
+    (23, ("alphabet",)),  # 4! is over it: coordinate goes, 3! fits alone
+    (5, ()),
+])
+def test_hj_symmetry_drops_subgroups_over_the_limit(monkeypatch, limit, include):
+    monkeypatch.setattr(hjlab.search, "SYMMETRY_GROUP_LIMIT", limit)
+    _assert_hj_symmetry_matches(3, 4, include)
 
 
 def test_vdw_symmetry_maps_arbitrary_cells():
@@ -355,7 +375,8 @@ def test_vdw_symmetry_maps_arbitrary_cells():
     for M, cells in ((10, [5, 0, 9, 3]), (40000, [0, 39999, 12345])):
         table = vdw_symmetry(M, 2, cells).cell_perms
         assert np.array_equal(table, [cells, [M - 1 - v for v in cells]])
-        assert vdw_symmetry(M, 2, cells, ("color",)).cell_perms.tolist() == [cells]
+    # one cell has no reflection but itself
+    assert vdw_symmetry(1, 2, [0]).cell_perms.tolist() == [[0]]
 
 
 @pytest.mark.parametrize("build", [
@@ -386,10 +407,8 @@ def test_hj_solver_tabulates_the_decision_head_only(monkeypatch):
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_hj_symmetry_color_rows_are_permutations(r):
-    for include in (("color",), ()):
-        colors = hj_symmetry(3, 2, r, range(9), include).color_perms
-        for row in colors:
-            assert sorted(row) == list(range(r))
+    colors = hj_symmetry(3, 2, r, range(9)).color_perms
+    assert sorted(map(tuple, colors)) == list(permutations(range(r)))
 
 
 def test_hj_symmetry_rejects_degenerate_sizes():
@@ -401,7 +420,7 @@ def test_hj_symmetry_rejects_degenerate_sizes():
 
 def test_symmetry_prunes_nodes():
     full = hj_check(2, 2, 3)
-    plain = hj_check(2, 2, 3, symmetry=())
+    plain = hj_check(2, 2, 3, symmetry=False)
     assert full.status == plain.status == UNSAT
     assert full.nodes <= plain.nodes
 

@@ -151,10 +151,14 @@ def test_word_iteration_is_length_lex():
 
 
 def test_word_format_parse_roundtrip():
-    ws = WordSemigroup(3)
-    for w in ws.iter_words(3):
-        assert parse_word(format_word(w)) == w
+    for n in range(1, 13):
+        for w in WordSemigroup(n).iter_words(3):
+            assert parse_word(format_word(w)) == w
     assert format_word((0, X, 2)) == "0x2"
+    assert format_word((1, 0)) == "10"
+    assert format_word((10, X)) == "10.x"
+    # one token above 9 ends in a dot, or it would read as digits
+    assert format_word((10,)) == "10."
 
 
 def test_substitution_family_is_retraction_like():

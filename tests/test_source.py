@@ -1,12 +1,15 @@
 """Checks on the package source itself."""
 import ast
 import importlib.util
+import inspect
 import pathlib
 
 import hjlab
 
 SRC = pathlib.Path(hjlab.__file__).parent
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
+WORKLOADS = BENCH / "workloads.py"
 
 
 def test_no_assert_survives_python_O():
@@ -75,3 +78,36 @@ def test_every_traced_layer_resolves():
         except (ImportError, AttributeError):
             missing.append(f"{span} ({module_name}.{path})")
     assert missing == []
+
+
+def test_the_benchmark_calls_still_bind():
+    """Every ``hjlab.<name>`` the benchmark's workloads use resolves, and
+    every call of one binds to its signature with the same number of
+    positional arguments and the same keywords, so a refactor cannot break
+    the benchmark unnoticed.  A call with ``*args`` or ``**kwargs`` has no
+    static shape and is only resolved."""
+    tree = ast.parse(WORKLOADS.read_text(), filename=str(WORKLOADS))
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    used, broken = 0, []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "hjlab"):
+            continue
+        used += 1
+        where = f"workloads.py:{node.lineno} hjlab.{node.attr}"
+        if not hasattr(hjlab, node.attr):
+            broken.append(f"{where} does not resolve")
+            continue
+        call = calls.get(id(node))
+        if call is None or any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords
+        ):
+            continue
+        try:
+            inspect.signature(getattr(hjlab, node.attr)).bind(
+                *call.args, **{k.arg: k.value for k in call.keywords}
+            )
+        except TypeError as e:
+            broken.append(f"{where}: {e}")
+    assert used > 20
+    assert broken == []
