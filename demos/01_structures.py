@@ -8,6 +8,7 @@ onto T.
 """
 from hjlab import (
     FiniteSemigroup,
+    NiceSubsemigroupView,
     Retraction,
     flag_semigroup,
     is_nice_subsemigroup,
@@ -41,5 +42,5 @@ print("parsed back: order and retraction count agree")
 
 # a subsemigroup of a group can never be nice: the complement leaks back
 Z3 = FiniteSemigroup([[(a + b) % 3 for b in range(3)] for a in range(3)])
-res = is_nice_subsemigroup(Z3, [0])
+res = is_nice_subsemigroup(Z3, NiceSubsemigroupView.from_members(Z3, [0]))
 print(f"\n{{0}} inside Z/3: nice={res.ok}, violated clause: {res.clause}, witness {res.witness}")

@@ -1,11 +1,11 @@
 """Agreement sets, the finite intersection property, and the equivalence
 between coloring witnesses and agreement ultrafilters.
 
-For a subset A of T, the agreement set X_A collects the points whose
+For a subset A of T, the agreement set X_A collects the points of R whose
 retraction images land inside A together or miss A together.  The family
-{X_A : A subset of T} has the finite intersection property, and the
-points witnessing it are exactly those whose images all coincide - on the
-flag semigroup, the top flagged element (m, 1).
+{X_A : A subset of T} has the finite intersection property exactly when
+some point of R has all its images equal, and the points in every X_A are
+exactly those - on the flag semigroup, the top flagged element (m, 1).
 """
 from hjlab import (
     SubsetQuery,

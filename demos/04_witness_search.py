@@ -56,7 +56,7 @@ print(f"tampered certificate verifies: {ok} ({msg})")
 S, view, fam = flag_semigroup(2)
 table = {str(flag_index(0, 0)): 0, str(flag_index(1, 0)): 1,
          str(flag_index(2, 0)): 0}
-fin = finite_witness_search(S, fam, TableColoring(table, r=2))
+fin = finite_witness_search(fam, TableColoring(table, r=2))
 print(f"\nfinite witness on flags m=2: {S.element_name(fin.witness)}  "
       f"images {{{', '.join(S.element_name(i) for i in fin.images)}}}  "
       f"color {fin.color}")

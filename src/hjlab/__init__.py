@@ -46,9 +46,6 @@ from .ultra import (
     find_agreement_ultrafilter,
     image,
     member,
-    tensor_member,
-    tensor_member_left,
-    uf_power,
     uf_product,
     uf_tensor,
 )

@@ -104,7 +104,8 @@ class ColoringCertificate:
         return f"{self.family}-coloring"
 
 
-def render_certificate(cert):
+def _payload_lines(cert):
+    """The lines of ``cert`` that its digest covers, header first."""
     lines = [HEADER, f"kind: {cert.kind}"]
     if isinstance(cert, WitnessWordsCertificate):
         lines.append(f"alphabet: {cert.alphabet}")
@@ -137,6 +138,11 @@ def render_certificate(cert):
         lines.append(f"nodes: {cert.nodes}")
     else:
         raise CertificateError(f"unknown certificate object: {cert!r}")
+    return lines
+
+
+def render_certificate(cert):
+    lines = _payload_lines(cert)
     lines.append(f"check: {_payload_digest(lines)}")
     lines.append("end")
     return "\n".join(lines) + "\n"
@@ -223,6 +229,11 @@ def parse_certificate(text):
         raise CertificateError(f"bad field value: {e}") from None
     if fields:
         raise CertificateError(f"field {next(iter(fields))!r} is not a {kind} field")
+    # one byte form: another spelling of the same values (a sign, a leading
+    # zero, a dotted word, a repeated table key, another field order) is no
+    # certificate, even when resealed
+    if _payload_lines(cert) != lines[:-2]:
+        raise CertificateError("certificate is not in its rendered form")
     return cert
 
 
@@ -271,7 +282,7 @@ def _verify_witness(cert, in_carrier, family, color_of):
     if family.view.contains(cert.witness):
         return False, "witness lies in T (must be in R)"
     images = family.images(cert.witness)
-    if images != sorted(cert.images):
+    if images != cert.images:
         return False, "stated images differ from the recomputed retraction images"
     colors = {color_of(x) for x in images}
     if colors != {cert.color}:

@@ -160,7 +160,7 @@ def cmd_witness(args):
         S, view, family = _load_structures(args.semigroup, need_family=True)
         if coloring.kind != "table":
             raise InvalidInstance("finite instances need an explicit table coloring")
-        outcome = finite_witness_search(S, family, coloring)
+        outcome = finite_witness_search(family, coloring)
         if outcome.status != "found":
             print(f"exhausted: {outcome.budget_note} ({outcome.checked} elements checked)")
             return EXIT_NEGATIVE

@@ -84,10 +84,6 @@ class LineHypergraph:
         edges = np.stack([np.where(is_x, a, lines) @ weights for a in range(n)], axis=1)
         return cls(n, N, edges)
 
-    @property
-    def num_vertices(self):
-        return self.n ** self.N
-
 
 def ap_edges(k, M):
     """All k-term arithmetic progressions inside [1..M], 0-based, as a
@@ -668,9 +664,10 @@ def word_witness_search(ws, family, coloring, max_len=8):
     )
 
 
-def finite_witness_search(S, family, coloring):
+def finite_witness_search(family, coloring):
     """First element of R = S\\T (index order) with a monochromatic image
-    set.  The scan is complete, so exhaustion here is a true negative."""
+    set; S and T are those of ``family.view``.  The scan is complete, so
+    exhaustion here is a true negative."""
     return _first_monochromatic(family.view.complement(), family, coloring, "R exhausted")
 
 

@@ -139,16 +139,13 @@ class NiceSubsemigroupView:
         return cls(parent, mask)
 
 
-def is_nice_subsemigroup(S, subset):
-    """Decide whether T is a subsemigroup of the finite S with ideal complement.
+def is_nice_subsemigroup(S, view):
+    """Decide whether the T of ``view`` (a NiceSubsemigroupView, which is
+    never empty) is a subsemigroup of the finite S with ideal complement.
 
-    ``subset`` is a NiceSubsemigroupView, a bitmask, or a member list.
     Returns a CheckResult whose witness is the first violating pair.
     """
-    view = _as_view(S, subset)
     members = view.members()
-    if not members:
-        raise EmptySubset("T holds no element")
     comp = view.complement()
     for a in members:
         for b in members:
@@ -161,14 +158,6 @@ def is_nice_subsemigroup(S, subset):
             if view.contains(S.mul(t, s)):
                 return CheckResult(False, "ideal (left product)", (t, s))
     return CheckResult(True)
-
-
-def _as_view(S, subset):
-    if isinstance(subset, NiceSubsemigroupView):
-        return subset
-    if isinstance(subset, int):
-        return NiceSubsemigroupView(S, subset)
-    return NiceSubsemigroupView.from_members(S, subset)
 
 
 class Retraction:

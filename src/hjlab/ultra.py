@@ -16,8 +16,7 @@ column), and last the subset axis, its 2^t subsets packed 8 per byte,
 little-endian: bit m of a cell's packed row says whether the cell lies in
 the m-th subset.  A gather along a carrier axis then copies packed rows of
 2^t/8 bytes.  Every level of every formula still evaluates every subset;
-only the edges unpack: the unique singleton, a first failing mask and a
-single membership.
+only the edges unpack: the unique singleton and a first failing mask.
 """
 from __future__ import annotations
 
@@ -85,10 +84,6 @@ class SubsetQuery:
     def members(self):
         return [i for i in range(_size_of(self.carrier)) if (self.mask >> i) & 1]
 
-    def complement(self):
-        full = (1 << _size_of(self.carrier)) - 1
-        return SubsetQuery(self.carrier, full & ~self.mask)
-
     def contains(self, i):
         return bool((self.mask >> i) & 1)
 
@@ -149,18 +144,6 @@ def subset_bits(size):
 def _singletons(size):
     """The singletons {0}, ..., {size - 1} as a set table."""
     return _pack(np.eye(size, dtype=bool))
-
-
-def _mask_rows(masks, cells):
-    # bitmasks of any width -> a set table, through their little-endian
-    # bytes; bits beyond the cells are ignored, as a bit-shifting read would
-    width = (cells + 7) // 8
-    full = (1 << cells) - 1
-    raw = np.frombuffer(
-        b"".join((m & full).to_bytes(width, "little") for m in masks), dtype=np.uint8
-    )
-    bits = np.unpackbits(raw.reshape(-1, width), axis=1, count=cells, bitorder="little")
-    return _pack(bits.T)
 
 
 def _unique_singleton(hits, size, operation):
@@ -294,16 +277,6 @@ def uf_product(U, V):
     return PrincipalUltrafilter(S, found)
 
 
-def uf_power(U, k):
-    """The k-fold product U*U*...*U (right associated)."""
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    acc = U
-    for _ in range(k - 1):
-        acc = uf_product(U, acc)
-    return acc
-
-
 def check_product_law(S, U, V):
     """Confirm, for every subset, that the nested formula for U*V agrees
     with the principal shortcut point(U)*point(V)."""
@@ -331,29 +304,6 @@ def tensor_rows(X, dims, points):
     return sets
 
 
-def _tensor_query(dims, points, mask=0, triple=False):
-    """Check a tensor query: at least one factor, three if ``triple``, each
-    of size at least 1 (InvalidInstance), one point inside each and a mask
-    that is not negative (CarrierMismatch)."""
-    if triple and (len(dims) != 3 or len(points) != 3):
-        raise InvalidInstance(f"(U⊗V)⊗W takes 3 factors, got dims {dims}, points {points}")
-    if not len(dims):
-        raise InvalidInstance("a tensor query takes at least one factor")
-    if any(d < 1 for d in dims):
-        raise InvalidInstance(f"factor sizes must be at least 1, not {dims}")
-    if len(points) != len(dims) or not all(0 <= p < d for p, d in zip(points, dims)):
-        raise CarrierMismatch(f"points {points} are not one inside each factor of {dims}")
-    if mask < 0:
-        raise CarrierMismatch(f"mask {mask} is negative")
-
-
-def _tensor_left_rows(X, dims, points):
-    # (U₁⊗U₂)⊗U₃: section ij lies in U₃ iff it holds U₃'s point, so the
-    # qualifying set over dims[0]×dims[1] is a pick along the last axis
-    i, j, k = dims
-    return tensor_rows(_at(X.reshape(i * j, k, *X.shape[-3:]), points[2]), (i, j), points[:2])
-
-
 def uf_tensor(U, V):
     """U⊗V on the product carrier, evaluated by the section formula."""
     carrier = ProductCarrier((_size_of(U.carrier), _size_of(V.carrier)))
@@ -361,31 +311,26 @@ def uf_tensor(U, V):
     return PrincipalUltrafilter(carrier, _unique_singleton(hits, carrier.size, "tensor"))
 
 
-def tensor_member(mask, dims, points):
-    """X ∈ U₁⊗(U₂⊗...) by vertical sections, right associated, for the
-    bitmask ``mask`` of X ⊆ dims[0]×dims[1]×... (row-major)."""
-    _tensor_query(dims, points, mask)
-    return bool(_unpack(tensor_rows(_mask_rows([mask], prod(dims)), dims, points), 1).item())
-
-
-def tensor_member_left(mask, dims, points):
-    """X ∈ (U₁⊗U₂)⊗U₃ for a triple, pairing the first two coordinates."""
-    _tensor_query(dims, points, mask, triple=True)
-    rows = _tensor_left_rows(_mask_rows([mask], prod(dims)), dims, points)
-    return bool(_unpack(rows, 1).item())
-
-
 def check_tensor_assoc(dims, points):
     """(U⊗V)⊗W and U⊗(V⊗W) agree on every subset of the triple product,
     which may have at most IMAGE_LAW_BOUND cells (2^cells memberships).
     Returns (ok, first failing mask or None).
     """
-    _tensor_query(dims, points, triple=True)
+    if len(dims) != 3 or len(points) != 3:
+        raise InvalidInstance(f"(U⊗V)⊗W takes 3 factors, got dims {dims}, points {points}")
+    if any(d < 1 for d in dims):
+        raise InvalidInstance(f"factor sizes must be at least 1, not {dims}")
+    if not all(0 <= p < d for p, d in zip(points, dims)):
+        raise CarrierMismatch(f"points {points} are not one inside each factor of {dims}")
     cells = prod(dims)
     if cells > IMAGE_LAW_BOUND:
         raise CarrierTooLarge(f"triple product of {cells} cells exceeds {IMAGE_LAW_BOUND}")
     X = subset_bits(cells)
-    diff = tensor_rows(X, dims, points) ^ _tensor_left_rows(X, dims, points)
+    # (U⊗V)⊗W: section ij lies in W iff it holds W's point, so the
+    # qualifying set over dims[0]×dims[1] is a pick along the last axis
+    i, j, k = dims
+    left = tensor_rows(_at(X.reshape(i * j, k, *X.shape[-3:]), points[2]), (i, j), points[:2])
+    diff = tensor_rows(X, dims, points) ^ left
     bad = np.flatnonzero(_unpack(diff, 1 << cells))
     if len(bad):
         return False, int(bad[0])
@@ -469,13 +414,17 @@ def check_tensor_power_law(S, h, k, V):
 
 
 def build_agreement_set(S, family, A):
-    """{v : the image set {sigma(v)} lies inside A or misses A entirely}.
+    """{v in R : the image set {sigma(v)} lies inside A or misses A entirely}.
 
     All images land in T, so missing A is the same as landing in T\\A.
+    Only R = S\\T is scanned, as in the paper's statement: a point of T is
+    its own only image and would lie in every agreement set.  So the total
+    intersection over all A ⊆ T is exactly the points of R with one image,
+    and the family has the FIP exactly when statement (b) holds.
     """
     _require_same_carrier(S.order, _size_of(A.carrier))
     mask = 0
-    for v in range(S.order):
+    for v in family.view.complement():
         images = family.images(v)
         inside = sum(1 for x in images if A.contains(x))
         if inside == 0 or inside == len(images):
@@ -493,9 +442,11 @@ class FipResult:
 def check_fip(sets):
     """Finite intersection property over a list of SubsetQuery.
 
-    Up to FIP_EXHAUSTIVE_LIMIT sets every nonempty subfamily is intersected
-    (smallest subfamilies first, so a returned witness is minimal); beyond
-    that only pairwise and total intersections are tried.
+    A finite family has the FIP exactly when its total intersection is
+    non-empty.  Up to FIP_EXHAUSTIVE_LIMIT sets every nonempty subfamily is
+    still intersected (smallest subfamilies first, so a returned witness is
+    minimal); beyond that the total intersection is the one check, and a
+    failure names the whole family.
     """
     if not sets:
         return FipResult(True)
@@ -516,18 +467,12 @@ def check_fip(sets):
                 if not inter:
                     return FipResult(False, combo, checked)
         return FipResult(True, None, checked)
-    # large families: pairwise plus the total intersection only
-    for combo in combinations(range(len(masks)), 2):
-        checked += 1
-        if not (masks[combo[0]] & masks[combo[1]]):
-            return FipResult(False, combo, checked)
     total = (1 << size) - 1
     for m in masks:
         total &= m
-    checked += 1
     if not total:
-        return FipResult(False, tuple(range(len(masks))), checked)
-    return FipResult(True, None, checked)
+        return FipResult(False, tuple(range(len(masks))), 1)
+    return FipResult(True, None, 1)
 
 
 def find_agreement_ultrafilter(S, family):
@@ -592,7 +537,7 @@ def check_agreement_equivalence(S, family, r):
     checked = 0
     for coloring in iproduct(range(r), repeat=len(keys)):
         checked += 1
-        w = finite_witness_search(S, family, TableColoring(zip(keys, coloring), r=r)).witness
+        w = finite_witness_search(family, TableColoring(zip(keys, coloring), r=r)).witness
         if checked == 1:
             a_first_witness = w
         if w is None:

@@ -141,9 +141,19 @@ def test_criterion_5_agreement_equivalence():
         for amask in range(1 << len(t_members)):
             chosen = [t for i, t in enumerate(t_members) if (amask >> i) & 1]
             sets.append(build_agreement_set(S, family, SubsetQuery.from_members(S, chosen)))
+        # over R the total intersection is the points with one image, so
+        # FIP is statement (b); every flag family has (b), so only the
+        # positive side is exercised
+        total = (1 << S.order) - 1
+        for X in sets:
+            total &= X.mask
+        one_image = [v for v in view.complement() if len(family.images(v)) == 1]
         fip = check_fip(sets)
-        ok &= fip.ok
-        detail.append(f"m={m}: {fip.subfamilies_checked} subfamilies")
+        ok &= SubsetQuery(S, total).members() == one_image
+        ok &= fip.ok == rep.b_holds and fip.ok
+        detail.append(
+            f"m={m}: {fip.subfamilies_checked} subfamilies, intersection {one_image}"
+        )
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 10.0
     assert report(

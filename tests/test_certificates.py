@@ -57,7 +57,7 @@ def words_table_cert():
 def finite_cert():
     S, view, family = flag_semigroup(2)
     coloring = TableColoring({"0": 0, "2": 1, "4": 0}, r=2)
-    out = finite_witness_search(S, family, coloring)
+    out = finite_witness_search(family, coloring)
     return finite_witness_certificate(S, family, coloring, out)
 
 
@@ -257,3 +257,34 @@ def test_a_coloring_that_does_not_fit_its_points_fails(build, old, new):
     assert old in text
     ok, msg = verify_certificate_text(reseal(text, lambda p: p.replace(old, new)))
     assert not ok and "do not color" in msg, msg
+
+
+@pytest.mark.parametrize("build,old,new", [
+    (words_cert, "color: 0\n", "color: +0\n"),
+    (words_cert, "checked: 6\n", "checked: 06\n"),
+    (words_cert, "alphabet: 2\n", "alphabet: 0_2\n"),
+    (words_cert, "witness: xx\n", "witness: x.x\n"),
+    (words_cert, "images: 00 11\n", "images: 0.0 1.1\n"),
+    (words_cert, "color: 0\nchecked: 6\n", "checked: 6\ncolor: 0\n"),
+    (finite_cert, "table: 0 0\n", "table: 0 1\ntable: 0 0\n"),
+])
+def test_a_certificate_has_one_byte_form(build, old, new):
+    # each spelling parses to the very values rendered, so only the byte
+    # form can object
+    text = render_certificate(build())
+    assert old in text
+    ok, msg = verify_certificate_text(reseal(text, lambda p: p.replace(old, new)))
+    assert not ok and "rendered form" in msg, msg
+
+
+def test_stated_images_keep_their_order():
+    text = render_certificate(words_cert())
+    ok, msg = verify_certificate_text(
+        reseal(text, lambda p: p.replace("images: 00 11\n", "images: 11 00\n"))
+    )
+    assert not ok and "images differ" in msg, msg
+
+
+def test_blank_lines_and_crlf_line_ends_are_accepted():
+    text = render_certificate(finite_cert())
+    assert verify_certificate_text(text.replace("\n", "\r\n\r\n")) == (True, "ok")

@@ -1,7 +1,8 @@
-"""Every narrative script in demos/ runs to completion as a script against
-the library in src/."""
+"""Every narrative script in demos/, and the library example in README.md,
+runs to completion as a script against the library in src/."""
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,16 +12,27 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def run_fresh(args):
+    """Run ``python args`` in a fresh interpreter with src/ on its path."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
 def test_the_demos_are_there():
     assert len(DEMOS) == 5
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env,
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    run_fresh([str(demo)])
+
+
+def test_readme_python_block_runs():
+    readme = (ROOT / "README.md").read_text()
+    [block] = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    run_fresh(["-c", block])

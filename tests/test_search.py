@@ -49,7 +49,7 @@ import oracles
 
 def test_line_hypergraph_shape():
     hg = LineHypergraph.build(2, 2)
-    assert hg.num_vertices == 4
+    assert set(hg.edges.ravel().tolist()) == set(range(4))  # the 2^2 vertices
     assert len(hg.edges) == 5
     got = {frozenset(e) for e in map(tuple, hg.edges.tolist())}
     assert got == oracles.line_point_sets(2, 2)
@@ -510,7 +510,7 @@ def test_finite_witness_on_flags():
     S, view, family = flag_semigroup(2)
     table = {str(flag_index(0, 0)): 0, str(flag_index(1, 0)): 1,
              str(flag_index(2, 0)): 0}
-    out = finite_witness_search(S, family, TableColoring(table, r=2))
+    out = finite_witness_search(family, TableColoring(table, r=2))
     assert out.status == "found"
     assert out.witness == flag_index(2, 1)  # earlier R points have mixed images
     assert out.images == [flag_index(2, 0)]
@@ -521,9 +521,7 @@ def test_finite_witness_exhaustion_is_a_true_negative():
     # (0,1) has images {(0,0),(1,0)} - bichromatic; (1,1) has {(1,0)} - mono
     from hjlab import RetractionFamily
     S, view, family = flag_semigroup(1)
-    out = finite_witness_search(
-        S, family, TableColoring({"0": 0, "2": 1}, r=2)
-    )
+    out = finite_witness_search(family, TableColoring({"0": 0, "2": 1}, r=2))
     assert out.status == "found" and out.witness == flag_index(1, 1)
 
 

@@ -82,7 +82,7 @@ def test_nice_subsemigroup_flag_family():
 def test_subgroup_of_group_is_not_nice():
     # {0} inside Z/3: closed, but the complement is no ideal (1*2 = 0 lands in T)
     Z3 = cyclic_semigroup(3)
-    res = is_nice_subsemigroup(Z3, [0])
+    res = is_nice_subsemigroup(Z3, NiceSubsemigroupView.from_members(Z3, [0]))
     assert not res.ok
     assert res.clause.startswith("ideal")
     s, t = res.witness
@@ -91,16 +91,15 @@ def test_subgroup_of_group_is_not_nice():
 
 def test_closure_violation_detected():
     M = max_semigroup(3)
-    res = is_nice_subsemigroup(M, [0, 2])  # 0,2 closed under max... it is; use {0,1} vs 2
-    # {0,2} is closed under max, complement {1}: 1*1=1 stays out, but 0*1=1? no:
-    # max keeps complement only if 1 absorbs, and max(0,1)=1 ok, max(2,1)=2 in T -> not nice
+    # {0,2} is closed under max, but max(2,1) = 2 takes R = {1,3} back into T
+    res = is_nice_subsemigroup(M, NiceSubsemigroupView.from_members(M, [0, 2]))
     assert not res.ok
 
 
 def test_empty_subset_rejected():
     M = max_semigroup(3)
     with pytest.raises(EmptySubset):
-        is_nice_subsemigroup(M, [])
+        NiceSubsemigroupView.from_members(M, [])
 
 
 def test_retraction_validation():

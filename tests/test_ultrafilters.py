@@ -27,14 +27,18 @@ from hjlab import (
     generate_corpus,
     image,
     member,
-    tensor_member,
-    tensor_member_left,
-    uf_power,
     uf_product,
     uf_tensor,
 )
 from hjlab.errors import CarrierMismatch, CarrierTooLarge, HjlabError, InvalidInstance
-from hjlab.ultra import CHUNK_BYTES, TensorPowerTables, _unpack, product_member, subset_bits
+from hjlab.ultra import (
+    CHUNK_BYTES,
+    TensorPowerTables,
+    _unpack,
+    product_member,
+    subset_bits,
+    tensor_rows,
+)
 
 import oracles
 
@@ -54,7 +58,7 @@ def test_subset_query_roundtrip():
     S = cyclic_semigroup(5)
     A = SubsetQuery.from_members(S, [0, 3])
     assert A.members() == [0, 3]
-    assert sorted(A.members() + A.complement().members()) == list(range(5))
+    assert A.mask == 0b1001
     assert A.contains(3) and not A.contains(1)
 
 
@@ -132,7 +136,7 @@ def test_product_is_not_commutative_on_left_zero():
 def test_power_folds_the_point():
     S = cyclic_semigroup(5)
     U = PrincipalUltrafilter(S, 2)
-    assert uf_power(U, 3).point == (2 + 2 + 2) % 5
+    assert uf_product(U, uf_product(U, U)).point == (2 + 2 + 2) % 5
 
 
 @pytest.mark.parametrize("S", [cyclic_semigroup(3), left_zero(3), flag_semigroup(1)[0]])
@@ -143,7 +147,8 @@ def test_three_level_power_matches_nested_family_oracle(S):
     for p in range(n):
         U = oracles.principal_family(n, p)
         fam = oracles.product_family(table, U, oracles.product_family(table, U, U))
-        assert family_of(uf_power(PrincipalUltrafilter(S, p), 3), n) == fam
+        P = PrincipalUltrafilter(S, p)
+        assert family_of(uf_product(P, uf_product(P, P)), n) == fam
         for h in maps:
             W = oracles.image_family(h, U, n, n)
             fam = oracles.product_family(table, W, oracles.product_family(table, W, W))
@@ -185,10 +190,11 @@ def test_tensor_matches_family_oracle(sizes):
 
 
 def test_tensor_member_three_levels():
+    # a set lies in U₁⊗(U₂⊗U₃) exactly when it holds the principal cell
     dims, points = (2, 2, 2), (1, 0, 1)
     flat = (1 * 2 + 0) * 2 + 1
-    for mask in range(1 << 8):
-        assert tensor_member(mask, dims, points) == bool((mask >> flat) & 1)
+    X = subset_bits(8)
+    assert np.array_equal(tensor_rows(X, dims, points), X[flat])
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 2, 4)])
@@ -204,30 +210,11 @@ def test_tensor_assoc_rejects_27_cells():
         check_tensor_assoc((3, 3, 3), (0, 1, 2))
 
 
-def test_tensor_member_at_64_cells():
-    # 64 cells fill the mask's 8 bytes, the top bit at points (3, 3, 3);
-    # bits past the cells are ignored
-    dims = (4, 4, 4)
-    for points in ((3, 0, 2), (3, 3, 3)):
-        flat = (points[0] * 4 + points[1]) * 4 + points[2]
-        for bit in range(70):
-            for mask in (1 << bit, (1 << 70) - 1 - (1 << bit)):
-                want = bool((mask >> flat) & 1)
-                assert tensor_member(mask, dims, points) == want
-                assert tensor_member_left(mask, dims, points) == want
-
-
-def test_tensor_member_left_agrees_by_definition():
-    dims, points = (2, 3, 2), (1, 2, 0)
-    for mask in range(1 << 12):
-        assert tensor_member_left(mask, dims, points) == tensor_member(mask, dims, points)
-
-
 @pytest.mark.parametrize("call", [
     lambda: check_tensor_assoc((2, 2), (0, 0)),
     lambda: check_tensor_assoc((2, 2, 2), (0, 0)),
-    lambda: tensor_member_left(0, (2, 2), (0, 0)),
-    lambda: tensor_member_left(0, (2, 2, 2, 2), (0, 0, 0, 0)),
+    lambda: check_tensor_assoc((2, 2, 2, 2), (0, 0, 0, 0)),
+    lambda: check_tensor_assoc((2, 2, 2), (0, 0, 0, 0)),
 ])
 def test_left_associated_triple_rejects_other_arities(call):
     with pytest.raises(InvalidInstance, match="3 factors"):
@@ -236,19 +223,17 @@ def test_left_associated_triple_rejects_other_arities(call):
 
 @pytest.mark.parametrize("call,error", [
     # -1 wrapped to the last index and answered for it
-    (lambda: tensor_member(1, (2, 2), (-1, 0)), CarrierMismatch),
+    (lambda: check_tensor_assoc((2, 2, 2), (-1, 0, 0)), CarrierMismatch),
     (lambda: check_tensor_assoc((2, 2, 2), (0, 0, -1)), CarrierMismatch),
     # past the factor: a numpy IndexError
     (lambda: check_tensor_assoc((2, 2, 2), (0, 0, 5)), CarrierMismatch),
-    (lambda: tensor_member_left(1, (2, 2, 2), (0, 0, 2)), CarrierMismatch),
-    # fewer points than factors: a bare reshape ValueError
-    (lambda: tensor_member(1, (2, 2), (0,)), CarrierMismatch),
-    # a negative mask, which SubsetQuery rejects, answered as True
-    (lambda: tensor_member(-1, (2, 2), (0, 0)), CarrierMismatch),
+    (lambda: check_tensor_assoc((2, 2, 2), (0, 0, 2)), CarrierMismatch),
+    (lambda: check_tensor_assoc((2, 3, 2), (0, 3, 0)), CarrierMismatch),
     # "negative shift count"
     (lambda: check_tensor_assoc((2, -2, 2), (0, 0, 0)), InvalidInstance),
-    # no factors at all, answered as True
-    pytest.param(lambda: tensor_member(1, (), ()), InvalidInstance, id="no-factors"),
+    # no cells at all
+    pytest.param(lambda: check_tensor_assoc((2, 0, 2), (0, 0, 0)), InvalidInstance,
+                 id="size-0-factor"),
 ])
 def test_tensor_queries_check_their_inputs(call, error):
     with pytest.raises(error):
@@ -371,18 +356,21 @@ def test_agreement_set_flag_example():
     S, view, family = flag_semigroup(2)
     A = SubsetQuery.from_members(S, [flag_index(2, 0)])
     X = build_agreement_set(S, family, A)
-    assert X.members() == [0, 2, 4, 5]
+    assert X.members() == [5]  # R is {1, 3, 5}; only the top flag agrees
 
 
 def test_agreement_set_two_member_family():
-    # with only sigma_0, sigma_1 every point agrees or misses for A = {(2,0)}
+    # with only sigma_0, sigma_1 every point of R agrees or misses for A = {(2,0)}
     S, view, family = flag_semigroup(2)
     sub = RetractionFamily(view, list(family)[:2])
     A = SubsetQuery.from_members(S, [flag_index(2, 0)])
-    assert build_agreement_set(S, sub, A).members() == list(range(6))
+    assert build_agreement_set(S, sub, A).members() == [1, 3, 5]
 
 
 def test_agreement_sets_have_fip():
+    # over R the total intersection is the points with one image, so FIP is
+    # statement (b); only the positive side is exercised, since no finite
+    # structure tried (flags, corpus semigroups of order <= 5) fails (b)
     for m in (1, 2, 3):
         S, view, family = flag_semigroup(m)
         t_members = view.members()
@@ -390,8 +378,14 @@ def test_agreement_sets_have_fip():
         for amask in range(1 << len(t_members)):
             chosen = [t for i, t in enumerate(t_members) if (amask >> i) & 1]
             sets.append(build_agreement_set(S, family, SubsetQuery.from_members(S, chosen)))
+        total = (1 << S.order) - 1
+        for X in sets:
+            total &= X.mask
+        one_image = [v for v in view.complement() if len(family.images(v)) == 1]
+        assert SubsetQuery(S, total).members() == one_image == [flag_index(m, 1)]
         res = check_fip(sets)
-        assert res.ok and res.subfamilies_checked > 0
+        assert res.ok == (find_agreement_ultrafilter(S, family) is not None)
+        assert res.ok and res.subfamilies_checked == 2 ** len(sets) - 1
 
 
 def test_fip_counterexample_is_minimal():
@@ -411,7 +405,12 @@ def test_fip_large_family_path():
     S = cyclic_semigroup(4)
     sets = [SubsetQuery.from_members(S, [0, i % 3 + 1]) for i in range(25)]
     res = check_fip(sets)  # 25 > exhaustive limit; all share the point 0
-    assert res.ok
+    assert res.ok and res.subfamilies_checked == 1
+    # each misses one point: pairwise they meet, all together they miss
+    sets = [SubsetQuery(S, 0b1111 & ~(1 << (i % 4))) for i in range(25)]
+    res = check_fip(sets)
+    assert not res.ok
+    assert res.witness == tuple(range(25)) and res.subfamilies_checked == 1
 
 
 def test_agreement_ultrafilter_is_the_top_flag():
