@@ -34,7 +34,6 @@ from .tableio import (
 from .ultra import (
     FipResult,
     PrincipalUltrafilter,
-    ProductCarrier,
     SubsetQuery,
     build_agreement_set,
     check_agreement_equivalence,

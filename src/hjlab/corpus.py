@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInstance
+from .errors import CarrierTooLarge, InvalidInstance
 from .semigroups import FiniteSemigroup
-from .ultra import TensorPowerTables
+from .ultra import PRODUCT_LAW_BOUND, tensor_power_failures
 
 # transformations act on 2..CORPUS_MAX_DEGREE points; a draw stops after
 # CORPUS_MAX_ATTEMPTS generator sets even if it has fewer semigroups than asked
@@ -32,23 +32,19 @@ def compose(f, g):
 def mulclose(gens, maxsize):
     """Close a set of transformations under composition.
 
-    Returns the sorted element list, or None once the closure (the
-    generators included) exceeds ``maxsize``.
+    Every element is a product of generators, so each new element is only
+    composed with the generators.  Returns the sorted element list, or None
+    once the closure (the generators included) exceeds ``maxsize``.
     """
     els = set(gens)
     if len(els) > maxsize:
         return None
-    changed = True
-    while changed:
-        changed = False
-        for a in list(els):
-            for b in list(els):
-                c = compose(a, b)
-                if c not in els:
-                    els.add(c)
-                    changed = True
-                    if len(els) > maxsize:
-                        return None
+    new = els
+    while new:
+        new = {compose(a, g) for a in new for g in gens} - els
+        els |= new
+        if len(els) > maxsize:
+            return None
     return sorted(els)
 
 
@@ -96,7 +92,8 @@ def generate_corpus(count=50, max_order=6, seed=0):
 
 
 def enumerate_endomorphisms(S):
-    """All maps h: S -> S with h(a*b) = h(a)*h(b), by backtracking.
+    """All maps h: S -> S with h(a*b) = h(a)*h(b), by backtracking, as an
+    (E, n) int64 array with one map per row.
 
     Each product constraint is checked at the first depth where all three
     participating elements have images assigned.
@@ -114,7 +111,7 @@ def enumerate_endomorphisms(S):
 
     def extend(i):
         if i == n:
-            out.append(np.array(h, dtype=np.int64))
+            out.append(tuple(h))
             return
         for v in range(n):
             h[i] = v
@@ -128,7 +125,7 @@ def enumerate_endomorphisms(S):
         h[i] = -1
 
     extend(0)
-    return out
+    return np.array(out, dtype=np.int64).reshape(-1, n)
 
 
 @dataclass
@@ -158,23 +155,26 @@ def sweep_tensor_power(entries, ks=(2, 3)):
     For every entry, every endomorphism h, every k and every principal V the
     image of V's k-fold tensor power under (v1..vk) -> h(v1*...*vk) is
     compared, subset by subset, with the k-fold product power of h(V).  The
-    subset table and its translate chain are built once per semigroup, and
-    every endomorphism and point V of a k is checked in one batched call, so
-    the sweep stays fast even on endomorphism-rich semigroups.
+    order bound of the check is enforced before the endomorphisms are
+    enumerated, and every endomorphism and point V of a k is checked in one
+    batched call, so the sweep stays fast even on endomorphism-rich
+    semigroups.  Failures are listed by endomorphism, then k, then point.
     """
     report = CorpusReport(semigroups=len(entries))
     for idx, entry in enumerate(entries):
         S = entry.semigroup
-        tables = TensorPowerTables(S)
+        n = S.order
+        if n > PRODUCT_LAW_BOUND:
+            raise CarrierTooLarge(f"order {n} exceeds {PRODUCT_LAW_BOUND}")
         endos = enumerate_endomorphisms(S)
         report.endomorphisms += len(endos)
-        per_k = [tables.first_failures(endos, k, range(S.order)) for k in ks]
-        for e, h in enumerate(endos):
-            for k, results in zip(ks, per_k):
-                report.checks += len(results[e])
-                for vp, bad in results[e]:
-                    if bad is not None:
-                        report.failures.append(
-                            CorpusFailure(idx, tuple(int(x) for x in h), k, vp, bad)
-                        )
+        # (E, len(ks), n): the first failing mask of every check, or -1; the
+        # reshape also shapes the empty array of an empty ks
+        first = np.array([tensor_power_failures(S, endos, k, range(n)) for k in ks])
+        first = first.reshape(len(ks), len(endos), n).transpose(1, 0, 2)
+        report.checks += first.size
+        for e, i, p in np.argwhere(first >= 0).tolist():
+            report.failures.append(
+                CorpusFailure(idx, tuple(endos[e].tolist()), ks[i], p, int(first[e, i, p]))
+            )
     return report

@@ -128,8 +128,11 @@ def _cells(cells, V):
     return cells
 
 
-def _color_perms(r):
-    return np.array(list(permutations(range(r))), dtype=np.int64)
+def _color_perms(r, rows):
+    """The r! color permutations, or the identity alone when r! times the
+    ``rows`` cell permutations kept would pass SYMMETRY_GROUP_LIMIT."""
+    keep = factorial(r) * rows <= SYMMETRY_GROUP_LIMIT
+    return np.array(list(permutations(range(r))) if keep else [tuple(range(r))], dtype=np.int64)
 
 
 def hj_symmetry(n, N, r, cells):
@@ -137,7 +140,8 @@ def hj_symmetry(n, N, r, cells):
     ``cells`` (base-n word codes): column j holds the images of cells[j].
     Rows run coordinate-permutation-major.  A subgroup whose rows would pass
     SYMMETRY_GROUP_LIMIT is left out: the coordinate one when N! does, then
-    the alphabet one when n! times the rows kept so far does."""
+    the alphabet one when n! times the rows kept so far does, then the color
+    one when r! times the cell rows kept does."""
     # n >= 2 makes every (coordinate, alphabet) pair a distinct element: constant
     # words pin the alphabet permutation, one-nonzero-digit words the other
     if n < 2 or N < 1:
@@ -157,15 +161,16 @@ def hj_symmetry(n, N, r, cells):
     for i, cp in enumerate(coord):
         # word w goes to (ap[w[cp[0]]], ..., ap[w[cp[N-1]]]), every ap at once
         table[i] = alpha[:, digits[:, cp]] @ weights
-    return Symmetry(table.reshape(-1, len(cells)), _color_perms(r))
+    return Symmetry(table.reshape(-1, len(cells)), _color_perms(r, len(coord) * len(alpha)))
 
 
 def vdw_symmetry(M, r, cells):
     """The reflection x color group of [1..M] (0-based cells), tabulated on
-    ``cells``: column j holds the images of cells[j]."""
+    ``cells``: column j holds the images of cells[j].  The color subgroup is
+    left out when r! times the cell rows passes SYMMETRY_GROUP_LIMIT."""
     cells = _cells(cells, M)
     rows = [cells, M - 1 - cells] if M > 1 else [cells]
-    return Symmetry(np.stack(rows), _color_perms(r))
+    return Symmetry(np.stack(rows), _color_perms(r, len(rows)))
 
 
 def _root_survivors(symmetry, head):

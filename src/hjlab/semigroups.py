@@ -68,11 +68,6 @@ class FiniteSemigroup:
     def order(self):
         return int(self.table.shape[0])
 
-    # carrier protocol used by the ultrafilter module
-    @property
-    def size(self):
-        return self.order
-
     def mul(self, a, b):
         return int(self.table[a, b])
 

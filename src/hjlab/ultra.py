@@ -38,8 +38,8 @@ from .search import finite_witness_search
 from .semigroups import FiniteSemigroup
 
 IMAGE_LAW_BOUND = 16  # exhaustive subset checks up to 2^16 memberships
-# product and tensor-power tables: the k = 3 translate chain of a semigroup
-# of order n holds n³ cells × 2^n/8 packed bytes, 864 KiB at n = 12
+# product and tensor-power checks: the k = 3 translate sets of a semigroup
+# of order n hold n³ cells × 2^n/8 packed bytes, 864 KiB at n = 12
 PRODUCT_LAW_BOUND = 12
 CHUNK_BYTES = 1 << 20  # largest intermediate of one chunk of a map stack
 FIP_EXHAUSTIVE_LIMIT = 20
@@ -48,19 +48,9 @@ AGREEMENT_MAX_ORDER = 10
 AGREEMENT_MAX_COLORS = 3
 
 
-@dataclass(frozen=True)
-class ProductCarrier:
-    """Cartesian product of finite carriers, indexed row-major."""
-
-    sizes: tuple
-
-    @property
-    def size(self):
-        return prod(self.sizes)
-
-
 def _size_of(carrier):
-    return carrier if isinstance(carrier, int) else carrier.size
+    """A carrier is its size or a FiniteSemigroup."""
+    return carrier if isinstance(carrier, int) else carrier.order
 
 
 @dataclass(frozen=True)
@@ -225,34 +215,30 @@ def check_image_law(f, U, target):
     return bool(np.array_equal(image_member(B, f, U.point), B[f[U.point]]))
 
 
-def translate_chain(B, table, k):
-    """The translate sets of k right-associated product levels, as set
-    tables: level 0 is B and level i+1 holds {u : s*u ∈ R} for every set R of
-    level i and every s, a new carrier axis s before the axis u."""
-    chain = [B]
+def translates(B, table, k):
+    """The translate sets of the innermost of k right-associated product
+    levels, as a set table: {u : s₁*(...*(s_{k-1}*u)) ∈ R} for every set R of
+    B and every s₁, ..., s_{k-1}, one new carrier axis per s before the axis u."""
     for _ in range(k - 1):
-        chain.append(chain[-1][..., table, :, :, :])
-    return chain
+        B = B[..., table, :, :, :]
+    return B
 
 
-def product_member(B, table, f, points, chain=None):
-    """Which sets of the table B lie in f(U₁)*(f(U₂)*(...*f(U_k))), right
+def product_member(T, f, points):
+    """Which sets of a set table B lie in f(U₁)*(f(U₂)*(...*f(U_k))), right
     associated, for the principal U_i at ``points`` (outermost first), f
     mapping into the semigroup with Cayley ``table``; f is the identity for a
-    plain product.  f may be a stack of maps and each level's point a vector,
-    one map and point column each.
+    plain product.  ``T`` is ``translates(B, table, k)``, k = len(points).
+    f may be a stack of maps and each level's point a vector, one map and
+    point column each.
 
-    At each level the translate sets {u : s*u ∈ B} are built for every s
-    and set (or taken from ``chain``, a prebuilt ``translate_chain`` of B of
-    at least k levels), the inner levels decide which of them are members,
-    and the full set of qualifying s is tested through the image law.
+    From the innermost level out, the full set of s whose translate set is a
+    member of the level below is built for every set and tested through the
+    image law.
     """
-    if chain is None:
-        chain = translate_chain(B, table, len(points))
-    inner = chain[len(points) - 1]
     for p in reversed(points):
-        inner = image_member(inner, f, p)
-    return inner
+        T = image_member(T, f, p)
+    return T
 
 
 def uf_product(U, V):
@@ -270,7 +256,8 @@ def uf_product(U, V):
     _require_same_carrier(S.order, _size_of(U.carrier))
     _require_same_carrier(S.order, _size_of(V.carrier))
     n = S.order
-    hits = product_member(_singletons(n), S.table, np.arange(n), (U.point, V.point))
+    T = translates(_singletons(n), S.table, 2)
+    hits = product_member(T, np.arange(n), (U.point, V.point))
     found = _unique_singleton(hits, n, "product")
     if n <= PRODUCT_LAW_BOUND and not check_product_law(S, U, V):
         raise VerificationError("product law failed a subset check")
@@ -286,7 +273,7 @@ def check_product_law(S, U, V):
     if n > PRODUCT_LAW_BOUND:
         raise CarrierTooLarge(f"carrier size {n} exceeds {PRODUCT_LAW_BOUND}")
     B = subset_bits(n)
-    formula = product_member(B, S.table, np.arange(n), (U.point, V.point))
+    formula = product_member(translates(B, S.table, 2), np.arange(n), (U.point, V.point))
     return bool(np.array_equal(formula, B[S.mul(U.point, V.point)]))
 
 
@@ -305,10 +292,11 @@ def tensor_rows(X, dims, points):
 
 
 def uf_tensor(U, V):
-    """U⊗V on the product carrier, evaluated by the section formula."""
-    carrier = ProductCarrier((_size_of(U.carrier), _size_of(V.carrier)))
-    hits = tensor_rows(_singletons(carrier.size), carrier.sizes, (U.point, V.point))
-    return PrincipalUltrafilter(carrier, _unique_singleton(hits, carrier.size, "tensor"))
+    """U⊗V on the product carrier of sx * sy cells, indexed row-major,
+    evaluated by the section formula."""
+    sx, sy = _size_of(U.carrier), _size_of(V.carrier)
+    hits = tensor_rows(_singletons(sx * sy), (sx, sy), (U.point, V.point))
+    return PrincipalUltrafilter(sx * sy, _unique_singleton(hits, sx * sy, "tensor"))
 
 
 def check_tensor_assoc(dims, points):
@@ -337,65 +325,49 @@ def check_tensor_assoc(dims, points):
     return True, None
 
 
-class TensorPowerTables:
-    """The tensor-power identity of S for maps h: S -> S.
+def tensor_power_failures(S, maps, k, points):
+    """The tensor-power identity of S for a stack of maps h: S -> S.
 
-    What depends on S alone is built once and shared by every (h, k, V):
-    the subset table and, lazily up to the largest k asked for, its
-    translate chain (the translate sets of every product level).  Both
-    sides are still evaluated by their defining formulas, full preimage,
-    translate and section sets at every level and for every subset, for a
-    stack of maps and all requested points in one batch.  Sets are held in
-    the module's set-table layout: carrier axes, then one column per map and
-    per point, then the 2^n subsets packed 8 per byte.  The stack is
-    evaluated in chunks whose largest intermediate stays near CHUNK_BYTES.
-    The order n of S is bounded by PRODUCT_LAW_BOUND because the k = 3
-    chain holds n³ packed rows of 2^n/8 bytes.
+    For every map of ``maps`` (E maps) and every V at ``points`` (P points),
+    the image of V's k-fold tensor power under (v₁..v_k) -> h(v₁*...*v_k) is
+    compared with the k-fold product power of h(V).  Both sides are evaluated
+    by their defining formulas, full preimage, translate and section sets at
+    every level and for every subset, in the module's set-table layout.  The
+    stack is evaluated in chunks whose largest intermediate stays near
+    CHUNK_BYTES.  The order n of S is bounded by PRODUCT_LAW_BOUND because
+    the k = 3 translate sets hold n³ packed rows of 2^n/8 bytes.
+
+    Returns an (E, P) int64 array: the first subset mask where the two
+    sides differ, or -1 where they agree.
     """
-
-    def __init__(self, S):
-        self.S = S
-        if S.order > PRODUCT_LAW_BOUND:
-            raise CarrierTooLarge(f"order {S.order} exceeds {PRODUCT_LAW_BOUND}")
-        self.bits = subset_bits(S.order)
-        self.chain = [self.bits]
-
-    def first_failures(self, maps, k, points):
-        """For every map h of the stack ``maps`` (E maps S -> S), the
-        list [(V point, first subset mask where the image of V's k-fold tensor
-        power and the k-fold power of h(V) differ, or None)] over ``points``."""
-        if k not in (2, 3):
-            raise InvalidInstance(f"tensor powers take k = 2 or 3 factors, not {k}")
-        n = self.S.order
-        for i, h in enumerate(maps):
-            if np.ndim(h) != 1 or len(h) != n:
-                raise CarrierMismatch(f"map {i} has shape {np.shape(h)}, not ({n},) for S")
-        maps = _map_into(np.reshape(maps, (-1, n)), n)
-        points = np.asarray(points, dtype=np.int64)
-        bad = np.flatnonzero((points < 0) | (points >= n))
-        if len(bad):
-            raise CarrierMismatch(f"point {int(points[bad[0]])} is outside S of order {n}")
-        if len(self.chain) < k:
-            self.chain = translate_chain(self.bits, self.S.table, k)
-        folded = self.S.fold(np.indices((n,) * k)).reshape(-1)  # w₁*...*w_k over S^k
-        # bytes of the largest intermediate one map adds to a chunk
-        per_map = self.bits.shape[-1] * n ** (k - 1) * max(n, len(points))
-        step = max(1, CHUNK_BYTES // per_map)
-        out = []
-        for lo in range(0, len(maps), step):
-            h = maps[lo:lo + step]
-            pre = _preimage(self.bits, h[:, folded])  # subsets holding h(w₁*...*w_k)
-            lhs = tensor_rows(pre, (n,) * k, (points,) * k)
-            rhs = product_member(self.bits, self.S.table, h, (points,) * k, chain=self.chain)
-            diff = lhs ^ rhs  # (maps, points, packed subsets)
-            first = np.full(diff.shape[:2], -1)
-            failing = diff.any(axis=-1)
-            first[failing] = _unpack(diff[failing], 1 << n).argmax(axis=-1)
-            out.extend(
-                [(vp, m if m >= 0 else None) for vp, m in zip(points.tolist(), row)]
-                for row in first.tolist()
-            )
-        return out
+    n = S.order
+    if n > PRODUCT_LAW_BOUND:
+        raise CarrierTooLarge(f"order {n} exceeds {PRODUCT_LAW_BOUND}")
+    if k not in (2, 3):
+        raise InvalidInstance(f"tensor powers take k = 2 or 3 factors, not {k}")
+    for i, h in enumerate(maps):
+        if np.ndim(h) != 1 or len(h) != n:
+            raise CarrierMismatch(f"map {i} has shape {np.shape(h)}, not ({n},) for S")
+    maps = _map_into(np.reshape(maps, (-1, n)), n)
+    points = np.asarray(points, dtype=np.int64)
+    bad = np.flatnonzero((points < 0) | (points >= n))
+    if len(bad):
+        raise CarrierMismatch(f"point {int(points[bad[0]])} is outside S of order {n}")
+    bits = subset_bits(n)
+    T = translates(bits, S.table, k)
+    folded = S.fold(np.indices((n,) * k)).reshape(-1)  # w₁*...*w_k over S^k
+    # bytes of the largest intermediate one map adds to a chunk
+    per_map = bits.shape[-1] * n ** (k - 1) * max(n, len(points))
+    step = max(1, CHUNK_BYTES // per_map)
+    first = np.full((len(maps), len(points)), -1, dtype=np.int64)
+    for lo in range(0, len(maps), step):
+        h = maps[lo:lo + step]
+        pre = _preimage(bits, h[:, folded])  # subsets holding h(w₁*...*w_k)
+        lhs = tensor_rows(pre, (n,) * k, (points,) * k)
+        diff = lhs ^ product_member(T, h, (points,) * k)  # (maps, points, packed subsets)
+        failing = diff.any(axis=-1)
+        first[lo:lo + step][failing] = _unpack(diff[failing], 1 << n).argmax(axis=-1)
+    return first
 
 
 def check_tensor_power_law(S, h, k, V):
@@ -406,9 +378,8 @@ def check_tensor_power_law(S, h, k, V):
     the image ultrafilter of V.  Both sides are evaluated by their defining formulas.
     Returns (ok, first failing SubsetQuery or None).
     """
-    tables = TensorPowerTables(S)
-    [[(_, bad)]] = tables.first_failures([h], k, [V.point])
-    if bad is None:
+    [[bad]] = tensor_power_failures(S, [h], k, [V.point]).tolist()
+    if bad < 0:
         return True, None
     return False, SubsetQuery(S, bad)
 

@@ -2,18 +2,21 @@
 and the tensor-power sweep."""
 import itertools
 
+import numpy as np
 import pytest
 
+import hjlab.corpus
 from hjlab import (
     CorpusEntry,
     compose,
+    cyclic_semigroup,
     enumerate_endomorphisms,
     generate_corpus,
     mulclose,
     sweep_tensor_power,
     transformation_semigroup,
 )
-from hjlab.errors import InvalidInstance
+from hjlab.errors import CarrierTooLarge, InvalidInstance
 
 import oracles
 
@@ -91,7 +94,9 @@ def test_endomorphisms_match_naive_filter():
     for e in entries:
         table = [[int(e.semigroup.mul(a, b)) for b in range(e.semigroup.order)]
                  for a in range(e.semigroup.order)]
-        got = sorted(tuple(h) for h in enumerate_endomorphisms(e.semigroup))
+        endos = enumerate_endomorphisms(e.semigroup)
+        assert endos.dtype == np.int64 and endos.shape == (len(endos), e.semigroup.order)
+        got = sorted(map(tuple, endos.tolist()))
         want = sorted(oracles.all_endomorphisms(table))
         assert got == want
 
@@ -117,3 +122,13 @@ def test_sweep_tensor_power_single_k():
     entries = generate_corpus(count=10, max_order=5, seed=0)
     report = sweep_tensor_power(entries, ks=(2,))
     assert report.ok and report.semigroups == 10
+
+
+def test_sweep_checks_the_order_bound_before_enumerating(monkeypatch):
+    def fail(S):
+        raise AssertionError("endomorphisms enumerated past the order bound")
+
+    monkeypatch.setattr(hjlab.corpus, "enumerate_endomorphisms", fail)
+    entry = CorpusEntry(13, [], [], cyclic_semigroup(13))
+    with pytest.raises(CarrierTooLarge, match="order 13 exceeds 12"):
+        sweep_tensor_power([entry])

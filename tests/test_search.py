@@ -411,6 +411,20 @@ def test_hj_symmetry_color_rows_are_permutations(r):
     assert sorted(map(tuple, colors)) == list(permutations(range(r)))
 
 
+def test_color_subgroup_drops_past_the_limit(monkeypatch):
+    # 5! colors times 2 reflection rows pass a limit of 100, 4! times 2 fit;
+    # on [3]^2, 5! times 12 cell rows pass it and 3! times 12 fit
+    monkeypatch.setattr(hjlab.search, "SYMMETRY_GROUP_LIMIT", 100)
+    assert vdw_symmetry(5, 5, range(5)).color_perms.tolist() == [[0, 1, 2, 3, 4]]
+    assert len(vdw_symmetry(5, 4, range(5)).color_perms) == 24
+    assert hj_symmetry(3, 2, 5, range(9)).color_perms.tolist() == [[0, 1, 2, 3, 4]]
+    assert len(hj_symmetry(3, 2, 3, range(9)).color_perms) == 6
+    # W(2, r) = r + 1: pruning with and without the color subgroup keeps it
+    for r in (4, 5):
+        for M, status in ((r, SAT), (r + 1, UNSAT)):
+            assert vdw_check(2, r, M).status == vdw_check(2, r, M, symmetry=False).status == status
+
+
 def test_hj_symmetry_rejects_degenerate_sizes():
     with pytest.raises(InvalidInstance):
         hj_symmetry(1, 3, 2, [])

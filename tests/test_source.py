@@ -65,12 +65,17 @@ def test_package_imports_have_no_cycle():
         visit(m)
 
 
-def test_every_traced_layer_resolves():
-    """Each (module, attribute path) the benchmark's tracer wraps still
-    exists, so a refactor cannot leave a layer unmeasured unnoticed."""
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_layer_resolves():
+    """Each (module, attribute path) the benchmark's tracer wraps still
+    exists, so a refactor cannot leave a layer unmeasured unnoticed."""
+    tracing = _load_tracing()
     missing = []
     for span, module_name, path, _ in tracing.LAYERS:
         try:
@@ -78,6 +83,38 @@ def test_every_traced_layer_resolves():
         except (ImportError, AttributeError):
             missing.append(f"{span} ({module_name}.{path})")
     assert missing == []
+
+
+def test_every_traced_counter_reads_its_result():
+    """A few tiny calls through every traced layer: each counter the
+    benchmark's tracer takes from a layer's result is read, so a refactor
+    that changes a result's type cannot leave a counter uncounted unnoticed."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    restore, unmeasured = tracing.install(tracer)
+    try:
+        result = hjlab.hj_number(2, 2, 2)
+        for N, res in result.runs:
+            if res.status == hjlab.SAT:
+                text = hjlab.render_certificate(hjlab.hj_coloring_certificate(2, N, 2, res))
+                assert hjlab.verify_certificate_text(text)[0]
+        assert hjlab.vdw_number(3, 2, 9).value == 9
+        coloring = hjlab.parse_coloring_spec("apres:3")
+        assert hjlab.find_ap_via_words(3, coloring, max_len=4).status == "found"
+        entries = hjlab.generate_corpus(count=3, max_order=4, seed=0)
+        assert hjlab.sweep_tensor_power(entries).ok
+        S, view, family = hjlab.flag_semigroup(1)
+        assert hjlab.check_agreement_equivalence(S, family, 2).equivalent
+        sets = [
+            hjlab.build_agreement_set(S, family, hjlab.SubsetQuery.from_members(S, chosen))
+            for chosen in ([], view.members())
+        ]
+        assert hjlab.check_fip(sets).ok
+    finally:
+        tracing.uninstall(restore)
+    assert unmeasured == []
+    assert tracer.uncounted == set()
+    assert sorted(set(tracing.COUNTER_NAMES) - tracer.counters.keys()) == []
 
 
 def test_the_benchmark_calls_still_bind():

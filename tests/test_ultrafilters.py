@@ -8,7 +8,6 @@ from hjlab import (
     FiniteSemigroup,
     NiceSubsemigroupView,
     PrincipalUltrafilter,
-    ProductCarrier,
     Retraction,
     RetractionFamily,
     SubsetQuery,
@@ -33,11 +32,12 @@ from hjlab import (
 from hjlab.errors import CarrierMismatch, CarrierTooLarge, HjlabError, InvalidInstance
 from hjlab.ultra import (
     CHUNK_BYTES,
-    TensorPowerTables,
     _unpack,
     product_member,
     subset_bits,
+    tensor_power_failures,
     tensor_rows,
+    translates,
 )
 
 import oracles
@@ -152,7 +152,8 @@ def test_three_level_power_matches_nested_family_oracle(S):
         for h in maps:
             W = oracles.image_family(h, U, n, n)
             fam = oracles.product_family(table, W, oracles.product_family(table, W, W))
-            rows = _unpack(product_member(subset_bits(n), S.table, h, (p, p, p)), 1 << n)
+            T = translates(subset_bits(n), S.table, 3)
+            rows = _unpack(product_member(T, h, (p, p, p)), 1 << n)
             assert set(np.flatnonzero(rows)) == fam
 
 
@@ -187,6 +188,7 @@ def test_tensor_matches_family_oracle(sizes):
             )
             assert family_of(out, sx * sy) == fam
             assert out.point == up * sy + vp == oracles.family_point(fam, sx * sy)
+            assert out.carrier == sx * sy
 
 
 def test_tensor_member_three_levels():
@@ -247,32 +249,34 @@ GOOD_MAPS = [np.arange(4), np.zeros(4, dtype=int)]
 
 @pytest.mark.parametrize("k", [1, 4])
 def test_tensor_power_tables_reject_k_outside_2_3(k):
-    tables = TensorPowerTables(cyclic_semigroup(4))
     with pytest.raises(InvalidInstance, match="k = 2 or 3"):
-        tables.first_failures([*GOOD_MAPS, np.arange(4)], k, [0])
+        tensor_power_failures(cyclic_semigroup(4), [*GOOD_MAPS, np.arange(4)], k, [0])
 
 
 @pytest.mark.parametrize("point", [-1, 4])
 def test_tensor_power_tables_reject_points_outside_s(point):
     # -1 would wrap to point 3 and 4 would index past the tables
-    tables = TensorPowerTables(cyclic_semigroup(4))
-    assert tables.first_failures(GOOD_MAPS, 2, [3]) == [[(3, None)], [(3, None)]]
+    S = cyclic_semigroup(4)
+    assert tensor_power_failures(S, GOOD_MAPS, 2, [3]).tolist() == [[-1], [-1]]
     with pytest.raises(CarrierMismatch, match=f"point {point}"):
-        tables.first_failures(GOOD_MAPS, 2, [0, point])
+        tensor_power_failures(S, GOOD_MAPS, 2, [0, point])
 
 
 @pytest.mark.parametrize("value", [-1, 4])
 def test_tensor_power_tables_reject_map_values_outside_the_target(value):
-    tables = TensorPowerTables(cyclic_semigroup(4))
     with pytest.raises(CarrierMismatch, match=f"map 2 sends 1 to {value}, outside"):
-        tables.first_failures([*GOOD_MAPS, [0, value, 2, 3]], 2, [0])
+        tensor_power_failures(cyclic_semigroup(4), [*GOOD_MAPS, [0, value, 2, 3]], 2, [0])
 
 
 @pytest.mark.parametrize("bad", [[0, 1, 2], [0, 1, 2, 3, 0], 0, [[0, 1, 2, 3]]])
 def test_tensor_power_tables_reject_maps_of_the_wrong_shape(bad):
-    tables = TensorPowerTables(cyclic_semigroup(4))
     with pytest.raises(CarrierMismatch, match="map 2 has shape"):
-        tables.first_failures([*GOOD_MAPS, bad], 2, [0])
+        tensor_power_failures(cyclic_semigroup(4), [*GOOD_MAPS, bad], 2, [0])
+
+
+def test_tensor_power_failures_reject_an_order_above_the_bound():
+    with pytest.raises(CarrierTooLarge, match="order 13 exceeds 12"):
+        tensor_power_failures(cyclic_semigroup(13), [np.arange(13)], 2, [0])
 
 
 # -- the tensor-power identity ----------------------------------------------
@@ -297,27 +301,27 @@ def test_tensor_power_law_flags_a_non_homomorphism():
     assert bad.contains(2) != bad.contains(0)
 
 
-def batch_against_oracle(tables, maps, k):
+def batch_against_oracle(S, maps, k):
     """Every map's and point's first failing mask from one call on the
     stack, checked against the pure-Python oracle map by map and point by
     point; the number of failing points."""
-    S = tables.S
     table = S.table.tolist()
-    got = tables.first_failures(maps, k, range(S.order))
+    got = tensor_power_failures(S, maps, k, range(S.order))
     want = [
-        [(p, oracles.tensor_power_first_failure(table, table, [int(x) for x in h], k, p))
+        [oracles.tensor_power_first_failure(table, table, [int(x) for x in h], k, p)
          for p in range(S.order)]
         for h in maps
     ]
-    assert got == want
-    return sum(bad is not None for row in got for _, bad in row)
+    assert got.dtype == np.int64 and got.shape == (len(maps), S.order)
+    assert got.tolist() == [[-1 if bad is None else bad for bad in row] for row in want]
+    return int((got >= 0).sum())
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_tensor_power_batch_matches_oracle_on_corpus_endomorphisms(k):
     for entry in generate_corpus(count=25, max_order=4, seed=1):
-        tables = TensorPowerTables(entry.semigroup)
-        assert not batch_against_oracle(tables, enumerate_endomorphisms(entry.semigroup), k)
+        S = entry.semigroup
+        assert not batch_against_oracle(S, enumerate_endomorphisms(S), k)
 
 
 def test_tensor_power_batch_matches_oracle_on_random_maps():
@@ -325,10 +329,9 @@ def test_tensor_power_batch_matches_oracle_on_random_maps():
     failed = 0
     for entry in generate_corpus(count=25, max_order=4, seed=1):
         S = entry.semigroup
-        tables = TensorPowerTables(S)
         maps = rng.integers(0, S.order, (4, S.order))
-        for k in (3, 2):  # k = 3 first, so k = 2 reads a longer chain
-            failed += batch_against_oracle(tables, maps, k)
+        for k in (2, 3):
+            failed += batch_against_oracle(S, maps, k)
     assert failed > 0  # some random maps are no homomorphisms, and fail
 
 
@@ -340,11 +343,11 @@ def test_tensor_power_stack_split_into_chunks_matches_maps_run_alone():
     rng = np.random.default_rng(3)
     maps = np.vstack([enumerate_endomorphisms(S), rng.integers(0, 10, (8, 10))])
     assert len(maps) * 10**3 * (2**10 // 8) > 2 * CHUNK_BYTES  # the k = 3 preimages alone
-    tables = TensorPowerTables(S)
-    got = tables.first_failures(maps, 3, range(10))
-    assert got == [tables.first_failures([h], 3, range(10))[0] for h in maps]
+    got = tensor_power_failures(S, maps, 3, range(10))
+    assert np.array_equal(got, np.vstack([tensor_power_failures(S, [h], 3, range(10))
+                                          for h in maps]))
     table = S.table.tolist()
-    failing = [(h, p, bad) for h, row in zip(maps, got) for p, bad in row if bad is not None]
+    failing = [(maps[e], p, int(got[e, p])) for e, p in np.argwhere(got >= 0)]
     assert len(failing) > 20
     for h, p, bad in failing:  # a failing point stops the oracle early
         assert oracles.tensor_power_first_failure(table, table, h.tolist(), 3, p) == bad
