@@ -20,16 +20,17 @@ S, view, family = flag_semigroup(2)
 print(f"flag semigroup m=2: order {S.order}")
 print("elements:", ", ".join(S.element_name(i) for i in range(S.order)))
 
-res = is_nice_subsemigroup(S, view)
+# the checks read S from the view, so they cannot be handed a different one
+res = is_nice_subsemigroup(view)
 print(f"T = flag-0 elements, nice subsemigroup: {res.ok}")
 
 for i, sigma in enumerate(family):
-    check = validate_retraction(S, view, sigma)
+    check = validate_retraction(view, sigma)
     images = " ".join(S.element_name(sigma.apply(v)) for v in view.complement())
     print(f"sigma_{i}: valid={check.ok}  images of R: {images}")
 
 # a map that moves a T point is rejected with the violated clause
-bad = validate_retraction(S, view, Retraction([0] * S.order))
+bad = validate_retraction(view, Retraction([0] * S.order))
 print(f"constant map: valid={bad.ok} ({bad.describe()})")
 
 # round-trip through the on-disk format
@@ -42,5 +43,5 @@ print("parsed back: order and retraction count agree")
 
 # a subsemigroup of a group can never be nice: the complement leaks back
 Z3 = FiniteSemigroup([[(a + b) % 3 for b in range(3)] for a in range(3)])
-res = is_nice_subsemigroup(Z3, NiceSubsemigroupView.from_members(Z3, [0]))
+res = is_nice_subsemigroup(NiceSubsemigroupView.from_members(Z3, [0]))
 print(f"\n{{0}} inside Z/3: nice={res.ok}, violated clause: {res.clause}, witness {res.witness}")

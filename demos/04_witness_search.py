@@ -3,8 +3,9 @@
 Three searches share one shape - scan candidates v in R until the image
 set {sigma(v)} is monochromatic:
 
-  * word semigroups with the substitution retractions (the smallest
-    Hales-Jewett setting),
+  * word semigroups with the diagonal substitutions x -> a (the smallest
+    Hales-Jewett setting), a family that is valid by construction and
+    carries its own word semigroup,
   * explicit finite semigroups given by Cayley table,
   * van der Waerden progressions obtained by projecting a word witness
     through the digit-sum reduction.
@@ -35,7 +36,7 @@ from hjlab import (
 ws = WordSemigroup(2)
 family = substitution_family(ws)
 coloring = ModSumColoring(2)
-out = word_witness_search(ws, family, coloring)
+out = word_witness_search(family, coloring)
 print(f"word witness: {format_word(out.witness)}  "
       f"images {[format_word(w) for w in out.images]}  "
       f"color {out.color}  ({out.checked} variable words scanned)")

@@ -19,7 +19,6 @@ from .semigroups import (
 )
 from .words import (
     X,
-    Substitution,
     WordSemigroup,
     format_word,
     parse_word,

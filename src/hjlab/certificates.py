@@ -267,7 +267,7 @@ def _finite_claim(cert):
     color_of = _fitting(cert.coloring, INTEGER_KINDS, "semigroup elements")
     S = FiniteSemigroup(cert.table)
     view = NiceSubsemigroupView.from_members(S, cert.t_members)
-    nice = is_nice_subsemigroup(S, view)
+    nice = is_nice_subsemigroup(view)
     if not nice:
         raise VerificationError(f"declared T is not nice: {nice.describe()}")
     family = RetractionFamily(view, [Retraction(row) for row in cert.retractions])

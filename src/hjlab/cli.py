@@ -28,7 +28,7 @@ from .certificates import (
 )
 from .corpus import CorpusEntry, generate_corpus, sweep_tensor_power
 from .errors import HjlabError, InvalidInstance, InvalidStructure, VerificationError
-from .instances import WORD_KINDS, parse_coloring_spec
+from .instances import INTEGER_KINDS, WORD_KINDS, parse_coloring_spec
 from .semigroups import (
     FiniteSemigroup,
     NiceSubsemigroupView,
@@ -86,7 +86,7 @@ def _load_structures(path, need_family=False):
     family = None
     if parsed.t_members is not None:
         view = NiceSubsemigroupView.from_members(S, parsed.t_members)
-        nice = is_nice_subsemigroup(S, view)
+        nice = is_nice_subsemigroup(view)
         if not nice:
             raise InvalidStructure(f"T is not a nice subsemigroup: {nice.describe()}")
     if parsed.retractions:
@@ -115,14 +115,14 @@ def cmd_validate(args):
     print(f"associativity: {_pass()} ({S.order}^3 triples)")
     all_ok = True
     if view is not None:
-        res = is_nice_subsemigroup(S, view)
+        res = is_nice_subsemigroup(view)
         if res:
             print(f"nice subsemigroup: {_pass()} (|T| = {len(view.members())})")
         else:
             all_ok = False
             print(f"nice subsemigroup: {_fail()} ({res.describe()})")
     for i, row in enumerate(parsed.retractions):
-        res = validate_retraction(S, view, Retraction(row))
+        res = validate_retraction(view, Retraction(row))
         first = parsed.retractions.index(row)
         if res and first == i:
             print(f"retraction {i}: {_pass()}")
@@ -147,8 +147,7 @@ def cmd_witness(args):
                 "integer colorings go through hjlab vdw --via-hj"
             )
         ws = WordSemigroup(args.alphabet)
-        family = substitution_family(ws)
-        outcome = word_witness_search(ws, family, coloring, max_len=args.max_len)
+        outcome = word_witness_search(substitution_family(ws), coloring, max_len=args.max_len)
         if outcome.status != "found":
             print(f"exhausted: {outcome.budget_note} ({outcome.checked} words checked)")
             return EXIT_NEGATIVE
@@ -158,8 +157,8 @@ def cmd_witness(args):
         print(f"color: {outcome.color}")
     else:
         S, view, family = _load_structures(args.semigroup, need_family=True)
-        if coloring.kind != "table":
-            raise InvalidInstance("finite instances need an explicit table coloring")
+        if coloring.kind not in INTEGER_KINDS:
+            raise InvalidInstance(f"{coloring.kind} colorings do not color semigroup elements")
         outcome = finite_witness_search(family, coloring)
         if outcome.status != "found":
             print(f"exhausted: {outcome.budget_note} ({outcome.checked} elements checked)")

@@ -118,10 +118,14 @@ def parse_coloring_table_text(text):
         if parts[0] == "default":
             if len(parts) != 2:
                 raise ColoringSpecError("default", "expected: default <color>")
+            if default is not None:
+                raise ColoringSpecError("default", "the default color is given twice")
             default = _table_color(parts[1], line)
             continue
         if len(parts) != 2:
             raise ColoringSpecError(line, "expected: <word-or-int> <color>")
+        if parts[0] in entries:
+            raise ColoringSpecError(parts[0], "the key is given twice")
         entries[parts[0]] = _table_color(parts[1], line)
     return TableColoring(entries, default=default)
 

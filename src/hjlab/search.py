@@ -655,14 +655,15 @@ def _first_monochromatic(candidates, family, coloring, exhausted_note):
     return WitnessOutcome("exhausted", checked=checked, budget_note=exhausted_note)
 
 
-def word_witness_search(ws, family, coloring, max_len=8):
-    """First variable word (length-lexicographic) whose substitution images
-    are monochromatic.  Exhausted only means the length budget ran out: the
-    abstract theorem guarantees a witness at some finite length."""
+def word_witness_search(family, coloring, max_len=8):
+    """First variable word of ``family.ws`` (length-lexicographic) whose
+    substitution images are monochromatic.  Exhausted only means the length
+    budget ran out: the abstract theorem guarantees a witness at some finite
+    length."""
     if max_len < 1:
         raise InvalidInstance(f"need max_len >= 1, not {max_len}")
     return _first_monochromatic(
-        ws.iter_words(max_len, require_variable=True),
+        family.ws.iter_words(max_len),
         family,
         coloring,
         f"no witness up to length {max_len}",
@@ -693,9 +694,8 @@ def find_ap_via_words(k, integer_coloring, max_len=8):
         raise InvalidInstance(f"need k >= 2, not {k}")
     if integer_coloring.kind not in INTEGER_KINDS:
         raise InvalidInstance(f"{integer_coloring.kind} colorings do not color integers")
-    ws = WordSemigroup(k)
     pulled = PullbackColoring(integer_coloring, sum)
-    out = word_witness_search(ws, substitution_family(ws), pulled, max_len=max_len)
+    out = word_witness_search(substitution_family(WordSemigroup(k)), pulled, max_len=max_len)
     if out.status != "found":
         return ViaHjOutcome("exhausted", checked=out.checked)
     # the images sort by substitution letter a, so their digit sums should

@@ -113,9 +113,6 @@ class NiceSubsemigroupView:
     def contains(self, i):
         return bool((self.mask >> i) & 1)
 
-    def check_retraction(self, retraction):
-        return validate_retraction(self.parent, self, retraction)
-
     def members(self):
         return [i for i in range(self.parent.order) if self.contains(i)]
 
@@ -134,12 +131,13 @@ class NiceSubsemigroupView:
         return cls(parent, mask)
 
 
-def is_nice_subsemigroup(S, view):
+def is_nice_subsemigroup(view):
     """Decide whether the T of ``view`` (a NiceSubsemigroupView, which is
-    never empty) is a subsemigroup of the finite S with ideal complement.
+    never empty) is a subsemigroup of its finite S with ideal complement.
 
     Returns a CheckResult whose witness is the first violating pair.
     """
+    S = view.parent
     members = view.members()
     comp = view.complement()
     for a in members:
@@ -177,12 +175,13 @@ class Retraction:
         return f"Retraction([{self.describe()}])"
 
 
-def validate_retraction(S, view, retraction):
+def validate_retraction(view, retraction):
     """Check homomorphism, identity-on-T and range-in-T for one map on the
-    finite S, exhaustively.  Returns a CheckResult naming the first failing
-    clause.
+    finite S of ``view``, exhaustively.  Returns a CheckResult naming the
+    first failing clause.
     """
-    sigma = retraction.mapping if isinstance(retraction, Retraction) else np.asarray(retraction)
+    S = view.parent
+    sigma = retraction.mapping
     if sigma.shape != (S.order,):
         return CheckResult(False, "totality", (len(sigma), S.order))
     if ((sigma < 0) | (sigma >= S.order)).any():
@@ -205,11 +204,8 @@ def validate_retraction(S, view, retraction):
 
 
 class RetractionFamily:
-    """A validated, duplicate-free family of retractions onto one view.
-
-    Each member is checked by ``view.check_retraction``: exhaustively for a
-    finite semigroup, by its exact clauses for the constant words of a free
-    word semigroup.
+    """A validated, duplicate-free finite family of retractions onto one
+    view; each member is checked exhaustively by ``validate_retraction``.
     """
 
     def __init__(self, view, retractions):
@@ -217,7 +213,7 @@ class RetractionFamily:
         if not retractions:
             raise InvalidStructure("retraction family must be nonempty")
         for r in retractions:
-            res = view.check_retraction(r)
+            res = validate_retraction(view, r)
             if not res:
                 raise InvalidStructure(f"invalid retraction: {res.describe()}")
         for i in range(len(retractions)):

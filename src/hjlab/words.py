@@ -2,17 +2,16 @@
 
 Words are tuples of ints: letters are 0..n-1 and x is encoded as X = -1.
 The semigroup is never materialized; the constant words (those without x)
-form a nice subsemigroup by construction, and substituting a letter for x
-gives exactly the retractions onto it.  These laws hold by construction, so
-nothing here re-tests them at run time; ``tests/test_semigroups.py``
-property-tests them instead.
+form a nice subsemigroup, and substituting a letter for x gives exactly the
+retractions onto it.  So the diagonal family is built, not checked: these
+laws hold by construction, and ``tests/test_semigroups.py`` property-tests
+them instead of any run-time check.
 """
 from __future__ import annotations
 
 from itertools import product as iproduct
 
 from .errors import InvalidInstance
-from .semigroups import CheckResult, RetractionFamily
 
 X = -1
 
@@ -66,81 +65,47 @@ class WordSemigroup:
             raise InvalidInstance(f"need alphabet size >= 1, not {alphabet_size}")
         self.alphabet_size = alphabet_size
 
-    def symbols(self):
-        """All symbols, letters first; this fixes the length-lex order."""
-        return list(range(self.alphabet_size)) + [X]
-
     def valid_word(self, word):
         return len(word) > 0 and all(s == X or 0 <= s < self.alphabet_size for s in word)
 
-    def iter_words(self, max_len, min_len=1, require_variable=False):
-        """Length-lexicographic stream; letters sort before x."""
-        syms = self.symbols()
-        for L in range(min_len, max_len + 1):
+    def iter_words(self, max_len):
+        """The variable words up to ``max_len``, length-lexicographic with the
+        letters before x."""
+        syms = [*range(self.alphabet_size), X]
+        for L in range(1, max_len + 1):
             for w in iproduct(syms, repeat=L):
-                if require_variable and not contains_variable(w):
-                    continue
-                yield w
-
-    def constant_view(self):
-        return ConstantWordsView(self)
-
-    def substitutions(self):
-        """The diagonal family: one substitution per letter a, mapping x to a.
-        This is the classical retraction family.
-
-        One variable loses nothing here: under a diagonal family, renaming
-        every variable of a word to x keeps its image set, and the renamed
-        word comes no later in length-lex order (x sorts before any other
-        variable), so the first witness over many variables has one."""
-        return [Substitution(self, a) for a in range(self.alphabet_size)]
+                if contains_variable(w):
+                    yield w
 
 
 class ConstantWordsView:
     """The nice subsemigroup of constant words, given by a predicate."""
 
-    def __init__(self, parent):
-        self.parent = parent
-
     def contains(self, word):
         return not contains_variable(word)
 
-    def check_retraction(self, sub):
-        """Exact membership test for a retraction family onto the constants.
 
-        In a free semigroup substituting a letter of the alphabet for x is a
-        homomorphism onto the constant words fixing them, so the type and
-        range clauses are the whole retraction condition.
-        """
-        if not isinstance(sub, Substitution):
-            return CheckResult(False, "type", (type(sub).__name__,))
-        if not (0 <= sub.letter < self.parent.alphabet_size):
-            return CheckResult(False, "range", (sub.letter,))
-        return CheckResult(True)
+class DiagonalFamily:
+    """The diagonal retraction family of a word semigroup: one substitution
+    x -> a per letter a, the classical Hales-Jewett family.
 
+    It is valid by construction, so it checks nothing: substituting a letter
+    for x is a homomorphism onto the constant words that fixes them.
 
-class Substitution:
-    """Retraction of a word semigroup: substitutes one letter for x."""
+    One variable loses nothing here: under a diagonal family, renaming
+    every variable of a word to x keeps its image set, and the renamed
+    word comes no later in length-lex order (x sorts before any other
+    variable), so the first witness over many variables has one."""
 
-    def __init__(self, parent, letter):
-        if not (0 <= letter < parent.alphabet_size):
-            raise ValueError(f"letter {letter} outside the alphabet")
-        self.parent = parent
-        self.letter = letter
+    def __init__(self, ws):
+        self.ws = ws
+        self.view = ConstantWordsView()
 
-    def apply(self, word):
-        return substitute(word, self.letter)
-
-    def same_as(self, other):
-        return isinstance(other, Substitution) and self.letter == other.letter
-
-    def describe(self):
-        return f"subst:{self.letter}"
-
-    def __repr__(self):
-        return f"Substitution({self.letter})"
+    def images(self, word):
+        """The image set {word[x := a]} as a sorted duplicate-free list."""
+        return sorted({substitute(word, a) for a in range(self.ws.alphabet_size)})
 
 
 def substitution_family(ws):
     """The diagonal retraction family of a word semigroup."""
-    return RetractionFamily(ws.constant_view(), ws.substitutions())
+    return DiagonalFamily(ws)

@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from hjlab import WordSemigroup
+from hjlab.words import X
 
 
 # -- hypergraph colorings -------------------------------------------------
@@ -177,11 +177,10 @@ def line_edges(n, N):
     """The combinatorial lines of [n]^N by their definition, one word at a
     time: each one-variable word of length N in word order, under each
     diagonal substitution."""
-    ws = WordSemigroup(n)
-    subs = ws.substitutions()
     return [
-        tuple(encode_word(s.apply(w), n) for s in subs)
-        for w in ws.iter_words(N, min_len=N, require_variable=True)
+        tuple(encode_word([a if s == X else s for s in w], n) for a in range(n))
+        for w in itertools.product([*range(n), X], repeat=N)
+        if X in w
     ]
 
 

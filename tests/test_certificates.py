@@ -34,7 +34,7 @@ from hjlab.errors import CertificateError
 def words_cert():
     ws = WordSemigroup(2)
     coloring = ModSumColoring(2)
-    out = word_witness_search(ws, substitution_family(ws), coloring)
+    out = word_witness_search(substitution_family(ws), coloring)
     return words_witness_certificate(ws, coloring, out)
 
 
@@ -43,14 +43,14 @@ def apres_vdw_cert():
     ws = WordSemigroup(3)
     base = ApResidueColoring(2)
     search = PullbackColoring(base, sum)
-    out = word_witness_search(ws, substitution_family(ws), search, max_len=5)
+    out = word_witness_search(substitution_family(ws), search, max_len=5)
     return words_witness_certificate(ws, base, out, reduction="vdw")
 
 
 def words_table_cert():
     ws = WordSemigroup(2)
     coloring = TableColoring({"0": 0, "1": 1, "00": 1}, r=2, default=0)
-    out = word_witness_search(ws, substitution_family(ws), coloring)
+    out = word_witness_search(substitution_family(ws), coloring)
     return words_witness_certificate(ws, coloring, out)
 
 

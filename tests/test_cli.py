@@ -156,6 +156,30 @@ def test_witness_finite_table_coloring(flag2, tmp_path, capsys):
 
 def test_witness_finite_rejects_non_table_coloring(flag2, capsys):
     assert main(["witness", "--semigroup", flag2, "--coloring", "mod:2"]) == 2
+    assert "mod colorings do not color semigroup elements" in capsys.readouterr().out
+
+
+def test_witness_finite_residue_coloring(flag2, tmp_path, capsys):
+    # a residue colors semigroup elements as the verifier does
+    cert = tmp_path / "f.cert"
+    assert main(["witness", "--semigroup", flag2, "--coloring", "apres:2",
+                 "-o", str(cert)]) == 0
+    out = capsys.readouterr().out
+    # (0,1) at index 1 has the images 0, 2 and 4, all even
+    assert "witness: 1 (index 1)" in out and "images: 0 2 4" in out
+    assert main(["verify", str(cert)]) == 0
+
+
+def test_witness_finite_table_with_a_repeated_key_exits_2(flag2, tmp_path, capsys):
+    # read with either entry for 0, this table gives a different witness
+    ctab = tmp_path / "dup.txt"
+    ctab.write_text("0 1\n2 1\n4 1\n0 0\n")
+    cert = tmp_path / "c.cert"
+    assert main(["witness", "--semigroup", flag2, "--coloring", f"table:{ctab}",
+                 "-o", str(cert)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and "'0'" in out and out.count("\n") == 1
+    assert not cert.exists()
 
 
 def test_witness_apres_names_vdw_via_hj(tmp_path, capsys):

@@ -30,12 +30,13 @@ def test_line_counts(n, N, count):
 def test_lines_match_the_naive_enumeration(n, N):
     want = oracles.line_point_sets(n, N)
     assert {frozenset(e) for e in map(tuple, LineHypergraph.build(n, N).edges.tolist())} == want
-    # the lines are the image sets of the validated diagonal retraction family
+    # the lines are the image sets of the diagonal retraction family, row by
+    # row in the order the word scan meets the length-N words
     ws = WordSemigroup(n)
     family = substitution_family(ws)
-    images = {frozenset(oracles.encode_word(p, n) for p in family.images(w))
-              for w in ws.iter_words(N, min_len=N, require_variable=True)}
-    assert images == want
+    images = [[oracles.encode_word(p, n) for p in family.images(w)]
+              for w in ws.iter_words(N) if len(w) == N]
+    assert images == LineHypergraph.build(n, N).edges.tolist()
 
 
 def test_lines_need_two_letters_and_one_coordinate():
@@ -104,9 +105,11 @@ def test_parse_coloring_table_file(tmp_path):
     p.write_text("# colors\n0 1\n1 0\ndefault 1\n")
     c = parse_coloring_spec(f"table:{p}")
     assert c.color_of(0) == 1 and c.color_of(1) == 0 and c.color_of(9) == 1
-    for bad in ("0 zz\n", "0 1\ndefault 1.5\n"):
+    for bad, match in (("0 zz\n", "not an integer"), ("0 1\ndefault 1.5\n", "not an integer"),
+                       ("0 1\n2 1\n0 0\n", "'0'.*given twice"),
+                       ("default 0\ndefault 1\n", "default.*given twice")):
         p.write_text(bad)
-        with pytest.raises(ColoringSpecError, match="not an integer"):
+        with pytest.raises(ColoringSpecError, match=match):
             parse_coloring_spec(f"table:{p}")
 
 
@@ -121,7 +124,7 @@ def test_digit_sum_reduction_sends_lines_to_progressions():
     # number of variable positions
     ws = WordSemigroup(3)
     family = substitution_family(ws)
-    for w in ws.iter_words(4, require_variable=True):
+    for w in ws.iter_words(4):
         sums = [sum(image) for image in family.images(w)]
         fixed = sum(s for s in w if s >= 0)
         assert sums == [fixed + a * _variable_positions(w) for a in range(3)]
@@ -136,7 +139,7 @@ def test_pullback_color_matches_projection():
     pulled = PullbackColoring(base, sum)
     for w in itertools.product(range(3), repeat=4):
         assert pulled.color_of(w) == base.color_of(sum(w))
-    for w in ws.iter_words(4, require_variable=True):
+    for w in ws.iter_words(4):
         images = family.images(w)
         step = _variable_positions(w)
         ap = [sum(images[0]) + a * step for a in range(3)]

@@ -505,7 +505,7 @@ def test_invalid_instance_parameters_are_rejected(call):
 
 def test_word_witness_for_mod2():
     ws = WordSemigroup(2)
-    out = word_witness_search(ws, substitution_family(ws), ModSumColoring(2))
+    out = word_witness_search(substitution_family(ws), ModSumColoring(2))
     assert out.status == "found"
     assert out.witness == parse_word("xx")
     assert out.images == [(0, 0), (1, 1)]
@@ -515,7 +515,7 @@ def test_word_witness_for_mod2():
 
 def test_word_witness_respects_length_budget():
     ws = WordSemigroup(2)
-    out = word_witness_search(ws, substitution_family(ws), ModSumColoring(2), max_len=1)
+    out = word_witness_search(substitution_family(ws), ModSumColoring(2), max_len=1)
     assert out.status == "exhausted"
     assert out.checked == 1
 
