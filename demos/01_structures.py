@@ -8,12 +8,13 @@ onto T.
 """
 from hjlab import (
     FiniteSemigroup,
-    NiceSubsemigroupView,
-    Retraction,
+    RetractionFamily,
+    SubsetQuery,
     flag_semigroup,
     is_nice_subsemigroup,
     validate_retraction,
 )
+from hjlab.errors import InvalidStructure
 from hjlab.tableio import format_semigroup_file, parse_semigroup_text
 
 S, view, family = flag_semigroup(2)
@@ -26,11 +27,11 @@ print(f"T = flag-0 elements, nice subsemigroup: {res.ok}")
 
 for i, sigma in enumerate(family):
     check = validate_retraction(view, sigma)
-    images = " ".join(S.element_name(sigma.apply(v)) for v in view.complement())
+    images = " ".join(S.element_name(sigma[v]) for v in view.complement())
     print(f"sigma_{i}: valid={check.ok}  images of R: {images}")
 
 # a map that moves a T point is rejected with the violated clause
-bad = validate_retraction(view, Retraction([0] * S.order))
+bad = validate_retraction(view, [0] * S.order)
 print(f"constant map: valid={bad.ok} ({bad.describe()})")
 
 # round-trip through the on-disk format
@@ -43,5 +44,15 @@ print("parsed back: order and retraction count agree")
 
 # a subsemigroup of a group can never be nice: the complement leaks back
 Z3 = FiniteSemigroup([[(a + b) % 3 for b in range(3)] for a in range(3)])
-res = is_nice_subsemigroup(NiceSubsemigroupView.from_members(Z3, [0]))
+res = is_nice_subsemigroup(SubsetQuery.from_members(Z3, [0]))
 print(f"\n{{0}} inside Z/3: nice={res.ok}, violated clause: {res.clause}, witness {res.witness}")
+
+# a family is built only over a nice T: in ({0, 1}, max) the map to 1 is a
+# retraction onto T = {1}, but max(1, 0) = 1 takes R = {0} back into T
+M = FiniteSemigroup([[0, 1], [1, 1]])
+try:
+    RetractionFamily(SubsetQuery.from_members(M, [1]), [[1, 1]])
+except InvalidStructure as e:
+    print(f"family over T = {{1}} in ({{0, 1}}, max) refused: {e}")
+else:
+    raise SystemExit("a family over a non-nice T was accepted")

@@ -54,7 +54,7 @@ S, view, family = flag_semigroup(2)
 sigma = list(family)[1]
 for k in (2, 3):
     results = [
-        check_tensor_power_law(S, sigma.mapping, k, PrincipalUltrafilter(S, p))[0]
+        check_tensor_power_law(S, sigma, k, PrincipalUltrafilter(S, p))[0]
         for p in range(S.order)
     ]
     print(f"tensor-power identity on flags, k={k}: {sum(results)}/{len(results)} points")

@@ -7,14 +7,12 @@ __version__ = "0.1.0"
 from .semigroups import (
     CheckResult,
     FiniteSemigroup,
-    NiceSubsemigroupView,
-    Retraction,
     RetractionFamily,
+    SubsetQuery,
     cyclic_semigroup,
     flag_index,
     flag_semigroup,
     is_nice_subsemigroup,
-    max_semigroup,
     validate_retraction,
 )
 from .words import (
@@ -33,7 +31,6 @@ from .tableio import (
 from .ultra import (
     FipResult,
     PrincipalUltrafilter,
-    SubsetQuery,
     build_agreement_set,
     check_agreement_equivalence,
     check_fip,
@@ -99,7 +96,6 @@ from .certificates import (
     coloring_certificate,
     finite_witness_certificate,
     hj_coloring_certificate,
-    load_certificate,
     parse_certificate,
     render_certificate,
     save_certificate,

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 from .errors import CertificateError, HjlabError, VerificationError
 from .instances import INTEGER_KINDS, WORD_KINDS, TableColoring, parse_coloring_spec
-from .semigroups import (
-    FiniteSemigroup,
-    NiceSubsemigroupView,
-    Retraction,
-    RetractionFamily,
-    is_nice_subsemigroup,
-)
+from .semigroups import FiniteSemigroup, RetractionFamily, SubsetQuery
 from .search import INSTANCE_FIELDS, INSTANCES, hj_instance, vdw_instance, verify_proper_coloring
 from .words import WordSemigroup, format_word, parse_word, substitution_family
 
@@ -266,11 +260,7 @@ def _finite_claim(cert):
     """The carrier test, family and image coloring of a witness-finite claim."""
     color_of = _fitting(cert.coloring, INTEGER_KINDS, "semigroup elements")
     S = FiniteSemigroup(cert.table)
-    view = NiceSubsemigroupView.from_members(S, cert.t_members)
-    nice = is_nice_subsemigroup(view)
-    if not nice:
-        raise VerificationError(f"declared T is not nice: {nice.describe()}")
-    family = RetractionFamily(view, [Retraction(row) for row in cert.retractions])
+    family = RetractionFamily(SubsetQuery.from_members(S, cert.t_members), cert.retractions)
     return (lambda v: 0 <= v < S.order), family, color_of
 
 
@@ -329,11 +319,6 @@ def save_certificate(cert, path):
         fh.write(render_certificate(cert))
 
 
-def load_certificate(path):
-    with open(path) as fh:
-        return parse_certificate(fh.read())
-
-
 # -- builders used by the CLI and tests ----------------------------------
 
 
@@ -353,7 +338,7 @@ def finite_witness_certificate(S, family, coloring, outcome):
     return WitnessFiniteCertificate(
         table=[[int(x) for x in row] for row in S.table],
         t_members=family.view.members(),
-        retractions=[[int(x) for x in r.mapping] for r in family],
+        retractions=family.maps.tolist(),
         coloring=coloring,
         witness=outcome.witness,
         images=list(outcome.images),

@@ -31,9 +31,8 @@ from .errors import HjlabError, InvalidInstance, InvalidStructure, VerificationE
 from .instances import INTEGER_KINDS, WORD_KINDS, parse_coloring_spec
 from .semigroups import (
     FiniteSemigroup,
-    NiceSubsemigroupView,
-    Retraction,
     RetractionFamily,
+    SubsetQuery,
     is_nice_subsemigroup,
     validate_retraction,
 )
@@ -85,12 +84,11 @@ def _load_structures(path, need_family=False):
     view = None
     family = None
     if parsed.t_members is not None:
-        view = NiceSubsemigroupView.from_members(S, parsed.t_members)
-        nice = is_nice_subsemigroup(view)
-        if not nice:
-            raise InvalidStructure(f"T is not a nice subsemigroup: {nice.describe()}")
+        view = SubsetQuery.from_members(S, parsed.t_members)
     if parsed.retractions:
-        family = RetractionFamily(view, [Retraction(r) for r in parsed.retractions])
+        family = RetractionFamily(view, parsed.retractions)  # checks T too
+    elif view is not None and not (nice := is_nice_subsemigroup(view)):
+        raise InvalidStructure(f"T is not a nice subsemigroup: {nice.describe()}")
     if need_family and family is None:
         raise InvalidStructure("this command needs T and retraction lines")
     return S, view, family
@@ -110,7 +108,7 @@ def cmd_validate(args):
         return EXIT_NEGATIVE
     view = None
     if parsed.t_members is not None:
-        view = NiceSubsemigroupView.from_members(S, parsed.t_members)
+        view = SubsetQuery.from_members(S, parsed.t_members)
     print(f"closure: {_pass()}")
     print(f"associativity: {_pass()} ({S.order}^3 triples)")
     all_ok = True
@@ -122,7 +120,7 @@ def cmd_validate(args):
             all_ok = False
             print(f"nice subsemigroup: {_fail()} ({res.describe()})")
     for i, row in enumerate(parsed.retractions):
-        res = validate_retraction(view, Retraction(row))
+        res = validate_retraction(view, row)
         first = parsed.retractions.index(row)
         if res and first == i:
             print(f"retraction {i}: {_pass()}")

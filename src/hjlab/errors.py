@@ -27,10 +27,6 @@ class AssociativityViolation(InvalidStructure):
         super().__init__(f"associativity fails at triple ({i}, {j}, {k})")
 
 
-class EmptySubset(InvalidStructure):
-    pass
-
-
 class CarrierMismatch(HjlabError):
     pass
 

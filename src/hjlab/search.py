@@ -271,8 +271,8 @@ class HypergraphSolver:
     constrains nothing).  ``symmetry`` is None (no pruning) or a builder
     ``cells -> Symmetry``, called with the decision head: the first
     SYMMETRY_DEPTH + 1 cells of the decision order, so the group's column j
-    maps decision position j.  ``solve`` builds all of its state, group
-    included, so the time budget covers the set-up too.
+    maps decision position j.  ``solve`` builds all of its state, edge lists
+    and group included, so the time budget covers the set-up too.
     """
 
     def __init__(
@@ -287,7 +287,7 @@ class HypergraphSolver:
         check_budgets(budget_nodes, budget_seconds)
         self.V = num_vertices
         self.r = r
-        self.edges = edges.tolist() if isinstance(edges, np.ndarray) else list(edges)
+        self.edges = edges if isinstance(edges, np.ndarray) else list(edges)
         self.build_symmetry = symmetry
         self.budget_nodes = budget_nodes
         self.budget_seconds = budget_seconds
@@ -296,7 +296,8 @@ class HypergraphSolver:
     def _reset(self):
         V, r = self.V, self.r
         self.deadline = time.monotonic() + self.budget_seconds
-        edges = [tuple(dict.fromkeys(e)) for e in self.edges if len(e)]
+        edges = self.edges.tolist() if isinstance(self.edges, np.ndarray) else self.edges
+        edges = [tuple(dict.fromkeys(e)) for e in edges if len(e)]
         degree = [0] * V
         for e in edges:
             for v in e:

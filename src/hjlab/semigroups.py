@@ -1,9 +1,12 @@
-"""Finite semigroups, nice subsemigroups and retraction families.
+"""Finite semigroups, subsets and retraction families.
 
-A finite semigroup is a Cayley table over carrier [0..n).  A subsemigroup T
-is *nice* when its complement R = S\\T is a two-sided ideal; equivalently
+A finite semigroup is a Cayley table over carrier [0..n); a subset of a
+carrier is a SubsetQuery bitmask.  A subset T is a *nice* subsemigroup when
+it is nonempty and its complement R = S\\T is a two-sided ideal; equivalently
 a*b lands in T exactly when both factors do.  A retraction is a homomorphism
-S -> T fixing T pointwise.  All types are immutable after validation.
+S -> T fixing T pointwise.  A RetractionFamily is the theorem's setting: it
+checks that T is nice and that each member is a retraction onto T, and holds
+the members as one table of images.  All types are immutable after validation.
 """
 from __future__ import annotations
 
@@ -11,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AssociativityViolation,
-    ClosureViolation,
-    EmptySubset,
-    InvalidStructure,
-)
+from .errors import AssociativityViolation, ClosureViolation, InvalidStructure
 
 
 @dataclass
@@ -92,54 +90,53 @@ class FiniteSemigroup:
         return f"FiniteSemigroup(order={self.order})"
 
 
-class NiceSubsemigroupView:
-    """A subsemigroup T of a finite semigroup, held as a bitmask.
+def _size_of(carrier):
+    """A carrier is its size or a FiniteSemigroup."""
+    return carrier if isinstance(carrier, int) else carrier.order
 
-    The view is only a container; run :func:`is_nice_subsemigroup` to check
-    that T is closed and that R = S\\T is a two-sided ideal.
-    """
 
-    def __init__(self, parent, mask):
-        if not isinstance(parent, FiniteSemigroup):
-            raise TypeError("NiceSubsemigroupView needs a FiniteSemigroup parent")
-        mask = int(mask)
-        if mask <= 0:
-            raise EmptySubset("subsemigroup mask selects no element")
-        if mask >> parent.order:
-            raise InvalidStructure("mask selects elements outside the carrier")
-        self.parent = parent
-        self.mask = mask
+@dataclass(frozen=True)
+class SubsetQuery:
+    """A subset of a finite carrier, held as a bitmask."""
+
+    carrier: object
+    mask: int
+
+    def __post_init__(self):
+        if self.mask < 0 or self.mask >> _size_of(self.carrier):
+            raise InvalidStructure("mask does not fit the carrier")
+
+    @classmethod
+    def from_members(cls, carrier, members):
+        size = _size_of(carrier)
+        mask = 0
+        for i in members:
+            if not 0 <= i < size:
+                raise InvalidStructure(f"member {i} is outside the carrier [0..{size})")
+            mask |= 1 << i
+        return cls(carrier, mask)
+
+    def members(self):
+        return [i for i in range(_size_of(self.carrier)) if self.contains(i)]
+
+    def complement(self):
+        return [i for i in range(_size_of(self.carrier)) if not self.contains(i)]
 
     def contains(self, i):
         return bool((self.mask >> i) & 1)
 
-    def members(self):
-        return [i for i in range(self.parent.order) if self.contains(i)]
-
-    def complement(self):
-        return [i for i in range(self.parent.order) if not self.contains(i)]
-
-    @classmethod
-    def from_members(cls, parent, members):
-        mask = 0
-        for i in members:
-            if not 0 <= i < parent.order:
-                raise InvalidStructure(
-                    f"T member {i} is outside the carrier [0..{parent.order})"
-                )
-            mask |= 1 << i
-        return cls(parent, mask)
-
 
 def is_nice_subsemigroup(view):
-    """Decide whether the T of ``view`` (a NiceSubsemigroupView, which is
-    never empty) is a subsemigroup of its finite S with ideal complement.
+    """Decide whether the subset ``view`` of a finite S (a SubsetQuery) is a
+    nonempty subsemigroup whose complement is a two-sided ideal.
 
     Returns a CheckResult whose witness is the first violating pair.
     """
-    S = view.parent
+    S = view.carrier
     members = view.members()
     comp = view.complement()
+    if not members:
+        return CheckResult(False, "nonempty", ())
     for a in members:
         for b in members:
             if not view.contains(S.mul(a, b)):
@@ -153,35 +150,13 @@ def is_nice_subsemigroup(view):
     return CheckResult(True)
 
 
-class Retraction:
-    """Total map S -> T on a finite semigroup, held as an index array."""
-
-    def __init__(self, mapping):
-        self.mapping = np.asarray(mapping, dtype=np.int64)
-        self.mapping.setflags(write=False)
-
-    def apply(self, x):
-        return int(self.mapping[x])
-
-    def same_as(self, other):
-        return isinstance(other, Retraction) and np.array_equal(
-            self.mapping, other.mapping
-        )
-
-    def describe(self):
-        return ",".join(str(int(v)) for v in self.mapping)
-
-    def __repr__(self):
-        return f"Retraction([{self.describe()}])"
-
-
-def validate_retraction(view, retraction):
-    """Check homomorphism, identity-on-T and range-in-T for one map on the
-    finite S of ``view``, exhaustively.  Returns a CheckResult naming the
-    first failing clause.
+def validate_retraction(view, mapping):
+    """Check homomorphism, identity-on-T and range-in-T for one map, the
+    images of 0..n-1, on the finite S of ``view``, exhaustively.  Returns a
+    CheckResult naming the first failing clause.
     """
-    S = view.parent
-    sigma = retraction.mapping
+    S = view.carrier
+    sigma = np.asarray(mapping, dtype=np.int64)
     if sigma.shape != (S.order,):
         return CheckResult(False, "totality", (len(sigma), S.order))
     if ((sigma < 0) | (sigma >= S.order)).any():
@@ -204,41 +179,45 @@ def validate_retraction(view, retraction):
 
 
 class RetractionFamily:
-    """A validated, duplicate-free finite family of retractions onto one
-    view; each member is checked exhaustively by ``validate_retraction``.
+    """A finite family of retractions of a finite S onto a nice subsemigroup
+    T, the theorem's hypotheses, all checked here: T (``view``, a SubsetQuery
+    of S) is nice, each map is a retraction onto T, and none repeats.
+
+    ``maps`` is a read-only (k, |S|) table; row i holds the images of the
+    i-th retraction, and iterating the family yields its rows.
     """
 
-    def __init__(self, view, retractions):
-        retractions = list(retractions)
-        if not retractions:
+    def __init__(self, view, maps):
+        maps = [np.asarray(row, dtype=np.int64) for row in maps]
+        if not maps:
             raise InvalidStructure("retraction family must be nonempty")
-        for r in retractions:
-            res = validate_retraction(view, r)
+        if not isinstance(view.carrier, FiniteSemigroup):
+            raise InvalidStructure("T must be a subset of a FiniteSemigroup")
+        nice = is_nice_subsemigroup(view)
+        if not nice:
+            raise InvalidStructure(f"T is not a nice subsemigroup: {nice.describe()}")
+        for row in maps:
+            res = validate_retraction(view, row)
             if not res:
                 raise InvalidStructure(f"invalid retraction: {res.describe()}")
-        for i in range(len(retractions)):
-            for j in range(i + 1, len(retractions)):
-                if retractions[i].same_as(retractions[j]):
-                    raise InvalidStructure(f"duplicate retractions at positions {i} and {j}")
+        maps = np.stack(maps)
+        repeats = np.argwhere(np.triu((maps[:, None] == maps[None]).all(axis=-1), 1))
+        if len(repeats):
+            i, j = map(int, repeats[0])
+            raise InvalidStructure(f"duplicate retractions at positions {i} and {j}")
+        maps.setflags(write=False)
         self.view = view
-        self.retractions = retractions
+        self.maps = maps
 
     def __len__(self):
-        return len(self.retractions)
+        return len(self.maps)
 
     def __iter__(self):
-        return iter(self.retractions)
+        return iter(self.maps)
 
     def images(self, v):
         """The image set {sigma(v)} as a sorted duplicate-free list."""
-        return sorted({r.apply(v) for r in self.retractions})
-
-
-def max_semigroup(m):
-    """({0..m}, max); handy idempotent commutative test case."""
-    n = m + 1
-    table = np.maximum.outer(np.arange(n), np.arange(n))
-    return FiniteSemigroup(table)
+        return sorted(set(self.maps[:, v].tolist()))
 
 
 def cyclic_semigroup(m):
@@ -272,12 +251,10 @@ def flag_semigroup(m):
                         max(a, b), i | j
                     )
     S = FiniteSemigroup(table, labels=labels)
-    view = NiceSubsemigroupView.from_members(S, [flag_index(a, 0) for a in range(m + 1)])
-    retractions = []
+    view = SubsetQuery.from_members(S, [flag_index(a, 0) for a in range(m + 1)])
+    maps = np.empty((m + 1, n), dtype=np.int64)
     for g in range(m + 1):
-        mapping = np.empty(n, dtype=np.int64)
         for a in range(m + 1):
-            mapping[flag_index(a, 0)] = flag_index(a, 0)
-            mapping[flag_index(a, 1)] = flag_index(max(a, g), 0)
-        retractions.append(Retraction(mapping))
-    return S, view, RetractionFamily(view, retractions)
+            maps[g, flag_index(a, 0)] = flag_index(a, 0)
+            maps[g, flag_index(a, 1)] = flag_index(max(a, g), 0)
+    return S, view, RetractionFamily(view, maps)

@@ -110,6 +110,6 @@ def format_semigroup_file(S, view=None, family=None):
     if view is not None:
         out.append("T: " + " ".join(str(i) for i in view.members()))
     if family is not None:
-        for r in family:
-            out.append("retraction: " + " ".join(str(int(v)) for v in r.mapping))
+        for row in family:
+            out.append("retraction: " + " ".join(str(int(v)) for v in row))
     return "\n".join(out) + "\n"

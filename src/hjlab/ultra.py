@@ -35,7 +35,7 @@ from .errors import (
 )
 from .instances import TableColoring
 from .search import finite_witness_search
-from .semigroups import FiniteSemigroup
+from .semigroups import FiniteSemigroup, SubsetQuery, _size_of
 
 IMAGE_LAW_BOUND = 16  # exhaustive subset checks up to 2^16 memberships
 # product and tensor-power checks: the k = 3 translate sets of a semigroup
@@ -46,36 +46,6 @@ FIP_EXHAUSTIVE_LIMIT = 20
 # the agreement equivalence enumerates all r^|T| colorings of T
 AGREEMENT_MAX_ORDER = 10
 AGREEMENT_MAX_COLORS = 3
-
-
-def _size_of(carrier):
-    """A carrier is its size or a FiniteSemigroup."""
-    return carrier if isinstance(carrier, int) else carrier.order
-
-
-@dataclass(frozen=True)
-class SubsetQuery:
-    """A subset of a finite carrier, held as a bitmask."""
-
-    carrier: object
-    mask: int
-
-    def __post_init__(self):
-        if self.mask < 0 or self.mask >> _size_of(self.carrier):
-            raise ValueError("mask does not fit the carrier")
-
-    @classmethod
-    def from_members(cls, carrier, members):
-        mask = 0
-        for i in members:
-            mask |= 1 << i
-        return cls(carrier, mask)
-
-    def members(self):
-        return [i for i in range(_size_of(self.carrier)) if (self.mask >> i) & 1]
-
-    def contains(self, i):
-        return bool((self.mask >> i) & 1)
 
 
 class PrincipalUltrafilter:
@@ -457,7 +427,7 @@ def find_agreement_ultrafilter(S, family):
     for u in family.view.complement():
         if len(family.images(u)) == 1:
             U = PrincipalUltrafilter(S, u)
-            imgs = [image(r.mapping, U, S) for r in family]
+            imgs = [image(row, U, S) for row in family]
             if any(im != imgs[0] for im in imgs):  # formula-route cross-check
                 raise VerificationError("image law disagrees with pointwise images")
             return U

@@ -258,6 +258,21 @@ def test_time_budget_stops_close_to_its_limit():
     assert time.monotonic() - start < 4.0
 
 
+class _SlowEdges(np.ndarray):
+    def tolist(self):
+        time.sleep(0.3)
+        return super().tolist()
+
+
+def test_time_budget_covers_the_edge_conversion():
+    # the conversion of an edge array to lists ran in __init__, before the
+    # deadline was set: a 0.1 s budget then reported SAT
+    edges = np.array([[0, 1, 2]]).view(_SlowEdges)
+    res = HypergraphSolver(3, edges, 2, budget_seconds=0.1).solve()
+    assert res.status == BUDGET
+    assert res.elapsed >= 0.3
+
+
 def test_time_budget_covers_the_whole_sweep():
     # one deadline for the sweep, met within max(1 s, 5%); with 0.5 s for
     # each size instead, the sweep ran 118-127 sizes in 3-3.8 s

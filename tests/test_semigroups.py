@@ -7,22 +7,25 @@ from hypothesis import given, settings, strategies as st
 
 from hjlab import (
     FiniteSemigroup,
-    NiceSubsemigroupView,
-    Retraction,
     RetractionFamily,
+    SubsetQuery,
     WordSemigroup,
     cyclic_semigroup,
     flag_index,
     flag_semigroup,
     is_nice_subsemigroup,
-    max_semigroup,
     substitution_family,
     validate_retraction,
 )
-from hjlab.errors import AssociativityViolation, EmptySubset
+from hjlab.errors import AssociativityViolation, InvalidStructure
 from hjlab.words import X, contains_variable, format_word, parse_word, substitute
 
 import oracles
+
+
+def max_semigroup(m):
+    """({0..m}, max)."""
+    return FiniteSemigroup(np.maximum.outer(np.arange(m + 1), np.arange(m + 1)))
 
 
 def test_table_must_be_associative():
@@ -81,7 +84,7 @@ def test_nice_subsemigroup_flag_family():
 def test_subgroup_of_group_is_not_nice():
     # {0} inside Z/3: closed, but the complement is no ideal (1*2 = 0 lands in T)
     Z3 = cyclic_semigroup(3)
-    res = is_nice_subsemigroup(NiceSubsemigroupView.from_members(Z3, [0]))
+    res = is_nice_subsemigroup(SubsetQuery.from_members(Z3, [0]))
     assert not res.ok
     assert res.clause.startswith("ideal")
     s, t = res.witness
@@ -91,14 +94,23 @@ def test_subgroup_of_group_is_not_nice():
 def test_closure_violation_detected():
     M = max_semigroup(3)
     # {0,2} is closed under max, but max(2,1) = 2 takes R = {1,3} back into T
-    res = is_nice_subsemigroup(NiceSubsemigroupView.from_members(M, [0, 2]))
+    res = is_nice_subsemigroup(SubsetQuery.from_members(M, [0, 2]))
     assert not res.ok
 
 
 def test_empty_subset_rejected():
     M = max_semigroup(3)
-    with pytest.raises(EmptySubset):
-        NiceSubsemigroupView.from_members(M, [])
+    T = SubsetQuery.from_members(M, [])
+    res = is_nice_subsemigroup(T)
+    assert not res.ok and res.clause == "nonempty"
+    with pytest.raises(InvalidStructure, match="nonempty"):
+        RetractionFamily(T, [[0, 1, 2, 3]])
+
+
+@pytest.mark.parametrize("member", [-1, 4])
+def test_subset_member_outside_the_carrier_is_named(member):
+    with pytest.raises(InvalidStructure, match=f"member {member} is outside"):
+        SubsetQuery.from_members(max_semigroup(3), [member])
 
 
 def test_retraction_validation():
@@ -106,24 +118,34 @@ def test_retraction_validation():
     for sigma in family:
         assert validate_retraction(view, sigma).ok
     # constant-zero map moves T points: not a retraction
-    res = validate_retraction(view, Retraction([0] * S.order))
+    res = validate_retraction(view, [0] * S.order)
     assert not res.ok and res.clause == "identity-on-T"
     # swap inside R that is not a homomorphism
     mapping = list(range(S.order))
     mapping[flag_index(0, 1)] = flag_index(0, 0)
     mapping[flag_index(1, 1)] = flag_index(0, 0)  # sigma(1,1)=(0,0) breaks hom
     mapping[flag_index(2, 1)] = flag_index(2, 0)
-    res = validate_retraction(view, Retraction(mapping))
+    res = validate_retraction(view, mapping)
     assert not res.ok
 
 
 def test_family_rejects_invalid_and_duplicate_members():
     S, view, family = flag_semigroup(1)
     sigmas = list(family)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate retractions at positions 0 and 1"):
         RetractionFamily(view, [sigmas[0], sigmas[0]])
     with pytest.raises(ValueError):
-        RetractionFamily(view, [Retraction([0] * S.order)])
+        RetractionFamily(view, [[0] * S.order])
+    # ({0, 1}, max) with T = {1}: 1 is a retraction onto T, but max(1, 0) = 1
+    # takes R = {0} into T, so T is not nice
+    M = max_semigroup(1)
+    T = SubsetQuery.from_members(M, [1])
+    assert is_nice_subsemigroup(T).clause == "ideal (right product)"
+    with pytest.raises(InvalidStructure, match="ideal"):
+        RetractionFamily(T, [[1, 1]])
+    # T must lie in a semigroup, not a bare carrier size
+    with pytest.raises(InvalidStructure):
+        RetractionFamily(SubsetQuery.from_members(2, [1]), [[1, 1]])
 
 
 def test_image_sets():

@@ -3,11 +3,13 @@ import ast
 import importlib.util
 import inspect
 import pathlib
+import re
 
 import hjlab
 
 SRC = pathlib.Path(hjlab.__file__).parent
-BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 TRACING = BENCH / "tracing.py"
 WORKLOADS = BENCH / "workloads.py"
 
@@ -68,6 +70,27 @@ def test_package_imports_have_no_cycle():
 def test_words_imports_only_errors():
     # the word side is valid by construction and needs no finite-structure check
     assert _package_imports(SRC / "words.py") == {"errors"}
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    """Each name the package exports is used somewhere besides its own
+    ``def`` or ``class`` line: in another package module, the benchmark, a
+    demo or the README.  A name only the tests reach is not API."""
+    package = ROOT / "src" / "hjlab"
+    tree = ast.parse((package / "__init__.py").read_text())
+    exported = [
+        alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    paths += [*sorted(BENCH.glob("*.py")), *sorted((ROOT / "demos").glob("*.py"))]
+    text = "\n".join(p.read_text() for p in [*paths, ROOT / "README.md"])
+    unused = []
+    for name in exported:
+        rest = re.sub(rf"^[ \t]*(?:def|class) {name}\b.*$", "", text, flags=re.M)
+        if not re.search(rf"\b{name}\b", rest):
+            unused.append(name)
+    assert unused == []
 
 
 def _load_tracing():

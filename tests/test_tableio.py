@@ -33,7 +33,7 @@ def test_format_then_parse_roundtrip():
     assert parsed.order == S.order
     assert parsed.rows == [[int(S.mul(a, b)) for b in range(S.order)] for a in range(S.order)]
     assert sorted(parsed.t_members) == sorted(view.members())
-    assert parsed.retractions == [[int(s.apply(x)) for x in range(S.order)] for s in family]
+    assert parsed.retractions == [[int(s[x]) for x in range(S.order)] for s in family]
 
 
 def test_table_only_file():

@@ -6,9 +6,7 @@ import pytest
 
 from hjlab import (
     FiniteSemigroup,
-    NiceSubsemigroupView,
     PrincipalUltrafilter,
-    Retraction,
     RetractionFamily,
     SubsetQuery,
     build_agreement_set,
@@ -287,7 +285,7 @@ def test_tensor_power_law_on_flag_retractions():
         for k in (2, 3):
             for p in range(S.order):
                 ok, bad = check_tensor_power_law(
-                    S, sigma.mapping, k, PrincipalUltrafilter(S, p)
+                    S, sigma, k, PrincipalUltrafilter(S, p)
                 )
                 assert ok, f"failed at point {p}, k={k}, witness {bad.members()}"
 
@@ -429,8 +427,8 @@ def test_agreement_ultrafilter_never_returns_a_t_point():
         assert not view.contains(find_agreement_ultrafilter(S, family).point)
     # T = S leaves R empty: no point qualifies, though every point agrees
     S = cyclic_semigroup(3)
-    view = NiceSubsemigroupView(S, 0b111)
-    assert find_agreement_ultrafilter(S, RetractionFamily(view, [Retraction(range(3))])) is None
+    view = SubsetQuery(S, 0b111)
+    assert find_agreement_ultrafilter(S, RetractionFamily(view, [range(3)])) is None
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
