@@ -34,13 +34,11 @@ from .ultra import (
     build_agreement_set,
     check_agreement_equivalence,
     check_fip,
-    check_image_law,
-    check_product_law,
     check_tensor_assoc,
-    check_tensor_power_law,
     find_agreement_ultrafilter,
     image,
     member,
+    tensor_power_failures,
     uf_product,
     uf_tensor,
 )

@@ -75,14 +75,18 @@ class LineHypergraph:
         if n < 2 or N < 1:
             raise InvalidInstance("need n >= 2, N >= 1")
         # the words over the letters and x = n, in lexicographic order, are
-        # the base-(n+1) digit rows of 0, 1, 2, ...; the lines are those with x
-        powers = np.arange(N - 1, -1, -1, dtype=np.int64)
-        words = np.arange((n + 1) ** N, dtype=np.int64)[:, None] // (n + 1) ** powers % (n + 1)
-        lines = words[(words == n).any(axis=1)]
-        # column a: sigma_a substitutes a for x in every line, base-n coded
-        is_x, weights = lines == n, n ** powers
-        edges = np.stack([np.where(is_x, a, lines) @ weights for a in range(n)], axis=1)
-        return cls(n, N, edges)
+        # the base-(n+1) codes 0, 1, 2, ...; the lines are those with an x.
+        # Base-n coded, sigma_a(w) = c(w) + a * m(w): c sums the place values
+        # of w's letters, m those of its x's.
+        words = np.arange((n + 1) ** N, dtype=np.int64)
+        c, m = np.zeros_like(words), np.zeros_like(words)
+        for place in range(N):
+            digit = words // (n + 1) ** place % (n + 1)
+            is_x = digit == n
+            c += np.where(is_x, 0, digit) * n ** place
+            m += is_x * n ** place
+        lines = m > 0
+        return cls(n, N, c[lines, None] + m[lines, None] * np.arange(n))
 
 
 def ap_edges(k, M):
@@ -295,37 +299,44 @@ class HypergraphSolver:
     # -- state ---------------------------------------------------------
     def _reset(self):
         V, r = self.V, self.r
+        self.nodes = 0
         self.deadline = time.monotonic() + self.budget_seconds
-        edges = self.edges.tolist() if isinstance(self.edges, np.ndarray) else self.edges
-        edges = [tuple(dict.fromkeys(e)) for e in edges if len(e)]
-        degree = [0] * V
-        for e in edges:
-            for v in e:
-                degree[v] += 1
-        self.order = sorted(range(V), key=lambda v: (-degree[v], v))
-        self.head = self.order[: SYMMETRY_DEPTH + 1]
-        self.symmetry = None if self.build_symmetry is None else self.build_symmetry(self.head)
-        if self.symmetry is not None:
-            self.root_survivors = _root_survivors(self.symmetry, self.head)
         # clause (ei, c), "edge ei is not all colored c", watches two vertices
         # of the edge (one vertex twice, for a 1-vertex edge); other[c][ei]
         # holds their XOR, so either watch gives the other.  watching[c][v]
         # lists the edges whose clause for c watches v.  A watch colored c
         # was colored after every other c-colored vertex of its edge, or after
         # its other watch took another color; undoing the trail in reverse
-        # keeps that true, so watches are never restored.
-        self.other = [[e[0] ^ e[min(1, len(e) - 1)] for e in edges] for _ in range(r)]
+        # keeps that true, so watches are never restored.  The lists are
+        # built 4096 edges at a time, the deadline polled between blocks.
+        edges, other, degree = [], [], [0] * V
         self.watching = [[[] for _ in range(V)] for _ in range(r)]
-        for watching in self.watching:
-            for ei, e in enumerate(edges):
-                for v in e[:2]:
-                    watching[v].append(ei)
+        for lo in range(0, len(self.edges), 4096):
+            if time.monotonic() > self.deadline:
+                raise _BudgetHit
+            block = self.edges[lo:lo + 4096]
+            block = block.tolist() if isinstance(block, np.ndarray) else block
+            block = [tuple(dict.fromkeys(e)) for e in block if len(e)]
+            for e in block:
+                for v in e:
+                    degree[v] += 1
+            for watching in self.watching:
+                for ei, e in enumerate(block, len(edges)):
+                    for v in e[:2]:
+                        watching[v].append(ei)
+            other += [e[0] ^ e[min(1, len(e) - 1)] for e in block]
+            edges += block
+        self.other = [list(other) for _ in range(r)]
+        self.order = sorted(range(V), key=lambda v: (-degree[v], v))
+        self.head = self.order[: SYMMETRY_DEPTH + 1]
+        self.symmetry = None if self.build_symmetry is None else self.build_symmetry(self.head)
+        if self.symmetry is not None:
+            self.root_survivors = _root_survivors(self.symmetry, self.head)
         self.vertex_sets = edges
         self.colors = [-1] * V
         self.domains = [(1 << r) - 1] * V
         self.trail = []  # (v, -1) for a color, (v, old mask) for a domain
         self.forced = []
-        self.nodes = 0
 
     def _assign(self, v, c):
         """Color v with c and visit the clauses for c that watch v: each is

@@ -50,14 +50,17 @@ class FiniteSemigroup:
         if len(bad):
             i, j = map(int, bad[0])
             raise ClosureViolation(i, j, int(table[i, j]), n)
-        # left[i,j,k] = (i*j)*k, right[i,j,k] = i*(j*k); argwhere scans in
-        # lexicographic order so the first failing triple is deterministic.
-        left = table[table]
-        right = table[:, table]
-        diff = np.argwhere(left != right)
-        if len(diff):
-            i, j, k = map(int, diff[0])
-            raise AssociativityViolation(i, j, k)
+        # (i*j)*k against i*(j*k), one block of rows i at a time, of about
+        # 2^20 cells per temporary but at least one row (n <= 101 is one
+        # block); argwhere scans each block in lexicographic order, so the
+        # first failing triple is deterministic.
+        rows = max(1, (1 << 20) // (n * n))
+        for lo in range(0, n, rows):
+            block = table[lo:lo + rows]
+            diff = np.argwhere(table[block] != block[:, table])
+            if len(diff):
+                i, j, k = map(int, diff[0])
+                raise AssociativityViolation(lo + i, j, k)
         self.table = table
         self.table.setflags(write=False)
         self.labels = list(labels) if labels is not None else None

@@ -3,9 +3,10 @@
 Every ultrafilter on a finite set is principal, so each one is stored as a
 defining point but queried only through set membership.  The value of the
 module is that the product, image and tensor operations are *evaluated by
-their defining membership formulas* (nested set constructions), and separate
-checkers confirm, subset by subset, that the formula route agrees with the
-principal shortcut.  That makes the classical identities mechanically
+their defining membership formulas* (nested set constructions), once per
+call: on a small carrier the one evaluation covers every subset, the point
+is read off its singleton rows, and the rows are confirmed to be those of
+the principal shortcut.  That makes the classical identities mechanically
 verifiable at desk scale.
 
 A family of subsets of a carrier of order t is held as a *set table*: a
@@ -101,15 +102,21 @@ def subset_bits(size):
     return _pack((np.arange(1 << size, dtype=np.uint32) >> cells) & 1)
 
 
-def _singletons(size):
-    """The singletons {0}, ..., {size - 1} as a set table."""
-    return _pack(np.eye(size, dtype=bool))
-
-
-def _unique_singleton(hits, size, operation):
-    """The point of an ultrafilter located by its membership evaluator run on
-    every singleton: exactly one singleton may be a member."""
-    found = np.flatnonzero(_unpack(hits, size))
+def _locate(member_of, size, bound, point, operation):
+    """The point of an ultrafilter on ``size`` points, read off one run of
+    its membership evaluator ``member_of`` (set table -> membership rows):
+    exactly one singleton may be a member.  At most ``bound`` points the run
+    covers every subset, and its rows must be those of the principal
+    ultrafilter at ``point``, the shortcut; above, it covers the singletons."""
+    if size <= bound:
+        B = subset_bits(size)
+        rows = member_of(B)
+        if not np.array_equal(rows, B[point]):
+            raise VerificationError(f"{operation} law failed a subset check")
+        hits = _unpack(rows, 1 << size)[..., 1 << np.arange(size)]
+    else:
+        hits = _unpack(member_of(_pack(np.eye(size, dtype=bool))), size)
+    found = np.flatnonzero(hits)
     if len(found) != 1:
         raise VerificationError(f"{operation} membership hit {len(found)} singletons")
     return int(found[0])
@@ -160,29 +167,16 @@ def image_member(B, f, points):
 def image(f, U, target):
     """Image ultrafilter of U under f, located through the membership law.
 
-    The point is found as the unique q whose singleton has its f-preimage in
-    U; no shortcut through f(point) is taken.  When the target is small
-    enough the law is also checked on every subset.
+    The point is read off the singletons whose f-preimage lies in U; f(point)
+    is only the shortcut the law is checked against, on every subset of a
+    target of at most IMAGE_LAW_BOUND points.
     """
     _require_same_carrier(len(f), _size_of(U.carrier))
     tsize = _size_of(target)
     f = _map_into(f, tsize)
-    hits = image_member(_singletons(tsize), f, U.point)
-    found = _unique_singleton(hits, tsize, "image")
-    if tsize <= IMAGE_LAW_BOUND and not check_image_law(f, U, target):
-        raise VerificationError("image law failed a subset check")
+    found = _locate(lambda B: image_member(B, f, U.point), tsize, IMAGE_LAW_BOUND,
+                    f[U.point], "image")
     return PrincipalUltrafilter(target, found)
-
-
-def check_image_law(f, U, target):
-    """Exhaustively confirm A ∈ f(U) ⟺ f⁻¹(A) ∈ U over every subset."""
-    tsize = _size_of(target)
-    if tsize > IMAGE_LAW_BOUND:
-        raise CarrierTooLarge(f"target size {tsize} exceeds {IMAGE_LAW_BOUND}")
-    _require_same_carrier(len(f), _size_of(U.carrier))
-    f = _map_into(f, tsize)
-    B = subset_bits(tsize)
-    return bool(np.array_equal(image_member(B, f, U.point), B[f[U.point]]))
 
 
 def translates(B, table, k):
@@ -213,38 +207,20 @@ def product_member(T, f, points):
 
 def uf_product(U, V):
     """U*V on the finite semigroup U lives on, evaluated by the nested
-    membership formula.
-
-    The formula is evaluated on every singleton {p}, building the set
-    {s : s⁻¹{p} ∈ V} in full; the unique hit is the product.  On small
-    carriers the agreement with the principal shortcut is also checked on
-    every subset.
+    membership formula, which builds the set {s : s⁻¹A ∈ V} in full for
+    every set A.  The point is read off the singletons; on at most
+    PRODUCT_LAW_BOUND points the formula is checked on every subset against
+    the principal shortcut point(U)*point(V).
     """
     S = U.carrier
     if not isinstance(S, FiniteSemigroup):
         raise TypeError("uf_product needs a FiniteSemigroup carrier")
-    _require_same_carrier(S.order, _size_of(U.carrier))
     _require_same_carrier(S.order, _size_of(V.carrier))
-    n = S.order
-    T = translates(_singletons(n), S.table, 2)
-    hits = product_member(T, np.arange(n), (U.point, V.point))
-    found = _unique_singleton(hits, n, "product")
-    if n <= PRODUCT_LAW_BOUND and not check_product_law(S, U, V):
-        raise VerificationError("product law failed a subset check")
+    points = (U.point, V.point)
+    found = _locate(
+        lambda B: product_member(translates(B, S.table, 2), np.arange(S.order), points),
+        S.order, PRODUCT_LAW_BOUND, S.mul(*points), "product")
     return PrincipalUltrafilter(S, found)
-
-
-def check_product_law(S, U, V):
-    """Confirm, for every subset, that the nested formula for U*V agrees
-    with the principal shortcut point(U)*point(V)."""
-    _require_same_carrier(S.order, _size_of(U.carrier))
-    _require_same_carrier(S.order, _size_of(V.carrier))
-    n = S.order
-    if n > PRODUCT_LAW_BOUND:
-        raise CarrierTooLarge(f"carrier size {n} exceeds {PRODUCT_LAW_BOUND}")
-    B = subset_bits(n)
-    formula = product_member(translates(B, S.table, 2), np.arange(n), (U.point, V.point))
-    return bool(np.array_equal(formula, B[S.mul(U.point, V.point)]))
 
 
 def tensor_rows(X, dims, points):
@@ -263,10 +239,13 @@ def tensor_rows(X, dims, points):
 
 def uf_tensor(U, V):
     """U⊗V on the product carrier of sx * sy cells, indexed row-major,
-    evaluated by the section formula."""
+    evaluated by the section formula; on at most IMAGE_LAW_BOUND cells it is
+    checked on every subset against the principal cell U.point * sy + V.point."""
     sx, sy = _size_of(U.carrier), _size_of(V.carrier)
-    hits = tensor_rows(_singletons(sx * sy), (sx, sy), (U.point, V.point))
-    return PrincipalUltrafilter(sx * sy, _unique_singleton(hits, sx * sy, "tensor"))
+    points = (U.point, V.point)
+    found = _locate(lambda X: tensor_rows(X, (sx, sy), points), sx * sy, IMAGE_LAW_BOUND,
+                    U.point * sy + V.point, "tensor")
+    return PrincipalUltrafilter(sx * sy, found)
 
 
 def check_tensor_assoc(dims, points):
@@ -338,20 +317,6 @@ def tensor_power_failures(S, maps, k, points):
         failing = diff.any(axis=-1)
         first[lo:lo + step][failing] = _unpack(diff[failing], 1 << n).argmax(axis=-1)
     return first
-
-
-def check_tensor_power_law(S, h, k, V):
-    """Image of the k-fold tensor power equals the k-th product power.
-
-    For h a map S -> S and every subset A of S: A lies in the image of V^⊗k
-    under the fold-then-map homomorphism iff A lies in the k-fold product of
-    the image ultrafilter of V.  Both sides are evaluated by their defining formulas.
-    Returns (ok, first failing SubsetQuery or None).
-    """
-    [[bad]] = tensor_power_failures(S, [h], k, [V.point]).tolist()
-    if bad < 0:
-        return True, None
-    return False, SubsetQuery(S, bad)
 
 
 def build_agreement_set(S, family, A):

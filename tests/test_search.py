@@ -273,6 +273,14 @@ def test_time_budget_covers_the_edge_conversion():
     assert res.elapsed >= 0.3
 
 
+def test_time_budget_covers_the_watch_list_build():
+    # about 360000 edges; with no deadline poll while the watch lists were
+    # built, a 0.2 s budget stopped after 1 node and 1.06 s
+    res = HypergraphSolver(1200, ap_edges(3, 1200), 2, budget_seconds=0.2).solve()
+    assert res.status == BUDGET and res.nodes == 0
+    assert res.elapsed < 0.5
+
+
 def test_time_budget_covers_the_whole_sweep():
     # one deadline for the sweep, met within max(1 s, 5%); with 0.5 s for
     # each size instead, the sweep ran 118-127 sizes in 3-3.8 s

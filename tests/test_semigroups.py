@@ -1,5 +1,6 @@
 """Core structures: Cayley tables, nice subsemigroups, retractions, words."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,41 @@ def test_table_must_be_associative():
     # the reported triple really is a violation
     t = [[0, 0], [1, 0]]
     assert t[t[i][j]][k] != t[i][t[j][k]]
+
+
+def first_nonassociative_triple(t):
+    """(i, j, k) with (i*j)*k != i*(j*k), least in lexicographic order, or
+    None: one row i at a time."""
+    for i in range(len(t)):
+        bad = np.argwhere(t[t[i]] != t[i][t])
+        if len(bad):
+            return (i, *map(int, bad[0]))
+    return None
+
+
+def test_associativity_check_memory_stays_bounded_at_order_200():
+    # the (n, n, n) arrays of a one-shot check peaked at 130 MB here
+    idx = np.arange(200)
+    table = (idx[:, None] + idx) % 200
+    tracemalloc.start()
+    try:
+        FiniteSemigroup(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+
+
+@pytest.mark.parametrize("row", [27, 130, 199])
+def test_associativity_check_names_the_first_triple_of_a_late_row(row):
+    # a left-zero band of order 200 with r*0 = 0 for the one row r first
+    # fails at (r, 1, 0), in a later block of rows than the first
+    t = np.repeat(np.arange(200)[:, None], 200, axis=1)
+    t[row, 0] = 0
+    with pytest.raises(AssociativityViolation) as exc:
+        FiniteSemigroup(t)
+    got = (exc.value.i, exc.value.j, exc.value.k)
+    assert got == first_nonassociative_triple(t) == (row, 1, 0)
 
 
 def test_table_shape_and_range_checked():

@@ -12,10 +12,7 @@ from hjlab import (
     build_agreement_set,
     check_agreement_equivalence,
     check_fip,
-    check_image_law,
-    check_product_law,
     check_tensor_assoc,
-    check_tensor_power_law,
     cyclic_semigroup,
     enumerate_endomorphisms,
     find_agreement_ultrafilter,
@@ -24,16 +21,17 @@ from hjlab import (
     generate_corpus,
     image,
     member,
+    tensor_power_failures,
     uf_product,
     uf_tensor,
 )
-from hjlab.errors import CarrierMismatch, CarrierTooLarge, HjlabError, InvalidInstance
+from hjlab import ultra
+from hjlab.errors import CarrierMismatch, CarrierTooLarge, InvalidInstance, VerificationError
 from hjlab.ultra import (
     CHUNK_BYTES,
     _unpack,
     product_member,
     subset_bits,
-    tensor_power_failures,
     tensor_rows,
     translates,
 )
@@ -48,6 +46,38 @@ def left_zero(n):
 def family_of(U, size):
     """The library ultrafilter as an explicit set of member masks."""
     return {m for m in range(1 << size) if U.member_mask(m)}
+
+
+def wrap_evaluator(monkeypatch, name, corrupt=False):
+    """Replace the module's evaluator ``name`` by one that records the set
+    table of each call; with ``corrupt``, it also flips the membership of
+    the non-singleton subset {1, 2} (mask 6) in the rows it returns."""
+    calls = []
+    evaluate = getattr(ultra, name)
+
+    def wrapped(table, *args):
+        calls.append(table)
+        rows = evaluate(table, *args)
+        if corrupt:
+            rows = rows.copy()
+            rows[..., 0] ^= 1 << 6
+        return rows
+
+    monkeypatch.setattr(ultra, name, wrapped)
+    return calls
+
+
+# each operation on a small carrier: (evaluator, operation, call, point)
+OPERATIONS = [
+    ("image_member", "image",
+     lambda: image([x % 3 for x in range(6)], PrincipalUltrafilter(cyclic_semigroup(6), 4),
+                   cyclic_semigroup(3)), 1),
+    ("product_member", "product",
+     lambda: uf_product(PrincipalUltrafilter(cyclic_semigroup(6), 4),
+                        PrincipalUltrafilter(cyclic_semigroup(6), 5)), 3),
+    ("tensor_rows", "tensor",
+     lambda: uf_tensor(PrincipalUltrafilter(3, 1), PrincipalUltrafilter(3, 2)), 5),
+]
 
 
 # -- subset queries and membership ----------------------------------------
@@ -86,23 +116,43 @@ def test_image_matches_family_oracle():
         fam = oracles.image_family(f, oracles.principal_family(6, p), 6, 3)
         assert family_of(out, 3) == fam
         assert out.point == oracles.family_point(fam, 3)
-    assert check_image_law(np.asarray(f), PrincipalUltrafilter(S, 4), T)
+    assert image(np.asarray(f), PrincipalUltrafilter(S, 4), T).point == 1
 
 
 def test_image_rejects_a_map_outside_the_target():
     S, T = cyclic_semigroup(3), cyclic_semigroup(3)
     for f in ([0, 1, 5], [0, -1, 2], [0, 1]):
         for p in range(3):
-            with pytest.raises(HjlabError):
-                image(f, PrincipalUltrafilter(S, p), T)
             with pytest.raises(CarrierMismatch):
-                check_image_law(f, PrincipalUltrafilter(S, p), T)
+                image(f, PrincipalUltrafilter(S, p), T)
 
 
-def test_image_law_bound_enforced():
-    big = cyclic_semigroup(17)
-    with pytest.raises(CarrierTooLarge):
-        check_image_law(np.arange(17), PrincipalUltrafilter(big, 0), big)
+def test_image_law_bound_enforced(monkeypatch):
+    # every subset up to IMAGE_LAW_BOUND points, the singletons above it
+    calls = wrap_evaluator(monkeypatch, "image_member")
+    for size, width in ((16, 2 ** 16 // 8), (17, 3)):
+        big = cyclic_semigroup(size)
+        f = (np.arange(size) + 1) % size
+        assert image(f, PrincipalUltrafilter(big, 5), big).point == 6
+        assert calls.pop().shape[-1] == width
+
+
+# -- one evaluation per operation ---------------------------------------------
+
+@pytest.mark.parametrize("name,operation,call,point", OPERATIONS,
+                         ids=[op[1] for op in OPERATIONS])
+def test_each_operation_evaluates_its_formula_once(monkeypatch, name, operation, call, point):
+    calls = wrap_evaluator(monkeypatch, name)
+    assert call().point == point
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name,operation,call,point", OPERATIONS,
+                         ids=[op[1] for op in OPERATIONS])
+def test_each_operation_rejects_a_corrupted_subset_row(monkeypatch, name, operation, call, point):
+    wrap_evaluator(monkeypatch, name, corrupt=True)
+    with pytest.raises(VerificationError, match=f"{operation} law failed a subset check"):
+        call()
 
 
 # -- product ultrafilter ----------------------------------------------------
@@ -121,7 +171,6 @@ def test_product_matches_family_oracle(S):
             )
             assert family_of(out, n) == fam
             assert out.point == oracles.family_point(fam, n)
-            assert check_product_law(S, U, V)
 
 
 def test_product_is_not_commutative_on_left_zero():
@@ -155,10 +204,13 @@ def test_three_level_power_matches_nested_family_oracle(S):
             assert set(np.flatnonzero(rows)) == fam
 
 
-def test_product_law_bound_enforced():
-    S = cyclic_semigroup(13)
-    with pytest.raises(CarrierTooLarge):
-        check_product_law(S, PrincipalUltrafilter(S, 0), PrincipalUltrafilter(S, 1))
+def test_product_law_bound_enforced(monkeypatch):
+    # every subset up to PRODUCT_LAW_BOUND points, the singletons above it
+    calls = wrap_evaluator(monkeypatch, "product_member")
+    for n, width in ((12, 2 ** 12 // 8), (13, 2)):
+        S = cyclic_semigroup(n)
+        assert uf_product(PrincipalUltrafilter(S, 7), PrincipalUltrafilter(S, 9)).point == 16 % n
+        assert calls.pop().shape[-1] == width
 
 
 def test_product_law_rejects_an_ultrafilter_on_another_carrier():
@@ -166,9 +218,7 @@ def test_product_law_rejects_an_ultrafilter_on_another_carrier():
     S = cyclic_semigroup(4)
     U, V = PrincipalUltrafilter(9, 7), PrincipalUltrafilter(S, 1)
     with pytest.raises(CarrierMismatch):
-        check_product_law(S, U, V)
-    with pytest.raises(CarrierMismatch):
-        check_product_law(S, V, U)
+        uf_product(V, U)
 
 
 # -- tensor product ----------------------------------------------------------
@@ -281,22 +331,19 @@ def test_tensor_power_failures_reject_an_order_above_the_bound():
 
 def test_tensor_power_law_on_flag_retractions():
     S, view, family = flag_semigroup(2)
-    for sigma in family:
-        for k in (2, 3):
-            for p in range(S.order):
-                ok, bad = check_tensor_power_law(
-                    S, sigma, k, PrincipalUltrafilter(S, p)
-                )
-                assert ok, f"failed at point {p}, k={k}, witness {bad.members()}"
+    for k in (2, 3):
+        first = tensor_power_failures(S, family.maps, k, range(S.order))
+        assert first.shape == (len(family.maps), S.order) and (first < 0).all()
 
 
 def test_tensor_power_law_flags_a_non_homomorphism():
     S = cyclic_semigroup(4)
     h = [0, 1, 2, 0]  # h(3+3) = h(2) = 2 but h(3)+h(3) = 0: not a homomorphism
-    ok, bad = check_tensor_power_law(S, h, 2, PrincipalUltrafilter(S, 3))
-    assert not ok and bad is not None
+    [[bad]] = tensor_power_failures(S, [h], 2, [3]).tolist()
+    assert bad >= 0
     # the returned subset really separates the two sides
-    assert bad.contains(2) != bad.contains(0)
+    A = SubsetQuery(S, bad)
+    assert A.contains(2) != A.contains(0)
 
 
 def batch_against_oracle(S, maps, k):
