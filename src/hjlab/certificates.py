@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .errors import CertificateError, HjlabError, VerificationError
-from .instances import INTEGER_KINDS, WORD_KINDS, TableColoring, parse_coloring_spec
+from .instances import TableColoring, parse_coloring_spec, require_fit
 from .semigroups import FiniteSemigroup, RetractionFamily, SubsetQuery
 from .search import INSTANCE_FIELDS, INSTANCES, hj_instance, vdw_instance, verify_proper_coloring
 from .words import WordSemigroup, format_word, parse_word, substitution_family
@@ -234,22 +234,15 @@ def parse_certificate(text):
 # -- verification --------------------------------------------------------
 
 
-def _fitting(coloring, kinds, points):
-    """``coloring.color_of`` if the coloring is one of ``kinds``, those that
-    color ``points``."""
-    if coloring.kind not in kinds:
-        raise VerificationError(f"{coloring.kind} colorings do not color {points}")
-    return coloring.color_of
-
-
 def _words_claim(cert):
     """The carrier test, family and image coloring of a witness-words claim:
     reduction none colors the image words, vdw their digit sums."""
     if cert.reduction == "none":
-        color_of = _fitting(cert.coloring, WORD_KINDS, "words")
+        require_fit(cert.coloring, "words")
+        color_of = cert.coloring.color_of
     elif cert.reduction == "vdw":
-        base = _fitting(cert.coloring, INTEGER_KINDS, "digit sums")
-        color_of = lambda w: base(sum(w))
+        require_fit(cert.coloring, "integers")
+        color_of = lambda w: cert.coloring.color_of(sum(w))
     else:
         raise VerificationError(f"unknown reduction {cert.reduction!r}")
     ws = WordSemigroup(cert.alphabet)
@@ -258,10 +251,10 @@ def _words_claim(cert):
 
 def _finite_claim(cert):
     """The carrier test, family and image coloring of a witness-finite claim."""
-    color_of = _fitting(cert.coloring, INTEGER_KINDS, "semigroup elements")
+    require_fit(cert.coloring, "semigroup elements")
     S = FiniteSemigroup(cert.table)
     family = RetractionFamily(SubsetQuery.from_members(S, cert.t_members), cert.retractions)
-    return (lambda v: 0 <= v < S.order), family, color_of
+    return (lambda v: 0 <= v < S.order), family, cert.coloring.color_of
 
 
 def _verify_witness(cert, in_carrier, family, color_of):

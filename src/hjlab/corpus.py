@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CarrierTooLarge, InvalidInstance
 from .semigroups import FiniteSemigroup
-from .ultra import PRODUCT_LAW_BOUND, tensor_power_failures
+from .ultra import PRODUCT_LAW_BOUND, TENSOR_POWERS, tensor_power_failures
 
 # transformations act on 2..CORPUS_MAX_DEGREE points; a draw stops after
 # CORPUS_MAX_ATTEMPTS generator sets even if it has fewer semigroups than asked
@@ -158,8 +158,13 @@ def sweep_tensor_power(entries, ks=(2, 3)):
     order bound of the check is enforced before the endomorphisms are
     enumerated, and every endomorphism and point V of a k is checked in one
     batched call, so the sweep stays fast even on endomorphism-rich
-    semigroups.  Failures are listed by endomorphism, then k, then point.
+    semigroups.  Failures are listed by endomorphism, then k, then point.  An
+    empty corpus, or ``ks`` empty, repeated or outside TENSOR_POWERS, is bad input.
     """
+    if not entries:
+        raise InvalidInstance("a sweep needs at least one semigroup")
+    if not ks or len(set(ks)) < len(ks) or not set(ks) <= set(TENSOR_POWERS):
+        raise InvalidInstance(f"ks takes distinct values from {TENSOR_POWERS}, not {ks}")
     report = CorpusReport(semigroups=len(entries))
     for idx, entry in enumerate(entries):
         S = entry.semigroup
@@ -168,10 +173,8 @@ def sweep_tensor_power(entries, ks=(2, 3)):
             raise CarrierTooLarge(f"order {n} exceeds {PRODUCT_LAW_BOUND}")
         endos = enumerate_endomorphisms(S)
         report.endomorphisms += len(endos)
-        # (E, len(ks), n): the first failing mask of every check, or -1; the
-        # reshape also shapes the empty array of an empty ks
-        first = np.array([tensor_power_failures(S, endos, k, range(n)) for k in ks])
-        first = first.reshape(len(ks), len(endos), n).transpose(1, 0, 2)
+        # (E, len(ks), n): the first failing mask of every check, or -1
+        first = np.stack([tensor_power_failures(S, endos, k, range(n)) for k in ks], axis=1)
         report.checks += first.size
         for e, i, p in np.argwhere(first >= 0).tolist():
             report.failures.append(

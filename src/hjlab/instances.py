@@ -1,24 +1,31 @@
 """Concrete instances of the abstract framework.
 
-The coloring kinds: words take the modular digit sum or an explicit table,
-integers the residue or a table (``WORD_KINDS``, ``INTEGER_KINDS``).  An
-integer coloring reaches words only by a pullback along the digit sum, in
-``search.find_ap_via_words``, the classical reduction of van der Waerden to
-Hales-Jewett.  Combinatorial lines are one-variable words (``words``);
-``search.LineHypergraph`` turns all of them into base-n coded edges at once.
+The coloring kinds: words take the modular digit sum, a table or a pullback,
+integers the residue or a table (``KINDS_FOR``, tested by ``require_fit``
+alone).  An integer coloring reaches words only by a pullback along the
+digit sum, in ``search.find_ap_via_words``, the classical reduction of van
+der Waerden to Hales-Jewett.  Combinatorial lines are one-variable words
+(``words``); ``search.LineHypergraph`` turns them into base-n coded edges.
 """
 from __future__ import annotations
 
 import os
 
-from .errors import ColoringSpecError, InvalidColoring
+from .errors import ColoringSpecError, InvalidColoring, InvalidInstance
 from .words import format_word
 
 
-# the coloring kinds that color integers: digit sums, semigroup elements
-INTEGER_KINDS = ("apres", "table")
-# the coloring kinds that color words
-WORD_KINDS = ("mod", "table")
+# the coloring kinds that color each kind of point; a pullback colors words
+# through its mapping, and a semigroup element is colored by its index
+KINDS_FOR = {"words": ("mod", "table", "pullback"), "integers": ("apres", "table")}
+KINDS_FOR["semigroup elements"] = KINDS_FOR["integers"]
+
+
+def require_fit(coloring, points):
+    """Raise InvalidInstance unless ``coloring`` colors ``points``, a key of KINDS_FOR."""
+    if coloring.kind not in KINDS_FOR[points]:
+        hint = "; integer colorings go through hjlab vdw --via-hj" if points == "words" else ""
+        raise InvalidInstance(f"{coloring.kind} colorings do not color {points}{hint}")
 
 
 class ModSumColoring:

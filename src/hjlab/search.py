@@ -9,9 +9,9 @@ with the one variable x, where sigma_a substitutes the letter a for x.
 The witness searches share one scan for the first candidate whose image set
 is monochromatic: variable words of a word semigroup, or the points of R in
 a finite one (``ultra.check_agreement_equivalence`` decides statement (a)
-with it).  ``find_ap_via_words`` is the one place an integer coloring
-reaches words: pulled back along the digit sum, a monochromatic line sums to
-a monochromatic arithmetic progression.
+with it), once ``instances.require_fit`` passes the coloring.  Pulled back
+along the digit sum by ``find_ap_via_words``, an integer coloring colors
+words, and a monochromatic line sums to a monochromatic progression.
 
 The solver is a trail-based backtracker over an explicit decision stack.
 Each edge e and color c give the clause "e is not all colored c".  Every
@@ -44,8 +44,8 @@ from math import factorial
 
 import numpy as np
 
-from .errors import InvalidInstance, VerificationError
-from .instances import INTEGER_KINDS, PullbackColoring
+from .errors import InvalidInstance, SearchSpaceTooLarge, VerificationError
+from .instances import PullbackColoring, require_fit
 from .words import WordSemigroup, substitution_family
 
 DEFAULT_NODE_BUDGET = 10 ** 9
@@ -57,6 +57,17 @@ SYMMETRY_DEPTH = 32
 SAT = "sat"
 UNSAT = "unsat"
 BUDGET = "budget"
+
+# the largest edge array LineHypergraph.build or ap_edges allocates, checked
+# first: 2^27 bytes (128 MiB) holds the 4.0M lines of [3]^11 (97 MB) or the
+# 4.0M 3-term progressions in [1..4000] (96 MB); a build peaks at 2-5 times it
+EDGE_BYTES_LIMIT = 1 << 27
+
+
+def _check_edge_bytes(rows, width):
+    """Refuse an edge array of ``rows`` rows of ``width`` int64 codes above EDGE_BYTES_LIMIT."""
+    if rows * width * 8 > EDGE_BYTES_LIMIT:
+        raise SearchSpaceTooLarge(f"{rows} edges of {width} pass the {EDGE_BYTES_LIMIT}-byte bound")
 
 
 @dataclass
@@ -74,6 +85,7 @@ class LineHypergraph:
     def build(cls, n, N):
         if n < 2 or N < 1:
             raise InvalidInstance("need n >= 2, N >= 1")
+        _check_edge_bytes((n + 1) ** N - n ** N, n)
         # the words over the letters and x = n, in lexicographic order, are
         # the base-(n+1) codes 0, 1, 2, ...; the lines are those with an x.
         # Base-n coded, sigma_a(w) = c(w) + a * m(w): c sums the place values
@@ -95,6 +107,9 @@ def ap_edges(k, M):
     if k < 2:
         # every step would repeat the same one-term progressions
         raise InvalidInstance(f"need k >= 2, not {k}")
+    # steps d = 1..D have M - (k-1)d first terms each
+    D = max(0, (M - 1) // (k - 1))
+    _check_edge_bytes(D * M - (k - 1) * D * (D + 1) // 2, k)
     terms = np.arange(k, dtype=np.int64)
     blocks = [np.arange(M - (k - 1) * d)[:, None] + d * terms for d in range(1, M)]
     return np.concatenate([np.empty((0, k), dtype=np.int64), *blocks])
@@ -674,6 +689,7 @@ def word_witness_search(family, coloring, max_len=8):
     length."""
     if max_len < 1:
         raise InvalidInstance(f"need max_len >= 1, not {max_len}")
+    require_fit(coloring, "words")
     return _first_monochromatic(
         family.ws.iter_words(max_len),
         family,
@@ -686,6 +702,7 @@ def finite_witness_search(family, coloring):
     """First element of R = S\\T (index order) with a monochromatic image
     set; S and T are those of ``family.view``.  The scan is complete, so
     exhaustion here is a true negative."""
+    require_fit(coloring, "semigroup elements")
     return _first_monochromatic(family.view.complement(), family, coloring, "R exhausted")
 
 
@@ -704,8 +721,7 @@ def find_ap_via_words(k, integer_coloring, max_len=8):
     read off the arithmetic progression its images sum to."""
     if k < 2:
         raise InvalidInstance(f"need k >= 2, not {k}")
-    if integer_coloring.kind not in INTEGER_KINDS:
-        raise InvalidInstance(f"{integer_coloring.kind} colorings do not color integers")
+    require_fit(integer_coloring, "integers")
     pulled = PullbackColoring(integer_coloring, sum)
     out = word_witness_search(substitution_family(WordSemigroup(k)), pulled, max_len=max_len)
     if out.status != "found":

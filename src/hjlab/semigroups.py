@@ -4,9 +4,10 @@ A finite semigroup is a Cayley table over carrier [0..n); a subset of a
 carrier is a SubsetQuery bitmask.  A subset T is a *nice* subsemigroup when
 it is nonempty and its complement R = S\\T is a two-sided ideal; equivalently
 a*b lands in T exactly when both factors do.  A retraction is a homomorphism
-S -> T fixing T pointwise.  A RetractionFamily is the theorem's setting: it
-checks that T is nice and that each member is a retraction onto T, and holds
-the members as one table of images.  All types are immutable after validation.
+S -> T fixing T pointwise.  The theorem's setting, T nice and each map a
+retraction onto T listed once, is walked in one place, ``setting_clauses``:
+a RetractionFamily raises at its first failing clause and holds the members
+as one table of images, and ``hjlab validate`` prints every clause.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ class CheckResult:
     def describe(self):
         if self.ok:
             return "ok"
-        return f"{self.clause} fails at {self.witness}"
+        return self.clause if self.witness is None else f"{self.clause} fails at {self.witness}"
 
 
 class FiniteSemigroup:
@@ -181,10 +182,32 @@ def validate_retraction(view, mapping):
     return CheckResult(True)
 
 
+def setting_clauses(view, maps):
+    """The theorem's setting, clause by clause, for T (``view``, a SubsetQuery
+    of a FiniteSemigroup) and the rows of ``maps``: ("nice subsemigroup",
+    result), then ("retraction i", result), a retraction onto T listed once."""
+    if not isinstance(view.carrier, FiniteSemigroup):
+        raise InvalidStructure("T must be a subset of a FiniteSemigroup")
+    yield "nice subsemigroup", is_nice_subsemigroup(view)
+    first = {}
+    for i, row in enumerate(maps):
+        res = validate_retraction(view, row)
+        if res and (j := first.setdefault(np.asarray(row, dtype=np.int64).tobytes(), i)) < i:
+            res = CheckResult(False, f"repeats retraction {j}")
+        yield f"retraction {i}", res
+
+
+def check_setting(view, maps):
+    """Raise InvalidStructure at the first failing clause of the setting."""
+    for name, res in setting_clauses(view, maps):
+        if not res:
+            raise InvalidStructure(f"{name}: {res.describe()}")
+
+
 class RetractionFamily:
     """A finite family of retractions of a finite S onto a nice subsemigroup
-    T, the theorem's hypotheses, all checked here: T (``view``, a SubsetQuery
-    of S) is nice, each map is a retraction onto T, and none repeats.
+    T, the theorem's hypotheses, all checked by ``check_setting``: T (``view``,
+    a SubsetQuery of S) is nice and each map a retraction onto T, listed once.
 
     ``maps`` is a read-only (k, |S|) table; row i holds the images of the
     i-th retraction, and iterating the family yields its rows.
@@ -194,20 +217,8 @@ class RetractionFamily:
         maps = [np.asarray(row, dtype=np.int64) for row in maps]
         if not maps:
             raise InvalidStructure("retraction family must be nonempty")
-        if not isinstance(view.carrier, FiniteSemigroup):
-            raise InvalidStructure("T must be a subset of a FiniteSemigroup")
-        nice = is_nice_subsemigroup(view)
-        if not nice:
-            raise InvalidStructure(f"T is not a nice subsemigroup: {nice.describe()}")
-        for row in maps:
-            res = validate_retraction(view, row)
-            if not res:
-                raise InvalidStructure(f"invalid retraction: {res.describe()}")
+        check_setting(view, maps)
         maps = np.stack(maps)
-        repeats = np.argwhere(np.triu((maps[:, None] == maps[None]).all(axis=-1), 1))
-        if len(repeats):
-            i, j = map(int, repeats[0])
-            raise InvalidStructure(f"duplicate retractions at positions {i} and {j}")
         maps.setflags(write=False)
         self.view = view
         self.maps = maps

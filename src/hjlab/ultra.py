@@ -42,6 +42,7 @@ IMAGE_LAW_BOUND = 16  # exhaustive subset checks up to 2^16 memberships
 # product and tensor-power checks: the k = 3 translate sets of a semigroup
 # of order n hold n³ cells × 2^n/8 packed bytes, 864 KiB at n = 12
 PRODUCT_LAW_BOUND = 12
+TENSOR_POWERS = (2, 3)  # the k of the tensor-power identity
 CHUNK_BYTES = 1 << 20  # largest intermediate of one chunk of a map stack
 FIP_EXHAUSTIVE_LIMIT = 20
 # the agreement equivalence enumerates all r^|T| colorings of T
@@ -250,8 +251,10 @@ def uf_tensor(U, V):
 
 def check_tensor_assoc(dims, points):
     """(U⊗V)⊗W and U⊗(V⊗W) agree on every subset of the triple product,
-    which may have at most IMAGE_LAW_BOUND cells (2^cells memberships).
-    Returns (ok, first failing mask or None).
+    which may have at most IMAGE_LAW_BOUND cells.  Both sides come from
+    ``uf_tensor``, which checks its section formula on every subset of a
+    product that small, so comparing their points is exhaustive.  Returns
+    (ok, first failing mask or None), the lower point's singleton.
     """
     if len(dims) != 3 or len(points) != 3:
         raise InvalidInstance(f"(U⊗V)⊗W takes 3 factors, got dims {dims}, points {points}")
@@ -262,15 +265,11 @@ def check_tensor_assoc(dims, points):
     cells = prod(dims)
     if cells > IMAGE_LAW_BOUND:
         raise CarrierTooLarge(f"triple product of {cells} cells exceeds {IMAGE_LAW_BOUND}")
-    X = subset_bits(cells)
-    # (U⊗V)⊗W: section ij lies in W iff it holds W's point, so the
-    # qualifying set over dims[0]×dims[1] is a pick along the last axis
-    i, j, k = dims
-    left = tensor_rows(_at(X.reshape(i * j, k, *X.shape[-3:]), points[2]), (i, j), points[:2])
-    diff = tensor_rows(X, dims, points) ^ left
-    bad = np.flatnonzero(_unpack(diff, 1 << cells))
-    if len(bad):
-        return False, int(bad[0])
+    U, V, W = (PrincipalUltrafilter(d, p) for d, p in zip(dims, points))
+    left = uf_tensor(uf_tensor(U, V), W).point
+    right = uf_tensor(U, uf_tensor(V, W)).point
+    if left != right:
+        return False, 1 << min(left, right)
     return True, None
 
 
@@ -292,7 +291,7 @@ def tensor_power_failures(S, maps, k, points):
     n = S.order
     if n > PRODUCT_LAW_BOUND:
         raise CarrierTooLarge(f"order {n} exceeds {PRODUCT_LAW_BOUND}")
-    if k not in (2, 3):
+    if k not in TENSOR_POWERS:
         raise InvalidInstance(f"tensor powers take k = 2 or 3 factors, not {k}")
     for i, h in enumerate(maps):
         if np.ndim(h) != 1 or len(h) != n:

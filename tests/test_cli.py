@@ -9,7 +9,7 @@ import shlex
 import pytest
 
 from hjlab import cyclic_semigroup, flag_semigroup
-from hjlab import cli
+from hjlab import cli, search
 from hjlab.cli import main
 from hjlab.tableio import format_semigroup_file
 
@@ -463,6 +463,31 @@ def test_bad_semigroup_files_give_one_error_line(name, command, tmp_path, capsys
     else:
         assert code == 2
         assert out.startswith("error: ") and out.count("\n") == 1
+
+
+def test_validate_and_the_family_name_a_repeat_alike(tmp_path, capsys):
+    path = tmp_path / "rep.sg"
+    path.write_bytes(BAD_FILES["repeated retraction"][0])
+    assert main(["validate", str(path)]) == 1
+    assert "retraction 1: fail (repeats retraction 0)" in capsys.readouterr().out
+    assert main(["ultra", "lemma2", "--semigroup", str(path)]) == 2
+    assert capsys.readouterr().out == "error: retraction 1: repeats retraction 0\n"
+
+
+def test_an_instance_past_the_edge_bound_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(search, "EDGE_BYTES_LIMIT", 15)  # [2]^1 has one line of 16 bytes
+    assert main(["hj", "-n", "2", "-r", "2", "--max-N", "4"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1 and "byte bound" in out
+
+
+def test_verify_fails_a_certificate_past_the_edge_bound(tmp_path, monkeypatch, capsys):
+    assert main(["vdw", "-k", "3", "-r", "2", "--max-M", "9", "--cert-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(search, "EDGE_BYTES_LIMIT", 12 * 3 * 8 - 1)  # 12 3-APs in [1..8]
+    assert main(["verify", str(tmp_path / "w(3,2)-M8.cert")]) == 1
+    out = capsys.readouterr().out
+    assert ": fail (" in out and "byte bound" in out
 
 
 def test_readme_commands_parse():

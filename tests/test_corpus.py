@@ -124,6 +124,26 @@ def test_sweep_tensor_power_single_k():
     assert report.ok and report.semigroups == 10
 
 
+@pytest.mark.parametrize("entries,ks,match", [
+    ([], (2, 3), "at least one semigroup"),
+    (None, (), "distinct values"),
+    (None, (2, 2), "distinct values"),
+    (None, (4,), "distinct values"),
+    (None, (2, 1), "distinct values"),
+])
+def test_sweep_rejects_its_bad_inputs_before_any_work(entries, ks, match, monkeypatch):
+    # a sweep of no semigroups, or of one check twice, is no evidence
+    if entries is None:
+        entries = [CorpusEntry(0, [], [], cyclic_semigroup(3))]
+
+    def fail(S):
+        raise AssertionError("endomorphisms enumerated before the inputs were checked")
+
+    monkeypatch.setattr(hjlab.corpus, "enumerate_endomorphisms", fail)
+    with pytest.raises(InvalidInstance, match=match):
+        sweep_tensor_power(entries, ks=ks)
+
+
 def test_sweep_checks_the_order_bound_before_enumerating(monkeypatch):
     def fail(S):
         raise AssertionError("endomorphisms enumerated past the order bound")

@@ -1,6 +1,7 @@
 """Backtracking search: soundness against the naive oracles, symmetry
 pruning, budgets, and the witness searches."""
 import time
+import tracemalloc
 from contextlib import contextmanager
 from itertools import permutations
 
@@ -39,7 +40,7 @@ from hjlab import (
     word_witness_search,
 )
 import hjlab.search
-from hjlab.errors import InvalidInstance, VerificationError
+from hjlab.errors import InvalidInstance, SearchSpaceTooLarge, VerificationError
 from hjlab.words import parse_word
 
 import oracles
@@ -83,6 +84,39 @@ def test_ap_edges_need_two_terms():
     # with one term every step repeated the same one-vertex edges
     with pytest.raises(InvalidInstance, match="k >= 2"):
         ap_edges(1, 3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LineHypergraph.build(2, 5).edges,
+    lambda: LineHypergraph.build(4, 3).edges,
+    lambda: ap_edges(2, 30),
+    lambda: ap_edges(3, 31),
+    lambda: ap_edges(5, 40),
+])
+def test_edge_builders_size_their_array_exactly(build, monkeypatch):
+    # the computed size is the array's own: a bound of its bytes passes,
+    # one byte less refuses it
+    nbytes = build().nbytes
+    monkeypatch.setattr(hjlab.search, "EDGE_BYTES_LIMIT", nbytes)
+    assert build().nbytes == nbytes
+    monkeypatch.setattr(hjlab.search, "EDGE_BYTES_LIMIT", nbytes - 1)
+    with pytest.raises(SearchSpaceTooLarge, match="byte bound"):
+        build()
+
+
+@pytest.mark.parametrize("check", [
+    lambda: hj_check(4, 2, 11, budget_seconds=1),  # 44.6M lines of 4
+    lambda: vdw_check(3, 2, 100_000),  # 2.5e9 progressions of 3
+])
+def test_an_oversized_instance_is_refused_before_allocating(check):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchSpaceTooLarge):
+            check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_verify_proper_coloring():
@@ -560,6 +594,18 @@ def test_finite_witness_exhaustion_is_a_true_negative():
     S, view, family = flag_semigroup(1)
     out = finite_witness_search(family, TableColoring({"0": 0, "2": 1}, r=2))
     assert out.status == "found" and out.witness == flag_index(1, 1)
+
+
+@pytest.mark.parametrize("search,coloring,points", [
+    (lambda c: word_witness_search(substitution_family(WordSemigroup(2)), c),
+     ApResidueColoring(2), "words; integer colorings go through hjlab vdw --via-hj"),
+    (lambda c: finite_witness_search(flag_semigroup(1)[2], c),
+     ModSumColoring(2), "semigroup elements"),
+    (lambda c: find_ap_via_words(3, c), ModSumColoring(2), "integers"),
+])
+def test_each_search_rejects_a_coloring_of_the_wrong_kind(search, coloring, points):
+    with pytest.raises(InvalidInstance, match=f"{coloring.kind} colorings do not color {points}"):
+        search(coloring)
 
 
 def test_via_hj_reduction_cross_check():

@@ -168,7 +168,7 @@ def test_retraction_validation():
 def test_family_rejects_invalid_and_duplicate_members():
     S, view, family = flag_semigroup(1)
     sigmas = list(family)
-    with pytest.raises(ValueError, match="duplicate retractions at positions 0 and 1"):
+    with pytest.raises(ValueError, match="retraction 1: repeats retraction 0"):
         RetractionFamily(view, [sigmas[0], sigmas[0]])
     with pytest.raises(ValueError):
         RetractionFamily(view, [[0] * S.order])

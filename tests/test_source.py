@@ -72,6 +72,23 @@ def test_words_imports_only_errors():
     assert _package_imports(SRC / "words.py") == {"errors"}
 
 
+def test_each_input_rule_has_one_home():
+    """The CLI and the certificate verifier reach the coloring-kind table and
+    the setting's clause checks only through ``instances.require_fit`` and
+    ``semigroups.setting_clauses``, so each rule is written in one place."""
+    owned = {"KINDS_FOR", "is_nice_subsemigroup", "validate_retraction"}
+    for name in ("cli.py", "certificates.py"):
+        used = set()
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        assert sorted(used & owned) == [], name
+
+
 def test_every_export_has_a_caller_outside_the_tests():
     """Each name the package exports is used somewhere besides its own
     ``def`` or ``class`` line: in another package module, the benchmark, a
