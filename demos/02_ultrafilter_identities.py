@@ -1,10 +1,10 @@
 """Ultrafilter algebra on finite carriers, computed by the defining formulas.
 
 Every ultrafilter on a finite set is principal, so each operation could be
-a one-line shortcut.  The point of the module is that it never takes it:
-images, products, and tensors are located by their membership formulas,
-evaluated once on every subset and cross-checked against the shortcut,
-turning the algebraic identities into machine-checkable facts.
+a one-line shortcut.  The point of the module is that it never trusts it:
+images, products, and tensors evaluate their membership formulas once on
+every subset and must agree with the shortcut there, turning the algebraic
+identities into machine-checkable facts.
 """
 from hjlab import (
     PrincipalUltrafilter,

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CarrierTooLarge, InvalidInstance
+from . import search
+from .errors import CarrierTooLarge, InvalidInstance, SearchSpaceTooLarge
 from .semigroups import FiniteSemigroup
 from .ultra import PRODUCT_LAW_BOUND, TENSOR_POWERS, tensor_power_failures
 
@@ -96,9 +97,12 @@ def enumerate_endomorphisms(S):
     (E, n) int64 array with one map per row.
 
     Each product constraint is checked at the first depth where all three
-    participating elements have images assigned.
+    participating elements have images assigned.  Every map of a left-zero
+    band is one, so the maps found are bounded as the search's edge arrays
+    are: SearchSpaceTooLarge once their array would pass EDGE_BYTES_LIMIT.
     """
     n = S.order
+    most = search.EDGE_BYTES_LIMIT // (8 * n)
     table = S.table.tolist()
     # pending[d]: the (a, b) pairs whose constraint becomes decidable once
     # element d receives its image
@@ -111,6 +115,11 @@ def enumerate_endomorphisms(S):
 
     def extend(i):
         if i == n:
+            if len(out) == most:
+                raise SearchSpaceTooLarge(
+                    f"more than {most} endomorphisms of order {n} pass the "
+                    f"{search.EDGE_BYTES_LIMIT}-byte bound"
+                )
             out.append(tuple(h))
             return
         for v in range(n):

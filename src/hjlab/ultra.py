@@ -4,10 +4,9 @@ Every ultrafilter on a finite set is principal, so each one is stored as a
 defining point but queried only through set membership.  The value of the
 module is that the product, image and tensor operations are *evaluated by
 their defining membership formulas* (nested set constructions), once per
-call: on a small carrier the one evaluation covers every subset, the point
-is read off its singleton rows, and the rows are confirmed to be those of
-the principal shortcut.  That makes the classical identities mechanically
-verifiable at desk scale.
+call, on every subset of a carrier of at most LAW_BOUND points, and the
+rows are confirmed to be those of the principal shortcut.  That makes the
+classical identities mechanically verifiable at desk scale.
 
 A family of subsets of a carrier of order t is held as a *set table*: a
 uint8 array whose carrier axes come first (one per coordinate; membership
@@ -17,13 +16,12 @@ column), and last the subset axis, its 2^t subsets packed 8 per byte,
 little-endian: bit m of a cell's packed row says whether the cell lies in
 the m-th subset.  A gather along a carrier axis then copies packed rows of
 2^t/8 bytes.  Every level of every formula still evaluates every subset;
-only the edges unpack: the unique singleton and a first failing mask.
+only a first failing mask is unpacked.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product as iproduct
-from math import prod
 
 import numpy as np
 
@@ -38,9 +36,11 @@ from .instances import TableColoring
 from .search import finite_witness_search
 from .semigroups import FiniteSemigroup, SubsetQuery, _size_of
 
-IMAGE_LAW_BOUND = 16  # exhaustive subset checks up to 2^16 memberships
-# product and tensor-power checks: the k = 3 translate sets of a semigroup
-# of order n hold n³ cells × 2^n/8 packed bytes, 864 KiB at n = 12
+# image, product and tensor check all 2^16 subsets of 16 cells; the product's
+# translate sets then hold 16² cells × 2^16/8 packed bytes, 2 MiB
+LAW_BOUND = 16
+# tensor-power checks: the k = 3 translate sets of a semigroup of order n
+# hold n³ cells × 2^n/8 packed bytes, 864 KiB at n = 12
 PRODUCT_LAW_BOUND = 12
 TENSOR_POWERS = (2, 3)  # the k of the tensor-power identity
 CHUNK_BYTES = 1 << 20  # largest intermediate of one chunk of a map stack
@@ -63,13 +63,6 @@ class PrincipalUltrafilter:
     def member_mask(self, mask):
         return bool((mask >> self.point) & 1)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PrincipalUltrafilter)
-            and _size_of(self.carrier) == _size_of(other.carrier)
-            and self.point == other.point
-        )
-
     def __repr__(self):
         return f"PrincipalUltrafilter(point={self.point}, size={_size_of(self.carrier)})"
 
@@ -85,12 +78,6 @@ def member(U, A):
     return U.member_mask(A.mask)
 
 
-def _pack(member):
-    """The set table of member[x, m] (cell x lies in subset m): the cell
-    axis, unit map and point axes, and the subset axis packed."""
-    return np.packbits(member, axis=-1, bitorder="little")[:, None, None, :]
-
-
 def _unpack(table, count):
     """The first ``count`` subset bits of a set table, as booleans."""
     return np.unpackbits(table, axis=-1, count=count, bitorder="little").astype(bool)
@@ -98,29 +85,24 @@ def _unpack(table, count):
 
 def subset_bits(size):
     """Every subset of [0..size) as a set table: subset m is the set with
-    bitmask m, so bit m of cell x's row is bit x of m."""
+    bitmask m, so bit m of cell x's row is bit x of m; unit map and point
+    axes sit between the cell and subset axes."""
     cells = np.arange(size, dtype=np.uint32)[:, None]
-    return _pack((np.arange(1 << size, dtype=np.uint32) >> cells) & 1)
+    inside = (np.arange(1 << size, dtype=np.uint32) >> cells) & 1
+    return np.packbits(inside, axis=-1, bitorder="little")[:, None, None, :]
 
 
-def _locate(member_of, size, bound, point, operation):
-    """The point of an ultrafilter on ``size`` points, read off one run of
-    its membership evaluator ``member_of`` (set table -> membership rows):
-    exactly one singleton may be a member.  At most ``bound`` points the run
-    covers every subset, and its rows must be those of the principal
-    ultrafilter at ``point``, the shortcut; above, it covers the singletons."""
-    if size <= bound:
-        B = subset_bits(size)
-        rows = member_of(B)
-        if not np.array_equal(rows, B[point]):
-            raise VerificationError(f"{operation} law failed a subset check")
-        hits = _unpack(rows, 1 << size)[..., 1 << np.arange(size)]
-    else:
-        hits = _unpack(member_of(_pack(np.eye(size, dtype=bool))), size)
-    found = np.flatnonzero(hits)
-    if len(found) != 1:
-        raise VerificationError(f"{operation} membership hit {len(found)} singletons")
-    return int(found[0])
+def _law_checked(member_of, size, point, operation):
+    """``point``, the shortcut, once one run of the membership evaluator
+    ``member_of`` (set table -> membership rows) on every subset of the
+    ``size`` cells gives the rows of the principal ultrafilter at it.  Above
+    LAW_BOUND cells nothing is evaluated."""
+    if size > LAW_BOUND:
+        raise CarrierTooLarge(f"{operation} law on {size} cells exceeds {LAW_BOUND}")
+    B = subset_bits(size)
+    if not np.array_equal(member_of(B), B[point]):
+        raise VerificationError(f"{operation} law failed a subset check")
+    return int(point)
 
 
 def _map_into(f, size):
@@ -166,18 +148,14 @@ def image_member(B, f, points):
 
 
 def image(f, U, target):
-    """Image ultrafilter of U under f, located through the membership law.
-
-    The point is read off the singletons whose f-preimage lies in U; f(point)
-    is only the shortcut the law is checked against, on every subset of a
-    target of at most IMAGE_LAW_BOUND points.
+    """Image ultrafilter of U under f, at f(point) once the membership law
+    agrees with it on every subset of a target of at most LAW_BOUND points.
     """
     _require_same_carrier(len(f), _size_of(U.carrier))
     tsize = _size_of(target)
     f = _map_into(f, tsize)
-    found = _locate(lambda B: image_member(B, f, U.point), tsize, IMAGE_LAW_BOUND,
-                    f[U.point], "image")
-    return PrincipalUltrafilter(target, found)
+    point = _law_checked(lambda B: image_member(B, f, U.point), tsize, f[U.point], "image")
+    return PrincipalUltrafilter(target, point)
 
 
 def translates(B, table, k):
@@ -209,19 +187,18 @@ def product_member(T, f, points):
 def uf_product(U, V):
     """U*V on the finite semigroup U lives on, evaluated by the nested
     membership formula, which builds the set {s : s⁻¹A ∈ V} in full for
-    every set A.  The point is read off the singletons; on at most
-    PRODUCT_LAW_BOUND points the formula is checked on every subset against
-    the principal shortcut point(U)*point(V).
+    every set A.  The formula is checked on every subset of at most
+    LAW_BOUND points against the principal shortcut point(U)*point(V).
     """
     S = U.carrier
     if not isinstance(S, FiniteSemigroup):
         raise TypeError("uf_product needs a FiniteSemigroup carrier")
     _require_same_carrier(S.order, _size_of(V.carrier))
     points = (U.point, V.point)
-    found = _locate(
+    point = _law_checked(
         lambda B: product_member(translates(B, S.table, 2), np.arange(S.order), points),
-        S.order, PRODUCT_LAW_BOUND, S.mul(*points), "product")
-    return PrincipalUltrafilter(S, found)
+        S.order, S.mul(*points), "product")
+    return PrincipalUltrafilter(S, point)
 
 
 def tensor_rows(X, dims, points):
@@ -240,21 +217,21 @@ def tensor_rows(X, dims, points):
 
 def uf_tensor(U, V):
     """U⊗V on the product carrier of sx * sy cells, indexed row-major,
-    evaluated by the section formula; on at most IMAGE_LAW_BOUND cells it is
-    checked on every subset against the principal cell U.point * sy + V.point."""
+    evaluated by the section formula and checked on every subset of at most
+    LAW_BOUND cells against the principal cell U.point * sy + V.point."""
     sx, sy = _size_of(U.carrier), _size_of(V.carrier)
     points = (U.point, V.point)
-    found = _locate(lambda X: tensor_rows(X, (sx, sy), points), sx * sy, IMAGE_LAW_BOUND,
-                    U.point * sy + V.point, "tensor")
-    return PrincipalUltrafilter(sx * sy, found)
+    point = _law_checked(lambda X: tensor_rows(X, (sx, sy), points), sx * sy,
+                         U.point * sy + V.point, "tensor")
+    return PrincipalUltrafilter(sx * sy, point)
 
 
 def check_tensor_assoc(dims, points):
-    """(U⊗V)⊗W and U⊗(V⊗W) agree on every subset of the triple product,
-    which may have at most IMAGE_LAW_BOUND cells.  Both sides come from
-    ``uf_tensor``, which checks its section formula on every subset of a
-    product that small, so comparing their points is exhaustive.  Returns
-    (ok, first failing mask or None), the lower point's singleton.
+    """(U⊗V)⊗W and U⊗(V⊗W) agree on every subset of the triple product.
+    Both sides come from ``uf_tensor``, which checks its section formula on
+    every subset against the one principal cell of the product, and refuses
+    a product of more than LAW_BOUND cells with CarrierTooLarge.  A failing
+    law raises VerificationError; otherwise the result is (True, None).
     """
     if len(dims) != 3 or len(points) != 3:
         raise InvalidInstance(f"(U⊗V)⊗W takes 3 factors, got dims {dims}, points {points}")
@@ -262,14 +239,9 @@ def check_tensor_assoc(dims, points):
         raise InvalidInstance(f"factor sizes must be at least 1, not {dims}")
     if not all(0 <= p < d for p, d in zip(points, dims)):
         raise CarrierMismatch(f"points {points} are not one inside each factor of {dims}")
-    cells = prod(dims)
-    if cells > IMAGE_LAW_BOUND:
-        raise CarrierTooLarge(f"triple product of {cells} cells exceeds {IMAGE_LAW_BOUND}")
     U, V, W = (PrincipalUltrafilter(d, p) for d, p in zip(dims, points))
-    left = uf_tensor(uf_tensor(U, V), W).point
-    right = uf_tensor(U, uf_tensor(V, W)).point
-    if left != right:
-        return False, 1 << min(left, right)
+    uf_tensor(uf_tensor(U, V), W)
+    uf_tensor(U, uf_tensor(V, W))
     return True, None
 
 
@@ -385,15 +357,15 @@ def find_agreement_ultrafilter(S, family):
     principal ultrafilter; None when no point of R qualifies.
 
     Every point of T qualifies trivially, since a retraction fixes T, so only
-    R is scanned.  The agreement of image ultrafilters is re-checked through
-    the image membership formula, not just pointwise.
+    R is scanned.  Each image ultrafilter of the point found is also checked
+    through the image membership law, on every subset of an S of at most
+    LAW_BOUND points.
     """
     for u in family.view.complement():
         if len(family.images(u)) == 1:
             U = PrincipalUltrafilter(S, u)
-            imgs = [image(row, U, S) for row in family]
-            if any(im != imgs[0] for im in imgs):  # formula-route cross-check
-                raise VerificationError("image law disagrees with pointwise images")
+            for row in family:
+                image(row, U, S)
             return U
     return None
 

@@ -8,7 +8,7 @@ import shlex
 
 import pytest
 
-from hjlab import cyclic_semigroup, flag_semigroup
+from hjlab import FiniteSemigroup, cyclic_semigroup, flag_semigroup
 from hjlab import cli, search
 from hjlab.cli import main
 from hjlab.tableio import format_semigroup_file
@@ -313,6 +313,16 @@ def test_ultra_corpus_rejects_a_carrier_above_the_bound(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("error: ") and out.count("\n") == 1
     assert "12" in out
+
+
+def test_ultra_corpus_rejects_a_left_zero_band_past_the_map_bound(tmp_path, monkeypatch, capsys):
+    # every map of a left-zero band is an endomorphism: 256 at order 4
+    path = tmp_path / "lz4.sg"
+    path.write_text(format_semigroup_file(FiniteSemigroup([[a] * 4 for a in range(4)])))
+    monkeypatch.setattr(search, "EDGE_BYTES_LIMIT", 255 * 4 * 8)
+    assert main(["ultra", "corpus", "--semigroup", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1 and "byte bound" in out
 
 
 def test_ultra_lemma2(flag2, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hjlab.corpus
+import hjlab.search
 from hjlab import (
     CorpusEntry,
     compose,
@@ -16,7 +17,7 @@ from hjlab import (
     sweep_tensor_power,
     transformation_semigroup,
 )
-from hjlab.errors import CarrierTooLarge, InvalidInstance
+from hjlab.errors import CarrierTooLarge, InvalidInstance, SearchSpaceTooLarge
 
 import oracles
 
@@ -106,6 +107,17 @@ def test_endomorphisms_of_left_zero_are_all_maps():
     n = 3
     S = FiniteSemigroup([[a] * n for a in range(n)])
     assert len(list(enumerate_endomorphisms(S))) == n ** n
+
+
+def test_endomorphisms_stop_at_the_edge_array_bound(monkeypatch):
+    # a left-zero band of order 8 has 16.7M endomorphisms, all of them listed
+    from hjlab import FiniteSemigroup
+    S = FiniteSemigroup([[a] * 4 for a in range(4)])
+    monkeypatch.setattr(hjlab.search, "EDGE_BYTES_LIMIT", 4 ** 4 * 4 * 8)
+    assert len(enumerate_endomorphisms(S)) == 4 ** 4
+    monkeypatch.setattr(hjlab.search, "EDGE_BYTES_LIMIT", 4 ** 4 * 4 * 8 - 1)
+    with pytest.raises(SearchSpaceTooLarge, match="more than 255 endomorphisms"):
+        enumerate_endomorphisms(S)
 
 
 def test_sweep_is_clean_on_the_default_corpus():

@@ -1,5 +1,6 @@
 """Backtracking search: soundness against the naive oracles, symmetry
 pruning, budgets, and the witness searches."""
+import dataclasses
 import time
 import tracemalloc
 from contextlib import contextmanager
@@ -313,6 +314,18 @@ def test_time_budget_covers_the_watch_list_build():
     res = HypergraphSolver(1200, ap_edges(3, 1200), 2, budget_seconds=0.2).solve()
     assert res.status == BUDGET and res.nodes == 0
     assert res.elapsed < 0.5
+
+
+def test_check_instance_elapsed_covers_the_edge_build():
+    # elapsed started with solve(), so it left out a slow edge build
+    def slow_edges():
+        time.sleep(0.3)
+        return ap_edges(3, 9)
+
+    inst = dataclasses.replace(vdw_instance(3, 2, 9), build_edges=slow_edges)
+    res = hjlab.search.check_instance(inst, budget_seconds=0.1)
+    assert res.status == BUDGET
+    assert res.elapsed >= 0.3
 
 
 def test_time_budget_covers_the_whole_sweep():

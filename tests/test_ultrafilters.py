@@ -128,13 +128,15 @@ def test_image_rejects_a_map_outside_the_target():
 
 
 def test_image_law_bound_enforced(monkeypatch):
-    # every subset up to IMAGE_LAW_BOUND points, the singletons above it
+    # every subset up to LAW_BOUND points; above it, refused before evaluating
     calls = wrap_evaluator(monkeypatch, "image_member")
-    for size, width in ((16, 2 ** 16 // 8), (17, 3)):
-        big = cyclic_semigroup(size)
-        f = (np.arange(size) + 1) % size
-        assert image(f, PrincipalUltrafilter(big, 5), big).point == 6
-        assert calls.pop().shape[-1] == width
+    big = cyclic_semigroup(16)
+    assert image((np.arange(16) + 1) % 16, PrincipalUltrafilter(big, 5), big).point == 6
+    assert calls.pop().shape[-1] == 2 ** 16 // 8
+    big = cyclic_semigroup(17)
+    with pytest.raises(CarrierTooLarge, match="image law on 17 cells"):
+        image((np.arange(17) + 1) % 17, PrincipalUltrafilter(big, 5), big)
+    assert not calls
 
 
 # -- one evaluation per operation ---------------------------------------------
@@ -205,12 +207,15 @@ def test_three_level_power_matches_nested_family_oracle(S):
 
 
 def test_product_law_bound_enforced(monkeypatch):
-    # every subset up to PRODUCT_LAW_BOUND points, the singletons above it
+    # every subset up to LAW_BOUND points; above it, refused before evaluating
     calls = wrap_evaluator(monkeypatch, "product_member")
-    for n, width in ((12, 2 ** 12 // 8), (13, 2)):
-        S = cyclic_semigroup(n)
-        assert uf_product(PrincipalUltrafilter(S, 7), PrincipalUltrafilter(S, 9)).point == 16 % n
-        assert calls.pop().shape[-1] == width
+    S = cyclic_semigroup(16)
+    assert uf_product(PrincipalUltrafilter(S, 7), PrincipalUltrafilter(S, 9)).point == 0
+    assert calls.pop().shape[-1] == 2 ** 16 // 8
+    S = cyclic_semigroup(17)
+    with pytest.raises(CarrierTooLarge, match="product law on 17 cells"):
+        uf_product(PrincipalUltrafilter(S, 7), PrincipalUltrafilter(S, 9))
+    assert not calls
 
 
 def test_product_law_rejects_an_ultrafilter_on_another_carrier():
@@ -239,6 +244,16 @@ def test_tensor_matches_family_oracle(sizes):
             assert out.carrier == sx * sy
 
 
+def test_tensor_law_bound_enforced(monkeypatch):
+    # every subset up to LAW_BOUND cells; above it, refused before evaluating
+    calls = wrap_evaluator(monkeypatch, "tensor_rows")
+    assert uf_tensor(PrincipalUltrafilter(4, 1), PrincipalUltrafilter(4, 2)).point == 6
+    assert calls.pop().shape[-1] == 2 ** 16 // 8
+    with pytest.raises(CarrierTooLarge, match="tensor law on 18 cells"):
+        uf_tensor(PrincipalUltrafilter(3, 1), PrincipalUltrafilter(6, 2))
+    assert not calls
+
+
 def test_tensor_member_three_levels():
     # a set lies in U₁⊗(U₂⊗U₃) exactly when it holds the principal cell
     dims, points = (2, 2, 2), (1, 0, 1)
@@ -255,7 +270,7 @@ def test_tensor_assoc_exhaustive(dims):
 
 
 def test_tensor_assoc_rejects_27_cells():
-    # no sampled positives: above IMAGE_LAW_BOUND cells it checks nothing
+    # no sampled positives: above LAW_BOUND cells it checks nothing
     with pytest.raises(CarrierTooLarge, match="27 cells"):
         check_tensor_assoc((3, 3, 3), (0, 1, 2))
 
