@@ -163,30 +163,40 @@ def sweep_tensor_power(entries, ks=(2, 3)):
 
     For every entry, every endomorphism h, every k and every principal V the
     image of V's k-fold tensor power under (v1..vk) -> h(v1*...*vk) is
-    compared, subset by subset, with the k-fold product power of h(V).  The
-    order bound of the check is enforced before the endomorphisms are
-    enumerated, and every endomorphism and point V of a k is checked in one
-    batched call, so the sweep stays fast even on endomorphism-rich
-    semigroups.  Failures are listed by endomorphism, then k, then point.  An
+    compared, subset by subset, with the k-fold product power of h(V).  Every
+    entry's order is checked against the bound of the check before any
+    endomorphism is enumerated.  The endomorphisms of all entries of one
+    order are then stacked, each tagged with its entry, and checked in one
+    ``tensor_power_failures`` call per k, so a corpus of many small
+    semigroups costs one call per order and k rather than per semigroup.
+    Failures are listed by entry, then endomorphism, then k, then point.  An
     empty corpus, or ``ks`` empty, repeated or outside TENSOR_POWERS, is bad input.
     """
     if not entries:
         raise InvalidInstance("a sweep needs at least one semigroup")
     if not ks or len(set(ks)) < len(ks) or not set(ks) <= set(TENSOR_POWERS):
         raise InvalidInstance(f"ks takes distinct values from {TENSOR_POWERS}, not {ks}")
-    report = CorpusReport(semigroups=len(entries))
+    by_order = {}
     for idx, entry in enumerate(entries):
-        S = entry.semigroup
-        n = S.order
+        n = entry.semigroup.order
         if n > PRODUCT_LAW_BOUND:
             raise CarrierTooLarge(f"order {n} exceeds {PRODUCT_LAW_BOUND}")
-        endos = enumerate_endomorphisms(S)
-        report.endomorphisms += len(endos)
+        by_order.setdefault(n, []).append(idx)
+    report = CorpusReport(semigroups=len(entries))
+    for n, idxs in sorted(by_order.items()):
+        semigroups = [entries[i].semigroup for i in idxs]
+        endos = [enumerate_endomorphisms(S) for S in semigroups]
+        maps = np.concatenate(endos)
+        owner = np.repeat(np.arange(len(idxs)), [len(e) for e in endos])
+        report.endomorphisms += len(maps)
         # (E, len(ks), n): the first failing mask of every check, or -1
-        first = np.stack([tensor_power_failures(S, endos, k, range(n)) for k in ks], axis=1)
+        first = np.stack(
+            [tensor_power_failures(semigroups, maps, k, range(n), owner=owner) for k in ks], axis=1
+        )
         report.checks += first.size
         for e, i, p in np.argwhere(first >= 0).tolist():
-            report.failures.append(
-                CorpusFailure(idx, tuple(endos[e].tolist()), ks[i], p, int(first[e, i, p]))
-            )
+            report.failures.append(CorpusFailure(
+                idxs[owner[e]], tuple(maps[e].tolist()), ks[i], p, int(first[e, i, p])
+            ))
+    report.failures.sort(key=lambda f: f.entry_index)  # stable: each entry keeps its order
     return report

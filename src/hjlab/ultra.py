@@ -43,7 +43,9 @@ LAW_BOUND = 16
 # hold n³ cells × 2^n/8 packed bytes, 864 KiB at n = 12
 PRODUCT_LAW_BOUND = 12
 TENSOR_POWERS = (2, 3)  # the k of the tensor-power identity
-CHUNK_BYTES = 1 << 20  # largest intermediate of one chunk of a map stack
+# bytes one chunk of a map stack holds at once: the translate sets of its
+# maps' semigroups next to the largest intermediate of the two sides
+CHUNK_BYTES = 1 << 20
 FIP_EXHAUSTIVE_LIMIT = 20
 # the agreement equivalence enumerates all r^|T| colorings of T
 AGREEMENT_MAX_ORDER = 10
@@ -129,22 +131,27 @@ def _at(sets, points):
     return cols[..., points, np.arange(maps)[:, None], np.arange(len(points)), :]
 
 
-def _preimage(sets, f):
+def _preimage(sets, f, columns=None):
     """The full preimage of every set of a table, along its last carrier axis,
     under every map of the stack f (E, m): (..., c, E, P, W) ->
-    (..., m, E, P, W); a single map is a stack of one."""
+    (..., m, E, P, W); a single map is a stack of one.  Map e reads the sets
+    of map column ``columns[e]``, or of its own column (a unit map axis is
+    shared by every map)."""
     f = np.atleast_2d(f)
-    *outer, c, _, cols, width = sets.shape
-    sets = np.broadcast_to(sets, (*outer, c, len(f), cols, width))
-    return sets[..., f.T, np.arange(len(f)), :, :]
+    if columns is None:
+        *outer, c, _, cols, width = sets.shape
+        sets = np.broadcast_to(sets, (*outer, c, len(f), cols, width))
+        columns = np.arange(len(f))
+    return sets[..., f.T, columns, :, :]
 
 
-def image_member(B, f, points):
+def image_member(B, f, points, columns=None):
     """Which sets of the table B (subsets of the target) lie in the image
     under f of the principal ultrafilter at ``points``: the full preimage
     f⁻¹(B) is built for every set, then tested at the point.  f may be a
-    stack of maps and ``points`` a vector, one map and point column each."""
-    return _at(_preimage(B, f), points)
+    stack of maps and ``points`` a vector, one map and point column each;
+    map e reads B's map column ``columns[e]`` when given."""
+    return _at(_preimage(B, f, columns), points)
 
 
 def image(f, U, target):
@@ -158,29 +165,38 @@ def image(f, U, target):
     return PrincipalUltrafilter(target, point)
 
 
-def translates(B, table, k):
+def translates(B, tables, k):
     """The translate sets of the innermost of k right-associated product
     levels, as a set table: {u : s₁*(...*(s_{k-1}*u)) ∈ R} for every set R of
-    B and every s₁, ..., s_{k-1}, one new carrier axis per s before the axis u."""
+    B and every s₁, ..., s_{k-1}, one new carrier axis per s before the axis u.
+    ``tables`` is one Cayley table, or a stack of them, one per map column of
+    the result; each level is the full preimage under the table read as a
+    map on S×S."""
+    n = np.shape(tables)[-1]
+    pairs = np.reshape(tables, (-1, n * n))
     for _ in range(k - 1):
-        B = B[..., table, :, :, :]
+        T = _preimage(B, pairs)
+        B = T.reshape(*T.shape[:-4], n, n, *T.shape[-3:])
     return B
 
 
-def product_member(T, f, points):
+def product_member(T, f, points, columns=None):
     """Which sets of a set table B lie in f(U₁)*(f(U₂)*(...*f(U_k))), right
     associated, for the principal U_i at ``points`` (outermost first), f
     mapping into the semigroup with Cayley ``table``; f is the identity for a
     plain product.  ``T`` is ``translates(B, table, k)``, k = len(points).
     f may be a stack of maps and each level's point a vector, one map and
-    point column each.
+    point column each.  For maps into several semigroups, ``T`` is
+    ``translates`` of a stack of their tables and map e reads T's column
+    ``columns[e]``.
 
     From the innermost level out, the full set of s whose translate set is a
     member of the level below is built for every set and tested through the
     image law.
     """
     for p in reversed(points):
-        T = image_member(T, f, p)
+        T = image_member(T, f, p, columns)
+        columns = None  # past the innermost level, each map has its own column
     return T
 
 
@@ -245,46 +261,76 @@ def check_tensor_assoc(dims, points):
     return True, None
 
 
-def tensor_power_failures(S, maps, k, points):
-    """The tensor-power identity of S for a stack of maps h: S -> S.
+def tensor_power_failures(S, maps, k, points, owner=None):
+    """The tensor-power identity for a stack of maps h, each an endomap of
+    one of the semigroups S.
 
-    For every map of ``maps`` (E maps) and every V at ``points`` (P points),
-    the image of V's k-fold tensor power under (v₁..v_k) -> h(v₁*...*v_k) is
-    compared with the k-fold product power of h(V).  Both sides are evaluated
-    by their defining formulas, full preimage, translate and section sets at
-    every level and for every subset, in the module's set-table layout.  The
-    stack is evaluated in chunks whose largest intermediate stays near
-    CHUNK_BYTES.  The order n of S is bounded by PRODUCT_LAW_BOUND because
-    the k = 3 translate sets hold n³ packed rows of 2^n/8 bytes.
+    S is one FiniteSemigroup, or a sequence of G semigroups of one order n;
+    ``owner`` gives each of the E maps of ``maps`` the index of its semigroup
+    (all 0 when omitted, so one semigroup takes a plain stack).  For every
+    map and every V at ``points`` (P points), the image of V's k-fold tensor
+    power under (v₁..v_k) -> h(v₁*...*v_k) is compared with the k-fold
+    product power of h(V).  Both sides are evaluated by their defining
+    formulas, full preimage, translate and section sets at every level and
+    for every subset, in the module's set-table layout.  The stack is
+    evaluated in chunks.  The k-fold product is tabulated once per
+    semigroup; each chunk builds the translate sets of the semigroups its
+    maps belong to, once each, and every map reads its own semigroup's.  A
+    chunk's translate stack and largest intermediate together stay near
+    CHUNK_BYTES.  The order n is bounded by PRODUCT_LAW_BOUND because the
+    k = 3 translate sets hold n³ packed rows of 2^n/8 bytes.
 
     Returns an (E, P) int64 array: the first subset mask where the two
     sides differ, or -1 where they agree.
     """
-    n = S.order
+    semigroups = [S] if isinstance(S, FiniteSemigroup) else list(S)
+    if not semigroups:
+        raise InvalidInstance("tensor powers need at least one semigroup")
+    n = semigroups[0].order
     if n > PRODUCT_LAW_BOUND:
         raise CarrierTooLarge(f"order {n} exceeds {PRODUCT_LAW_BOUND}")
+    for g, other in enumerate(semigroups):
+        if other.order != n:
+            raise CarrierMismatch(f"semigroup {g} has order {other.order}, not {n}")
     if k not in TENSOR_POWERS:
         raise InvalidInstance(f"tensor powers take k = 2 or 3 factors, not {k}")
-    for i, h in enumerate(maps):
-        if np.ndim(h) != 1 or len(h) != n:
-            raise CarrierMismatch(f"map {i} has shape {np.shape(h)}, not ({n},) for S")
+    if not (isinstance(maps, np.ndarray) and maps.ndim == 2 and maps.shape[1] == n):
+        for i, h in enumerate(maps):
+            if np.ndim(h) != 1 or len(h) != n:
+                raise CarrierMismatch(f"map {i} has shape {np.shape(h)}, not ({n},) for S")
     maps = _map_into(np.reshape(maps, (-1, n)), n)
+    owner = np.asarray(np.zeros(len(maps)) if owner is None else owner, dtype=np.int64)
+    if owner.shape != (len(maps),):
+        raise CarrierMismatch(f"owner has shape {owner.shape}, not ({len(maps)},) for the maps")
+    bad = np.flatnonzero((owner < 0) | (owner >= len(semigroups)))
+    if len(bad):
+        raise CarrierMismatch(
+            f"map {int(bad[0])} names semigroup {int(owner[bad[0]])}, "
+            f"outside the {len(semigroups)} given"
+        )
     points = np.asarray(points, dtype=np.int64)
     bad = np.flatnonzero((points < 0) | (points >= n))
     if len(bad):
         raise CarrierMismatch(f"point {int(points[bad[0]])} is outside S of order {n}")
+    tables = np.stack([other.table for other in semigroups])
+    words = np.indices((n,) * k).reshape(k, -1)
+    folds = words[0]
+    for w in words[1:]:  # (G, n^k): w₁*...*w_k over S^k, for every semigroup
+        folds = tables[np.arange(len(tables))[:, None], folds, w]
     bits = subset_bits(n)
-    T = translates(bits, S.table, k)
-    folded = S.fold(np.indices((n,) * k)).reshape(-1)  # w₁*...*w_k over S^k
-    # bytes of the largest intermediate one map adds to a chunk
-    per_map = bits.shape[-1] * n ** (k - 1) * max(n, len(points))
+    # bytes one map adds to a chunk: the translate stack of its semigroup,
+    # n^k packed rows (every map of a chunk may have its own semigroup), next
+    # to the largest intermediate of either side
+    per_map = bits.shape[-1] * n ** (k - 1) * (n + max(n, len(points)))
     step = max(1, CHUNK_BYTES // per_map)
     first = np.full((len(maps), len(points)), -1, dtype=np.int64)
     for lo in range(0, len(maps), step):
-        h = maps[lo:lo + step]
-        pre = _preimage(bits, h[:, folded])  # subsets holding h(w₁*...*w_k)
-        lhs = tensor_rows(pre, (n,) * k, (points,) * k)
-        diff = lhs ^ product_member(T, h, (points,) * k)  # (maps, points, packed subsets)
+        h, own = maps[lo:lo + step], owner[lo:lo + step]
+        hw = np.take_along_axis(h, folds[own], axis=1)  # h(w₁*...*w_k) of every map
+        lhs = tensor_rows(_preimage(bits, hw), (n,) * k, (points,) * k)
+        groups, column = np.unique(own, return_inverse=True)  # each map's translate column
+        rhs = product_member(translates(bits, tables[groups], k), h, (points,) * k, column)
+        diff = lhs ^ rhs  # (maps, points, packed subsets)
         failing = diff.any(axis=-1)
         first[lo:lo + step][failing] = _unpack(diff[failing], 1 << n).argmax(axis=-1)
     return first

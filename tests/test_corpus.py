@@ -1,12 +1,14 @@
 """Transformation-semigroup corpus: generation, endomorphism enumeration,
 and the tensor-power sweep."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import hjlab.corpus
 import hjlab.search
+import hjlab.ultra
 from hjlab import (
     CorpusEntry,
     compose,
@@ -15,8 +17,10 @@ from hjlab import (
     generate_corpus,
     mulclose,
     sweep_tensor_power,
+    tensor_power_failures,
     transformation_semigroup,
 )
+from hjlab.corpus import CorpusFailure
 from hjlab.errors import CarrierTooLarge, InvalidInstance, SearchSpaceTooLarge
 
 import oracles
@@ -164,3 +168,100 @@ def test_sweep_checks_the_order_bound_before_enumerating(monkeypatch):
     entry = CorpusEntry(13, [], [], cyclic_semigroup(13))
     with pytest.raises(CarrierTooLarge, match="order 13 exceeds 12"):
         sweep_tensor_power([entry])
+
+
+def test_sweep_checks_every_order_before_the_first_enumeration(monkeypatch):
+    # a corpus whose last entry is too large does no work on the others
+    def fail(S):
+        raise AssertionError("endomorphisms enumerated before every order was checked")
+
+    monkeypatch.setattr(hjlab.corpus, "enumerate_endomorphisms", fail)
+    entries = generate_corpus(count=5, max_order=4, seed=0)
+    entries.append(CorpusEntry(13, [], [], cyclic_semigroup(13)))
+    with pytest.raises(CarrierTooLarge, match="order 13 exceeds 12"):
+        sweep_tensor_power(entries)
+
+
+def add_non_homomorphisms(monkeypatch, seed):
+    """Make the sweep's endomorphism lists end in up to three seeded random
+    maps that are no homomorphisms; returns the maps each semigroup got."""
+    rng = np.random.default_rng(seed)
+    enumerate_ = hjlab.corpus.enumerate_endomorphisms
+    given = {}
+
+    def enumerate_and_add(S):
+        t = S.table
+        maps = rng.integers(0, S.order, (3, S.order))
+        broken = (maps[:, t] != t[maps[:, :, None], maps[:, None, :]]).any(axis=(1, 2))
+        given[id(S)] = np.vstack([enumerate_(S), maps[broken]])
+        return given[id(S)]
+
+    monkeypatch.setattr(hjlab.corpus, "enumerate_endomorphisms", enumerate_and_add)
+    return given
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 10_000])
+def test_sweep_matches_a_per_entry_loop(chunk_bytes, monkeypatch):
+    # one evaluator call per order and k must report what one call per
+    # semigroup and k reports, in entry, map, k, point order; at 10 kB an
+    # order-6 chunk of the k = 3 check holds 2 maps, so chunks split the
+    # maps of one semigroup and join those of two
+    entries = generate_corpus(count=60, max_order=6, seed=1)
+    given = add_non_homomorphisms(monkeypatch, seed=5)
+    if chunk_bytes:
+        monkeypatch.setattr(hjlab.ultra, "CHUNK_BYTES", chunk_bytes)
+    translates = hjlab.ultra.translates
+    tables_per_chunk = []
+
+    def record(B, tables, k):
+        tables_per_chunk.append(np.size(tables) // np.shape(tables)[-1] ** 2)
+        return translates(B, tables, k)
+
+    monkeypatch.setattr(hjlab.ultra, "translates", record)
+    ks = (2, 3)
+    report = sweep_tensor_power(entries, ks=ks)
+    chunks = list(tables_per_chunk)
+    want, checks = [], 0
+    for idx, entry in enumerate(entries):
+        S, maps = entry.semigroup, given[id(entry.semigroup)]
+        first = np.stack([tensor_power_failures(S, maps, k, range(S.order)) for k in ks], axis=1)
+        checks += first.size
+        for e, i, p in np.argwhere(first >= 0).tolist():
+            want.append(CorpusFailure(idx, tuple(maps[e].tolist()), ks[i], p, int(first[e, i, p])))
+    assert report.endomorphisms == sum(len(m) for m in given.values())
+    assert report.checks == checks
+    assert len(want) > 100 and report.failures == want
+    if chunk_bytes:
+        assert len(chunks) > 2 * len({e.semigroup.order for e in entries})
+        assert max(chunks) > 1  # some chunk holds maps of two semigroups
+
+
+def test_sweep_calls_the_evaluator_once_per_order_and_k(monkeypatch):
+    evaluate = hjlab.corpus.tensor_power_failures
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(hjlab.corpus, "tensor_power_failures", counted)
+    entries = generate_corpus(count=60, max_order=6, seed=1)
+    assert sweep_tensor_power(entries, ks=(2, 3)).ok
+    assert len({e.semigroup.order for e in entries}) == 6
+    assert sorted(calls) == [2] * 6 + [3] * 6
+
+
+def test_sweep_peak_memory_stays_within_three_chunks():
+    # the order 9 and 10 entries of the benchmark's order-10 corpus: the
+    # tracemalloc peak was 1.4 MiB with one call per order and k, and
+    # 3.2 MiB with one call per semigroup and k, whose chunk size left out
+    # the translate sets
+    entries = [e for e in generate_corpus(count=200, max_order=10, seed=1)
+               if e.semigroup.order >= 9]
+    tracemalloc.start()
+    try:
+        sweep_tensor_power(entries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * hjlab.ultra.CHUNK_BYTES

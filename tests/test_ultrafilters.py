@@ -337,6 +337,26 @@ def test_tensor_power_tables_reject_maps_of_the_wrong_shape(bad):
         tensor_power_failures(cyclic_semigroup(4), [*GOOD_MAPS, bad], 2, [0])
 
 
+@pytest.mark.parametrize("shape,match", [((3, 5), r"\(5,\)"), ((2, 2, 4), r"\(2, 4\)"),
+                                         ((4,), r"\(\)")])
+def test_tensor_power_tables_reject_an_array_stack_of_the_wrong_shape(shape, match):
+    with pytest.raises(CarrierMismatch, match=rf"map 0 has shape {match}, not \(4,\)"):
+        tensor_power_failures(cyclic_semigroup(4), np.zeros(shape, dtype=int), 2, [0])
+
+
+@pytest.mark.parametrize("semigroups,owner,error,match", [
+    ([], [], InvalidInstance, "at least one semigroup"),
+    ([cyclic_semigroup(4), cyclic_semigroup(3)], [0, 0], CarrierMismatch,
+     "semigroup 1 has order 3, not 4"),
+    ([cyclic_semigroup(4)] * 2, [0, 0, 1], CarrierMismatch, r"owner has shape \(3,\)"),
+    ([cyclic_semigroup(4)] * 2, [0, 2], CarrierMismatch, "map 1 names semigroup 2, outside the 2"),
+    ([cyclic_semigroup(4)] * 2, [-1, 0], CarrierMismatch, "map 0 names semigroup -1"),
+])
+def test_tensor_power_tables_reject_bad_semigroup_stacks(semigroups, owner, error, match):
+    with pytest.raises(error, match=match):
+        tensor_power_failures(semigroups, GOOD_MAPS, 2, [0], owner=owner)
+
+
 def test_tensor_power_failures_reject_an_order_above_the_bound():
     with pytest.raises(CarrierTooLarge, match="order 13 exceeds 12"):
         tensor_power_failures(cyclic_semigroup(13), [np.arange(13)], 2, [0])
@@ -411,6 +431,27 @@ def test_tensor_power_stack_split_into_chunks_matches_maps_run_alone():
     assert len(failing) > 20
     for h, p, bad in failing:  # a failing point stops the oracle early
         assert oracles.tensor_power_first_failure(table, table, h.tolist(), 3, p) == bad
+
+
+def test_tensor_power_stack_of_several_semigroups_matches_each_alone(monkeypatch):
+    # the maps of three order-5 semigroups in a shuffled stack; an order-5
+    # map adds 1000 bytes to a k = 3 chunk and 200 to a k = 2 one, so a
+    # chunk holds 3 or 15 maps, from up to three semigroups in any order
+    monkeypatch.setattr(ultra, "CHUNK_BYTES", 3000)
+    rng = np.random.default_rng(7)
+    semigroups = [e.semigroup for e in generate_corpus(count=80, max_order=5, seed=2)
+                  if e.semigroup.order == 5][:3]
+    assert len(semigroups) == 3
+    stacks = [np.vstack([enumerate_endomorphisms(S), rng.integers(0, 5, (3, 5))])
+              for S in semigroups]
+    maps = np.vstack(stacks)
+    owner = np.repeat(np.arange(3), [len(m) for m in stacks])
+    order = rng.permutation(len(maps))
+    for k in (2, 3):
+        want = np.vstack([tensor_power_failures(S, m, k, range(5))
+                          for S, m in zip(semigroups, stacks)])
+        got = tensor_power_failures(semigroups, maps[order], k, range(5), owner=owner[order])
+        assert (want >= 0).any() and np.array_equal(got, want[order])
 
 
 # -- agreement sets, FIP, the equivalence report -----------------------------
