@@ -166,9 +166,11 @@ def sweep_tensor_power(entries, ks=(2, 3)):
     compared, subset by subset, with the k-fold product power of h(V).  Every
     entry's order is checked against the bound of the check before any
     endomorphism is enumerated.  The endomorphisms of all entries of one
-    order are then stacked, each tagged with its entry, and checked in one
-    ``tensor_power_failures`` call per k, so a corpus of many small
-    semigroups costs one call per order and k rather than per semigroup.
+    order are then stacked, each tagged with its entry (SearchSpaceTooLarge
+    once the stack would pass EDGE_BYTES_LIMIT, the bound of each entry's
+    list), and checked in one ``tensor_power_failures`` call per k, so a
+    corpus of many small semigroups costs one call per order and k rather
+    than per semigroup.
     Failures are listed by entry, then endomorphism, then k, then point.  An
     empty corpus, or ``ks`` empty, repeated or outside TENSOR_POWERS, is bad input.
     """
@@ -186,12 +188,18 @@ def sweep_tensor_power(entries, ks=(2, 3)):
     for n, idxs in sorted(by_order.items()):
         semigroups = [entries[i].semigroup for i in idxs]
         endos = [enumerate_endomorphisms(S) for S in semigroups]
+        nbytes = sum(e.nbytes for e in endos)
+        if nbytes > search.EDGE_BYTES_LIMIT:
+            raise SearchSpaceTooLarge(
+                f"the endomorphisms of order {n} stack to {nbytes} bytes, past the "
+                f"{search.EDGE_BYTES_LIMIT}-byte bound"
+            )
         maps = np.concatenate(endos)
         owner = np.repeat(np.arange(len(idxs)), [len(e) for e in endos])
         report.endomorphisms += len(maps)
         # (E, len(ks), n): the first failing mask of every check, or -1
         first = np.stack(
-            [tensor_power_failures(semigroups, maps, k, range(n), owner=owner) for k in ks], axis=1
+            [tensor_power_failures(semigroups, maps, k, owner=owner) for k in ks], axis=1
         )
         report.checks += first.size
         for e, i, p in np.argwhere(first >= 0).tolist():

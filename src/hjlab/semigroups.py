@@ -73,18 +73,6 @@ class FiniteSemigroup:
     def mul(self, a, b):
         return int(self.table[a, b])
 
-    def fold(self, elements):
-        """Product of a nonempty sequence, left to right.
-
-        Index arrays as factors are folded elementwise, so
-        ``fold(np.indices((n,) * k))`` tabulates the k-fold product on S^k.
-        """
-        it = iter(elements)
-        acc = next(it)
-        for x in it:
-            acc = self.table[acc, x]
-        return int(acc) if np.ndim(acc) == 0 else acc
-
     def element_name(self, i):
         if self.labels is not None:
             return self.labels[i]

@@ -10,13 +10,14 @@ classical identities mechanically verifiable at desk scale.
 
 A family of subsets of a carrier of order t is held as a *set table*: a
 uint8 array whose carrier axes come first (one per coordinate; membership
-tests read the last of them), then a map axis and a point axis (one column
-per map of a stack and per point tested, or a unit axis shared by every
-column), and last the subset axis, its 2^t subsets packed 8 per byte,
-little-endian: bit m of a cell's packed row says whether the cell lies in
-the m-th subset.  A gather along a carrier axis then copies packed rows of
-2^t/8 bytes.  Every level of every formula still evaluates every subset;
-only a first failing mask is unpacked.
+tests read the last of them), then a map axis (one column per map of a
+stack, or a unit axis shared by every map), a point axis (a unit axis for a
+test at one point, or one column per point of the carrier once every point
+is tested at once), and last the subset axis, its 2^t subsets packed 8 per
+byte, little-endian: bit m of a cell's packed row says whether the cell
+lies in the m-th subset.  A gather along a carrier axis then copies packed
+rows of 2^t/8 bytes.  Every level of every formula still evaluates every
+subset; only a first failing mask is unpacked.
 """
 from __future__ import annotations
 
@@ -120,38 +121,35 @@ def _map_into(f, size):
     return f
 
 
-def _at(sets, points):
-    """Test a set table at points along its last carrier axis c:
-    (..., c, E, P, W) -> (..., E, P, W).  ``points`` is a point, or a vector
-    of one point per point column; a unit map or point axis is shared by
-    every column."""
-    points = np.atleast_1d(points)
+def _at(sets, point=None):
+    """Test a set table at a point of its last carrier axis c:
+    (..., c, E, P, W) -> (..., E, P, W), by basic indexing.  With no point,
+    every point is tested at once and P becomes c: column p reads point p of
+    point column p (or of a unit point axis), a strided diagonal view."""
+    if point is not None:
+        return sets[..., point, :, :, :]
     *outer, c, maps, _, width = sets.shape
-    cols = np.broadcast_to(sets, (*outer, c, maps, len(points), width))
-    return cols[..., points, np.arange(maps)[:, None], np.arange(len(points)), :]
+    sets = np.broadcast_to(sets, (*outer, c, maps, c, width))
+    return np.moveaxis(np.diagonal(sets, axis1=-4, axis2=-2), -1, -2)
 
 
-def _preimage(sets, f, columns=None):
+def _preimage(sets, f):
     """The full preimage of every set of a table, along its last carrier axis,
     under every map of the stack f (E, m): (..., c, E, P, W) ->
     (..., m, E, P, W); a single map is a stack of one.  Map e reads the sets
-    of map column ``columns[e]``, or of its own column (a unit map axis is
-    shared by every map)."""
+    of its own map column (a unit map axis is shared by every map)."""
     f = np.atleast_2d(f)
-    if columns is None:
-        *outer, c, _, cols, width = sets.shape
-        sets = np.broadcast_to(sets, (*outer, c, len(f), cols, width))
-        columns = np.arange(len(f))
-    return sets[..., f.T, columns, :, :]
+    *outer, c, _, cols, width = sets.shape
+    sets = np.broadcast_to(sets, (*outer, c, len(f), cols, width))
+    return sets[..., f.T, np.arange(len(f)), :, :]
 
 
-def image_member(B, f, points, columns=None):
+def image_member(B, f, point):
     """Which sets of the table B (subsets of the target) lie in the image
-    under f of the principal ultrafilter at ``points``: the full preimage
-    f⁻¹(B) is built for every set, then tested at the point.  f may be a
-    stack of maps and ``points`` a vector, one map and point column each;
-    map e reads B's map column ``columns[e]`` when given."""
-    return _at(_preimage(B, f, columns), points)
+    under f of the principal ultrafilter at ``point`` (at every point when
+    None): the full preimage f⁻¹(B) is built for every set, then tested at
+    the point.  f may be a stack of maps, one map column each."""
+    return _at(_preimage(B, f), point)
 
 
 def image(f, U, target):
@@ -180,23 +178,21 @@ def translates(B, tables, k):
     return B
 
 
-def product_member(T, f, points, columns=None):
+def product_member(T, f, points):
     """Which sets of a set table B lie in f(U₁)*(f(U₂)*(...*f(U_k))), right
     associated, for the principal U_i at ``points`` (outermost first), f
     mapping into the semigroup with Cayley ``table``; f is the identity for a
     plain product.  ``T`` is ``translates(B, table, k)``, k = len(points).
-    f may be a stack of maps and each level's point a vector, one map and
-    point column each.  For maps into several semigroups, ``T`` is
-    ``translates`` of a stack of their tables and map e reads T's column
-    ``columns[e]``.
+    f may be a stack of maps, one map column each, with T's map column e
+    holding the translate sets of map e's semigroup.  A point None at every
+    level tests U₁ = ... = U_k at every point of the semigroup at once.
 
     From the innermost level out, the full set of s whose translate set is a
     member of the level below is built for every set and tested through the
     image law.
     """
     for p in reversed(points):
-        T = image_member(T, f, p, columns)
-        columns = None  # past the innermost level, each map has its own column
+        T = image_member(T, f, p)
     return T
 
 
@@ -220,7 +216,8 @@ def uf_product(U, V):
 def tensor_rows(X, dims, points):
     """Which sets of the table X over dims[0]×dims[1]×... (cells row-major)
     lie in U₁⊗(U₂⊗...), right associated, for the principal U_i at
-    ``points``.  Each level's point may be a vector, one point column each.
+    ``points``.  A point None at every level tests U₁ = ... = U_k at every
+    point at once.
 
     At each level the full qualifying set {i : section_i ∈ inner} is built
     for every set (and column) before it is tested at the outer point.
@@ -247,7 +244,7 @@ def check_tensor_assoc(dims, points):
     Both sides come from ``uf_tensor``, which checks its section formula on
     every subset against the one principal cell of the product, and refuses
     a product of more than LAW_BOUND cells with CarrierTooLarge.  A failing
-    law raises VerificationError; otherwise the result is (True, None).
+    law raises VerificationError.
     """
     if len(dims) != 3 or len(points) != 3:
         raise InvalidInstance(f"(U⊗V)⊗W takes 3 factors, got dims {dims}, points {points}")
@@ -258,30 +255,30 @@ def check_tensor_assoc(dims, points):
     U, V, W = (PrincipalUltrafilter(d, p) for d, p in zip(dims, points))
     uf_tensor(uf_tensor(U, V), W)
     uf_tensor(U, uf_tensor(V, W))
-    return True, None
 
 
-def tensor_power_failures(S, maps, k, points, owner=None):
+def tensor_power_failures(S, maps, k, owner=None):
     """The tensor-power identity for a stack of maps h, each an endomap of
     one of the semigroups S.
 
     S is one FiniteSemigroup, or a sequence of G semigroups of one order n;
     ``owner`` gives each of the E maps of ``maps`` the index of its semigroup
     (all 0 when omitted, so one semigroup takes a plain stack).  For every
-    map and every V at ``points`` (P points), the image of V's k-fold tensor
+    map and every principal V of S, the image of V's k-fold tensor
     power under (v₁..v_k) -> h(v₁*...*v_k) is compared with the k-fold
     product power of h(V).  Both sides are evaluated by their defining
     formulas, full preimage, translate and section sets at every level and
     for every subset, in the module's set-table layout.  The stack is
-    evaluated in chunks.  The k-fold product is tabulated once per
-    semigroup; each chunk builds the translate sets of the semigroups its
-    maps belong to, once each, and every map reads its own semigroup's.  A
-    chunk's translate stack and largest intermediate together stay near
-    CHUNK_BYTES.  The order n is bounded by PRODUCT_LAW_BOUND because the
-    k = 3 translate sets hold n³ packed rows of 2^n/8 bytes.
+    evaluated in chunks, every point of S at once.  The k-fold product is
+    tabulated once per semigroup; each chunk builds the translate sets of
+    the semigroups its maps belong to, once each, and gathers them into one
+    column per map.  A chunk's translate columns and largest intermediate
+    together stay near CHUNK_BYTES.  The order n is bounded by
+    PRODUCT_LAW_BOUND because the k = 3 translate sets hold n³ packed rows of
+    2^n/8 bytes.
 
-    Returns an (E, P) int64 array: the first subset mask where the two
-    sides differ, or -1 where they agree.
+    Returns an (E, n) int64 array, column p for V at p: the first subset
+    mask where the two sides differ, or -1 where they agree.
     """
     semigroups = [S] if isinstance(S, FiniteSemigroup) else list(S)
     if not semigroups:
@@ -308,28 +305,24 @@ def tensor_power_failures(S, maps, k, points, owner=None):
             f"map {int(bad[0])} names semigroup {int(owner[bad[0]])}, "
             f"outside the {len(semigroups)} given"
         )
-    points = np.asarray(points, dtype=np.int64)
-    bad = np.flatnonzero((points < 0) | (points >= n))
-    if len(bad):
-        raise CarrierMismatch(f"point {int(points[bad[0]])} is outside S of order {n}")
     tables = np.stack([other.table for other in semigroups])
     words = np.indices((n,) * k).reshape(k, -1)
     folds = words[0]
     for w in words[1:]:  # (G, n^k): w₁*...*w_k over S^k, for every semigroup
         folds = tables[np.arange(len(tables))[:, None], folds, w]
     bits = subset_bits(n)
-    # bytes one map adds to a chunk: the translate stack of its semigroup,
-    # n^k packed rows (every map of a chunk may have its own semigroup), next
-    # to the largest intermediate of either side
-    per_map = bits.shape[-1] * n ** (k - 1) * (n + max(n, len(points)))
+    # bytes one map adds to a chunk: its translate column, n^k packed rows,
+    # next to the largest intermediate of either side, n^k rows as well
+    per_map = 2 * bits.shape[-1] * n ** k
     step = max(1, CHUNK_BYTES // per_map)
-    first = np.full((len(maps), len(points)), -1, dtype=np.int64)
+    first = np.full((len(maps), n), -1, dtype=np.int64)
     for lo in range(0, len(maps), step):
         h, own = maps[lo:lo + step], owner[lo:lo + step]
         hw = np.take_along_axis(h, folds[own], axis=1)  # h(w₁*...*w_k) of every map
-        lhs = tensor_rows(_preimage(bits, hw), (n,) * k, (points,) * k)
-        groups, column = np.unique(own, return_inverse=True)  # each map's translate column
-        rhs = product_member(translates(bits, tables[groups], k), h, (points,) * k, column)
+        lhs = tensor_rows(_preimage(bits, hw), (n,) * k, (None,) * k)
+        groups, group_of = np.unique(own, return_inverse=True)
+        T = translates(bits, tables[groups], k)[..., group_of, :, :]  # one column per map
+        rhs = product_member(T, h, (None,) * k)
         diff = lhs ^ rhs  # (maps, points, packed subsets)
         failing = diff.any(axis=-1)
         first[lo:lo + step][failing] = _unpack(diff[failing], 1 << n).argmax(axis=-1)

@@ -214,7 +214,8 @@ def test_criterion_7_certificate_round_trip(tmp_path, capsys):
     mutations = 0
     survived = 0
     for cpath in certs:
-        text = open(cpath).read()
+        with open(cpath) as f:
+            text = f.read()
         lines = text.rstrip("\n").split("\n")
         target = next(i for i, ln in enumerate(lines)
                       if ln.startswith(("witness:", "assignment:")))

@@ -124,6 +124,17 @@ def test_endomorphisms_stop_at_the_edge_array_bound(monkeypatch):
         enumerate_endomorphisms(S)
 
 
+def test_sweep_bounds_the_stacked_maps_of_one_order(monkeypatch):
+    # two left-zero bands of order 3, 27 maps each: each list fits the
+    # bound alone, their (54, 3) int64 stack does not
+    from hjlab import FiniteSemigroup
+    band = CorpusEntry(0, [], [], FiniteSemigroup([[a] * 3 for a in range(3)]))
+    monkeypatch.setattr(hjlab.search, "EDGE_BYTES_LIMIT", 27 * 3 * 8)
+    assert sweep_tensor_power([band]).endomorphisms == 27
+    with pytest.raises(SearchSpaceTooLarge, match="stack to 1296 bytes, past the 648-byte"):
+        sweep_tensor_power([band, band])
+
+
 def test_sweep_is_clean_on_the_default_corpus():
     entries = generate_corpus(count=50, max_order=6, seed=0)
     report = sweep_tensor_power(entries, ks=(2, 3))
@@ -224,7 +235,7 @@ def test_sweep_matches_a_per_entry_loop(chunk_bytes, monkeypatch):
     want, checks = [], 0
     for idx, entry in enumerate(entries):
         S, maps = entry.semigroup, given[id(entry.semigroup)]
-        first = np.stack([tensor_power_failures(S, maps, k, range(S.order)) for k in ks], axis=1)
+        first = np.stack([tensor_power_failures(S, maps, k) for k in ks], axis=1)
         checks += first.size
         for e, i, p in np.argwhere(first >= 0).tolist():
             want.append(CorpusFailure(idx, tuple(maps[e].tolist()), ks[i], p, int(first[e, i, p])))

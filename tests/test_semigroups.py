@@ -84,16 +84,7 @@ def test_table_shape_and_range_checked():
 def test_fold_and_mul():
     S = cyclic_semigroup(5)
     assert S.mul(2, 4) == 1
-    assert S.fold([1, 1, 1]) == 3
     assert S.order == 5
-
-
-def test_fold_tabulates_index_arrays():
-    S, _, _ = flag_semigroup(1)
-    n = S.order
-    folded = S.fold(np.indices((n, n, n)))
-    for a, b, c in itertools.product(range(n), repeat=3):
-        assert folded[a, b, c] == S.fold([a, b, c]) == S.mul(S.mul(a, b), c)
 
 
 def test_helpers_agree_with_definitions():
