@@ -17,7 +17,7 @@ import numpy as np
 from . import search
 from .errors import CarrierTooLarge, InvalidInstance, SearchSpaceTooLarge
 from .semigroups import FiniteSemigroup
-from .ultra import PRODUCT_LAW_BOUND, TENSOR_POWERS, tensor_power_failures
+from .ultra import PRODUCT_LAW_BOUND, TENSOR_POWERS, map_chunk_bytes, tensor_power_failures
 
 # transformations act on 2..CORPUS_MAX_DEGREE points; a draw stops after
 # CORPUS_MAX_ATTEMPTS generator sets even if it has fewer semigroups than asked
@@ -170,7 +170,10 @@ def sweep_tensor_power(entries, ks=(2, 3)):
     once the stack would pass EDGE_BYTES_LIMIT, the bound of each entry's
     list), and checked in one ``tensor_power_failures`` call per k, so a
     corpus of many small semigroups costs one call per order and k rather
-    than per semigroup.
+    than per semigroup.  Once every order's maps are listed, and before the
+    first such call, the bytes the calls will stream (maps times
+    ``map_chunk_bytes`` summed over ks) are checked against
+    SWEEP_BYTES_LIMIT: SearchSpaceTooLarge above it.
     Failures are listed by entry, then endomorphism, then k, then point.  An
     empty corpus, or ``ks`` empty, repeated or outside TENSOR_POWERS, is bad input.
     """
@@ -184,7 +187,7 @@ def sweep_tensor_power(entries, ks=(2, 3)):
         if n > PRODUCT_LAW_BOUND:
             raise CarrierTooLarge(f"order {n} exceeds {PRODUCT_LAW_BOUND}")
         by_order.setdefault(n, []).append(idx)
-    report = CorpusReport(semigroups=len(entries))
+    orders, streamed = [], 0
     for n, idxs in sorted(by_order.items()):
         semigroups = [entries[i].semigroup for i in idxs]
         endos = [enumerate_endomorphisms(S) for S in semigroups]
@@ -194,6 +197,15 @@ def sweep_tensor_power(entries, ks=(2, 3)):
                 f"the endomorphisms of order {n} stack to {nbytes} bytes, past the "
                 f"{search.EDGE_BYTES_LIMIT}-byte bound"
             )
+        streamed += sum(map(len, endos)) * sum(map_chunk_bytes(n, k) for k in ks)
+        orders.append((n, idxs, semigroups, endos))
+    if streamed > search.SWEEP_BYTES_LIMIT:
+        raise SearchSpaceTooLarge(
+            f"the sweep streams {streamed} bytes through the evaluator, past the "
+            f"{search.SWEEP_BYTES_LIMIT}-byte bound"
+        )
+    report = CorpusReport(semigroups=len(entries))
+    for n, idxs, semigroups, endos in orders:
         maps = np.concatenate(endos)
         owner = np.repeat(np.arange(len(idxs)), [len(e) for e in endos])
         report.endomorphisms += len(maps)

@@ -14,15 +14,19 @@ along the digit sum by ``find_ap_via_words``, an integer coloring colors
 words, and a monochromatic line sums to a monochromatic progression.
 
 The solver is a trail-based backtracker over an explicit decision stack.
-Each edge e and color c give the clause "e is not all colored c".  Every
-clause watches two vertices of its edge not colored c (the two-watched-literal
-scheme of Chaff), so coloring v with c visits only the clauses for c that
-watch v: one is satisfied by its other watch, moves the watch to another
-vertex not colored c, prunes c from an uncolored other watch (singleton
-domains cascade), or is a conflict.  Undo restores colors and domains only.
-Symmetry pruning rejects partial colorings that are not lexicographically
-minimal in their orbit, compared along one fixed decision order, which keeps
-the pruning sound for SAT and UNSAT alike.  The check is incremental along
+It takes one edge form, an (E, k) integer array (or E rows of k vertices)
+whose rows hold k distinct vertices, and refuses any other with
+InvalidInstance before it builds anything from it; ``verify_proper_coloring``
+checks its edges the same way.  Each edge e and color c give the clause "e
+is not all colored c".  Every clause watches two vertices of its edge not
+colored c (the two-watched-literal scheme of Chaff), so coloring v with c
+visits only the clauses for c that watch v: one is satisfied by its other
+watch, moves the watch to another vertex not colored c, prunes c from an
+uncolored other watch (singleton domains cascade), or is a conflict.  Undo
+restores colors and domains only.  Symmetry pruning rejects partial
+colorings that are not lexicographically minimal in their orbit, compared
+along one fixed decision order, which keeps the pruning sound for SAT and
+UNSAT alike.  The check is incremental along
 the decision stack: each frame keeps, as arrays, the group elements whose
 permuted prefix still equals the prefix or stopped on an undecided cell,
 with the position each stopped at.  A child node resumes only those, from
@@ -62,6 +66,12 @@ BUDGET = "budget"
 # first: 2^27 bytes (128 MiB) holds the 4.0M lines of [3]^11 (97 MB) or the
 # 4.0M 3-term progressions in [1..4000] (96 MB); a build peaks at 2-5 times it
 EDGE_BYTES_LIMIT = 1 << 27
+# the most bytes one tensor-power sweep streams through its evaluator, maps
+# times the per-map chunk figure summed over k, checked once the maps are
+# listed: at about 200 MB/s on one core 2^30 bytes (1 GiB) is about 5 s.  The
+# largest benchmark order streams 25 MB and the order-6 left-zero band 188 MB;
+# the order-7 band, 10.3 GB (about 18 s), is refused
+SWEEP_BYTES_LIMIT = 1 << 30
 
 
 def _check_edge_bytes(rows, width):
@@ -270,6 +280,27 @@ def check_budgets(budget_nodes, budget_seconds):
         )
 
 
+def _edge_array(edges, V):
+    """``edges`` as an (E, k) int64 array of k distinct vertices of [0, V)
+    a row, or InvalidInstance: ragged rows and non-integer vertices are
+    refused, not converted.  No vertex at all is no edges, shape (0, 1)."""
+    try:
+        edges = np.asarray(edges)
+    except ValueError:
+        raise InvalidInstance("edges must be rows of one length") from None
+    if not edges.size:
+        return np.empty((0, 1), dtype=np.int64)
+    if edges.ndim != 2 or edges.dtype.kind not in "iu":
+        raise InvalidInstance(f"edges must be an (E, k) int array, not {edges.dtype} {edges.shape}")
+    if edges.min() < 0 or edges.max() >= V:
+        raise InvalidInstance(f"edge vertices must lie in [0, {V})")
+    rows = np.sort(edges, axis=1)
+    repeats = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(axis=1))
+    if len(repeats):
+        raise InvalidInstance(f"edge {int(repeats[0])} repeats a vertex")
+    return edges.astype(np.int64, copy=False)
+
+
 @dataclass(slots=True)
 class _Frame:
     """One decision level: its position in the decision order, the trail
@@ -286,12 +317,14 @@ class HypergraphSolver:
     """Proper-coloring backtracker over a hypergraph: no edge may end up
     with all its vertices the same color.
 
-    An edge is a vertex set (a repeated vertex adds nothing; an empty edge
-    constrains nothing).  ``symmetry`` is None (no pruning) or a builder
+    ``edges`` is an (E, k) integer array, or E rows of k vertices, each row
+    k distinct vertices of [0, num_vertices); an (E, 0) array constrains
+    nothing.  ``symmetry`` is None (no pruning) or a builder
     ``cells -> Symmetry``, called with the decision head: the first
     SYMMETRY_DEPTH + 1 cells of the decision order, so the group's column j
-    maps decision position j.  ``solve`` builds all of its state, edge lists
-    and group included, so the time budget covers the set-up too.
+    maps decision position j.  ``solve`` checks the edges, V and r
+    (InvalidInstance) and builds all of its state, edge lists and group
+    included, so the time budget covers the set-up too.
     """
 
     def __init__(
@@ -306,7 +339,7 @@ class HypergraphSolver:
         check_budgets(budget_nodes, budget_seconds)
         self.V = num_vertices
         self.r = r
-        self.edges = edges if isinstance(edges, np.ndarray) else list(edges)
+        self.edges = edges
         self.build_symmetry = symmetry
         self.budget_nodes = budget_nodes
         self.budget_seconds = budget_seconds
@@ -316,38 +349,36 @@ class HypergraphSolver:
         V, r = self.V, self.r
         self.nodes = 0
         self.deadline = time.monotonic() + self.budget_seconds
-        # clause (ei, c), "edge ei is not all colored c", watches two vertices
-        # of the edge (one vertex twice, for a 1-vertex edge); other[c][ei]
-        # holds their XOR, so either watch gives the other.  watching[c][v]
-        # lists the edges whose clause for c watches v.  A watch colored c
-        # was colored after every other c-colored vertex of its edge, or after
-        # its other watch took another color; undoing the trail in reverse
-        # keeps that true, so watches are never restored.  The lists are
-        # built 4096 edges at a time, the deadline polled between blocks.
-        edges, other, degree = [], [], [0] * V
-        self.watching = [[[] for _ in range(V)] for _ in range(r)]
-        for lo in range(0, len(self.edges), 4096):
+        if not all(isinstance(x, (int, np.integer)) for x in (V, r)) or V < 0 or r < 1:
+            raise InvalidInstance(f"need integers V >= 0 and r >= 1, not V={V}, r={r}")
+        edges = _edge_array(self.edges, V)
+        # the rows as lists, 4096 at a time, the deadline polled between blocks
+        self.vertex_sets = []
+        for lo in range(0, len(edges), 4096):
             if time.monotonic() > self.deadline:
                 raise _BudgetHit
-            block = self.edges[lo:lo + 4096]
-            block = block.tolist() if isinstance(block, np.ndarray) else block
-            block = [tuple(dict.fromkeys(e)) for e in block if len(e)]
-            for e in block:
-                for v in e:
-                    degree[v] += 1
-            for watching in self.watching:
-                for ei, e in enumerate(block, len(edges)):
-                    for v in e[:2]:
-                        watching[v].append(ei)
-            other += [e[0] ^ e[min(1, len(e) - 1)] for e in block]
-            edges += block
-        self.other = [list(other) for _ in range(r)]
-        self.order = sorted(range(V), key=lambda v: (-degree[v], v))
+            self.vertex_sets += edges[lo:lo + 4096].tolist()
+        # clause (ei, c), "edge ei is not all colored c", watches columns 0
+        # and 1 of the edge (column 0 twice, for a 1-vertex edge); other[c][ei]
+        # holds their XOR, so either watch gives the other.  watching[c][v]
+        # lists, ascending, the edges whose clause for c watches v.  A watch
+        # colored c was colored after every other c-colored vertex of its
+        # edge, or after its other watch took another color; undoing the
+        # trail in reverse keeps that true, so watches are never restored.
+        k = edges.shape[1]
+        self.other = [(edges[:, 0] ^ edges[:, min(1, k - 1)]).tolist() for _ in range(r)]
+        watched = edges[:, :2].ravel()
+        flat = (np.argsort(watched, kind="stable") // min(2, k)).tolist()
+        ends = np.cumsum(np.bincount(watched, minlength=V)).tolist()
+        self.watching = [[flat[lo:hi] for lo, hi in zip([0, *ends], ends)] for _ in range(r)]
+        degree = np.bincount(edges.ravel(), minlength=V)
+        self.order = np.argsort(-degree, kind="stable").tolist()  # by (-degree, v)
         self.head = self.order[: SYMMETRY_DEPTH + 1]
+        if time.monotonic() > self.deadline:
+            raise _BudgetHit
         self.symmetry = None if self.build_symmetry is None else self.build_symmetry(self.head)
         if self.symmetry is not None:
             self.root_survivors = _root_survivors(self.symmetry, self.head)
-        self.vertex_sets = edges
         self.colors = [-1] * V
         self.domains = [(1 << r) - 1] * V
         self.trail = []  # (v, -1) for a color, (v, old mask) for a domain
@@ -489,12 +520,10 @@ class HypergraphSolver:
 
 def verify_proper_coloring(edges, coloring):
     """Full edge scan: no edge monochromatic, all vertices colored.
-    ``edges`` is an (E, k) vertex array, or E rows of k vertices."""
+    ``edges`` is checked as the solver checks it, with V = len(coloring)."""
+    edges = _edge_array(edges, len(coloring))
     if any(c is None or c < 0 for c in coloring):
         return False
-    edges = np.asarray(edges, dtype=np.int64)
-    if not len(edges):
-        return True
     colors = np.asarray(coloring, dtype=np.int64)
     return not (colors[edges] == colors[edges[:, :1]]).all(axis=1).any()
 

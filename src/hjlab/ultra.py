@@ -257,6 +257,13 @@ def check_tensor_assoc(dims, points):
     uf_tensor(U, uf_tensor(V, W))
 
 
+def map_chunk_bytes(n, k):
+    """Bytes one map adds to a ``tensor_power_failures`` chunk at order n and
+    power k: its translate column, n^k rows of 2^n packed subset bits, next
+    to the largest intermediate of either side, n^k such rows as well."""
+    return 2 * -(-(1 << n) // 8) * n ** k
+
+
 def tensor_power_failures(S, maps, k, owner=None):
     """The tensor-power identity for a stack of maps h, each an endomap of
     one of the semigroups S.
@@ -311,10 +318,7 @@ def tensor_power_failures(S, maps, k, owner=None):
     for w in words[1:]:  # (G, n^k): w₁*...*w_k over S^k, for every semigroup
         folds = tables[np.arange(len(tables))[:, None], folds, w]
     bits = subset_bits(n)
-    # bytes one map adds to a chunk: its translate column, n^k packed rows,
-    # next to the largest intermediate of either side, n^k rows as well
-    per_map = 2 * bits.shape[-1] * n ** k
-    step = max(1, CHUNK_BYTES // per_map)
+    step = max(1, CHUNK_BYTES // map_chunk_bytes(n, k))
     first = np.full((len(maps), n), -1, dtype=np.int64)
     for lo in range(0, len(maps), step):
         h, own = maps[lo:lo + step], owner[lo:lo + step]

@@ -104,6 +104,27 @@ def counter_solve(num_vertices, edges, r):
     return ("unsat" if coloring is None else "sat"), coloring, nodes
 
 
+def solver_setup(num_vertices, edges, r):
+    """The solver's watch lists, XOR of watches, decision order and vertex
+    sets, built by a loop over the edges one at a time: each edge's clause
+    for every color watches its first two vertices (its one vertex, for a
+    1-vertex edge), and the order is by degree (ties by index).  Returns
+    (watching, other, order, vertex_sets)."""
+    edges = [list(e) for e in edges]
+    degree = [0] * num_vertices
+    watching = [[[] for _ in range(num_vertices)] for _ in range(r)]
+    other = []
+    for ei, e in enumerate(edges):
+        for v in e:
+            degree[v] += 1
+        for lists in watching:
+            for v in e[:2]:
+                lists[v].append(ei)
+        other.append(e[0] ^ e[min(1, len(e) - 1)])
+    order = sorted(range(num_vertices), key=lambda v: (-degree[v], v))
+    return watching, [list(other) for _ in range(r)], order, edges
+
+
 def automorphisms(num_vertices, edges):
     """Every vertex permutation that maps the edge set onto itself, found by
     trying all num_vertices! permutations.  Edges are read as vertex sets."""
@@ -261,7 +282,8 @@ def family_point(fam, npoints):
     common = (1 << npoints) - 1
     for mask in fam:
         common &= mask
-    assert common != 0 and common & (common - 1) == 0, "family is not principal"
+    if common == 0 or common & (common - 1):
+        raise AssertionError("family is not principal")
     return common.bit_length() - 1
 
 

@@ -325,6 +325,16 @@ def test_ultra_corpus_rejects_a_left_zero_band_past_the_map_bound(tmp_path, monk
     assert out.startswith("error: ") and out.count("\n") == 1 and "byte bound" in out
 
 
+def test_ultra_corpus_rejects_a_sweep_past_the_streamed_byte_bound(tmp_path, monkeypatch, capsys):
+    # the order-3 left-zero band's 27 maps stream 1944 bytes at ks (2, 3)
+    path = tmp_path / "lz3.sg"
+    path.write_text(format_semigroup_file(FiniteSemigroup([[a] * 3 for a in range(3)])))
+    monkeypatch.setattr(search, "SWEEP_BYTES_LIMIT", 1943)
+    assert main(["ultra", "corpus", "--semigroup", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1 and "1943-byte bound" in out
+
+
 def test_ultra_lemma2(flag2, capsys):
     assert main(["ultra", "lemma2", "--semigroup", flag2, "--colors", "2"]) == 0
     out = capsys.readouterr().out

@@ -135,6 +135,21 @@ def test_sweep_bounds_the_stacked_maps_of_one_order(monkeypatch):
         sweep_tensor_power([band, band])
 
 
+def test_sweep_bounds_its_streamed_bytes_before_the_first_evaluator_call(monkeypatch):
+    # the order-3 left-zero band's 27 maps stream 27 * 2 * (3^2 + 3^3) bytes
+    # at ks (2, 3); the order-2 entry comes first, yet nothing is evaluated
+    from hjlab import FiniteSemigroup
+    band = CorpusEntry(0, [], [], FiniteSemigroup([[a] * 3 for a in range(3)]))
+    pair = CorpusEntry(0, [], [], FiniteSemigroup([[0, 0], [0, 0]]))
+    monkeypatch.setattr(hjlab.search, "SWEEP_BYTES_LIMIT", 27 * 72)
+    assert sweep_tensor_power([band]).checks == 27 * 2 * 3
+    calls = []
+    monkeypatch.setattr(hjlab.corpus, "tensor_power_failures", lambda *a, **kw: calls.append(a))
+    with pytest.raises(SearchSpaceTooLarge, match="streams [0-9]+ bytes .* past the 1944-byte"):
+        sweep_tensor_power([pair, band])
+    assert calls == []
+
+
 def test_sweep_is_clean_on_the_default_corpus():
     entries = generate_corpus(count=50, max_order=6, seed=0)
     report = sweep_tensor_power(entries, ks=(2, 3))

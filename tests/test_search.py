@@ -186,8 +186,10 @@ def test_vdw_check_matches_oracle(k, r):
 
 @st.composite
 def small_hypergraphs(draw, max_vertices=10):
+    # one row length per hypergraph: the solver takes (E, k) edges
     V = draw(st.integers(1, max_vertices))
-    edge = st.lists(st.integers(0, V - 1), min_size=1, max_size=min(4, V), unique=True)
+    k = draw(st.integers(1, min(4, V)))
+    edge = st.lists(st.integers(0, V - 1), min_size=k, max_size=k, unique=True)
     edges = draw(st.lists(edge.map(tuple), max_size=25))
     return V, edges, draw(st.integers(1, 3))
 
@@ -201,6 +203,49 @@ def test_solver_matches_the_counter_oracle(case):
     status, coloring, nodes = oracles.counter_solve(V, edges, r)
     assert (res.status, res.coloring, res.nodes) == (status, coloring, nodes)
     assert (status == SAT) == oracles.colorable(V, edges, r)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_hypergraphs())
+def test_solver_setup_matches_the_per_edge_loop(case):
+    # the array set-up builds what the per-edge loop built, rows or array
+    # alike, so the search cannot move
+    V, edges, r = case
+    want = oracles.solver_setup(V, edges, r)
+    for form in (edges, np.array(edges, dtype=np.int64)):
+        solver = HypergraphSolver(V, form, r)
+        solver._reset()
+        assert (solver.watching, solver.other, solver.order, solver.vertex_sets) == want
+
+
+def test_an_edge_of_no_vertex_constrains_nothing():
+    for edges in [np.empty((4, 0), dtype=np.int64), [], [()]]:
+        res = HypergraphSolver(2, edges, 1).solve()
+        assert (res.status, res.coloring) == (SAT, [0, 0])
+        assert verify_proper_coloring(edges, [0, 0])
+
+
+@pytest.mark.parametrize("V,edges,r", [
+    (3, [(0, -1)], 2),  # read as vertex 2: SAT [0, 0, 1]
+    (3, [(0, 5)], 2),  # a bare IndexError
+    (3, [(0, 1, 1)], 2),  # read as the edge {0, 1}
+    (3, [(0, 1), (2,)], 2),  # ragged rows
+    (3, [(0.5, 1)], 2),  # a TypeError
+    (3, np.array([[0.0, 1.0]]), 2),  # an int64 cast would read vertex 0
+    (3, [(0, 1)], -1),  # ValueError: negative shift count
+    (3, [(0, 1)], 0),
+    (-1, [], 2),
+])
+def test_the_solver_refuses_bad_input(V, edges, r):
+    with pytest.raises(InvalidInstance):
+        HypergraphSolver(V, edges, r).solve()
+
+
+@pytest.mark.parametrize("edges", [[(0, -1)], [(0, 5)], [(0, 0)], [(0, 1), (2,)], [(0.5, 1)]])
+def test_verify_proper_coloring_refuses_bad_edges(edges):
+    # [(0, -1)] read -1 as the last vertex and returned False
+    with pytest.raises(InvalidInstance):
+        verify_proper_coloring(edges, [0, 1, 0])
 
 
 @contextmanager
@@ -293,17 +338,18 @@ def test_time_budget_stops_close_to_its_limit():
     assert time.monotonic() - start < 4.0
 
 
-class _SlowEdges(np.ndarray):
-    def tolist(self):
+class _SlowEdges:
+    """Edges whose conversion to an array takes 0.3 s."""
+
+    def __array__(self, dtype=None, copy=None):
         time.sleep(0.3)
-        return super().tolist()
+        return np.array([[0, 1, 2]])
 
 
 def test_time_budget_covers_the_edge_conversion():
-    # the conversion of an edge array to lists ran in __init__, before the
-    # deadline was set: a 0.1 s budget then reported SAT
-    edges = np.array([[0, 1, 2]]).view(_SlowEdges)
-    res = HypergraphSolver(3, edges, 2, budget_seconds=0.1).solve()
+    # the conversion of the edges ran in __init__, before the deadline was
+    # set: a 0.1 s budget then reported SAT
+    res = HypergraphSolver(3, _SlowEdges(), 2, budget_seconds=0.1).solve()
     assert res.status == BUDGET
     assert res.elapsed >= 0.3
 
