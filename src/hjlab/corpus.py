@@ -5,7 +5,10 @@ grown as subsemigroups of the full transformation monoid on a few points:
 pick random functions, close under composition.  Associativity then holds by
 construction and the validator merely re-confirms it.  The corpus feeds the
 headline sweep: the fold-then-map tensor-power identity checked for every
-endomorphism, every principal ultrafilter and k in {2, 3}.
+endomorphism, every principal ultrafilter and k in {2, 3}.  Endomorphisms
+are listed along each semigroup's closure order, so only the elements no
+earlier product reaches branch; the evaluator builds each semigroup's
+translate sets once per chunk and every map reads its semigroup's in place.
 """
 from __future__ import annotations
 
@@ -92,48 +95,96 @@ def generate_corpus(count=50, max_order=6, seed=0):
     return out
 
 
-def enumerate_endomorphisms(S):
+def enumerate_endomorphisms(S, most=None):
     """All maps h: S -> S with h(a*b) = h(a)*h(b), by backtracking, as an
-    (E, n) int64 array with one map per row.
+    (E, n) int64 array with one map per row, in lexicographic order.
 
-    Each product constraint is checked at the first depth where all three
-    participating elements have images assigned.  Every map of a left-zero
-    band is one, so the maps found are bounded as the search's edge arrays
-    are: SearchSpaceTooLarge once their array would pass EDGE_BYTES_LIMIT.
+    The search follows a closure order of S (Froidure & Pin): the least
+    element not yet reached starts a block, and each product x*g of a
+    reached element and a block start that is not yet reached joins it, its
+    image forced to h(x)*h(g).  Only block starts branch, and every element
+    below a block start is reached before it, so trying their images in
+    increasing order lists the rows in lexicographic order.  The relations
+    h(x*g) = h(x)*h(g), for every x and every block start g, are checked at
+    the first position where all three elements have images.  They imply
+    h(a*b) = h(a)*h(b) for all a, b: b is a product g1*...*gm of starts, so
+    h(a*b) = h(a)*h(g1)*...*h(gm) = h(a)*h(b).  The reached elements of each
+    block prefix are closed under products, so a prefix that breaks a
+    constraint fails within its own block.  The search keeps its own stack,
+    one entry per block, so no order is too deep for it.
+
+    Every map of a left-zero band is one, so the maps found are bounded as
+    the search's edge arrays are: SearchSpaceTooLarge as soon as more than
+    ``most`` are found, ``most`` being at most (and by default) the count
+    whose array fits EDGE_BYTES_LIMIT.
     """
     n = S.order
-    most = search.EDGE_BYTES_LIMIT // (8 * n)
+    cap = search.EDGE_BYTES_LIMIT // (8 * n)
+    most = cap if most is None else min(most, cap)
     table = S.table.tolist()
-    # pending[d]: the (a, b) pairs whose constraint becomes decidable once
-    # element d receives its image
-    pending = [[] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            pending[max(a, b, table[a][b])].append((a, b))
-    h = [-1] * n
+    # the closure order, and checks[p]: the relations (c, x, g), c = x*g for
+    # x in S and g a block start, whose last element sits at position p; the
+    # pair that forces an element needs no check
+    pos = [-1] * n
+    order, forced, checks, starts, gens = [], [], [], [], []
+    for s in range(n):
+        if pos[s] >= 0:
+            continue
+        first = pos[s] = len(order)
+        starts.append(first)
+        gens.append(s)
+        order.append(s)
+        forced.append((None, None))
+        checks.append([])
+        i = 0
+        while i < len(order):  # old elements times s, new ones times every start
+            x = order[i]
+            for g in gens if i >= first else (s,):
+                c = table[x][g]
+                q = pos[c]
+                if q < 0:
+                    pos[c] = len(order)
+                    order.append(c)
+                    forced.append((x, g))
+                    checks.append([])
+                else:
+                    checks[max(q, i, pos[g])].append((c, x, g))
+            i += 1
+    # one block per start, one (element, a, b, checks) step per position
+    blocks = [[(order[p], *forced[p], checks[p]) for p in range(lo, hi)]
+              for lo, hi in zip(starts, starts[1:] + [n])]
+    depth = len(blocks)
+    h = [0] * n
+    tried = [0] * depth  # the next image each block's start tries
     out = []
-
-    def extend(i):
-        if i == n:
+    j = 0
+    while j >= 0:
+        if j == depth:
             if len(out) == most:
                 raise SearchSpaceTooLarge(
-                    f"more than {most} endomorphisms of order {n} pass the "
-                    f"{search.EDGE_BYTES_LIMIT}-byte bound"
+                    f"more than {most} endomorphisms of order {n}"
+                    + (f" pass the {search.EDGE_BYTES_LIMIT}-byte bound" if most == cap else "")
                 )
-            out.append(tuple(h))
-            return
-        for v in range(n):
-            h[i] = v
-            ok = True
-            for a, b in pending[i]:
-                if h[table[a][b]] != table[h[a]][h[b]]:
-                    ok = False
+            out.append(h[:])
+            j -= 1
+            continue
+        v = tried[j]
+        if v == n:
+            tried[j] = 0
+            j -= 1
+            continue
+        tried[j] = v + 1
+        # the start takes v, the block's other images are forced
+        for x, a, b, step_checks in blocks[j]:
+            h[x] = v if a is None else table[h[a]][h[b]]
+            for c, p, q in step_checks:
+                if h[c] != table[h[p]][h[q]]:
                     break
-            if ok:
-                extend(i + 1)
-        h[i] = -1
-
-    extend(0)
+            else:
+                continue
+            break
+        else:
+            j += 1
     return np.array(out, dtype=np.int64).reshape(-1, n)
 
 
@@ -170,10 +221,11 @@ def sweep_tensor_power(entries, ks=(2, 3)):
     once the stack would pass EDGE_BYTES_LIMIT, the bound of each entry's
     list), and checked in one ``tensor_power_failures`` call per k, so a
     corpus of many small semigroups costs one call per order and k rather
-    than per semigroup.  Once every order's maps are listed, and before the
-    first such call, the bytes the calls will stream (maps times
-    ``map_chunk_bytes`` summed over ks) are checked against
-    SWEEP_BYTES_LIMIT: SearchSpaceTooLarge above it.
+    than per semigroup.  The bytes the calls will stream (maps times
+    ``map_chunk_bytes`` summed over ks) are bounded by SWEEP_BYTES_LIMIT as
+    the maps are listed: each entry's enumeration takes the map count the
+    bytes left allow, and SearchSpaceTooLarge comes as soon as it is passed,
+    before the first such call.
     Failures are listed by entry, then endomorphism, then k, then point.  An
     empty corpus, or ``ks`` empty, repeated or outside TENSOR_POWERS, is bad input.
     """
@@ -190,20 +242,28 @@ def sweep_tensor_power(entries, ks=(2, 3)):
     orders, streamed = [], 0
     for n, idxs in sorted(by_order.items()):
         semigroups = [entries[i].semigroup for i in idxs]
-        endos = [enumerate_endomorphisms(S) for S in semigroups]
+        per_map = sum(map_chunk_bytes(n, k) for k in ks)
+        endos = []
+        for S in semigroups:
+            most = (search.SWEEP_BYTES_LIMIT - streamed) // per_map  # the maps the bytes left allow
+            try:
+                endos.append(enumerate_endomorphisms(S, most))
+            except SearchSpaceTooLarge:
+                if most >= search.EDGE_BYTES_LIMIT // (8 * n):
+                    raise  # the list's own bound stopped it
+                raise SearchSpaceTooLarge(
+                    f"the sweep streams {streamed + (most + 1) * per_map} bytes or more through "
+                    f"the evaluator, past the {search.SWEEP_BYTES_LIMIT}-byte bound: the listing "
+                    f"stopped past {most} endomorphisms of order {n}"
+                ) from None
+            streamed += len(endos[-1]) * per_map
         nbytes = sum(e.nbytes for e in endos)
         if nbytes > search.EDGE_BYTES_LIMIT:
             raise SearchSpaceTooLarge(
                 f"the endomorphisms of order {n} stack to {nbytes} bytes, past the "
                 f"{search.EDGE_BYTES_LIMIT}-byte bound"
             )
-        streamed += sum(map(len, endos)) * sum(map_chunk_bytes(n, k) for k in ks)
         orders.append((n, idxs, semigroups, endos))
-    if streamed > search.SWEEP_BYTES_LIMIT:
-        raise SearchSpaceTooLarge(
-            f"the sweep streams {streamed} bytes through the evaluator, past the "
-            f"{search.SWEEP_BYTES_LIMIT}-byte bound"
-        )
     report = CorpusReport(semigroups=len(entries))
     for n, idxs, semigroups, endos in orders:
         maps = np.concatenate(endos)

@@ -133,15 +133,18 @@ def _at(sets, point=None):
     return np.moveaxis(np.diagonal(sets, axis1=-4, axis2=-2), -1, -2)
 
 
-def _preimage(sets, f):
+def _preimage(sets, f, column=None):
     """The full preimage of every set of a table, along its last carrier axis,
-    under every map of the stack f (E, m): (..., c, E, P, W) ->
+    under every map of the stack f (E, m): (..., c, G, P, W) ->
     (..., m, E, P, W); a single map is a stack of one.  Map e reads the sets
-    of its own map column (a unit map axis is shared by every map)."""
+    of map column ``column[e]`` in place; by default, of its own column
+    (G = E), or of a unit map axis shared by every map."""
     f = np.atleast_2d(f)
-    *outer, c, _, cols, width = sets.shape
-    sets = np.broadcast_to(sets, (*outer, c, len(f), cols, width))
-    return sets[..., f.T, np.arange(len(f)), :, :]
+    if column is None:
+        *outer, c, _, cols, width = sets.shape
+        sets = np.broadcast_to(sets, (*outer, c, len(f), cols, width))
+        column = np.arange(len(f))
+    return sets[..., f.T, column, :, :]
 
 
 def image_member(B, f, point):
@@ -178,21 +181,23 @@ def translates(B, tables, k):
     return B
 
 
-def product_member(T, f, points):
+def product_member(T, f, points, column=None):
     """Which sets of a set table B lie in f(U₁)*(f(U₂)*(...*f(U_k))), right
     associated, for the principal U_i at ``points`` (outermost first), f
     mapping into the semigroup with Cayley ``table``; f is the identity for a
     plain product.  ``T`` is ``translates(B, table, k)``, k = len(points).
-    f may be a stack of maps, one map column each, with T's map column e
-    holding the translate sets of map e's semigroup.  A point None at every
-    level tests U₁ = ... = U_k at every point of the semigroup at once.
+    f may be a stack of maps, one map column each, with T's map column
+    ``column[e]`` (by default e) holding the translate sets of map e's
+    semigroup, read in place.  A point None at every level tests U₁ = ... =
+    U_k at every point of the semigroup at once.
 
     From the innermost level out, the full set of s whose translate set is a
     member of the level below is built for every set and tested through the
     image law.
     """
     for p in reversed(points):
-        T = image_member(T, f, p)
+        T = _at(_preimage(T, f, column), p)
+        column = None
     return T
 
 
@@ -259,8 +264,9 @@ def check_tensor_assoc(dims, points):
 
 def map_chunk_bytes(n, k):
     """Bytes one map adds to a ``tensor_power_failures`` chunk at order n and
-    power k: its translate column, n^k rows of 2^n packed subset bits, next
-    to the largest intermediate of either side, n^k such rows as well."""
+    power k, at most: its semigroup's translate column, n^k rows of 2^n
+    packed subset bits, next to the largest intermediate of either side, n^k
+    such rows as well."""
     return 2 * -(-(1 << n) // 8) * n ** k
 
 
@@ -278,11 +284,11 @@ def tensor_power_failures(S, maps, k, owner=None):
     for every subset, in the module's set-table layout.  The stack is
     evaluated in chunks, every point of S at once.  The k-fold product is
     tabulated once per semigroup; each chunk builds the translate sets of
-    the semigroups its maps belong to, once each, and gathers them into one
-    column per map.  A chunk's translate columns and largest intermediate
-    together stay near CHUNK_BYTES.  The order n is bounded by
-    PRODUCT_LAW_BOUND because the k = 3 translate sets hold n³ packed rows of
-    2^n/8 bytes.
+    the semigroups its maps belong to, one column each, and the innermost
+    product level reads map e's semigroup's column in place.  A chunk's
+    translate sets and largest intermediate together stay near CHUNK_BYTES.
+    The order n is bounded by PRODUCT_LAW_BOUND because the k = 3 translate
+    sets hold n³ packed rows of 2^n/8 bytes.
 
     Returns an (E, n) int64 array, column p for V at p: the first subset
     mask where the two sides differ, or -1 where they agree.
@@ -325,8 +331,8 @@ def tensor_power_failures(S, maps, k, owner=None):
         hw = np.take_along_axis(h, folds[own], axis=1)  # h(w₁*...*w_k) of every map
         lhs = tensor_rows(_preimage(bits, hw), (n,) * k, (None,) * k)
         groups, group_of = np.unique(own, return_inverse=True)
-        T = translates(bits, tables[groups], k)[..., group_of, :, :]  # one column per map
-        rhs = product_member(T, h, (None,) * k)
+        T = translates(bits, tables[groups], k)  # one column per semigroup
+        rhs = product_member(T, h, (None,) * k, column=group_of)
         diff = lhs ^ rhs  # (maps, points, packed subsets)
         failing = diff.any(axis=-1)
         first[lo:lo + step][failing] = _unpack(diff[failing], 1 << n).argmax(axis=-1)

@@ -1,6 +1,8 @@
 """Transformation-semigroup corpus: generation, endomorphism enumeration,
 and the tensor-power sweep."""
+import hashlib
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -124,6 +126,83 @@ def test_endomorphisms_stop_at_the_edge_array_bound(monkeypatch):
         enumerate_endomorphisms(S)
 
 
+def left_zero_band(n):
+    return hjlab.FiniteSemigroup([[a] * n for a in range(n)])
+
+
+def null_semigroup(n):
+    return hjlab.FiniteSemigroup([[0] * n for _ in range(n)])
+
+
+@pytest.mark.parametrize("make,orders,count", [
+    (cyclic_semigroup, range(1, 13), lambda n: n),  # x -> c*x for each c in Z_n
+    (null_semigroup, range(1, 8), lambda n: n ** (n - 1)),  # h(0) = 0, the rest free
+    (left_zero_band, range(1, 7), lambda n: n ** n),  # every map
+])
+def test_endomorphism_counts_in_closed_form(make, orders, count):
+    for n in orders:
+        assert len(enumerate_endomorphisms(make(n))) == count(n)
+
+
+def test_endomorphism_rows_strictly_increase():
+    # the sweep lists failures in row order, so the rows' order is part of
+    # the answer; relabelled copies reach their elements in another order
+    rng = np.random.default_rng(3)
+    semigroups = [e.semigroup for e in generate_corpus(count=40, max_order=7, seed=4)]
+    for S in list(semigroups):
+        new = rng.permutation(S.order)
+        table = np.empty_like(S.table)
+        table[np.ix_(new, new)] = new[S.table]
+        semigroups.append(hjlab.FiniteSemigroup(table))
+    for S in semigroups:
+        rows = enumerate_endomorphisms(S).tolist()
+        assert rows and all(a < b for a, b in zip(rows, rows[1:]))
+
+
+def test_endomorphisms_of_every_semigroup_of_order_at_most_3():
+    # every labelled associative table of order n <= 3: 1, 8 and 113 (OEIS A023814)
+    found = {}
+    for n in (1, 2, 3):
+        tables = np.array(list(itertools.product(range(n), repeat=n * n))).reshape(-1, n, n)
+        t = np.arange(len(tables))[:, None, None, None]
+        i, j, k = np.indices((n, n, n))
+        left = tables[t, tables[t, i, j], k]
+        right = tables[t, i, tables[t, j, k]]
+        tables = tables[(left == right).all(axis=(1, 2, 3))]
+        found[n] = len(tables)
+        for table in tables.tolist():
+            got = enumerate_endomorphisms(hjlab.FiniteSemigroup(table)).tolist()
+            assert got == [list(h) for h in oracles.all_endomorphisms(table)]
+    assert found == {1: 1, 2: 8, 3: 113}
+
+
+def test_endomorphisms_of_the_benchmark_corpora_are_pinned():
+    endos = [enumerate_endomorphisms(e.semigroup)
+             for count, max_order, seed in ((200, 10, 1), (400, 8, 2))
+             for e in generate_corpus(count=count, max_order=max_order, seed=seed)]
+    assert sum(map(len, endos)) == 3687
+    digest = hashlib.sha256(b"".join(e.tobytes() for e in endos)).hexdigest()
+    assert digest == "1243a5eb75777d59f68960a889cbfcbbac41af80f4437c1d70a55fe2dc6fa046"
+
+
+def test_endomorphisms_need_no_recursion_depth(monkeypatch):
+    # with the recursion limit a little above the current depth, a search
+    # that recursed once per element would raise RecursionError on an order
+    # far above the margin; the bound must stop it instead
+    S = left_zero_band(150)
+    monkeypatch.setattr(hjlab.search, "EDGE_BYTES_LIMIT", 10 * 150 * 8)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        with pytest.raises(SearchSpaceTooLarge, match="more than 10 endomorphisms of order 150"):
+            enumerate_endomorphisms(S)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_sweep_bounds_the_stacked_maps_of_one_order(monkeypatch):
     # two left-zero bands of order 3, 27 maps each: each list fits the
     # bound alone, their (54, 3) int64 stack does not
@@ -148,6 +227,30 @@ def test_sweep_bounds_its_streamed_bytes_before_the_first_evaluator_call(monkeyp
     with pytest.raises(SearchSpaceTooLarge, match="streams [0-9]+ bytes .* past the 1944-byte"):
         sweep_tensor_power([pair, band])
     assert calls == []
+
+
+def test_sweep_stops_the_listing_at_the_streamed_byte_bound(monkeypatch):
+    # the order-6 null semigroup has 7776 maps of 2 * 8 * (6^2 + 6^3) = 4032
+    # bytes each at ks (2, 3); 100 of them fit, and the listing stops at the
+    # 101st rather than listing all 7776
+    entry = CorpusEntry(0, [], [], null_semigroup(6))
+    monkeypatch.setattr(hjlab.search, "SWEEP_BYTES_LIMIT", 100 * 4032 + 4031)
+    enumerate_ = hjlab.corpus.enumerate_endomorphisms
+    listed = []
+
+    def enumerate_and_count(S, most=None):
+        listed.append(most)
+        return enumerate_(S, most)
+
+    monkeypatch.setattr(hjlab.corpus, "enumerate_endomorphisms", enumerate_and_count)
+    calls = []
+    monkeypatch.setattr(hjlab.corpus, "tensor_power_failures", lambda *a, **kw: calls.append(a))
+    with pytest.raises(SearchSpaceTooLarge, match="streams 407232 bytes or more .* past the "
+                       "407231-byte bound: the listing stopped past 100 endomorphisms of order 6"):
+        sweep_tensor_power([entry])
+    assert listed == [100] and calls == []
+    with pytest.raises(SearchSpaceTooLarge, match="more than 100 endomorphisms of order 6$"):
+        enumerate_(entry.semigroup, 100)
 
 
 def test_sweep_is_clean_on_the_default_corpus():
@@ -215,11 +318,11 @@ def add_non_homomorphisms(monkeypatch, seed):
     enumerate_ = hjlab.corpus.enumerate_endomorphisms
     given = {}
 
-    def enumerate_and_add(S):
+    def enumerate_and_add(S, most=None):
         t = S.table
         maps = rng.integers(0, S.order, (3, S.order))
         broken = (maps[:, t] != t[maps[:, :, None], maps[:, None, :]]).any(axis=(1, 2))
-        given[id(S)] = np.vstack([enumerate_(S), maps[broken]])
+        given[id(S)] = np.vstack([enumerate_(S, most), maps[broken]])
         return given[id(S)]
 
     monkeypatch.setattr(hjlab.corpus, "enumerate_endomorphisms", enumerate_and_add)
