@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .errors import CertificateError, HjlabError, VerificationError
-from .instances import TableColoring, parse_coloring_spec, require_fit
+from .instances import PullbackColoring, TableColoring, parse_coloring_spec, require_fit
 from .semigroups import FiniteSemigroup, RetractionFamily, SubsetQuery
 from .search import INSTANCE_FIELDS, INSTANCES, hj_instance, vdw_instance, verify_proper_coloring
 from .words import WordSemigroup, format_word, parse_word, substitution_family
@@ -242,7 +242,7 @@ def _words_claim(cert):
         color_of = cert.coloring.color_of
     elif cert.reduction == "vdw":
         require_fit(cert.coloring, "integers")
-        color_of = lambda w: cert.coloring.color_of(sum(w))
+        color_of = PullbackColoring(cert.coloring, sum).color_of
     else:
         raise VerificationError(f"unknown reduction {cert.reduction!r}")
     ws = WordSemigroup(cert.alphabet)

@@ -61,11 +61,10 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
-def _load_structures(path, need_family=False):
-    """Parse a semigroup file into (S, view, family) and check it: S
+def _load_structures(parsed, need_family=False):
+    """Build a parsed semigroup file into (S, view, family) and check it: S
     associative, T nice, every retraction valid and none repeated.  The view
     and family are None when the file does not declare them."""
-    parsed = parse_semigroup_file(path)
     S = FiniteSemigroup(parsed.rows)
     view = family = None
     if parsed.t_members is not None:
@@ -121,7 +120,7 @@ def cmd_witness(args):
         print("images: " + " ".join(format_word(w) for w in outcome.images))
         print(f"color: {outcome.color}")
     else:
-        S, view, family = _load_structures(args.semigroup, need_family=True)
+        S, view, family = _load_structures(parse_semigroup_file(args.semigroup), need_family=True)
         outcome = finite_witness_search(family, coloring)
         if outcome.status != "found":
             print(f"exhausted: {outcome.budget_note} ({outcome.checked} elements checked)")
@@ -216,7 +215,7 @@ def cmd_via_hj(args):
 
 
 def cmd_ultra_lemma2(args):
-    S, view, family = _load_structures(args.semigroup, need_family=True)
+    S, view, family = _load_structures(parse_semigroup_file(args.semigroup), need_family=True)
     report = check_agreement_equivalence(S, family, args.colors)
     a_note = (
         f"true (witness for the constant coloring: {S.element_name(report.a_first_witness)})"
@@ -243,17 +242,18 @@ def cmd_ultra_corpus(args):
         ks = tuple(int(k) for k in args.k.split(","))
     except ValueError:
         raise InvalidInstance(f"--k takes comma-separated integers, not {args.k!r}") from None
-    if args.semigroup:
-        S, _, _ = _load_structures(args.semigroup)
+    parsed = args.semigroup and parse_semigroup_file(args.semigroup)
+    order = parsed.order if parsed else args.max_order
+    if not 1 <= order <= PRODUCT_LAW_BOUND:
+        # the sweep's tables stop there; checked before any table is built or corpus drawn
+        what = "the semigroup's order" if parsed else "--max-order"
+        raise InvalidInstance(f"{what} must be in 1..{PRODUCT_LAW_BOUND}, not {order}")
+    if parsed:
+        S, _, _ = _load_structures(parsed)
         # a file semigroup has no generating transformations
         entries = [CorpusEntry(0, [], [], S)]
         scope = f"semigroup {args.semigroup}"
     else:
-        if not 1 <= args.max_order <= PRODUCT_LAW_BOUND:
-            # the sweep's tables stop there; checked before the corpus is drawn
-            raise InvalidInstance(
-                f"--max-order must be in 1..{PRODUCT_LAW_BOUND}, not {args.max_order}"
-            )
         entries = generate_corpus(count=args.count, max_order=args.max_order, seed=args.seed)
         scope = (
             f"{len(entries)} transformation semigroups "

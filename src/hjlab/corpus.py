@@ -7,8 +7,9 @@ construction and the validator merely re-confirms it.  The corpus feeds the
 headline sweep: the fold-then-map tensor-power identity checked for every
 endomorphism, every principal ultrafilter and k in {2, 3}.  Endomorphisms
 are listed along each semigroup's closure order, so only the elements no
-earlier product reaches branch; the evaluator builds each semigroup's
-translate sets once per chunk and every map reads its semigroup's in place.
+earlier product reaches branch, and each listing stops at the budget the
+sweep's byte bounds leave; the evaluator builds each semigroup's translate
+sets once per chunk and every map reads its semigroup's in place.
 """
 from __future__ import annotations
 
@@ -26,6 +27,12 @@ from .ultra import PRODUCT_LAW_BOUND, TENSOR_POWERS, map_chunk_bytes, tensor_pow
 # CORPUS_MAX_ATTEMPTS generator sets even if it has fewer semigroups than asked
 CORPUS_MAX_DEGREE = 4
 CORPUS_MAX_ATTEMPTS = 50_000
+# the most bytes one tensor-power sweep streams through its evaluator, maps
+# times the per-map chunk figure summed over k, checked as the maps are
+# listed: at about 200 MB/s on one core 2^30 bytes (1 GiB) is about 5 s.  The
+# largest benchmark order streams 25 MB and the order-6 left-zero band 188 MB;
+# the order-7 band, 10.3 GB (about 18 s), is refused
+SWEEP_BYTES_LIMIT = 1 << 30
 
 
 def compose(f, g):
@@ -216,16 +223,16 @@ def sweep_tensor_power(entries, ks=(2, 3)):
     image of V's k-fold tensor power under (v1..vk) -> h(v1*...*vk) is
     compared, subset by subset, with the k-fold product power of h(V).  Every
     entry's order is checked against the bound of the check before any
-    endomorphism is enumerated.  The endomorphisms of all entries of one
-    order are then stacked, each tagged with its entry (SearchSpaceTooLarge
-    once the stack would pass EDGE_BYTES_LIMIT, the bound of each entry's
-    list), and checked in one ``tensor_power_failures`` call per k, so a
+    endomorphism is enumerated.  Each entry's listing then takes one budget,
+    the fewest maps either bound still allows: SWEEP_BYTES_LIMIT on the bytes
+    the evaluator will stream (maps times ``map_chunk_bytes`` summed over
+    ks), and EDGE_BYTES_LIMIT on the bytes of maps the whole sweep holds as
+    (E, n) int64 rows.  SearchSpaceTooLarge, naming the bound and the count,
+    comes where a listing passes it, before the first evaluator call.  The
+    endomorphisms of all entries of one order are stacked, each tagged with
+    its entry, and checked in one ``tensor_power_failures`` call per k, so a
     corpus of many small semigroups costs one call per order and k rather
-    than per semigroup.  The bytes the calls will stream (maps times
-    ``map_chunk_bytes`` summed over ks) are bounded by SWEEP_BYTES_LIMIT as
-    the maps are listed: each entry's enumeration takes the map count the
-    bytes left allow, and SearchSpaceTooLarge comes as soon as it is passed,
-    before the first such call.
+    than per semigroup.
     Failures are listed by entry, then endomorphism, then k, then point.  An
     empty corpus, or ``ks`` empty, repeated or outside TENSOR_POWERS, is bad input.
     """
@@ -239,30 +246,29 @@ def sweep_tensor_power(entries, ks=(2, 3)):
         if n > PRODUCT_LAW_BOUND:
             raise CarrierTooLarge(f"order {n} exceeds {PRODUCT_LAW_BOUND}")
         by_order.setdefault(n, []).append(idx)
-    orders, streamed = [], 0
+    orders, streamed, held = [], 0, 0
     for n, idxs in sorted(by_order.items()):
         semigroups = [entries[i].semigroup for i in idxs]
         per_map = sum(map_chunk_bytes(n, k) for k in ks)
         endos = []
         for S in semigroups:
-            most = (search.SWEEP_BYTES_LIMIT - streamed) // per_map  # the maps the bytes left allow
+            # the maps each bound still allows, and what passing it means
+            stream_most = (SWEEP_BYTES_LIMIT - streamed) // per_map
+            held_most = (search.EDGE_BYTES_LIMIT - held) // (8 * n)
+            most, past = min(
+                (stream_most, f"streams {streamed + (stream_most + 1) * per_map} bytes or more "
+                 f"through the evaluator, past the {SWEEP_BYTES_LIMIT}-byte bound"),
+                (held_most, f"holds {held + (held_most + 1) * 8 * n} bytes or more of maps, "
+                 f"past the {search.EDGE_BYTES_LIMIT}-byte bound"),
+            )
             try:
                 endos.append(enumerate_endomorphisms(S, most))
             except SearchSpaceTooLarge:
-                if most >= search.EDGE_BYTES_LIMIT // (8 * n):
-                    raise  # the list's own bound stopped it
                 raise SearchSpaceTooLarge(
-                    f"the sweep streams {streamed + (most + 1) * per_map} bytes or more through "
-                    f"the evaluator, past the {search.SWEEP_BYTES_LIMIT}-byte bound: the listing "
-                    f"stopped past {most} endomorphisms of order {n}"
+                    f"the sweep {past}: the listing stopped past {most} endomorphisms of order {n}"
                 ) from None
             streamed += len(endos[-1]) * per_map
-        nbytes = sum(e.nbytes for e in endos)
-        if nbytes > search.EDGE_BYTES_LIMIT:
-            raise SearchSpaceTooLarge(
-                f"the endomorphisms of order {n} stack to {nbytes} bytes, past the "
-                f"{search.EDGE_BYTES_LIMIT}-byte bound"
-            )
+            held += endos[-1].nbytes
         orders.append((n, idxs, semigroups, endos))
     report = CorpusReport(semigroups=len(entries))
     for n, idxs, semigroups, endos in orders:

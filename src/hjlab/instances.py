@@ -35,7 +35,7 @@ class ModSumColoring:
 
     def __init__(self, r):
         if r < 1:
-            raise ValueError("need at least one color")
+            raise InvalidColoring("need at least one color")
         self.r = r
 
     def color_of(self, w):
@@ -52,7 +52,7 @@ class ApResidueColoring:
 
     def __init__(self, r):
         if r < 1:
-            raise ValueError("need at least one color")
+            raise InvalidColoring("need at least one color")
         self.r = r
 
     def color_of(self, m):

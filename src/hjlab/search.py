@@ -66,12 +66,6 @@ BUDGET = "budget"
 # first: 2^27 bytes (128 MiB) holds the 4.0M lines of [3]^11 (97 MB) or the
 # 4.0M 3-term progressions in [1..4000] (96 MB); a build peaks at 2-5 times it
 EDGE_BYTES_LIMIT = 1 << 27
-# the most bytes one tensor-power sweep streams through its evaluator, maps
-# times the per-map chunk figure summed over k, checked once the maps are
-# listed: at about 200 MB/s on one core 2^30 bytes (1 GiB) is about 5 s.  The
-# largest benchmark order streams 25 MB and the order-6 left-zero band 188 MB;
-# the order-7 band, 10.3 GB (about 18 s), is refused
-SWEEP_BYTES_LIMIT = 1 << 30
 
 
 def _check_edge_bytes(rows, width):

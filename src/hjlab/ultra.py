@@ -59,7 +59,7 @@ class PrincipalUltrafilter:
     def __init__(self, carrier, point):
         size = _size_of(carrier)
         if not (0 <= point < size):
-            raise ValueError(f"point {point} outside carrier of size {size}")
+            raise CarrierMismatch(f"point {point} outside carrier of size {size}")
         self.carrier = carrier
         self.point = point
 
@@ -209,7 +209,7 @@ def uf_product(U, V):
     """
     S = U.carrier
     if not isinstance(S, FiniteSemigroup):
-        raise TypeError("uf_product needs a FiniteSemigroup carrier")
+        raise CarrierMismatch("uf_product needs a FiniteSemigroup carrier")
     _require_same_carrier(S.order, _size_of(V.carrier))
     points = (U.point, V.point)
     point = _law_checked(
@@ -255,8 +255,6 @@ def check_tensor_assoc(dims, points):
         raise InvalidInstance(f"(U⊗V)⊗W takes 3 factors, got dims {dims}, points {points}")
     if any(d < 1 for d in dims):
         raise InvalidInstance(f"factor sizes must be at least 1, not {dims}")
-    if not all(0 <= p < d for p, d in zip(points, dims)):
-        raise CarrierMismatch(f"points {points} are not one inside each factor of {dims}")
     U, V, W = (PrincipalUltrafilter(d, p) for d, p in zip(dims, points))
     uf_tensor(uf_tensor(U, V), W)
     uf_tensor(U, uf_tensor(V, W))

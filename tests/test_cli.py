@@ -9,7 +9,7 @@ import shlex
 import pytest
 
 from hjlab import FiniteSemigroup, cyclic_semigroup, flag_semigroup
-from hjlab import cli, search
+from hjlab import cli, corpus, search
 from hjlab.cli import main
 from hjlab.tableio import format_semigroup_file
 
@@ -315,6 +315,21 @@ def test_ultra_corpus_rejects_a_carrier_above_the_bound(tmp_path, capsys):
     assert "12" in out
 
 
+def test_ultra_corpus_checks_the_file_order_before_building_the_table(tmp_path, monkeypatch,
+                                                                     capsys):
+    # the table check is n^3 products, seconds at order 400; the order bound
+    # of 12 must refuse the file from its header first
+    path = tmp_path / "z13.sg"
+    path.write_text(format_semigroup_file(cyclic_semigroup(13)))
+    built = []
+    monkeypatch.setattr(cli, "FiniteSemigroup", lambda *a, **kw: built.append(a))
+    assert main(["ultra", "corpus", "--semigroup", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1
+    assert "the semigroup's order must be in 1..12, not 13" in out
+    assert built == []
+
+
 def test_ultra_corpus_rejects_a_left_zero_band_past_the_map_bound(tmp_path, monkeypatch, capsys):
     # every map of a left-zero band is an endomorphism: 256 at order 4
     path = tmp_path / "lz4.sg"
@@ -329,7 +344,7 @@ def test_ultra_corpus_rejects_a_sweep_past_the_streamed_byte_bound(tmp_path, mon
     # the order-3 left-zero band's 27 maps stream 1944 bytes at ks (2, 3)
     path = tmp_path / "lz3.sg"
     path.write_text(format_semigroup_file(FiniteSemigroup([[a] * 3 for a in range(3)])))
-    monkeypatch.setattr(search, "SWEEP_BYTES_LIMIT", 1943)
+    monkeypatch.setattr(corpus, "SWEEP_BYTES_LIMIT", 1943)
     assert main(["ultra", "corpus", "--semigroup", str(path)]) == 2
     out = capsys.readouterr().out
     assert out.startswith("error: ") and out.count("\n") == 1 and "1943-byte bound" in out

@@ -205,13 +205,29 @@ def test_endomorphisms_need_no_recursion_depth(monkeypatch):
 
 def test_sweep_bounds_the_stacked_maps_of_one_order(monkeypatch):
     # two left-zero bands of order 3, 27 maps each: each list fits the
-    # bound alone, their (54, 3) int64 stack does not
-    from hjlab import FiniteSemigroup
-    band = CorpusEntry(0, [], [], FiniteSemigroup([[a] * 3 for a in range(3)]))
+    # bound alone, but the sweep holds the first band's 648 bytes when the
+    # second one's listing starts, so its first map is refused
+    band = CorpusEntry(0, [], [], left_zero_band(3))
     monkeypatch.setattr(hjlab.search, "EDGE_BYTES_LIMIT", 27 * 3 * 8)
     assert sweep_tensor_power([band]).endomorphisms == 27
-    with pytest.raises(SearchSpaceTooLarge, match="stack to 1296 bytes, past the 648-byte"):
+    with pytest.raises(SearchSpaceTooLarge, match="holds 672 bytes or more of maps, past the "
+                       "648-byte bound: the listing stopped past 0 endomorphisms of order 3$"):
         sweep_tensor_power([band, band])
+
+
+def test_sweep_bounds_the_maps_it_holds_across_orders(monkeypatch):
+    # the left-zero bands of orders 2 and 3 hold 4 * 16 + 27 * 24 = 712
+    # bytes of maps together, each order alone at most 648
+    small, band = (CorpusEntry(0, [], [], left_zero_band(n)) for n in (2, 3))
+    monkeypatch.setattr(hjlab.search, "EDGE_BYTES_LIMIT", 27 * 3 * 8)
+    assert sweep_tensor_power([small]).endomorphisms == 4
+    assert sweep_tensor_power([band]).endomorphisms == 27
+    calls = []
+    monkeypatch.setattr(hjlab.corpus, "tensor_power_failures", lambda *a, **kw: calls.append(a))
+    with pytest.raises(SearchSpaceTooLarge, match="holds 664 bytes or more of maps, past the "
+                       "648-byte bound: the listing stopped past 24 endomorphisms of order 3$"):
+        sweep_tensor_power([band, small])
+    assert calls == []
 
 
 def test_sweep_bounds_its_streamed_bytes_before_the_first_evaluator_call(monkeypatch):
@@ -220,7 +236,7 @@ def test_sweep_bounds_its_streamed_bytes_before_the_first_evaluator_call(monkeyp
     from hjlab import FiniteSemigroup
     band = CorpusEntry(0, [], [], FiniteSemigroup([[a] * 3 for a in range(3)]))
     pair = CorpusEntry(0, [], [], FiniteSemigroup([[0, 0], [0, 0]]))
-    monkeypatch.setattr(hjlab.search, "SWEEP_BYTES_LIMIT", 27 * 72)
+    monkeypatch.setattr(hjlab.corpus, "SWEEP_BYTES_LIMIT", 27 * 72)
     assert sweep_tensor_power([band]).checks == 27 * 2 * 3
     calls = []
     monkeypatch.setattr(hjlab.corpus, "tensor_power_failures", lambda *a, **kw: calls.append(a))
@@ -234,7 +250,7 @@ def test_sweep_stops_the_listing_at_the_streamed_byte_bound(monkeypatch):
     # bytes each at ks (2, 3); 100 of them fit, and the listing stops at the
     # 101st rather than listing all 7776
     entry = CorpusEntry(0, [], [], null_semigroup(6))
-    monkeypatch.setattr(hjlab.search, "SWEEP_BYTES_LIMIT", 100 * 4032 + 4031)
+    monkeypatch.setattr(hjlab.corpus, "SWEEP_BYTES_LIMIT", 100 * 4032 + 4031)
     enumerate_ = hjlab.corpus.enumerate_endomorphisms
     listed = []
 

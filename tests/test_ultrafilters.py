@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from hjlab import (
+    ApResidueColoring,
     FiniteSemigroup,
+    ModSumColoring,
     PrincipalUltrafilter,
     RetractionFamily,
     SubsetQuery,
@@ -26,7 +28,14 @@ from hjlab import (
     uf_tensor,
 )
 from hjlab import ultra
-from hjlab.errors import CarrierMismatch, CarrierTooLarge, InvalidInstance, VerificationError
+from hjlab.errors import (
+    CarrierMismatch,
+    CarrierTooLarge,
+    HjlabError,
+    InvalidColoring,
+    InvalidInstance,
+    VerificationError,
+)
 from hjlab.ultra import (
     CHUNK_BYTES,
     _unpack,
@@ -302,6 +311,20 @@ def test_left_associated_triple_rejects_other_arities(call):
 def test_tensor_queries_check_their_inputs(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: PrincipalUltrafilter(3, 3), CarrierMismatch),
+    (lambda: PrincipalUltrafilter(cyclic_semigroup(3), -1), CarrierMismatch),
+    (lambda: uf_product(PrincipalUltrafilter(4, 0), PrincipalUltrafilter(4, 1)), CarrierMismatch),
+    (lambda: ModSumColoring(0), InvalidColoring),
+    (lambda: ApResidueColoring(0), InvalidColoring),
+])
+def test_constructors_refuse_with_package_errors(call, error):
+    # a caller catching HjlabError sees every refusal
+    with pytest.raises(HjlabError) as refused:
+        call()
+    assert isinstance(refused.value, error)
 
 
 # two good maps on the cyclic group of order 4; each input-check test puts
