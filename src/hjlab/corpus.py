@@ -5,11 +5,12 @@ grown as subsemigroups of the full transformation monoid on a few points:
 pick random functions, close under composition.  Associativity then holds by
 construction and the validator merely re-confirms it.  The corpus feeds the
 headline sweep: the fold-then-map tensor-power identity checked for every
-endomorphism, every principal ultrafilter and k in {2, 3}.  Endomorphisms
-are listed along each semigroup's closure order, so only the elements no
-earlier product reaches branch, and each listing stops at the budget the
-sweep's byte bounds leave; the evaluator builds each semigroup's translate
-sets once per chunk and every map reads its semigroup's in place.
+endomorphism h, every principal ultrafilter at v and k in {2, 3}, each side's
+formula against its principal point on every subset, and h(v^k) = h(v)^k.
+Endomorphisms are listed along each semigroup's closure order, so only the
+elements no earlier product reaches branch, and each listing stops at the
+budget the sweep's byte bounds leave; the evaluator builds each semigroup's
+translate sets once per chunk and every map reads its semigroup's in place.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import search
 from .errors import CarrierTooLarge, InvalidInstance, SearchSpaceTooLarge
-from .semigroups import FiniteSemigroup
+from .semigroups import FiniteSemigroup, _integer
 from .ultra import PRODUCT_LAW_BOUND, TENSOR_POWERS, map_chunk_bytes, tensor_power_failures
 
 # transformations act on 2..CORPUS_MAX_DEGREE points; a draw stops after
@@ -219,9 +220,11 @@ class CorpusReport:
 def sweep_tensor_power(entries, ks=(2, 3)):
     """Check the tensor-power identity across a corpus.
 
-    For every entry, every endomorphism h, every k and every principal V the
-    image of V's k-fold tensor power under (v1..vk) -> h(v1*...*vk) is
-    compared, subset by subset, with the k-fold product power of h(V).  Every
+    For every entry, every endomorphism h, every k and every principal V at
+    v, the image of V's k-fold tensor power under (v1..vk) -> h(v1*...*vk)
+    and the k-fold product power of h(V) must each agree, subset by subset,
+    with its principal point, h(v^k) and h(v)^k (or VerificationError
+    names the side), and a failure is a point where h(v^k) != h(v)^k.  Every
     entry's order is checked against the bound of the check before any
     endomorphism is enumerated.  Each entry's listing then takes one budget,
     the fewest maps either bound still allows: SWEEP_BYTES_LIMIT on the bytes
@@ -234,10 +237,12 @@ def sweep_tensor_power(entries, ks=(2, 3)):
     corpus of many small semigroups costs one call per order and k rather
     than per semigroup.
     Failures are listed by entry, then endomorphism, then k, then point.  An
-    empty corpus, or ``ks`` empty, repeated or outside TENSOR_POWERS, is bad input.
+    empty corpus, or ``ks`` empty, repeated, not integers or outside
+    TENSOR_POWERS, is bad input.
     """
     if not entries:
         raise InvalidInstance("a sweep needs at least one semigroup")
+    ks = tuple(_integer(k, InvalidInstance, "k") for k in ks)
     if not ks or len(set(ks)) < len(ks) or not set(ks) <= set(TENSOR_POWERS):
         raise InvalidInstance(f"ks takes distinct values from {TENSOR_POWERS}, not {ks}")
     by_order = {}

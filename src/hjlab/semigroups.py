@@ -11,6 +11,7 @@ as one table of images, and ``hjlab validate`` prints every clause.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,12 @@ class FiniteSemigroup:
     """
 
     def __init__(self, table, labels=None):
-        table = np.asarray(table, dtype=np.int64)
+        table = np.asarray(table)
         if table.ndim != 2 or table.shape[0] != table.shape[1] or table.shape[0] < 1:
             raise InvalidStructure("Cayley table must be a nonempty square matrix")
+        if table.dtype.kind not in "iu":
+            raise InvalidStructure(f"Cayley table must hold integers, not {table.dtype}")
+        table = table.astype(np.int64, copy=False)
         n = table.shape[0]
         bad = np.argwhere((table < 0) | (table >= n))
         if len(bad):
@@ -87,6 +91,15 @@ def _size_of(carrier):
     return carrier if isinstance(carrier, int) else carrier.order
 
 
+def _integer(value, error, what):
+    """``value`` as a Python int (a numpy integer too), or ``error`` naming
+    ``what``: a float, even a whole one, is refused, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, not {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SubsetQuery:
     """A subset of a finite carrier, held as a bitmask."""
@@ -103,6 +116,7 @@ class SubsetQuery:
         size = _size_of(carrier)
         mask = 0
         for i in members:
+            i = _integer(i, InvalidStructure, "a member")
             if not 0 <= i < size:
                 raise InvalidStructure(f"member {i} is outside the carrier [0..{size})")
             mask |= 1 << i
@@ -148,9 +162,11 @@ def validate_retraction(view, mapping):
     CheckResult naming the first failing clause.
     """
     S = view.carrier
-    sigma = np.asarray(mapping, dtype=np.int64)
+    sigma = np.asarray(mapping)
     if sigma.shape != (S.order,):
         return CheckResult(False, "totality", (len(sigma), S.order))
+    if sigma.dtype.kind not in "iu":
+        return CheckResult(False, f"integer images, not {sigma.dtype}")
     if ((sigma < 0) | (sigma >= S.order)).any():
         bad = int(np.argwhere((sigma < 0) | (sigma >= S.order))[0])
         return CheckResult(False, "range", (bad, int(sigma[bad])))
@@ -202,11 +218,11 @@ class RetractionFamily:
     """
 
     def __init__(self, view, maps):
-        maps = [np.asarray(row, dtype=np.int64) for row in maps]
+        maps = [np.asarray(row) for row in maps]
         if not maps:
             raise InvalidStructure("retraction family must be nonempty")
         check_setting(view, maps)
-        maps = np.stack(maps)
+        maps = np.stack(maps).astype(np.int64)
         maps.setflags(write=False)
         self.view = view
         self.maps = maps

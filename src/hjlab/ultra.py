@@ -16,8 +16,7 @@ test at one point, or one column per point of the carrier once every point
 is tested at once), and last the subset axis, its 2^t subsets packed 8 per
 byte, little-endian: bit m of a cell's packed row says whether the cell
 lies in the m-th subset.  A gather along a carrier axis then copies packed
-rows of 2^t/8 bytes.  Every level of every formula still evaluates every
-subset; only a first failing mask is unpacked.
+rows of 2^t/8 bytes.  Every level of every formula evaluates every subset.
 """
 from __future__ import annotations
 
@@ -35,7 +34,7 @@ from .errors import (
 )
 from .instances import TableColoring
 from .search import finite_witness_search
-from .semigroups import FiniteSemigroup, SubsetQuery, _size_of
+from .semigroups import FiniteSemigroup, SubsetQuery, _integer, _size_of
 
 # image, product and tensor check all 2^16 subsets of 16 cells; the product's
 # translate sets then hold 16² cells × 2^16/8 packed bytes, 2 MiB
@@ -58,6 +57,7 @@ class PrincipalUltrafilter:
 
     def __init__(self, carrier, point):
         size = _size_of(carrier)
+        point = _integer(point, CarrierMismatch, "a point")
         if not (0 <= point < size):
             raise CarrierMismatch(f"point {point} outside carrier of size {size}")
         self.carrier = carrier
@@ -79,11 +79,6 @@ def member(U, A):
     """A ∈ U, i.e. the defining point lies in A."""
     _require_same_carrier(_size_of(U.carrier), _size_of(A.carrier))
     return U.member_mask(A.mask)
-
-
-def _unpack(table, count):
-    """The first ``count`` subset bits of a set table, as booleans."""
-    return np.unpackbits(table, axis=-1, count=count, bitorder="little").astype(bool)
 
 
 def subset_bits(size):
@@ -109,8 +104,11 @@ def _law_checked(member_of, size, point, operation):
 
 
 def _map_into(f, size):
-    """f (a map, or a stack of maps) as int64, every value inside ``size``."""
-    f = np.asarray(f, dtype=np.int64)
+    """f (a map, or a stack of maps) as int64, every value an integer inside ``size``."""
+    f = np.asarray(f)
+    if f.size and f.dtype.kind not in "iu":
+        raise CarrierMismatch(f"maps must send points to integers, not {f.dtype}")
+    f = f.astype(np.int64, copy=False)
     bad = np.argwhere((f < 0) | (f >= size))
     if len(bad):
         *stack, s = (int(i) for i in bad[0])
@@ -275,21 +273,20 @@ def tensor_power_failures(S, maps, k, owner=None):
     S is one FiniteSemigroup, or a sequence of G semigroups of one order n;
     ``owner`` gives each of the E maps of ``maps`` the index of its semigroup
     (all 0 when omitted, so one semigroup takes a plain stack).  For every
-    map and every principal V of S, the image of V's k-fold tensor
-    power under (v₁..v_k) -> h(v₁*...*v_k) is compared with the k-fold
-    product power of h(V).  Both sides are evaluated by their defining
-    formulas, full preimage, translate and section sets at every level and
-    for every subset, in the module's set-table layout.  The stack is
-    evaluated in chunks, every point of S at once.  The k-fold product is
-    tabulated once per semigroup; each chunk builds the translate sets of
-    the semigroups its maps belong to, one column each, and the innermost
-    product level reads map e's semigroup's column in place.  A chunk's
-    translate sets and largest intermediate together stay near CHUNK_BYTES.
-    The order n is bounded by PRODUCT_LAW_BOUND because the k = 3 translate
-    sets hold n³ packed rows of 2^n/8 bytes.
+    map and every principal V of S at v, the image of V's k-fold tensor
+    power under (v₁..v_k) -> h(v₁*...*v_k) and the k-fold product power of
+    h(V) are evaluated by their defining formulas (full preimage, translate
+    and section sets at every level, for every subset); each side must
+    agree on every subset with its principal point, h(v^k) or h(v)^k, or
+    VerificationError names it.  The stack is evaluated in chunks, every
+    point of S at once; each chunk builds its maps' semigroups' translate
+    sets, one column each, read in place, and holds them and its largest
+    intermediate in about CHUNK_BYTES.  The order n is bounded by
+    PRODUCT_LAW_BOUND: the k = 3 translate sets hold n³ rows of 2^n/8 bytes.
 
-    Returns an (E, n) int64 array, column p for V at p: the first subset
-    mask where the two sides differ, or -1 where they agree.
+    Returns an (E, n) int64 array, column p for V at p: -1 where h(p^k) =
+    h(p)^k, else 1 << min(h(p^k), h(p)^k), the first subset mask where the
+    two sides differ.
     """
     semigroups = [S] if isinstance(S, FiniteSemigroup) else list(S)
     if not semigroups:
@@ -300,7 +297,7 @@ def tensor_power_failures(S, maps, k, owner=None):
     for g, other in enumerate(semigroups):
         if other.order != n:
             raise CarrierMismatch(f"semigroup {g} has order {other.order}, not {n}")
-    if k not in TENSOR_POWERS:
+    if _integer(k, InvalidInstance, "k") not in TENSOR_POWERS:
         raise InvalidInstance(f"tensor powers take k = 2 or 3 factors, not {k}")
     if not (isinstance(maps, np.ndarray) and maps.ndim == 2 and maps.shape[1] == n):
         for i, h in enumerate(maps):
@@ -322,6 +319,7 @@ def tensor_power_failures(S, maps, k, owner=None):
     for w in words[1:]:  # (G, n^k): w₁*...*w_k over S^k, for every semigroup
         folds = tables[np.arange(len(tables))[:, None], folds, w]
     bits = subset_bits(n)
+    diagonal = np.arange(n) * sum(n ** i for i in range(k))  # the word (v, ..., v)
     step = max(1, CHUNK_BYTES // map_chunk_bytes(n, k))
     first = np.full((len(maps), n), -1, dtype=np.int64)
     for lo in range(0, len(maps), step):
@@ -331,9 +329,13 @@ def tensor_power_failures(S, maps, k, owner=None):
         groups, group_of = np.unique(own, return_inverse=True)
         T = translates(bits, tables[groups], k)  # one column per semigroup
         rhs = product_member(T, h, (None,) * k, column=group_of)
-        diff = lhs ^ rhs  # (maps, points, packed subsets)
-        failing = diff.any(axis=-1)
-        first[lo:lo + step][failing] = _unpack(diff[failing], 1 << n).argmax(axis=-1)
+        image_at, power = hw[:, diagonal], h
+        for _ in range(k - 1):  # h(v)^k, through each map's own table
+            power = tables[own[:, None], h, power]
+        for side, rows, point in (("image", lhs, image_at), ("product", rhs, power)):
+            if not np.array_equal(rows, bits[point, 0, 0]):
+                raise VerificationError(f"tensor-power {side} law failed a subset check")
+        first[lo:lo + step] = np.where(image_at == power, -1, 1 << np.minimum(image_at, power))
     return first
 
 

@@ -23,6 +23,7 @@ from hjlab import (
     generate_corpus,
     image,
     member,
+    sweep_tensor_power,
     tensor_power_failures,
     uf_product,
     uf_tensor,
@@ -34,11 +35,11 @@ from hjlab.errors import (
     HjlabError,
     InvalidColoring,
     InvalidInstance,
+    InvalidStructure,
     VerificationError,
 )
 from hjlab.ultra import (
     CHUNK_BYTES,
-    _unpack,
     product_member,
     subset_bits,
     tensor_rows,
@@ -64,9 +65,9 @@ def wrap_evaluator(monkeypatch, name, corrupt=False):
     calls = []
     evaluate = getattr(ultra, name)
 
-    def wrapped(table, *args):
+    def wrapped(table, *args, **kwargs):
         calls.append(table)
-        rows = evaluate(table, *args)
+        rows = evaluate(table, *args, **kwargs)
         if corrupt:
             rows = rows.copy()
             rows[..., 0] ^= 1 << 6
@@ -97,6 +98,12 @@ def test_subset_query_roundtrip():
     assert A.members() == [0, 3]
     assert A.mask == 0b1001
     assert A.contains(3) and not A.contains(1)
+
+
+def test_subset_query_reads_numpy_members_as_python_ints():
+    # an int64 shift would drop member 70
+    A = SubsetQuery.from_members(cyclic_semigroup(80), np.array([70, 3]))
+    assert A.members() == [3, 70] and A.mask == (1 << 70) | (1 << 3)
 
 
 def test_membership_is_the_principal_family():
@@ -211,8 +218,8 @@ def test_three_level_power_matches_nested_family_oracle(S):
             W = oracles.image_family(h, U, n, n)
             fam = oracles.product_family(table, W, oracles.product_family(table, W, W))
             T = translates(subset_bits(n), S.table, 3)
-            rows = _unpack(product_member(T, h, (p, p, p)), 1 << n)
-            assert set(np.flatnonzero(rows)) == fam
+            rows = np.unpackbits(product_member(T, h, (p, p, p)), bitorder="little")
+            assert set(np.flatnonzero(rows[:1 << n])) == fam
 
 
 def test_product_law_bound_enforced(monkeypatch):
@@ -327,6 +334,23 @@ def test_constructors_refuse_with_package_errors(call, error):
     assert isinstance(refused.value, error)
 
 
+@pytest.mark.parametrize("call,error", [
+    (lambda: FiniteSemigroup([[0, 0.5], [0, 1]]), InvalidStructure),
+    (lambda: RetractionFamily(flag_semigroup(1)[1], [[0, 0.5, 2, 2.2]]), InvalidStructure),
+    (lambda: SubsetQuery.from_members(3, [1.0]), InvalidStructure),
+    (lambda: PrincipalUltrafilter(3, 1.5), CarrierMismatch),
+    (lambda: image([0.7, 1.2], PrincipalUltrafilter(2, 0), 2), CarrierMismatch),
+    (lambda: tensor_power_failures(cyclic_semigroup(2), [[0.9, 1.9]], 2), CarrierMismatch),
+    (lambda: tensor_power_failures(cyclic_semigroup(2), [[0, 1]], 2.0), InvalidInstance),
+    (lambda: sweep_tensor_power(generate_corpus(count=3, max_order=4, seed=0), ks=(2.0,)),
+     InvalidInstance),
+], ids=["table", "retraction", "member", "point", "image-map", "tensor-power-map",
+        "tensor-power-k", "sweep-ks"])
+def test_non_integer_inputs_are_refused_not_truncated(call, error):
+    with pytest.raises(error, match="integer"):
+        call()
+
+
 # two good maps on the cyclic group of order 4; each input-check test puts
 # its bad input after them, so the bad map is never first in the stack
 GOOD_MAPS = [np.arange(4), np.zeros(4, dtype=int)]
@@ -432,23 +456,46 @@ def test_tensor_power_batch_matches_oracle_on_random_maps():
     assert failed > 0  # some random maps are no homomorphisms, and fail
 
 
-def test_tensor_power_batch_catches_a_shifted_point_pick(monkeypatch):
-    # both sides test every point through _at; if each point's column came
-    # from its neighbour's, the oracle must tell on some random-map stack
+def roll_point_columns(monkeypatch):
+    """Make ``_at`` give each point the column of its neighbour when it
+    tests every point at once, a fault both tensor-power sides share."""
     at = ultra._at
 
     def rolled(sets, point=None):
         return at(sets, point) if point is not None else np.roll(at(sets), 1, axis=-2)
 
     monkeypatch.setattr(ultra, "_at", rolled)
+
+
+def test_tensor_power_batch_catches_a_shifted_point_pick(monkeypatch):
+    # each side is checked against its own principal point, so a shifted
+    # pick raises on some random-map stack and no stack gives a wrong answer
+    roll_point_columns(monkeypatch)
     caught = 0
     for S, maps in random_map_stacks():
         for k in (2, 3):
             try:
                 batch_against_oracle(S, maps, k)
-            except AssertionError:
+            except VerificationError:
                 caught += 1
     assert caught > 0
+
+
+def test_sweep_catches_a_shifted_point_pick(monkeypatch):
+    # on endomorphisms the two sides agree at the mixed points a shifted
+    # pick reads too, so only the principal-point check can tell
+    roll_point_columns(monkeypatch)
+    with pytest.raises(VerificationError, match="tensor-power image law failed a subset check"):
+        sweep_tensor_power(generate_corpus(count=50, max_order=6, seed=0))
+
+
+@pytest.mark.parametrize("name,side", [("tensor_rows", "image"), ("product_member", "product")])
+def test_tensor_power_names_its_corrupted_side(monkeypatch, name, side):
+    wrap_evaluator(monkeypatch, name, corrupt=True)
+    S, view, family = flag_semigroup(2)
+    for k in (2, 3):
+        with pytest.raises(VerificationError, match=f"tensor-power {side} law failed"):
+            tensor_power_failures(S, family.maps, k)
 
 
 def test_tensor_power_stack_split_into_chunks_matches_maps_run_alone():
