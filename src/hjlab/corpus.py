@@ -78,7 +78,8 @@ class CorpusEntry:
 
 def generate_corpus(count=50, max_order=6, seed=0):
     """Deterministic corpus: same seed, same semigroups, same order."""
-    if max_order < 1:
+    count = _integer(count, InvalidInstance, "count")
+    if _integer(max_order, InvalidInstance, "max_order") < 1:
         raise InvalidInstance(f"a corpus needs max_order >= 1, not {max_order}")
     rng = random.Random(seed)
     seen = set()
@@ -128,7 +129,9 @@ def enumerate_endomorphisms(S, most=None):
     """
     n = S.order
     cap = search.EDGE_BYTES_LIMIT // (8 * n)
-    most = cap if most is None else min(most, cap)
+    most = cap if most is None else min(_integer(most, InvalidInstance, "most"), cap)
+    if most < 0:
+        raise InvalidInstance(f"need most >= 0, not {most}")
     table = S.table.tolist()
     # the closure order, and checks[p]: the relations (c, x, g), c = x*g for
     # x in S and g a block start, whose last element sits at position p; the
@@ -168,7 +171,7 @@ def enumerate_endomorphisms(S, most=None):
     j = 0
     while j >= 0:
         if j == depth:
-            if len(out) == most:
+            if len(out) >= most:
                 raise SearchSpaceTooLarge(
                     f"more than {most} endomorphisms of order {n}"
                     + (f" pass the {search.EDGE_BYTES_LIMIT}-byte bound" if most == cap else "")

@@ -27,9 +27,10 @@ restores colors and domains only.  Symmetry pruning rejects partial
 colorings that are not lexicographically minimal in their orbit, compared
 along one fixed decision order, which keeps the pruning sound for SAT and
 UNSAT alike.  The check is incremental along
-the decision stack: each frame keeps, as arrays, the group elements whose
+the decision stack: each frame holds, as arrays, the survivors its nodes
+resume from, set when its parent node survived: the group elements whose
 permuted prefix still equals the prefix or stopped on an undecided cell,
-with the position each stopped at.  A child node resumes only those, from
+with the position each stopped at.  Its nodes resume only those, from
 there; an element that compared greater is dropped for the whole subtree.
 Pruning is tried only within the decision head, the first
 SYMMETRY_DEPTH + 1 positions of the order, so the group is tabulated on
@@ -50,6 +51,7 @@ import numpy as np
 
 from .errors import InvalidInstance, SearchSpaceTooLarge, VerificationError
 from .instances import PullbackColoring, require_fit
+from .semigroups import _integer
 from .words import WordSemigroup, substitution_family
 
 DEFAULT_NODE_BUDGET = 10 ** 9
@@ -217,23 +219,21 @@ def canonical_prune(colors, order, symmetry, survivors, frame):
     For each group element the comparison walks the fixed order and stops at
     the first position where the permuted color differs from the color there
     or reads an undecided cell; only a strict defined difference prunes.
-    ``frame`` holds the node: it has just decided position ``frame.d``, and
-    every position before it was decided at its parent.  ``survivors`` are
-    the parent's: arrays of cell rows, color rows and resume positions, for
-    the elements whose comparison was equal up to the resume position and
-    stopped there on an undecided cell or at the end of the decided prefix.
-    The others stopped on a greater defined color, which no deeper node
-    changes.  Decided colors stay, so each survivor resumes where it
-    stopped.  Unless the node is pruned, its own survivors go to
-    ``frame.survivors``.
+    ``frame`` is the one the node would push: ``frame.d`` is the node's
+    first undecided position, and every position before it is decided.
+    ``survivors`` are those the node resumes from, held by its own frame:
+    arrays of cell rows, color rows and resume positions, for the elements
+    whose comparison was equal up to the resume position and stopped there
+    on an undecided cell or at the end of the decided prefix.  The others
+    stopped on a greater defined color, which no deeper node changes.
+    Decided colors stay, so each survivor resumes where it stopped.  Unless
+    the node is pruned, its own survivors go to ``frame.survivors``.
     """
     g, c, p = survivors
     if not len(p):
         frame.survivors = survivors
         return False
-    d = frame.d + 1
-    while d < len(order) and colors[order[d]] >= 0:
-        d += 1
+    d = frame.d
     colors = np.asarray(colors)
     lo = int(p.min())
     # (S, W) permuted colors, r where the cell is undecided; a survivor
@@ -299,7 +299,8 @@ def _edge_array(edges, V):
 class _Frame:
     """One decision level: its position in the decision order, the trail
     mark of the color being tried, the next color to try, and the lex-leader
-    survivors of the node it holds."""
+    survivors its nodes resume from, set when its parent node survived (the
+    first frame's by ``_root_survivors``; None where no node prunes)."""
 
     d: int
     mark: int | None = None
@@ -371,12 +372,9 @@ class HypergraphSolver:
         if time.monotonic() > self.deadline:
             raise _BudgetHit
         self.symmetry = None if self.build_symmetry is None else self.build_symmetry(self.head)
-        if self.symmetry is not None:
-            self.root_survivors = _root_survivors(self.symmetry, self.head)
         self.colors = [-1] * V
         self.domains = [(1 << r) - 1] * V
         self.trail = []  # (v, -1) for a color, (v, old mask) for a domain
-        self.forced = []
 
     def _assign(self, v, c):
         """Color v with c and visit the clauses for c that watch v: each is
@@ -445,59 +443,46 @@ class HypergraphSolver:
             return None
         return mark
 
-    def _pruned(self, frame, parent):
-        """Lex-leader check of the node just decided in ``frame``, resuming
-        from the survivors of ``parent`` (the frame below, None at the
-        root)."""
-        if self.symmetry is None:
-            return False
-        head = self.head
-        # every position up to frame.d is colored: the stack pushes the
-        # first uncolored position, and the frame has just decided it
-        if len(head) > SYMMETRY_DEPTH and all(self.colors[v] >= 0 for v in head[frame.d + 1:]):
-            return False
-        survivors = self.root_survivors if parent is None else parent.survivors
-        return canonical_prune(self.colors, head, self.symmetry, survivors, frame)
-
-    def _charge_node(self):
-        self.nodes += 1
-        if self.nodes > self.budget_nodes or time.monotonic() > self.deadline:
-            raise _BudgetHit
-
     def _search(self):
         """Depth-first along the decision order, colors in increasing order,
         on an explicit stack of frames.  A frame retries its colors against
-        the lex-leader survivors of the frame below, so backtracking undoes
-        only the trail."""
-        colors, domains, order, r = self.colors, self.domains, self.order, self.r
-        stack = []
-        d = 0
-        while True:
-            while d < self.V and colors[order[d]] >= 0:
-                d += 1
-            if d == self.V:
+        the lex-leader survivors it holds, so backtracking undoes only the
+        trail."""
+        colors, domains, order, r, V = self.colors, self.domains, self.order, self.r, self.V
+        symmetry, head = self.symmetry, self.head
+        # a cut head is not checked once all colored; an uncut one always is
+        bound = len(head) if len(head) > SYMMETRY_DEPTH else V + 1
+        root = None if symmetry is None else _root_survivors(symmetry, head)
+        stack = [_Frame(0, survivors=root)]
+        while stack:
+            frame = stack[-1]
+            if frame.d == V:
                 return list(colors)
-            stack.append(_Frame(d))
-            while stack:
-                frame = stack[-1]
-                d, c = frame.d, frame.c
-                if frame.mark is not None:
-                    self._undo(frame.mark)
-                dom = domains[order[d]]
-                while c < r and not (dom >> c) & 1:
-                    c += 1
-                if c == r:
-                    stack.pop()
-                    continue
-                self._charge_node()
-                frame.mark = self._decide(order[d], c)
-                frame.c = c + 1
-                parent = stack[-2] if len(stack) > 1 else None
-                if frame.mark is not None and not self._pruned(frame, parent):
-                    d += 1
-                    break
-            else:
-                return None
+            if frame.mark is not None:
+                self._undo(frame.mark)
+            dom, c = domains[order[frame.d]], frame.c
+            while c < r and not (dom >> c) & 1:
+                c += 1
+            if c == r:
+                stack.pop()
+                continue
+            self.nodes += 1
+            if self.nodes > self.budget_nodes or time.monotonic() > self.deadline:
+                raise _BudgetHit
+            frame.mark = self._decide(order[frame.d], c)
+            frame.c = c + 1
+            if frame.mark is None:
+                continue
+            d = frame.d + 1
+            while d < V and colors[order[d]] >= 0:
+                d += 1
+            child = _Frame(d)
+            if symmetry is not None and d < bound and canonical_prune(
+                colors, head, symmetry, frame.survivors, child
+            ):
+                continue
+            stack.append(child)
+        return None
 
     def solve(self):
         start = time.monotonic()
@@ -547,9 +532,9 @@ class Instance:
     build_symmetry: Callable  # cells -> Symmetry
 
     def __post_init__(self):
-        a, size = self.params
-        if a < 2 or self.r < 1 or size < 1:
-            first, last = INSTANCE_FIELDS[self.family]
+        first, last = INSTANCE_FIELDS[self.family]
+        a, size = (_integer(x, InvalidInstance, f) for x, f in zip(self.params, (first, last)))
+        if a < 2 or _integer(self.r, InvalidInstance, "r") < 1 or size < 1:
             raise InvalidInstance(f"need {first} >= 2, r >= 1, {last} >= 1")
 
     @property
@@ -655,6 +640,7 @@ def least_size(make, a, r, max_size, budget_seconds=DEFAULT_TIME_BUDGET, **kwarg
     """
     # rejects bad parameters before any search; the smallest size is cheap to
     # build, where hj's largest would compute n ** max_size first
+    max_size = _integer(max_size, InvalidInstance, "max_size")
     make(a, r, min(max_size, 1))
     check_budgets(kwargs.get("budget_nodes", DEFAULT_NODE_BUDGET), budget_seconds)
     deadline = time.monotonic() + budget_seconds

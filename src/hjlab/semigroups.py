@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssociativityViolation, ClosureViolation, InvalidStructure
+from .errors import AssociativityViolation, CarrierMismatch, ClosureViolation, InvalidStructure
 
 
 @dataclass
@@ -87,8 +87,14 @@ class FiniteSemigroup:
 
 
 def _size_of(carrier):
-    """A carrier is its size or a FiniteSemigroup."""
-    return carrier if isinstance(carrier, int) else carrier.order
+    """A carrier is its size, an integer >= 0, or a FiniteSemigroup; any
+    other is CarrierMismatch."""
+    if isinstance(carrier, FiniteSemigroup):
+        return carrier.order
+    size = _integer(carrier, CarrierMismatch, "a carrier")
+    if size < 0:
+        raise CarrierMismatch(f"a carrier size must be >= 0, not {size}")
+    return size
 
 
 def _integer(value, error, what):
@@ -108,7 +114,8 @@ class SubsetQuery:
     mask: int
 
     def __post_init__(self):
-        if self.mask < 0 or self.mask >> _size_of(self.carrier):
+        mask = _integer(self.mask, InvalidStructure, "a mask")
+        if mask < 0 or mask >> _size_of(self.carrier):
             raise InvalidStructure("mask does not fit the carrier")
 
     @classmethod

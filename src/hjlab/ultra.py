@@ -450,6 +450,7 @@ def check_agreement_equivalence(S, family, r):
 
     (a) runs the witness scan of ``search.finite_witness_search`` on every
     r-coloring of T in turn, up to the first that has no witness."""
+    r = _integer(r, InvalidInstance, "r")
     if r < 1:
         raise InvalidInstance(f"need r >= 1 colors, not {r}")
     if S.order > AGREEMENT_MAX_ORDER:

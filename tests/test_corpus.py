@@ -65,6 +65,14 @@ def test_corpus_rejects_max_order_below_1(max_order):
         generate_corpus(count=5, max_order=max_order)
 
 
+@pytest.mark.parametrize("count,max_order", [(2.5, 3), (2, 2.5), ("3", 3)])
+def test_corpus_counts_are_integers(count, max_order):
+    # count=2.5 drew 3 semigroups, max_order=2.5 was read as it stands, and
+    # count="3" ended in a bare TypeError
+    with pytest.raises(InvalidInstance, match="integer"):
+        generate_corpus(count=count, max_order=max_order, seed=0)
+
+
 def test_transformation_semigroup_matches_composition():
     els = mulclose([(1, 2, 0)], 100)
     entry = transformation_semigroup(sorted(els))
@@ -124,6 +132,13 @@ def test_endomorphisms_stop_at_the_edge_array_bound(monkeypatch):
     monkeypatch.setattr(hjlab.search, "EDGE_BYTES_LIMIT", 4 ** 4 * 4 * 8 - 1)
     with pytest.raises(SearchSpaceTooLarge, match="more than 255 endomorphisms"):
         enumerate_endomorphisms(S)
+
+
+@pytest.mark.parametrize("most", [-1, 2.5])
+def test_endomorphism_bound_is_a_count(most):
+    # both listed all 25 maps of the order-4 flag semigroup, past both bounds
+    with pytest.raises(InvalidInstance):
+        enumerate_endomorphisms(hjlab.flag_semigroup(1)[0], most)
 
 
 def left_zero_band(n):

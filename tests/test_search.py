@@ -225,6 +225,11 @@ def test_an_edge_of_no_vertex_constrains_nothing():
         assert verify_proper_coloring(edges, [0, 0])
 
 
+def test_no_vertex_is_sat_at_the_first_frame():
+    res = HypergraphSolver(0, [], 2).solve()
+    assert (res.status, res.coloring, res.nodes) == (SAT, [], 0)
+
+
 @pytest.mark.parametrize("V,edges,r", [
     (3, [(0, -1)], 2),  # read as vertex 2: SAT [0, 0, 1]
     (3, [(0, 5)], 2),  # a bare IndexError
@@ -614,6 +619,17 @@ def test_improper_sat_coloring_is_an_explicit_error(monkeypatch):
 ])
 def test_invalid_instance_parameters_are_rejected(call):
     with pytest.raises(InvalidInstance):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hj_check(2.0, 2, 2),  # numpy UFuncTypeError
+    lambda: vdw_check(3, 2, 8.0),  # a bare TypeError
+    lambda: vdw_check(3.0, 2, 8),
+    lambda: vdw_number(3, 2, 9.5),
+], ids=["hj-n", "vdw-M", "vdw-k", "vdw-max-size"])
+def test_non_integer_instance_sizes_are_refused(call):
+    with pytest.raises(InvalidInstance, match="integer"):
         call()
 
 

@@ -351,6 +351,28 @@ def test_non_integer_inputs_are_refused_not_truncated(call, error):
         call()
 
 
+@pytest.mark.parametrize("call,error", [
+    # each a bare AttributeError, TypeError or "negative shift count"
+    (lambda: PrincipalUltrafilter(2.0, 0), CarrierMismatch),
+    (lambda: check_tensor_assoc((2.0, 2, 2), (0, 0, 0)), CarrierMismatch),
+    (lambda: SubsetQuery(3, 1.0), InvalidStructure),
+    (lambda: SubsetQuery(-1, 0), CarrierMismatch),
+    (lambda: check_agreement_equivalence(*flag_semigroup(1)[::2], 2.0), InvalidInstance),
+], ids=["point-carrier", "tensor-dims", "mask", "negative-carrier", "agreement-r"])
+def test_carriers_and_counts_are_integers(call, error):
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("call,want", [
+    (lambda: repr(PrincipalUltrafilter(np.int64(3), 1)), "PrincipalUltrafilter(point=1, size=3)"),
+    (lambda: SubsetQuery(np.int64(3), 1).members(), [0]),
+], ids=["point", "subset"])
+def test_a_numpy_integer_carrier_reads_as_its_size(call, want):
+    # both ended in an AttributeError: only a Python int read as a size
+    assert call() == want
+
+
 # two good maps on the cyclic group of order 4; each input-check test puts
 # its bad input after them, so the bad map is never first in the stack
 GOOD_MAPS = [np.arange(4), np.zeros(4, dtype=int)]
