@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import search
-from .errors import CarrierTooLarge, InvalidInstance, SearchSpaceTooLarge
-from .semigroups import FiniteSemigroup, _integer
+from .errors import CarrierTooLarge, InvalidInstance, SearchSpaceTooLarge, _integer
+from .semigroups import FiniteSemigroup
 from .ultra import PRODUCT_LAW_BOUND, TENSOR_POWERS, map_chunk_bytes, tensor_power_failures
 
 # transformations act on 2..CORPUS_MAX_DEGREE points; a draw stops after
@@ -79,8 +79,7 @@ class CorpusEntry:
 def generate_corpus(count=50, max_order=6, seed=0):
     """Deterministic corpus: same seed, same semigroups, same order."""
     count = _integer(count, InvalidInstance, "count")
-    if _integer(max_order, InvalidInstance, "max_order") < 1:
-        raise InvalidInstance(f"a corpus needs max_order >= 1, not {max_order}")
+    max_order = _integer(max_order, InvalidInstance, "max_order", least=1)
     rng = random.Random(seed)
     seen = set()
     out = []
@@ -129,9 +128,7 @@ def enumerate_endomorphisms(S, most=None):
     """
     n = S.order
     cap = search.EDGE_BYTES_LIMIT // (8 * n)
-    most = cap if most is None else min(_integer(most, InvalidInstance, "most"), cap)
-    if most < 0:
-        raise InvalidInstance(f"need most >= 0, not {most}")
+    most = cap if most is None else min(_integer(most, InvalidInstance, "most", least=0), cap)
     table = S.table.tolist()
     # the closure order, and checks[p]: the relations (c, x, g), c = x*g for
     # x in S and g a block start, whose last element sits at position p; the

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``_integer``, the one
+reader of an integer parameter.
+
+Every size, count, color and length a public entry takes is read by
+``_integer``: a Python int or a numpy integer is its value; a float (even a
+whole one), a string or None is refused, not truncated, and so is a value
+below the entry's least.  Either refusal raises the entry's own error class.
+This module imports no other package module, so every module can use it.
+"""
+import operator
 
 
 class HjlabError(Exception):
@@ -69,3 +78,16 @@ class InvalidInstance(HjlabError, ValueError):
 
 class VerificationError(HjlabError):
     """A search result failed its re-check independent of the search."""
+
+
+def _integer(value, error, what, least=None):
+    """``value`` as a Python int (a numpy integer too), or ``error`` naming
+    ``what``: a float, even a whole one, is refused, not truncated, and so
+    is a value below ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, not {value!r}") from None
+    if least is not None and value < least:
+        raise error(f"need {what} >= {least}, not {value}")
+    return value

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import ColoringSpecError, InvalidColoring, InvalidInstance
+from .errors import ColoringSpecError, InvalidColoring, InvalidInstance, _integer
 from .words import format_word
 
 
@@ -34,9 +34,7 @@ class ModSumColoring:
     kind = "mod"
 
     def __init__(self, r):
-        if r < 1:
-            raise InvalidColoring("need at least one color")
-        self.r = r
+        self.r = _integer(r, InvalidColoring, "r", least=1)
 
     def color_of(self, w):
         return sum(w) % self.r
@@ -51,9 +49,7 @@ class ApResidueColoring:
     kind = "apres"
 
     def __init__(self, r):
-        if r < 1:
-            raise InvalidColoring("need at least one color")
-        self.r = r
+        self.r = _integer(r, InvalidColoring, "r", least=1)
 
     def color_of(self, m):
         return m % self.r
@@ -74,8 +70,9 @@ class TableColoring:
         observed = list(self.entries.values()) + ([] if default is None else [default])
         if not observed:
             raise InvalidColoring("empty color table")
-        self.r = r if r is not None else max(observed) + 1
-        if any(c < 0 or c >= self.r for c in observed):
+        observed = [_integer(c, InvalidColoring, "a color", least=0) for c in observed]
+        self.r = max(observed) + 1 if r is None else _integer(r, InvalidColoring, "r", least=1)
+        if max(observed) >= self.r:
             raise InvalidColoring("color out of range in table")
 
     @staticmethod

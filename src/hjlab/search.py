@@ -40,6 +40,7 @@ it returns holds the images of decision position j.
 """
 from __future__ import annotations
 
+import numbers
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -49,9 +50,9 @@ from math import factorial
 
 import numpy as np
 
-from .errors import InvalidInstance, SearchSpaceTooLarge, VerificationError
+from .errors import (InvalidColoring, InvalidInstance, SearchSpaceTooLarge, VerificationError,
+                     _integer)
 from .instances import PullbackColoring, require_fit
-from .semigroups import _integer
 from .words import WordSemigroup, substitution_family
 
 DEFAULT_NODE_BUDGET = 10 ** 9
@@ -89,8 +90,8 @@ class LineHypergraph:
 
     @classmethod
     def build(cls, n, N):
-        if n < 2 or N < 1:
-            raise InvalidInstance("need n >= 2, N >= 1")
+        n = _integer(n, InvalidInstance, "n", least=2)
+        N = _integer(N, InvalidInstance, "N", least=1)
         _check_edge_bytes((n + 1) ** N - n ** N, n)
         # the words over the letters and x = n, in lexicographic order, are
         # the base-(n+1) codes 0, 1, 2, ...; the lines are those with an x.
@@ -110,11 +111,10 @@ class LineHypergraph:
 def ap_edges(k, M):
     """All k-term arithmetic progressions inside [1..M], 0-based, as a
     (count, k) array ordered by step, then by first term."""
-    if k < 2:
-        # every step would repeat the same one-term progressions
-        raise InvalidInstance(f"need k >= 2, not {k}")
+    # with k < 2 every step would repeat the same one-term progressions
+    k, M = _integer(k, InvalidInstance, "k", least=2), _integer(M, InvalidInstance, "M", least=1)
     # steps d = 1..D have M - (k-1)d first terms each
-    D = max(0, (M - 1) // (k - 1))
+    D = (M - 1) // (k - 1)
     _check_edge_bytes(D * M - (k - 1) * D * (D + 1) // 2, k)
     terms = np.arange(k, dtype=np.int64)
     blocks = [np.arange(M - (k - 1) * d)[:, None] + d * terms for d in range(1, M)]
@@ -146,8 +146,12 @@ SYMMETRY_GROUP_LIMIT = 100_000
 
 
 def _cells(cells, V):
-    """``cells`` as an int64 array, after checking each is a vertex below V."""
-    cells = np.asarray(cells, dtype=np.int64)
+    """``cells`` as an int64 array, after checking each is a vertex below V:
+    a non-integer cell is refused, not truncated."""
+    cells = np.asarray(cells)
+    if cells.size and cells.dtype.kind not in "iu":
+        raise InvalidInstance(f"cells must be integers, not {cells.dtype}")
+    cells = cells.astype(np.int64, copy=False)
     if cells.size and (cells.min() < 0 or cells.max() >= V):
         raise InvalidInstance(f"cells must lie in [0, {V})")
     return cells
@@ -156,6 +160,7 @@ def _cells(cells, V):
 def _color_perms(r, rows):
     """The r! color permutations, or the identity alone when r! times the
     ``rows`` cell permutations kept would pass SYMMETRY_GROUP_LIMIT."""
+    r = _integer(r, InvalidInstance, "r", least=1)
     keep = factorial(r) * rows <= SYMMETRY_GROUP_LIMIT
     return np.array(list(permutations(range(r))) if keep else [tuple(range(r))], dtype=np.int64)
 
@@ -169,8 +174,7 @@ def hj_symmetry(n, N, r, cells):
     one when r! times the cell rows kept does."""
     # n >= 2 makes every (coordinate, alphabet) pair a distinct element: constant
     # words pin the alphabet permutation, one-nonzero-digit words the other
-    if n < 2 or N < 1:
-        raise InvalidInstance("need n >= 2, N >= 1")
+    n, N = _integer(n, InvalidInstance, "n", least=2), _integer(N, InvalidInstance, "N", least=1)
     # an oversized subgroup is dropped rather than enumerated: pruning less
     # is always sound, and N! * n! explodes quickly on wide alphabets
     coordinate = factorial(N) <= SYMMETRY_GROUP_LIMIT
@@ -193,6 +197,7 @@ def vdw_symmetry(M, r, cells):
     """The reflection x color group of [1..M] (0-based cells), tabulated on
     ``cells``: column j holds the images of cells[j].  The color subgroup is
     left out when r! times the cell rows passes SYMMETRY_GROUP_LIMIT."""
+    M = _integer(M, InvalidInstance, "M", least=1)
     cells = _cells(cells, M)
     rows = [cells, M - 1 - cells] if M > 1 else [cells]
     return Symmetry(np.stack(rows), _color_perms(r, len(rows)))
@@ -264,13 +269,15 @@ class _BudgetHit(Exception):
 
 
 def check_budgets(budget_nodes, budget_seconds):
-    """A caller's budgets are numbers >= 0 or inf: a negative one would stop
-    a search never allowed to run and report it as a budget stop, and a nan
-    one never stop it (this test is false for nan too)."""
-    if not (budget_nodes >= 0 and budget_seconds >= 0):
+    """A caller's budgets are real numbers >= 0 or inf: a negative one would
+    stop a search never allowed to run and report it as a budget stop, and a
+    nan one never stop it (this test is false for nan too).  Any other value,
+    a string or None, is refused before it is compared."""
+    real = all(isinstance(b, numbers.Real) for b in (budget_nodes, budget_seconds))
+    if not (real and budget_nodes >= 0 and budget_seconds >= 0):
         raise InvalidInstance(
-            f"budgets are numbers >= 0 or inf, not budget_nodes={budget_nodes}, "
-            f"budget_seconds={budget_seconds}"
+            f"budgets are numbers >= 0 or inf, not budget_nodes={budget_nodes!r}, "
+            f"budget_seconds={budget_seconds!r}"
         )
 
 
@@ -341,11 +348,10 @@ class HypergraphSolver:
 
     # -- state ---------------------------------------------------------
     def _reset(self):
-        V, r = self.V, self.r
         self.nodes = 0
         self.deadline = time.monotonic() + self.budget_seconds
-        if not all(isinstance(x, (int, np.integer)) for x in (V, r)) or V < 0 or r < 1:
-            raise InvalidInstance(f"need integers V >= 0 and r >= 1, not V={V}, r={r}")
+        V = _integer(self.V, InvalidInstance, "V", least=0)
+        r = _integer(self.r, InvalidInstance, "r", least=1)
         edges = _edge_array(self.edges, V)
         # the rows as lists, 4096 at a time, the deadline polled between blocks
         self.vertex_sets = []
@@ -498,12 +504,15 @@ class HypergraphSolver:
 
 
 def verify_proper_coloring(edges, coloring):
-    """Full edge scan: no edge monochromatic, all vertices colored.
-    ``edges`` is checked as the solver checks it, with V = len(coloring)."""
+    """Full edge scan: no edge monochromatic, all vertices colored, each by
+    an integer >= 0 (any other entry is no coloring, so False).  ``edges``
+    is checked as the solver checks it, with V = len(coloring)."""
     edges = _edge_array(edges, len(coloring))
-    if any(c is None or c < 0 for c in coloring):
+    try:
+        colors = [_integer(c, InvalidColoring, "a color", least=0) for c in coloring]
+    except InvalidColoring:
         return False
-    colors = np.asarray(coloring, dtype=np.int64)
+    colors = np.array(colors, dtype=np.int64)
     return not (colors[edges] == colors[edges[:, :1]]).all(axis=1).any()
 
 
@@ -532,10 +541,10 @@ class Instance:
     build_symmetry: Callable  # cells -> Symmetry
 
     def __post_init__(self):
-        first, last = INSTANCE_FIELDS[self.family]
-        a, size = (_integer(x, InvalidInstance, f) for x, f in zip(self.params, (first, last)))
-        if a < 2 or _integer(self.r, InvalidInstance, "r") < 1 or size < 1:
-            raise InvalidInstance(f"need {first} >= 2, r >= 1, {last} >= 1")
+        (a, size), (first, last) = self.params, INSTANCE_FIELDS[self.family]
+        _integer(a, InvalidInstance, first, least=2)
+        _integer(size, InvalidInstance, last, least=1)
+        _integer(self.r, InvalidInstance, "r", least=1)
 
     @property
     def kind(self):
@@ -698,8 +707,7 @@ def word_witness_search(family, coloring, max_len=8):
     substitution images are monochromatic.  Exhausted only means the length
     budget ran out: the abstract theorem guarantees a witness at some finite
     length."""
-    if max_len < 1:
-        raise InvalidInstance(f"need max_len >= 1, not {max_len}")
+    max_len = _integer(max_len, InvalidInstance, "max_len", least=1)
     require_fit(coloring, "words")
     return _first_monochromatic(
         family.ws.iter_words(max_len),
@@ -730,8 +738,7 @@ def find_ap_via_words(k, integer_coloring, max_len=8):
     """Cross-validate the digit-sum reduction: pull an integer coloring back
     to words over [k] along the digit sum, find a monochromatic line, and
     read off the arithmetic progression its images sum to."""
-    if k < 2:
-        raise InvalidInstance(f"need k >= 2, not {k}")
+    k = _integer(k, InvalidInstance, "k", least=2)
     require_fit(integer_coloring, "integers")
     pulled = PullbackColoring(integer_coloring, sum)
     out = word_witness_search(substitution_family(WordSemigroup(k)), pulled, max_len=max_len)

@@ -11,12 +11,12 @@ as one table of images, and ``hjlab validate`` prints every clause.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssociativityViolation, CarrierMismatch, ClosureViolation, InvalidStructure
+from .errors import (AssociativityViolation, CarrierMismatch, ClosureViolation,
+                     InvalidStructure, _integer)
 
 
 @dataclass
@@ -44,7 +44,10 @@ class FiniteSemigroup:
     """
 
     def __init__(self, table, labels=None):
-        table = np.asarray(table)
+        try:
+            table = np.asarray(table)
+        except ValueError:
+            raise InvalidStructure("Cayley table rows must be of one length") from None
         if table.ndim != 2 or table.shape[0] != table.shape[1] or table.shape[0] < 1:
             raise InvalidStructure("Cayley table must be a nonempty square matrix")
         if table.dtype.kind not in "iu":
@@ -91,19 +94,7 @@ def _size_of(carrier):
     other is CarrierMismatch."""
     if isinstance(carrier, FiniteSemigroup):
         return carrier.order
-    size = _integer(carrier, CarrierMismatch, "a carrier")
-    if size < 0:
-        raise CarrierMismatch(f"a carrier size must be >= 0, not {size}")
-    return size
-
-
-def _integer(value, error, what):
-    """``value`` as a Python int (a numpy integer too), or ``error`` naming
-    ``what``: a float, even a whole one, is refused, not truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{what} must be an integer, not {value!r}") from None
+    return _integer(carrier, CarrierMismatch, "a carrier size", least=0)
 
 
 @dataclass(frozen=True)
@@ -114,8 +105,7 @@ class SubsetQuery:
     mask: int
 
     def __post_init__(self):
-        mask = _integer(self.mask, InvalidStructure, "a mask")
-        if mask < 0 or mask >> _size_of(self.carrier):
+        if _integer(self.mask, InvalidStructure, "a mask", least=0) >> _size_of(self.carrier):
             raise InvalidStructure("mask does not fit the carrier")
 
     @classmethod
@@ -247,7 +237,7 @@ class RetractionFamily:
 
 def cyclic_semigroup(m):
     """(Z_m, +); the smallest non-idempotent examples live here."""
-    idx = np.arange(m)
+    idx = np.arange(_integer(m, InvalidStructure, "m", least=1))
     return FiniteSemigroup((idx[:, None] + idx[None, :]) % m)
 
 
@@ -262,6 +252,7 @@ def flag_semigroup(m):
     view selects the flag-0 elements T and the family is {sigma_0..sigma_m}
     with sigma_g(a, 1) = (max(a, g), 0).
     """
+    m = _integer(m, InvalidStructure, "m", least=0)
     n = 2 * (m + 1)
     table = np.empty((n, n), dtype=np.int64)
     labels = []

@@ -31,10 +31,11 @@ from .errors import (
     InvalidInstance,
     SearchSpaceTooLarge,
     VerificationError,
+    _integer,
 )
 from .instances import TableColoring
 from .search import finite_witness_search
-from .semigroups import FiniteSemigroup, SubsetQuery, _integer, _size_of
+from .semigroups import FiniteSemigroup, SubsetQuery, _size_of
 
 # image, product and tensor check all 2^16 subsets of 16 cells; the product's
 # translate sets then hold 16² cells × 2^16/8 packed bytes, 2 MiB
@@ -105,7 +106,10 @@ def _law_checked(member_of, size, point, operation):
 
 def _map_into(f, size):
     """f (a map, or a stack of maps) as int64, every value an integer inside ``size``."""
-    f = np.asarray(f)
+    try:
+        f = np.asarray(f)
+    except ValueError:
+        raise CarrierMismatch("a stack of maps must be rows of one length") from None
     if f.size and f.dtype.kind not in "iu":
         raise CarrierMismatch(f"maps must send points to integers, not {f.dtype}")
     f = f.astype(np.int64, copy=False)
@@ -251,8 +255,8 @@ def check_tensor_assoc(dims, points):
     """
     if len(dims) != 3 or len(points) != 3:
         raise InvalidInstance(f"(U⊗V)⊗W takes 3 factors, got dims {dims}, points {points}")
-    if any(d < 1 for d in dims):
-        raise InvalidInstance(f"factor sizes must be at least 1, not {dims}")
+    if min(_integer(d, CarrierMismatch, "a factor size") for d in dims) < 1:
+        raise InvalidInstance(f"need factor sizes >= 1, not {dims}")
     U, V, W = (PrincipalUltrafilter(d, p) for d, p in zip(dims, points))
     uf_tensor(uf_tensor(U, V), W)
     uf_tensor(U, uf_tensor(V, W))
@@ -304,9 +308,12 @@ def tensor_power_failures(S, maps, k, owner=None):
             if np.ndim(h) != 1 or len(h) != n:
                 raise CarrierMismatch(f"map {i} has shape {np.shape(h)}, not ({n},) for S")
     maps = _map_into(np.reshape(maps, (-1, n)), n)
-    owner = np.asarray(np.zeros(len(maps)) if owner is None else owner, dtype=np.int64)
+    owner = np.zeros(len(maps), dtype=np.int64) if owner is None else np.asarray(owner)
     if owner.shape != (len(maps),):
         raise CarrierMismatch(f"owner has shape {owner.shape}, not ({len(maps)},) for the maps")
+    if owner.size and owner.dtype.kind not in "iu":
+        raise CarrierMismatch(f"owner must name semigroups by integer, not {owner.dtype}")
+    owner = owner.astype(np.int64, copy=False)
     bad = np.flatnonzero((owner < 0) | (owner >= len(semigroups)))
     if len(bad):
         raise CarrierMismatch(
@@ -450,9 +457,7 @@ def check_agreement_equivalence(S, family, r):
 
     (a) runs the witness scan of ``search.finite_witness_search`` on every
     r-coloring of T in turn, up to the first that has no witness."""
-    r = _integer(r, InvalidInstance, "r")
-    if r < 1:
-        raise InvalidInstance(f"need r >= 1 colors, not {r}")
+    r = _integer(r, InvalidInstance, "r", least=1)
     if S.order > AGREEMENT_MAX_ORDER:
         raise SearchSpaceTooLarge(f"order {S.order} exceeds {AGREEMENT_MAX_ORDER}")
     if r > AGREEMENT_MAX_COLORS:

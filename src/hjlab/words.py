@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .errors import InvalidInstance
+from .errors import InvalidInstance, _integer
 
 X = -1
 
@@ -61,9 +61,7 @@ class WordSemigroup:
     """Lazily-generated free semigroup on n letters and the variable x."""
 
     def __init__(self, alphabet_size):
-        if alphabet_size < 1:
-            raise InvalidInstance(f"need alphabet size >= 1, not {alphabet_size}")
-        self.alphabet_size = alphabet_size
+        self.alphabet_size = _integer(alphabet_size, InvalidInstance, "alphabet size", least=1)
 
     def valid_word(self, word):
         return len(word) > 0 and all(s == X or 0 <= s < self.alphabet_size for s in word)

@@ -72,6 +72,32 @@ def test_words_imports_only_errors():
     assert _package_imports(SRC / "words.py") == {"errors"}
 
 
+def _dotted_names(path):
+    """``module.attr`` for each attribute read off a bare name in ``path``,
+    and for each name a ``from module import`` brings in."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names.append(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+    return names
+
+
+def test_integers_are_read_in_one_place():
+    """``errors._integer`` is the one reader of an integer parameter: no
+    other module calls ``operator.index``, and none tests for a numpy
+    integer type by hand."""
+    used = {path.name: _dotted_names(path) for path in sorted(SRC.glob("*.py"))}
+    assert "operator.index" in used["errors.py"]
+    found = [
+        f"{name}: {dotted}" for name, dotted_names in used.items() for dotted in dotted_names
+        if dotted in ("np.integer", "numpy.integer")
+        or dotted == "operator.index" and name != "errors.py"
+    ]
+    assert found == []
+
+
 def test_each_input_rule_has_one_home():
     """The CLI and the certificate verifier reach the coloring-kind table and
     the setting's clause checks only through ``instances.require_fit`` and
