@@ -1,13 +1,19 @@
-"""Exception types shared across the package, and ``_integer``, the one
-reader of an integer parameter.
+"""Exception types shared across the package, and the two readers of
+integer input: ``_integer`` for a parameter, ``_integers`` for an array.
 
 Every size, count, color and length a public entry takes is read by
 ``_integer``: a Python int or a numpy integer is its value; a float (even a
 whole one), a string or None is refused, not truncated, and so is a value
-below the entry's least.  Either refusal raises the entry's own error class.
-This module imports no other package module, so every module can use it.
+below the entry's least.  Every integer array an entry takes (a Cayley
+table, cells, edges, a map or a stack of them, owners) is read by
+``_integers``: ragged rows, another shape and a non-integer dtype are
+refused, not cast, and so is an entry outside the entry's range.  Each
+refusal raises the entry's own error class.  This module imports no other
+package module but numpy, so every module can use it.
 """
 import operator
+
+import numpy as np
 
 
 class HjlabError(Exception):
@@ -91,3 +97,49 @@ def _integer(value, error, what, least=None):
     if least is not None and value < least:
         raise error(f"need {what} >= {least}, not {value}")
     return value
+
+
+def _shape(value):
+    """``value``'s shape as numpy reads it, "ragged" for rows of other shapes."""
+    try:
+        return np.shape(value)
+    except ValueError:
+        return "ragged"
+
+
+def _fits(got, want):
+    """Shape ``got`` is ``want``, where a None matches any length."""
+    return got != "ragged" and len(got) == len(want) and all(
+        w in (None, g) for w, g in zip(want, got))
+
+
+def _integers(value, error, what, shape, below=None):
+    """``value`` as an int64 array of ``shape``, a None leaving that axis
+    free, or ``error`` naming ``what``, one row of it.  Another shape is
+    refused, naming the first row whose shape differs from ``shape[1:]``
+    or from the rows before it, where there is one (``map 2 has shape
+    (3,), not (4,)``); so are ragged rows and a non-integer dtype, not cast,
+    and an entry outside [0, below), named by its index and value.  An
+    empty list is no rows."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged rows, one of them named below
+        array = None
+    if array is not None and array.shape == (0,):
+        array = np.empty((0, *(w or 0 for w in shape[1:])), dtype=np.int64)
+    got = "ragged" if array is None else array.shape
+    if not _fits(got, shape):
+        want = shape[1:]
+        for i, row in enumerate(value if shape and got != () else ()):
+            if not _fits(row_shape := _shape(row), want):
+                raise error(f"{what} {i} has shape {row_shape}, not {want}")
+            want = row_shape
+        raise error(f"{what}s have shape {got}, not {shape}")
+    if array.size and array.dtype.kind not in "iu":
+        raise error(f"{what}s must hold integers, not {array.dtype}")
+    array = array.astype(np.int64, copy=False)
+    if below is not None and array.size and (array.min() < 0 or array.max() >= below):
+        bad = np.argwhere((array < 0) | (array >= below))[0]
+        index = "".join(f"[{i}]" for i in bad)
+        raise error(f"{what}{index} = {array[tuple(bad)]} is outside [0, {below})")
+    return array

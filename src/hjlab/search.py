@@ -51,7 +51,7 @@ from math import factorial
 import numpy as np
 
 from .errors import (InvalidColoring, InvalidInstance, SearchSpaceTooLarge, VerificationError,
-                     _integer)
+                     _integer, _integers)
 from .instances import PullbackColoring, require_fit
 from .words import WordSemigroup, substitution_family
 
@@ -145,18 +145,6 @@ class Symmetry:
 SYMMETRY_GROUP_LIMIT = 100_000
 
 
-def _cells(cells, V):
-    """``cells`` as an int64 array, after checking each is a vertex below V:
-    a non-integer cell is refused, not truncated."""
-    cells = np.asarray(cells)
-    if cells.size and cells.dtype.kind not in "iu":
-        raise InvalidInstance(f"cells must be integers, not {cells.dtype}")
-    cells = cells.astype(np.int64, copy=False)
-    if cells.size and (cells.min() < 0 or cells.max() >= V):
-        raise InvalidInstance(f"cells must lie in [0, {V})")
-    return cells
-
-
 def _color_perms(r, rows):
     """The r! color permutations, or the identity alone when r! times the
     ``rows`` cell permutations kept would pass SYMMETRY_GROUP_LIMIT."""
@@ -179,7 +167,7 @@ def hj_symmetry(n, N, r, cells):
     # is always sound, and N! * n! explodes quickly on wide alphabets
     coordinate = factorial(N) <= SYMMETRY_GROUP_LIMIT
     alphabet = factorial(n) * (factorial(N) if coordinate else 1) <= SYMMETRY_GROUP_LIMIT
-    cells = _cells(cells, n ** N)
+    cells = _integers(cells, InvalidInstance, "cell", (None,), below=n ** N)
     weights = n ** np.arange(N - 1, -1, -1, dtype=np.int64)
     digits = cells[:, None] // weights % n  # (len(cells), N): the word each cell codes
     coord = list(permutations(range(N))) if coordinate else [tuple(range(N))]
@@ -190,7 +178,8 @@ def hj_symmetry(n, N, r, cells):
     for i, cp in enumerate(coord):
         # word w goes to (ap[w[cp[0]]], ..., ap[w[cp[N-1]]]), every ap at once
         table[i] = alpha[:, digits[:, cp]] @ weights
-    return Symmetry(table.reshape(-1, len(cells)), _color_perms(r, len(coord) * len(alpha)))
+    rows = len(coord) * len(alpha)
+    return Symmetry(table.reshape(rows, len(cells)), _color_perms(r, rows))
 
 
 def vdw_symmetry(M, r, cells):
@@ -198,7 +187,7 @@ def vdw_symmetry(M, r, cells):
     ``cells``: column j holds the images of cells[j].  The color subgroup is
     left out when r! times the cell rows passes SYMMETRY_GROUP_LIMIT."""
     M = _integer(M, InvalidInstance, "M", least=1)
-    cells = _cells(cells, M)
+    cells = _integers(cells, InvalidInstance, "cell", (None,), below=M)
     rows = [cells, M - 1 - cells] if M > 1 else [cells]
     return Symmetry(np.stack(rows), _color_perms(r, len(rows)))
 
@@ -283,23 +272,16 @@ def check_budgets(budget_nodes, budget_seconds):
 
 def _edge_array(edges, V):
     """``edges`` as an (E, k) int64 array of k distinct vertices of [0, V)
-    a row, or InvalidInstance: ragged rows and non-integer vertices are
-    refused, not converted.  No vertex at all is no edges, shape (0, 1)."""
-    try:
-        edges = np.asarray(edges)
-    except ValueError:
-        raise InvalidInstance("edges must be rows of one length") from None
+    a row, read by ``_integers``, or InvalidInstance.  No vertex at all is
+    no edges, shape (0, 1)."""
+    edges = _integers(edges, InvalidInstance, "edge", (None, None), below=V)
     if not edges.size:
         return np.empty((0, 1), dtype=np.int64)
-    if edges.ndim != 2 or edges.dtype.kind not in "iu":
-        raise InvalidInstance(f"edges must be an (E, k) int array, not {edges.dtype} {edges.shape}")
-    if edges.min() < 0 or edges.max() >= V:
-        raise InvalidInstance(f"edge vertices must lie in [0, {V})")
     rows = np.sort(edges, axis=1)
     repeats = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(axis=1))
     if len(repeats):
         raise InvalidInstance(f"edge {int(repeats[0])} repeats a vertex")
-    return edges.astype(np.int64, copy=False)
+    return edges
 
 
 @dataclass(slots=True)
@@ -553,6 +535,7 @@ class Instance:
 
 def hj_instance(n, r, N):
     """[n]^N (base-n encoded words) with the combinatorial lines as edges."""
+    n, N = _integer(n, InvalidInstance, "n", least=2), _integer(N, InvalidInstance, "N", least=1)
     return Instance(
         "hj",
         (n, N),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AssociativityViolation, CarrierMismatch, ClosureViolation,
-                     InvalidStructure, _integer)
+                     InvalidStructure, _integer, _integers)
 
 
 @dataclass
@@ -44,16 +44,10 @@ class FiniteSemigroup:
     """
 
     def __init__(self, table, labels=None):
-        try:
-            table = np.asarray(table)
-        except ValueError:
-            raise InvalidStructure("Cayley table rows must be of one length") from None
-        if table.ndim != 2 or table.shape[0] != table.shape[1] or table.shape[0] < 1:
+        table = _integers(table, InvalidStructure, "Cayley table row", (None, None))
+        n = len(table)
+        if table.shape != (n, n) or n < 1:
             raise InvalidStructure("Cayley table must be a nonempty square matrix")
-        if table.dtype.kind not in "iu":
-            raise InvalidStructure(f"Cayley table must hold integers, not {table.dtype}")
-        table = table.astype(np.int64, copy=False)
-        n = table.shape[0]
         bad = np.argwhere((table < 0) | (table >= n))
         if len(bad):
             i, j = map(int, bad[0])

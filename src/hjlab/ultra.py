@@ -32,6 +32,7 @@ from .errors import (
     SearchSpaceTooLarge,
     VerificationError,
     _integer,
+    _integers,
 )
 from .instances import TableColoring
 from .search import finite_witness_search
@@ -104,25 +105,6 @@ def _law_checked(member_of, size, point, operation):
     return int(point)
 
 
-def _map_into(f, size):
-    """f (a map, or a stack of maps) as int64, every value an integer inside ``size``."""
-    try:
-        f = np.asarray(f)
-    except ValueError:
-        raise CarrierMismatch("a stack of maps must be rows of one length") from None
-    if f.size and f.dtype.kind not in "iu":
-        raise CarrierMismatch(f"maps must send points to integers, not {f.dtype}")
-    f = f.astype(np.int64, copy=False)
-    bad = np.argwhere((f < 0) | (f >= size))
-    if len(bad):
-        *stack, s = (int(i) for i in bad[0])
-        name = f"map {stack[0]}" if stack else "map"
-        raise CarrierMismatch(
-            f"{name} sends {s} to {int(f[tuple(bad[0])])}, outside a carrier of size {size}"
-        )
-    return f
-
-
 def _at(sets, point=None):
     """Test a set table at a point of its last carrier axis c:
     (..., c, E, P, W) -> (..., E, P, W), by basic indexing.  With no point,
@@ -161,9 +143,8 @@ def image(f, U, target):
     """Image ultrafilter of U under f, at f(point) once the membership law
     agrees with it on every subset of a target of at most LAW_BOUND points.
     """
-    _require_same_carrier(len(f), _size_of(U.carrier))
     tsize = _size_of(target)
-    f = _map_into(f, tsize)
+    f = _integers(f, CarrierMismatch, "image", (_size_of(U.carrier),), below=tsize)
     point = _law_checked(lambda B: image_member(B, f, U.point), tsize, f[U.point], "image")
     return PrincipalUltrafilter(target, point)
 
@@ -303,23 +284,10 @@ def tensor_power_failures(S, maps, k, owner=None):
             raise CarrierMismatch(f"semigroup {g} has order {other.order}, not {n}")
     if _integer(k, InvalidInstance, "k") not in TENSOR_POWERS:
         raise InvalidInstance(f"tensor powers take k = 2 or 3 factors, not {k}")
-    if not (isinstance(maps, np.ndarray) and maps.ndim == 2 and maps.shape[1] == n):
-        for i, h in enumerate(maps):
-            if np.ndim(h) != 1 or len(h) != n:
-                raise CarrierMismatch(f"map {i} has shape {np.shape(h)}, not ({n},) for S")
-    maps = _map_into(np.reshape(maps, (-1, n)), n)
-    owner = np.zeros(len(maps), dtype=np.int64) if owner is None else np.asarray(owner)
-    if owner.shape != (len(maps),):
-        raise CarrierMismatch(f"owner has shape {owner.shape}, not ({len(maps)},) for the maps")
-    if owner.size and owner.dtype.kind not in "iu":
-        raise CarrierMismatch(f"owner must name semigroups by integer, not {owner.dtype}")
-    owner = owner.astype(np.int64, copy=False)
-    bad = np.flatnonzero((owner < 0) | (owner >= len(semigroups)))
-    if len(bad):
-        raise CarrierMismatch(
-            f"map {int(bad[0])} names semigroup {int(owner[bad[0]])}, "
-            f"outside the {len(semigroups)} given"
-        )
+    maps = _integers(maps, CarrierMismatch, "map", (None, n), below=n)
+    owner = np.zeros(len(maps), dtype=np.int64) if owner is None else _integers(
+        owner, CarrierMismatch, "owner", (len(maps),), below=len(semigroups)
+    )
     tables = np.stack([other.table for other in semigroups])
     words = np.indices((n,) * k).reshape(k, -1)
     folds = words[0]

@@ -1,7 +1,9 @@
 """Integer parameters and integer arrays: every size, count, color and
 length a public entry takes is read by ``errors._integer``, so a float or a
 string is refused with the entry's own package error, never truncated, and
-so is a value below the entry's least."""
+so is a value below the entry's least; every integer array it takes is read
+by ``errors._integers``, so ragged rows, another shape, a float dtype and an
+entry outside the entry's range are refused with that error too."""
 import numpy as np
 import pytest
 
@@ -55,6 +57,8 @@ SITES = [
     ("alphabet-size", WordSemigroup, 2, 1, InvalidInstance),
     ("lines-n", lambda x: LineHypergraph.build(x, 2), 2, 2, InvalidInstance),
     ("lines-N", lambda x: LineHypergraph.build(2, x), 2, 1, InvalidInstance),
+    ("hj-instance-n", lambda x: hj_check(x, 2, 2), 2, 2, InvalidInstance),
+    ("hj-instance-N", lambda x: hj_check(2, 2, x), 2, 1, InvalidInstance),
     ("ap-k", lambda x: ap_edges(x, 9), 3, 2, InvalidInstance),
     ("ap-M", lambda x: ap_edges(3, x), 9, 1, InvalidInstance),
     ("hj-symmetry-n", lambda x: hj_symmetry(x, 2, 2, [0]), 2, 2, InvalidInstance),
@@ -109,6 +113,60 @@ def test_a_numpy_integer_reads_as_its_value():
 def test_integer_arrays_are_refused_not_cast(call, error):
     with pytest.raises(error):
         call()
+
+
+# (id, the call with the array in place, a valid array, the bound its
+# entries lie below, the error); a Cayley table's bound is its order
+ARRAY_SITES = [
+    ("table", FiniteSemigroup, [[0, 0], [0, 0]], 2, InvalidStructure),
+    ("hj-cells", lambda x: hj_symmetry(2, 2, 2, x), [0, 3], 4, InvalidInstance),
+    ("vdw-cells", lambda x: vdw_symmetry(5, 2, x), [0, 4], 5, InvalidInstance),
+    ("solver-edges", lambda x: HypergraphSolver(3, x, 2).solve(), [[0, 1], [1, 2]], 3,
+     InvalidInstance),
+    ("verify-edges", lambda x: verify_proper_coloring(x, [0, 1, 0]), [[0, 1], [1, 2]], 3,
+     InvalidInstance),
+    ("image-map", lambda x: image(x, PrincipalUltrafilter(2, 0), 2), [0, 1], 2, CarrierMismatch),
+    ("tensor-maps", lambda x: tensor_power_failures(cyclic_semigroup(2), x, 2), [[0, 1]], 2,
+     CarrierMismatch),
+    ("owner", lambda x: tensor_power_failures([cyclic_semigroup(2)] * 2, [[0, 1], [0, 1]], 2,
+                                              owner=x), [0, 1], 2, CarrierMismatch),
+]
+
+
+def _last_entry(valid, value):
+    """``valid`` with its last entry set to ``value``."""
+    array = np.array(valid)
+    array.flat[-1] = value
+    return array.tolist()
+
+
+def _array_cases():
+    """Ragged rows, a float dtype, one axis too many (2-D cells were an
+    IndexError in hj_symmetry and a (2, 1, 2) table in vdw_symmetry), then
+    an entry of -1 and one equal to the bound, each named by its value."""
+    for name, call, valid, below, error in ARRAY_SITES:
+        *head, last = valid
+        bad = [
+            ("ragged", [*head, last[:-1] if np.ndim(last) else [last]], "has shape"),
+            ("float", np.array(valid, dtype=float), "must hold integers"),
+            ("ndim", [valid], "has shape"),
+            ("negative", _last_entry(valid, -1), r"\] = -1 is outside"),
+            ("bound", _last_entry(valid, below), rf"\] = {below} is outside"),
+        ]
+        for kind, value, match in bad:
+            yield pytest.param(call, value, error, match, id=f"{name}-{kind}")
+
+
+@pytest.mark.parametrize("call,value,error,match", _array_cases())
+def test_each_integer_array_is_read_not_cast(call, value, error, match):
+    with pytest.raises(error, match=match):
+        call(value)
+
+
+def test_a_valid_array_reads_as_a_list_or_an_integer_array():
+    for _, call, valid, _, _ in ARRAY_SITES:
+        call(valid)
+        call(np.array(valid, dtype=np.int32))
 
 
 @pytest.mark.parametrize("coloring", [[0, 1, 0.5], [0, [1], 0], [0, "1", 0]],

@@ -505,9 +505,16 @@ def test_vdw_symmetry_maps_arbitrary_cells():
     lambda cells: vdw_symmetry(5, 2, cells),
 ])
 def test_symmetry_rejects_cells_outside_the_carrier(build):
-    for cells in ([-1], [0, 5]):
-        with pytest.raises(InvalidInstance, match="cells must lie"):
+    for cells, match in (([-1], r"cell\[0\] = -1 is outside"),
+                         ([0, 5], r"cell\[1\] = 5 is outside")):
+        with pytest.raises(InvalidInstance, match=match):
             build(cells)
+
+
+def test_symmetry_on_no_cells_is_an_empty_table():
+    # hj_symmetry ended in numpy's bare ValueError at reshape(-1, 0)
+    assert hj_symmetry(3, 2, 2, []).cell_perms.shape == (2 * 6, 0)
+    assert vdw_symmetry(5, 2, []).cell_perms.shape == (2, 0)
 
 
 def test_hj_solver_tabulates_the_decision_head_only(monkeypatch):

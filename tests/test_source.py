@@ -98,6 +98,24 @@ def test_integers_are_read_in_one_place():
     assert found == []
 
 
+def test_integer_arrays_are_read_in_one_place():
+    """``errors._integers`` is the one reader of an integer array: besides
+    it, only ``validate_retraction``, which reports a clause rather than
+    raising, reads a ``.dtype.kind``."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        # each node's innermost function: ast.walk reaches outer ones first
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        found |= {
+            f"{path.name} {owner.get(id(node))}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "kind"
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"
+        }
+    assert sorted(found) == ["errors.py _integers", "semigroups.py validate_retraction"]
+
+
 def test_each_input_rule_has_one_home():
     """The CLI and the certificate verifier reach the coloring-kind table and
     the setting's clause checks only through ``instances.require_fit`` and
