@@ -5,10 +5,11 @@ Every size, count, color and length a public entry takes is read by
 ``_integer``: a Python int or a numpy integer is its value; a float (even a
 whole one), a string or None is refused, not truncated, and so is a value
 below the entry's least.  Every integer array an entry takes (a Cayley
-table, cells, edges, a map or a stack of them, owners) is read by
-``_integers``: ragged rows, another shape and a non-integer dtype are
-refused, not cast, and so is an entry outside the entry's range.  Each
-refusal raises the entry's own error class.  This module imports no other
+table, retraction rows, cells, edges, a map or a stack of them, owners) is
+read by ``_integers``: ragged rows, another shape and a non-integer dtype
+are refused, not cast, and so is an entry outside the entry's range.  Each
+refusal raises the entry's own error class; ``validate_retraction`` reports
+it as its failed clause rather than raising.  This module imports no other
 package module but numpy, so every module can use it.
 """
 import operator

@@ -123,13 +123,21 @@ class SubsetQuery:
         return bool((self.mask >> i) & 1)
 
 
+def _semigroup_of(view):
+    """The FiniteSemigroup that T (``view``) is a subset of, or
+    InvalidStructure when T lies in a bare carrier size."""
+    if not isinstance(view.carrier, FiniteSemigroup):
+        raise InvalidStructure("T must be a subset of a FiniteSemigroup")
+    return view.carrier
+
+
 def is_nice_subsemigroup(view):
     """Decide whether the subset ``view`` of a finite S (a SubsetQuery) is a
     nonempty subsemigroup whose complement is a two-sided ideal.
 
     Returns a CheckResult whose witness is the first violating pair.
     """
-    S = view.carrier
+    S = _semigroup_of(view)
     members = view.members()
     comp = view.complement()
     if not members:
@@ -150,17 +158,15 @@ def is_nice_subsemigroup(view):
 def validate_retraction(view, mapping):
     """Check homomorphism, identity-on-T and range-in-T for one map, the
     images of 0..n-1, on the finite S of ``view``, exhaustively.  Returns a
-    CheckResult naming the first failing clause.
+    CheckResult naming the first failing clause; a row that ``_integers``
+    refuses (another shape, a non-integer dtype, an image outside the
+    carrier) is reported as that clause, not raised.
     """
-    S = view.carrier
-    sigma = np.asarray(mapping)
-    if sigma.shape != (S.order,):
-        return CheckResult(False, "totality", (len(sigma), S.order))
-    if sigma.dtype.kind not in "iu":
-        return CheckResult(False, f"integer images, not {sigma.dtype}")
-    if ((sigma < 0) | (sigma >= S.order)).any():
-        bad = int(np.argwhere((sigma < 0) | (sigma >= S.order))[0])
-        return CheckResult(False, "range", (bad, int(sigma[bad])))
+    S = _semigroup_of(view)
+    try:
+        sigma = _integers(mapping, InvalidStructure, "image", (S.order,), below=S.order)
+    except InvalidStructure as e:
+        return CheckResult(False, str(e))
     for x in range(S.order):
         if not view.contains(int(sigma[x])):
             return CheckResult(False, "range-in-T", (x, int(sigma[x])))
@@ -181,13 +187,11 @@ def setting_clauses(view, maps):
     """The theorem's setting, clause by clause, for T (``view``, a SubsetQuery
     of a FiniteSemigroup) and the rows of ``maps``: ("nice subsemigroup",
     result), then ("retraction i", result), a retraction onto T listed once."""
-    if not isinstance(view.carrier, FiniteSemigroup):
-        raise InvalidStructure("T must be a subset of a FiniteSemigroup")
     yield "nice subsemigroup", is_nice_subsemigroup(view)
     first = {}
     for i, row in enumerate(maps):
         res = validate_retraction(view, row)
-        if res and (j := first.setdefault(np.asarray(row, dtype=np.int64).tobytes(), i)) < i:
+        if res and (j := first.setdefault(tuple(row), i)) < i:
             res = CheckResult(False, f"repeats retraction {j}")
         yield f"retraction {i}", res
 
@@ -209,11 +213,10 @@ class RetractionFamily:
     """
 
     def __init__(self, view, maps):
-        maps = [np.asarray(row) for row in maps]
-        if not maps:
+        maps = _integers(maps, InvalidStructure, "retraction", (None, None))
+        if not len(maps):
             raise InvalidStructure("retraction family must be nonempty")
         check_setting(view, maps)
-        maps = np.stack(maps).astype(np.int64)
         maps.setflags(write=False)
         self.view = view
         self.maps = maps

@@ -1,6 +1,7 @@
 """Certificates: deterministic rendering, round-trips, verification, and
 tamper rejection."""
 import hashlib
+import time
 
 import pytest
 
@@ -193,6 +194,18 @@ def test_vdw_semantic_check_catches_bad_assignment():
     bad = dataclasses.replace(cert, assignment=[0] * len(cert.assignment))
     ok, msg = verify_certificate(bad)
     assert not ok and "monochromatic" in msg
+
+
+def test_an_hj_assignment_far_short_of_n_to_the_N_fails_fast():
+    # 3 ** 10**7 took seconds to compute, and formatting it into the
+    # mismatch message exceeded Python's integer string limit
+    text = render_certificate(ColoringCertificate("hj", (3, 10**7), 2, [0, 1], 0))
+    assert len(text.encode()) == 167
+    start = time.perf_counter()
+    ok, msg = verify_certificate_text(text)
+    assert time.perf_counter() - start < 0.5
+    assert not ok and "assignment length 2" in msg
+    assert "digits" not in msg and str(10**7) not in msg
 
 
 def test_reduction_field_drives_the_recheck():

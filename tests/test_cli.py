@@ -509,6 +509,36 @@ def test_validate_and_the_family_name_a_repeat_alike(tmp_path, capsys):
     assert capsys.readouterr().out == "error: retraction 1: repeats retraction 0\n"
 
 
+def test_a_retraction_image_outside_the_carrier_is_named(tmp_path, capsys):
+    # each command ended in a TypeError traceback from int(argwhere(...)[0])
+    good = "semigroup 4\n0 1 2 3\n1 1 3 3\n2 3 2 3\n3 3 3 3\nT: 0 2\nretraction: 0 0 2 2\n"
+    path = tmp_path / "out.sg"
+    path.write_text(good.replace("retraction: 0 0", "retraction: 0 7"))
+    clause = "image[1] = 7 is outside [0, 4)"
+    assert main(["validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.endswith(f"retraction 0: fail ({clause})\n") and err == ""
+    refusal = f"retraction 0: {clause}"
+    for argv in (["witness", "--semigroup", str(path), "--coloring", "apres:2"],
+                 ["ultra", "lemma2", "--semigroup", str(path)],
+                 ["ultra", "corpus", "--semigroup", str(path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == (f"error: {refusal}\n", "")
+    # a witness-finite certificate resealed with that retraction
+    cert = tmp_path / "f.cert"
+    (tmp_path / "good.sg").write_text(good)
+    assert main(["witness", "--semigroup", str(tmp_path / "good.sg"), "--coloring", "apres:2",
+                 "-o", str(cert)]) == 0
+    capsys.readouterr()
+    payload = cert.read_text().rsplit("check: ", 1)[0]
+    payload = payload.replace("retraction: 0 0 2 2\n", "retraction: 0 7 2 2\n")
+    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    cert.write_text(payload + f"check: {digest}\nend\n")
+    assert main(["verify", str(cert)]) == 1
+    out, err = capsys.readouterr()
+    assert out == f"{cert}: fail (verification error: {refusal})\n" and err == ""
+
+
 def test_an_instance_past_the_edge_bound_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(search, "EDGE_BYTES_LIMIT", 15)  # [2]^1 has one line of 16 bytes
     assert main(["hj", "-n", "2", "-r", "2", "--max-N", "4"]) == 2

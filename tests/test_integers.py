@@ -14,6 +14,7 @@ from hjlab import (
     LineHypergraph,
     ModSumColoring,
     PrincipalUltrafilter,
+    RetractionFamily,
     SubsetQuery,
     TableColoring,
     WordSemigroup,
@@ -130,6 +131,8 @@ ARRAY_SITES = [
      CarrierMismatch),
     ("owner", lambda x: tensor_power_failures([cyclic_semigroup(2)] * 2, [[0, 1], [0, 1]], 2,
                                               owner=x), [0, 1], 2, CarrierMismatch),
+    ("retractions", lambda x: RetractionFamily(flag_semigroup(1)[1], x),
+     [[0, 0, 2, 2], [0, 2, 2, 2]], 4, InvalidStructure),
 ]
 
 

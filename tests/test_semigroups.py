@@ -1,5 +1,6 @@
 """Core structures: Cayley tables, nice subsemigroups, retractions, words."""
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -154,6 +155,34 @@ def test_retraction_validation():
     mapping[flag_index(2, 1)] = flag_index(2, 0)
     res = validate_retraction(view, mapping)
     assert not res.ok
+
+
+@pytest.mark.parametrize("mapping,clause", [
+    ([0, 7, 2, 2], r"image\[1\] = 7 is outside \[0, 4\)"),
+    ([0, -1, 2, 2], r"image\[1\] = -1 is outside \[0, 4\)"),
+    (5, r"images have shape \(\), not \(4,\)"),
+    ([[0], [0, 1]], r"image 0 has shape \(1,\), not \(\)"),
+], ids=["above", "negative", "scalar", "ragged"])
+def test_a_row_the_reader_refuses_is_a_failed_clause(mapping, clause):
+    # an image outside the carrier was a TypeError from int(argwhere(...)[0]),
+    # a ragged row numpy's bare ValueError
+    res = validate_retraction(flag_semigroup(1)[1], mapping)
+    assert not res.ok and re.fullmatch(clause, res.describe())
+
+
+@pytest.mark.parametrize("maps", [5, [0, 0, 2, 2]], ids=["scalar", "bare-row"])
+def test_a_family_is_a_table_of_rows(maps):
+    with pytest.raises(InvalidStructure):
+        RetractionFamily(flag_semigroup(1)[1], maps)
+
+
+def test_the_setting_checks_need_t_in_a_semigroup():
+    # T in a bare carrier size: AttributeErrors on 'int' .mul and .order
+    view = SubsetQuery.from_members(3, [0])
+    with pytest.raises(InvalidStructure, match="FiniteSemigroup"):
+        is_nice_subsemigroup(view)
+    with pytest.raises(InvalidStructure, match="FiniteSemigroup"):
+        validate_retraction(view, [0, 0, 0])
 
 
 def test_family_rejects_invalid_and_duplicate_members():

@@ -99,9 +99,8 @@ def test_integers_are_read_in_one_place():
 
 
 def test_integer_arrays_are_read_in_one_place():
-    """``errors._integers`` is the one reader of an integer array: besides
-    it, only ``validate_retraction``, which reports a clause rather than
-    raising, reads a ``.dtype.kind``."""
+    """``errors._integers`` is the one reader of an integer array: nothing
+    else reads a ``.dtype.kind``."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -113,7 +112,7 @@ def test_integer_arrays_are_read_in_one_place():
             if isinstance(node, ast.Attribute) and node.attr == "kind"
             and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"
         }
-    assert sorted(found) == ["errors.py _integers", "semigroups.py validate_retraction"]
+    assert sorted(found) == ["errors.py _integers"]
 
 
 def test_each_input_rule_has_one_home():
