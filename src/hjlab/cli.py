@@ -43,7 +43,6 @@ from .search import (
     DEFAULT_TIME_BUDGET,
     INSTANCE_FIELDS,
     WitnessOutcome,
-    check_budgets,
     finite_witness_search,
     find_ap_via_words,
     hj_instance,
@@ -106,20 +105,10 @@ def cmd_validate(args):
 
 
 def cmd_witness(args):
-    if bool(args.hj) == bool(args.semigroup):
-        raise InvalidInstance("choose exactly one of --hj or --semigroup")
+    """The first witness in the mode given: a variable word (--hj), one whose images'
+    digit sums are a progression (--vdw), or a point of R in a file (--semigroup)."""
     coloring = parse_coloring_spec(args.coloring)
-    if args.hj:
-        ws = WordSemigroup(args.alphabet)
-        outcome = word_witness_search(substitution_family(ws), coloring, max_len=args.max_len)
-        if outcome.status != "found":
-            print(f"exhausted: {outcome.budget_note} ({outcome.checked} words checked)")
-            return EXIT_NEGATIVE
-        cert = words_witness_certificate(ws, coloring, outcome)
-        print(f"witness: {format_word(outcome.witness)}")
-        print("images: " + " ".join(format_word(w) for w in outcome.images))
-        print(f"color: {outcome.color}")
-    else:
+    if args.semigroup:
         S, view, family = _load_structures(parse_semigroup_file(args.semigroup), need_family=True)
         outcome = finite_witness_search(family, coloring)
         if outcome.status != "found":
@@ -128,7 +117,24 @@ def cmd_witness(args):
         cert = finite_witness_certificate(S, family, coloring, outcome)
         print(f"witness: {S.element_name(outcome.witness)} (index {outcome.witness})")
         print("images: " + " ".join(S.element_name(x) for x in outcome.images))
-        print(f"color: {outcome.color}")
+    else:
+        ws = WordSemigroup(args.alphabet)
+        if args.vdw:
+            via = find_ap_via_words(args.alphabet, coloring, max_len=args.max_len)
+            images = via.word and substitution_family(ws).images(via.word)  # None if exhausted
+            outcome = WitnessOutcome(via.status, via.word, images, via.color, via.checked,
+                                     f"no witness up to length {args.max_len}")
+        else:
+            outcome = word_witness_search(substitution_family(ws), coloring, max_len=args.max_len)
+        if outcome.status != "found":
+            print(f"exhausted: {outcome.budget_note} ({outcome.checked} words checked)")
+            return EXIT_NEGATIVE
+        cert = words_witness_certificate(ws, coloring, outcome, "vdw" if args.vdw else "none")
+        print(f"witness: {format_word(outcome.witness)}")
+        print("images: " + " ".join(format_word(w) for w in outcome.images))
+        if args.vdw:
+            print("progression: " + " ".join(str(m) for m in via.progression))
+    print(f"color: {outcome.color}")
     if args.output:
         save_certificate(cert, args.output)
         print(f"certificate: {args.output}")
@@ -178,37 +184,6 @@ def cmd_number(args):
         return EXIT_BUDGET
     print(f"{name} > {result.lower_bound} (lower bound only)")
     return EXIT_NEGATIVE
-
-
-def cmd_vdw(args):
-    # --via-hj runs no sweep, but a bad budget is bad input on both paths
-    check_budgets(args.budget_nodes, args.budget_seconds)
-    if args.via_hj:
-        return cmd_via_hj(args)
-    if args.max_M is None:
-        raise InvalidInstance("--max-M is required unless --via-hj is given")
-    return cmd_number(args)
-
-
-def cmd_via_hj(args):
-    coloring = parse_coloring_spec(args.coloring or f"apres:{args.r}")
-    out = find_ap_via_words(args.k, coloring, max_len=args.max_len)
-    if out.status != "found":
-        print(f"exhausted after {out.checked} words")
-        return EXIT_NEGATIVE
-    print(f"witness word: {format_word(out.word)}")
-    print("progression: " + " ".join(str(m) for m in out.progression))
-    print(f"color: {out.color}")
-    if args.cert_dir:
-        os.makedirs(args.cert_dir, exist_ok=True)
-        ws = WordSemigroup(args.k)
-        images = substitution_family(ws).images(out.word)
-        outcome = WitnessOutcome("found", out.word, images, out.color, out.checked)
-        cert = words_witness_certificate(ws, coloring, outcome, reduction="vdw")
-        path = os.path.join(args.cert_dir, f"vdw-viahj-k{args.k}.cert")
-        save_certificate(cert, path)
-        print(f"certificate: {path}")
-    return EXIT_OK
 
 
 # -- ultra ----------------------------------------------------------------
@@ -302,22 +277,24 @@ def build_parser():
     p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("witness", allow_abbrev=False, help="search for a monochromatic image set")
-    p.add_argument("--hj", action="store_true", help="word-semigroup instance")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--hj", action="store_true", help="word-semigroup instance")
+    mode.add_argument("--vdw", action="store_true",
+                      help="word-semigroup instance colored by digit sums, read as a progression")
+    mode.add_argument("--semigroup", help="finite instance from a semigroup file")
     p.add_argument("--alphabet", type=int, default=2)
     p.add_argument("--max-len", type=int, default=8)
-    p.add_argument("--semigroup", help="finite instance from a semigroup file")
-    p.add_argument("--coloring", required=True,
-                   help="mod:<r> | table:<path> for --hj, table:<path> for --semigroup")
+    p.add_argument("--coloring", required=True, help="mod:<r> | table:<path> for --hj, "
+                   "apres:<r> | table:<path> for --vdw and --semigroup")
     p.add_argument("-o", "--output", help="certificate output path")
     p.set_defaults(handler=cmd_witness)
 
     # the options every least-size sweep shares
     sweep = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     sweep.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET,
-                       help="search nodes allowed for each size (vdw --via-hj runs no sweep)")
+                       help="search nodes allowed for each size")
     sweep.add_argument("--budget-seconds", type=float, default=DEFAULT_TIME_BUDGET,
-                       help="seconds allowed for the whole sweep, set-up included "
-                       "(vdw --via-hj runs no sweep)")
+                       help="seconds allowed for the whole sweep, set-up included")
     sweep.add_argument("--no-symmetry", action="store_true")
     sweep.add_argument("--cert-dir", help="write SAT coloring certificates here")
 
@@ -332,11 +309,8 @@ def build_parser():
                        help="van der Waerden number by backtracking")
     p.add_argument("-k", type=int, required=True, help="progression length")
     p.add_argument("-r", type=int, default=2, help="number of colors")
-    p.add_argument("--max-M", type=int)
-    p.add_argument("--via-hj", action="store_true", help="cross-validate the reduction")
-    p.add_argument("--coloring", help="integer coloring for --via-hj (default apres:r)")
-    p.add_argument("--max-len", type=int, default=8, help="word budget for --via-hj")
-    p.set_defaults(handler=cmd_vdw)
+    p.add_argument("--max-M", type=int, required=True)
+    p.set_defaults(handler=cmd_number)
 
     p = sub.add_parser("ultra", allow_abbrev=False, help="ultrafilter identity checks")
     usub = p.add_subparsers(dest="ultra_command", required=True)

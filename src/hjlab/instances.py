@@ -24,7 +24,7 @@ KINDS_FOR["semigroup elements"] = KINDS_FOR["integers"]
 def require_fit(coloring, points):
     """Raise InvalidInstance unless ``coloring`` colors ``points``, a key of KINDS_FOR."""
     if coloring.kind not in KINDS_FOR[points]:
-        hint = "; integer colorings go through hjlab vdw --via-hj" if points == "words" else ""
+        hint = "; integer colorings go through hjlab witness --vdw" if points == "words" else ""
         raise InvalidInstance(f"{coloring.kind} colorings do not color {points}{hint}")
 
 

@@ -74,7 +74,14 @@ EDGE_BYTES_LIMIT = 1 << 27
 def _check_edge_bytes(rows, width):
     """Refuse an edge array of ``rows`` rows of ``width`` int64 codes above EDGE_BYTES_LIMIT."""
     if rows * width * 8 > EDGE_BYTES_LIMIT:
-        raise SearchSpaceTooLarge(f"{rows} edges of {width} pass the {EDGE_BYTES_LIMIT}-byte bound")
+        raise SearchSpaceTooLarge(f"the edge array passes the {EDGE_BYTES_LIMIT}-byte bound")
+
+
+def _check_line_bytes(n, N):
+    """Refuse the lines of [n]^N above EDGE_BYTES_LIMIT.  Their count grows with N
+    and at N = 64 passes any bound below 2^100 bytes, so a larger N is counted there."""
+    N = min(N, 64)
+    _check_edge_bytes((n + 1) ** N - n ** N, n)
 
 
 @dataclass
@@ -92,7 +99,7 @@ class LineHypergraph:
     def build(cls, n, N):
         n = _integer(n, InvalidInstance, "n", least=2)
         N = _integer(N, InvalidInstance, "N", least=1)
-        _check_edge_bytes((n + 1) ** N - n ** N, n)
+        _check_line_bytes(n, N)
         # the words over the letters and x = n, in lexicographic order, are
         # the base-(n+1) codes 0, 1, 2, ...; the lines are those with an x.
         # Base-n coded, sigma_a(w) = c(w) + a * m(w): c sums the place values
@@ -422,9 +429,8 @@ class HypergraphSolver:
         self.forced = []
         ok = self._assign(v, c)
         while ok and self.forced:
+            # uncolored still: a vertex is queued once, as its domain drops to one color
             u, fc = self.forced.pop()
-            if self.colors[u] >= 0:
-                continue
             ok = self._assign(u, fc)
         if not ok:
             self._undo(mark)
@@ -536,6 +542,7 @@ class Instance:
 def hj_instance(n, r, N):
     """[n]^N (base-n encoded words) with the combinatorial lines as edges."""
     n, N = _integer(n, InvalidInstance, "n", least=2), _integer(N, InvalidInstance, "N", least=1)
+    _check_line_bytes(n, N)  # before n ** N
     return Instance(
         "hj",
         (n, N),

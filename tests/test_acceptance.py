@@ -203,8 +203,9 @@ def test_criterion_7_certificate_round_trip(tmp_path, capsys):
                  "--cert-dir", str(hj_dir)]) == 0
     assert main(["vdw", "-k", "3", "-r", "2", "--max-M", "16",
                  "--cert-dir", str(vdw_dir)]) == 0
-    assert main(["vdw", "-k", "3", "--via-hj", "--coloring", "apres:2",
-                 "--max-len", "5", "--cert-dir", str(wit_dir)]) == 0
+    wit_dir.mkdir()
+    assert main(["witness", "--vdw", "--alphabet", "3", "--coloring", "apres:2",
+                 "--max-len", "5", "-o", str(wit_dir / "vdw-viahj-k3.cert")]) == 0
     certs = sorted(str(p) for d in (hj_dir, vdw_dir) for p in d.iterdir())
     certs += [str(p) for p in wit_dir.iterdir()]
 

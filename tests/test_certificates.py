@@ -39,7 +39,7 @@ def words_cert():
 
 
 def apres_vdw_cert():
-    # as `hjlab vdw -k 3 --via-hj --coloring apres:2 --max-len 5 --cert-dir` builds it
+    # as `hjlab witness --vdw --alphabet 3 --coloring apres:2 --max-len 5` builds it
     ws = WordSemigroup(3)
     base = ApResidueColoring(2)
     search = PullbackColoring(base, sum)
@@ -198,13 +198,14 @@ def test_vdw_semantic_check_catches_bad_assignment():
 
 def test_an_hj_assignment_far_short_of_n_to_the_N_fails_fast():
     # 3 ** 10**7 took seconds to compute, and formatting it into the
-    # mismatch message exceeded Python's integer string limit
+    # mismatch message exceeded Python's integer string limit; [3]^(10^7)
+    # is refused by its line count first, before any power of N digits
     text = render_certificate(ColoringCertificate("hj", (3, 10**7), 2, [0, 1], 0))
     assert len(text.encode()) == 167
     start = time.perf_counter()
     ok, msg = verify_certificate_text(text)
     assert time.perf_counter() - start < 0.5
-    assert not ok and "assignment length 2" in msg
+    assert not ok and msg.startswith("verification error: ") and "byte bound" in msg
     assert "digits" not in msg and str(10**7) not in msg
 
 
@@ -288,6 +289,22 @@ def test_a_certificate_has_one_byte_form(build, old, new):
     assert old in text
     ok, msg = verify_certificate_text(reseal(text, lambda p: p.replace(old, new)))
     assert not ok and "rendered form" in msg, msg
+
+
+@pytest.mark.parametrize("build,old,new,message", [
+    (finite_cert, "witness: 5\n", "witness: 4\n", "witness lies in T (must be in R)"),
+    (vdw_cert, "assignment: 1 0 1 0 0 1 0 1\n", "assignment: 1 0 1 0 0 1 0\n",
+     "assignment length 7 is not the vdw vertex count"),
+    (vdw_cert, "assignment: 1 0 1 0 0 1 0 1\n", "assignment: 1 0 1 0 0 1 0 2\n",
+     "color out of range"),
+    (apres_vdw_cert, "reduction: vdw\n", "reduction: foo\n",
+     "verification error: unknown reduction 'foo'"),
+    (finite_cert, "order: 6\n", "order: 7\n", "row count does not match order"),
+], ids=["witness-in-t", "short-assignment", "color-out-of-range", "reduction", "order"])
+def test_a_resealed_lie_fails_its_own_clause(build, old, new, message):
+    text = render_certificate(build())
+    assert old in text
+    assert verify_certificate_text(reseal(text, lambda p: p.replace(old, new))) == (False, message)
 
 
 def test_stated_images_keep_their_order():

@@ -108,8 +108,12 @@ def test_witness_exhausted_exits_1(capsys):
 
 
 def test_witness_needs_exactly_one_instance(flag2, capsys):
-    assert main(["witness", "--coloring", "mod:2"]) == 2
-    assert main(["witness", "--hj", "--semigroup", flag2, "--coloring", "mod:2"]) == 2
+    # argparse's refusal, as for a missing hj --max-N
+    for modes in ([], ["--hj", "--vdw"], ["--hj", "--semigroup", flag2]):
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", *modes, "--coloring", "mod:2"])
+        assert exc.value.code == 2
+        assert "--hj" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("size", [["--alphabet", "0"]])
@@ -130,8 +134,8 @@ def test_witness_takes_no_variable_count(capsys):
 @pytest.mark.parametrize("argv", [
     ["witness", "--hj", "--coloring", "mod:2", "--max-len", "0"],
     ["witness", "--hj", "--coloring", "mod:2", "--max-len", "-2"],
-    ["vdw", "--via-hj", "-k", "3", "--max-len", "0"],
-    ["vdw", "--via-hj", "-k", "3", "--max-len", "-2"],
+    ["witness", "--vdw", "--alphabet", "3", "--coloring", "apres:2", "--max-len", "0"],
+    ["witness", "--vdw", "--alphabet", "3", "--coloring", "apres:2", "--max-len", "-2"],
 ])
 def test_word_length_budget_below_one_exits_2(argv, capsys):
     # a search over no words is no negative
@@ -190,7 +194,7 @@ def test_witness_apres_names_vdw_via_hj(tmp_path, capsys):
     assert code == 2
     out = capsys.readouterr().out
     assert out.startswith("error: ") and out.count("\n") == 1
-    assert "hjlab vdw --via-hj" in out
+    assert "hjlab witness --vdw" in out
     assert not cert.exists()
 
 
@@ -236,7 +240,10 @@ def test_vdw_budget_exit(capsys):
 
 
 def test_vdw_needs_max_m(capsys):
-    assert main(["vdw", "-k", "3"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["vdw", "-k", "3"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --max-M" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -249,10 +256,6 @@ def test_vdw_needs_max_m(capsys):
     # a negative budget was reported as a budget stop
     ["hj", "-n", "2", "-r", "2", "--max-N", "3", "--budget-seconds", "-1"],
     ["hj", "-n", "2", "-r", "2", "--max-N", "3", "--budget-nodes", "-1"],
-    # --via-hj runs no sweep, and ignored its budgets
-    ["vdw", "-k", "3", "--via-hj", "--max-len", "4", "--budget-seconds", "-1"],
-    ["vdw", "-k", "3", "--via-hj", "--max-len", "4", "--budget-seconds", "nan"],
-    ["vdw", "-k", "3", "--via-hj", "--max-len", "4", "--budget-nodes", "-1"],
 ])
 def test_invalid_number_parameters_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -260,26 +263,34 @@ def test_invalid_number_parameters_exit_2(argv, capsys):
     assert out.startswith("error: ") and out.count("\n") == 1
 
 
+def test_witness_vdw_takes_no_budget(capsys):
+    # it runs no sweep, so a budget would be an option that does nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["witness", "--vdw", "--alphabet", "3", "--coloring", "apres:2",
+              "--budget-seconds", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget-seconds 1" in capsys.readouterr().err
+
+
 def test_vdw_via_hj(tmp_path, capsys):
-    certs = tmp_path / "c"
-    assert main(["vdw", "-k", "3", "--via-hj", "--max-len", "5",
-                 "--cert-dir", str(certs)]) == 0
-    out = capsys.readouterr().out
-    assert "witness word:" in out
-    assert "progression:" in out
-    cert_line = [ln for ln in out.splitlines() if ln.startswith("certificate:")][0]
-    assert main(["verify", cert_line.split(": ", 1)[1]]) == 0
+    # the digit-sum reduction: witness --vdw writes the pinned apres_vdw_cert bytes
+    cert = tmp_path / "v.cert"
+    assert main(["witness", "--vdw", "--alphabet", "3", "--coloring", "apres:2",
+                 "--max-len", "5", "-o", str(cert)]) == 0
+    assert "progression: 0 2 4\n" in capsys.readouterr().out
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == (
+        "8ca7b916bfbb979320a232893e1dad5cf8e7c6bed8c6adc47e2734f5edcec874")
+    assert main(["verify", str(cert)]) == 0
 
 
 @pytest.mark.parametrize("argv", [
-    ["-k", "0"],
-    ["-k", "1"],
-    ["-k", "3", "--coloring", "table:/no/such/table"],
-    ["-k", "3", "-r", "0"],
-    ["-k", "3", "-r", "2", "--coloring", "mod:2"],  # mod colors words, not integers
+    ["--alphabet", "0"],
+    ["--alphabet", "1"],
+    ["--alphabet", "3", "--coloring", "table:/no/such/table"],
+    ["--alphabet", "3", "--coloring", "mod:2"],  # mod colors words, not integers
 ])
 def test_vdw_via_hj_bad_input_exits_2(argv, capsys):
-    assert main(["vdw", "--via-hj", "--max-len", "4", *argv]) == 2
+    assert main(["witness", "--vdw", "--coloring", "apres:2", "--max-len", "4", *argv]) == 2
     out = capsys.readouterr().out
     assert out.startswith("error: ") and out.count("\n") == 1
 
@@ -304,6 +315,21 @@ def test_ultra_corpus_single_semigroup(flag2, capsys):
     out = capsys.readouterr().out
     assert f"corpus: semigroup {flag2}" in out
     assert "tensor-power identity: pass" in out
+
+
+def test_ultra_corpus_checks_a_t_without_retractions(tmp_path, capsys):
+    # a T line alone is checked for niceness; the sweep needs no family
+    flag = "semigroup 4\n0 1 2 3\n1 1 3 3\n2 3 2 3\n3 3 3 3\n"
+    path = tmp_path / "t.sg"
+    path.write_text(flag + "T: 0 2\n")
+    assert main(["ultra", "corpus", "--semigroup", str(path), "--k", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "endomorphisms: 25; checks: 100; failures: 0\n" in out
+    assert out.endswith("tensor-power identity: pass\n")
+    path.write_text(flag + "T: 1\n")
+    assert main(["ultra", "corpus", "--semigroup", str(path), "--k", "2"]) == 2
+    assert capsys.readouterr().out == (
+        "error: nice subsemigroup: ideal (right product) fails at (1, 0)\n")
 
 
 def test_ultra_corpus_rejects_a_carrier_above_the_bound(tmp_path, capsys):
@@ -363,6 +389,19 @@ def test_ultra_lemma2_rejects_fewer_than_one_color(flag2, colors, capsys):
     assert main(["ultra", "lemma2", "--semigroup", flag2, "--colors", colors]) == 2
     out = capsys.readouterr().out
     assert out.startswith("error: ") and out.count("\n") == 1
+
+
+def test_ultra_lemma2_with_t_equal_to_s(tmp_path, capsys):
+    # R is empty, so both statements fail and they agree
+    path = tmp_path / "ts.sg"
+    path.write_text("semigroup 2\n0 1\n1 1\nT: 0 1\nretraction: 0 1\n")
+    assert main(["ultra", "lemma2", "--semigroup", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "(a) every 2-coloring has a monochromatic image set: "
+        "false (coloring (0, 0) has no witness)\n"
+        "(b) agreement ultrafilter with point in R: false (no agreement point in R)\n"
+        "colorings checked: 1; equivalent: yes\n"
+    )
 
 
 def test_ultra_lemma2_needs_structures(tmp_path, capsys):
@@ -438,16 +477,15 @@ def test_verify_rejects_tampering(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,old,new", [
-    # the last option names the certificate file or its directory
-    (["vdw", "-k", "3", "--via-hj", "--coloring", "apres:2", "--max-len", "5", "--cert-dir"],
+    # the last option names the certificate file
+    (["witness", "--vdw", "--alphabet", "3", "--coloring", "apres:2", "--max-len", "5", "-o"],
      "reduction: vdw", "reduction: none"),
     (["witness", "--hj", "--coloring", "mod:2", "-o"], "reduction: none", "reduction: vdw"),
 ])
 def test_verify_fails_a_coloring_that_does_not_fit_its_reduction(tmp_path, capsys, argv, old, new):
-    written = tmp_path / "out"
-    assert main([*argv, str(written)]) == 0
+    cert = tmp_path / "out"
+    assert main([*argv, str(cert)]) == 0
     capsys.readouterr()
-    cert = written if written.is_file() else next(written.iterdir())
     payload = cert.read_text().rsplit("check: ", 1)[0].replace(old, new)
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     cert.write_text(payload + f"check: {digest}\nend\n")

@@ -108,16 +108,25 @@ def test_edge_builders_size_their_array_exactly(build, monkeypatch):
 @pytest.mark.parametrize("check", [
     lambda: hj_check(4, 2, 11, budget_seconds=1),  # 44.6M lines of 4
     lambda: vdw_check(3, 2, 100_000),  # 2.5e9 progressions of 3
+    # edge counts past the 4300 digits Python formats: the refusal names the
+    # bound, and no power of N digits is computed first
+    lambda: LineHypergraph.build(3, 10**5),
+    lambda: hj_check(3, 2, 10**5),
+    lambda: hj_check(3, 2, 10**7),
+    lambda: ap_edges(3, 10**2200),
+    lambda: vdw_check(3, 2, 10**2200),
 ])
 def test_an_oversized_instance_is_refused_before_allocating(check):
     tracemalloc.start()
+    start = time.perf_counter()
     try:
-        with pytest.raises(SearchSpaceTooLarge):
+        with pytest.raises(SearchSpaceTooLarge, match="byte bound"):
             check()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    assert time.perf_counter() - start < 0.5
 
 
 def test_verify_proper_coloring():
@@ -680,7 +689,7 @@ def test_finite_witness_exhaustion_is_a_true_negative():
 
 @pytest.mark.parametrize("search,coloring,points", [
     (lambda c: word_witness_search(substitution_family(WordSemigroup(2)), c),
-     ApResidueColoring(2), "words; integer colorings go through hjlab vdw --via-hj"),
+     ApResidueColoring(2), "words; integer colorings go through hjlab witness --vdw"),
     (lambda c: finite_witness_search(flag_semigroup(1)[2], c),
      ModSumColoring(2), "semigroup elements"),
     (lambda c: find_ap_via_words(3, c), ModSumColoring(2), "integers"),

@@ -185,6 +185,24 @@ def test_the_setting_checks_need_t_in_a_semigroup():
         validate_retraction(view, [0, 0, 0])
 
 
+@pytest.mark.parametrize("check,clause", [
+    (lambda: is_nice_subsemigroup(SubsetQuery.from_members(cyclic_semigroup(3), [1])),
+     "T-closure fails at (1, 1)"),
+    (lambda: is_nice_subsemigroup(SubsetQuery.from_members(
+        FiniteSemigroup([[0, 0, 0, 0], [0, 1, 2, 3], [3, 2, 1, 0], [3, 3, 3, 3]]), [3])),
+     "ideal (left product) fails at (2, 0)"),
+    (lambda: validate_retraction(flag_semigroup(1)[1], [1, 1, 2, 2]), "range-in-T fails at (0, 1)"),
+], ids=["t-closure", "left-ideal", "range-in-t"])
+def test_a_setting_clause_names_its_first_failure(check, clause):
+    res = check()
+    assert not res.ok and res.describe() == clause
+
+
+def test_a_family_of_no_retractions_is_refused():
+    with pytest.raises(InvalidStructure, match="^retraction family must be nonempty$"):
+        RetractionFamily(flag_semigroup(1)[1], [])
+
+
 def test_family_rejects_invalid_and_duplicate_members():
     S, view, family = flag_semigroup(1)
     sigmas = list(family)

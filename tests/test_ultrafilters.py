@@ -36,6 +36,7 @@ from hjlab.errors import (
     InvalidColoring,
     InvalidInstance,
     InvalidStructure,
+    SearchSpaceTooLarge,
     VerificationError,
 )
 from hjlab.ultra import (
@@ -660,3 +661,19 @@ def test_equivalence_negative_side():
     # sigma_0 alone: every image set is the singleton {sigma_0(v)}, so (b)
     # still holds and (a) stays true
     assert report.b_holds and report.a_holds
+
+
+def test_equivalence_with_t_equal_to_s():
+    # R is empty: the first coloring has no witness, and no point of R agrees
+    S = FiniteSemigroup([[0, 1], [1, 1]])
+    family = RetractionFamily(SubsetQuery.from_members(S, [0, 1]), [[0, 1]])
+    report = check_agreement_equivalence(S, family, 2)
+    assert (report.a_holds, report.a_counterexample, report.colorings_checked) == (False, (0, 0), 1)
+    assert not report.b_holds and report.equivalent
+
+
+@pytest.mark.parametrize("m,r,message", [(5, 2, "order 12 exceeds 10"), (1, 4, "4 colors exceed 3")])
+def test_equivalence_refuses_a_search_past_its_bounds(m, r, message):
+    S, view, family = flag_semigroup(m)
+    with pytest.raises(SearchSpaceTooLarge, match=f"^{message}$"):
+        check_agreement_equivalence(S, family, r)
