@@ -256,6 +256,10 @@ def test_vdw_needs_max_m(capsys):
     # a negative budget was reported as a budget stop
     ["hj", "-n", "2", "-r", "2", "--max-N", "3", "--budget-seconds", "-1"],
     ["hj", "-n", "2", "-r", "2", "--max-N", "3", "--budget-nodes", "-1"],
+    # the vdw sweep refuses the same budgets
+    ["vdw", "-k", "3", "--max-M", "9", "--budget-seconds", "-1"],
+    ["vdw", "-k", "3", "--max-M", "9", "--budget-seconds", "nan"],
+    ["vdw", "-k", "3", "--max-M", "9", "--budget-nodes", "-1"],
 ])
 def test_invalid_number_parameters_exit_2(argv, capsys):
     assert main(argv) == 2
