@@ -5,7 +5,6 @@ progressions) at desk scale."""
 __version__ = "0.1.0"
 
 from .semigroups import (
-    CheckResult,
     FiniteSemigroup,
     RetractionFamily,
     SubsetQuery,
@@ -20,7 +19,6 @@ from .words import (
     WordSemigroup,
     format_word,
     parse_word,
-    substitute,
     substitution_family,
 )
 from .tableio import (
@@ -29,7 +27,6 @@ from .tableio import (
     parse_semigroup_text,
 )
 from .ultra import (
-    FipResult,
     PrincipalUltrafilter,
     build_agreement_set,
     check_agreement_equivalence,
@@ -44,13 +41,9 @@ from .ultra import (
 )
 from .corpus import (
     CorpusEntry,
-    CorpusReport,
-    compose,
     enumerate_endomorphisms,
     generate_corpus,
-    mulclose,
     sweep_tensor_power,
-    transformation_semigroup,
 )
 from .instances import (
     ApResidueColoring,
@@ -60,19 +53,12 @@ from .instances import (
     parse_coloring_spec,
 )
 from .search import (
-    BUDGET,
-    ColoringResult,
     HypergraphSolver,
-    Instance,
     LineHypergraph,
-    NumberResult,
     SAT,
-    Symmetry,
     UNSAT,
-    ViaHjOutcome,
     WitnessOutcome,
     ap_edges,
-    check_instance,
     find_ap_via_words,
     finite_witness_search,
     hj_check,
@@ -88,17 +74,12 @@ from .search import (
     word_witness_search,
 )
 from .certificates import (
-    ColoringCertificate,
-    WitnessFiniteCertificate,
-    WitnessWordsCertificate,
     coloring_certificate,
     finite_witness_certificate,
     hj_coloring_certificate,
-    parse_certificate,
     render_certificate,
     save_certificate,
     vdw_coloring_certificate,
-    verify_certificate,
     verify_certificate_text,
     words_witness_certificate,
 )

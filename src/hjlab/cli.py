@@ -112,7 +112,8 @@ def cmd_witness(args):
         S, view, family = _load_structures(parse_semigroup_file(args.semigroup), need_family=True)
         outcome = finite_witness_search(family, coloring)
         if outcome.status != "found":
-            print(f"exhausted: {outcome.budget_note} ({outcome.checked} elements checked)")
+            print(f"exhausted: R exhausted ({outcome.checked} elements checked)" if outcome.checked
+                  else "exhausted: R is empty (T = S)")
             return EXIT_NEGATIVE
         cert = finite_witness_certificate(S, family, coloring, outcome)
         print(f"witness: {S.element_name(outcome.witness)} (index {outcome.witness})")
@@ -122,12 +123,12 @@ def cmd_witness(args):
         if args.vdw:
             via = find_ap_via_words(args.alphabet, coloring, max_len=args.max_len)
             images = via.word and substitution_family(ws).images(via.word)  # None if exhausted
-            outcome = WitnessOutcome(via.status, via.word, images, via.color, via.checked,
-                                     f"no witness up to length {args.max_len}")
+            outcome = WitnessOutcome(via.status, via.word, images, via.color, via.checked)
         else:
             outcome = word_witness_search(substitution_family(ws), coloring, max_len=args.max_len)
         if outcome.status != "found":
-            print(f"exhausted: {outcome.budget_note} ({outcome.checked} words checked)")
+            print(f"exhausted: no witness up to length {args.max_len} "
+                  f"({outcome.checked} words checked)")
             return EXIT_NEGATIVE
         cert = words_witness_certificate(ws, coloring, outcome, "vdw" if args.vdw else "none")
         print(f"witness: {format_word(outcome.witness)}")
@@ -192,11 +193,13 @@ def cmd_number(args):
 def cmd_ultra_lemma2(args):
     S, view, family = _load_structures(parse_semigroup_file(args.semigroup), need_family=True)
     report = check_agreement_equivalence(S, family, args.colors)
-    a_note = (
-        f"true (witness for the constant coloring: {S.element_name(report.a_first_witness)})"
-        if report.a_holds
-        else f"false (coloring {report.a_counterexample} has no witness)"
-    )
+    R = view.complement()  # the constant coloring's first witness is R's least point
+    if report.a_holds:
+        a_note = f"true (witness for the constant coloring: {S.element_name(R[0])})"
+    elif R:
+        a_note = f"false (coloring {report.a_counterexample} has no witness)"
+    else:
+        a_note = "false (R is empty)"
     b_note = (
         f"true (agreement point {S.element_name(report.b_point_in_r)})"
         if report.b_holds

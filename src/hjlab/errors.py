@@ -10,11 +10,10 @@ read by ``_integers``: ragged rows, another shape and a non-integer dtype
 are refused, not cast, and so is an entry outside the entry's range.  Each
 refusal raises the entry's own error class; ``validate_retraction`` reports
 it as its failed clause rather than raising.  This module imports no other
-package module but numpy, so every module can use it.
+package module, so every module can use it, and numpy only inside the array
+readers, so it loads without numpy.
 """
 import operator
-
-import numpy as np
 
 
 class HjlabError(Exception):
@@ -102,6 +101,7 @@ def _integer(value, error, what, least=None):
 
 def _shape(value):
     """``value``'s shape as numpy reads it, "ragged" for rows of other shapes."""
+    import numpy as np
     try:
         return np.shape(value)
     except ValueError:
@@ -122,6 +122,7 @@ def _integers(value, error, what, shape, below=None):
     (3,), not (4,)``); so are ragged rows and a non-integer dtype, not cast,
     and an entry outside [0, below), named by its index and value.  An
     empty list is no rows."""
+    import numpy as np
     try:
         array = np.asarray(value)
     except ValueError:  # ragged rows, one of them named below

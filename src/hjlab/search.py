@@ -91,8 +91,6 @@ class LineHypergraph:
     lexicographic word order (letters before x): column a holds its image
     under sigma_a, computed for every word and every a at once."""
 
-    n: int
-    N: int
     edges: np.ndarray  # (lines, n)
 
     @classmethod
@@ -112,7 +110,7 @@ class LineHypergraph:
             c += np.where(is_x, 0, digit) * n ** place
             m += is_x * n ** place
         lines = m > 0
-        return cls(n, N, c[lines, None] + m[lines, None] * np.arange(n))
+        return cls(c[lines, None] + m[lines, None] * np.arange(n))
 
 
 def ap_edges(k, M):
@@ -678,10 +676,9 @@ class WitnessOutcome:
     images: list | None = None
     color: int | None = None
     checked: int = 0
-    budget_note: str = ""
 
 
-def _first_monochromatic(candidates, family, coloring, exhausted_note):
+def _first_monochromatic(candidates, family, coloring):
     checked = 0
     for v in candidates:
         checked += 1
@@ -689,7 +686,7 @@ def _first_monochromatic(candidates, family, coloring, exhausted_note):
         colors = {coloring.color_of(x) for x in images}
         if len(colors) == 1:
             return WitnessOutcome("found", v, images, colors.pop(), checked)
-    return WitnessOutcome("exhausted", checked=checked, budget_note=exhausted_note)
+    return WitnessOutcome("exhausted", checked=checked)
 
 
 def word_witness_search(family, coloring, max_len=8):
@@ -699,12 +696,7 @@ def word_witness_search(family, coloring, max_len=8):
     length."""
     max_len = _integer(max_len, InvalidInstance, "max_len", least=1)
     require_fit(coloring, "words")
-    return _first_monochromatic(
-        family.ws.iter_words(max_len),
-        family,
-        coloring,
-        f"no witness up to length {max_len}",
-    )
+    return _first_monochromatic(family.ws.iter_words(max_len), family, coloring)
 
 
 def finite_witness_search(family, coloring):
@@ -712,7 +704,7 @@ def finite_witness_search(family, coloring):
     set; S and T are those of ``family.view``.  The scan is complete, so
     exhaustion here is a true negative."""
     require_fit(coloring, "semigroup elements")
-    return _first_monochromatic(family.view.complement(), family, coloring, "R exhausted")
+    return _first_monochromatic(family.view.complement(), family, coloring)
 
 
 @dataclass

@@ -135,13 +135,13 @@ def is_nice_subsemigroup(view):
     """Decide whether the subset ``view`` of a finite S (a SubsetQuery) is a
     nonempty subsemigroup whose complement is a two-sided ideal.
 
-    Returns a CheckResult whose witness is the first violating pair.
+    Returns a CheckResult whose witness is the first violating pair, if any.
     """
     S = _semigroup_of(view)
     members = view.members()
     comp = view.complement()
     if not members:
-        return CheckResult(False, "nonempty", ())
+        return CheckResult(False, "nonempty")
     for a in members:
         for b in members:
             if not view.contains(S.mul(a, b)):

@@ -406,7 +406,6 @@ class AgreementEquivalenceReport:
     r: int
     a_holds: bool
     a_counterexample: tuple | None  # coloring of T (by member order) or None
-    a_first_witness: int | None  # witness for the all-zero coloring
     b_point_in_r: int | None
     colorings_checked: int
 
@@ -433,14 +432,10 @@ def check_agreement_equivalence(S, family, r):
     keys = [TableColoring.key_for(t) for t in family.view.members()]
     a_holds = True
     a_counterexample = None
-    a_first_witness = None
     checked = 0
     for coloring in iproduct(range(r), repeat=len(keys)):
         checked += 1
-        w = finite_witness_search(family, TableColoring(zip(keys, coloring), r=r)).witness
-        if checked == 1:
-            a_first_witness = w
-        if w is None:
+        if finite_witness_search(family, TableColoring(zip(keys, coloring), r=r)).witness is None:
             a_holds = False
             a_counterexample = coloring
             break
@@ -450,7 +445,6 @@ def check_agreement_equivalence(S, family, r):
         r=r,
         a_holds=a_holds,
         a_counterexample=a_counterexample,
-        a_first_witness=a_first_witness,
         b_point_in_r=None if b_in_r is None else b_in_r.point,
         colorings_checked=checked,
     )

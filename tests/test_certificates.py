@@ -7,7 +7,6 @@ import pytest
 
 from hjlab import (
     ApResidueColoring,
-    ColoringCertificate,
     ModSumColoring,
     PullbackColoring,
     TableColoring,
@@ -16,18 +15,17 @@ from hjlab import (
     flag_semigroup,
     hj_check,
     hj_coloring_certificate,
-    parse_certificate,
     render_certificate,
     save_certificate,
     substitution_family,
     vdw_check,
     vdw_coloring_certificate,
-    verify_certificate,
     verify_certificate_text,
     finite_witness_certificate,
     word_witness_search,
     words_witness_certificate,
 )
+from hjlab.certificates import ColoringCertificate, parse_certificate, verify_certificate
 from hjlab.errors import CertificateError
 
 
@@ -300,11 +298,30 @@ def test_a_certificate_has_one_byte_form(build, old, new):
     (apres_vdw_cert, "reduction: vdw\n", "reduction: foo\n",
      "verification error: unknown reduction 'foo'"),
     (finite_cert, "order: 6\n", "order: 7\n", "row count does not match order"),
-], ids=["witness-in-t", "short-assignment", "color-out-of-range", "reduction", "order"])
+    (words_cert, "checked: 6\n", "", "missing field 'checked'"),
+    (words_cert, "color: 0\n", "color: 0\ncolor: 0\n", "field 'color' repeated"),
+    (words_cert, "color: 0\n", "color 0\n", "malformed line: 'color 0'"),
+    (words_cert, "kind: witness-words\n", "kind: witness-foo\n",
+     "unknown certificate kind 'witness-foo'"),
+    (words_cert, "color: 0\n", "color: zero\n",
+     "bad field value: invalid literal for int() with base 10: 'zero'"),
+    (finite_cert, "table: 0 0\n", "table: 0 0 0\n", "bad table line: '0 0 0'"),
+], ids=["witness-in-t", "short-assignment", "color-out-of-range", "reduction", "order",
+        "missing-field", "repeated-field", "malformed-line", "unknown-kind", "bad-value",
+        "bad-table-line"])
 def test_a_resealed_lie_fails_its_own_clause(build, old, new, message):
     text = render_certificate(build())
     assert old in text
     assert verify_certificate_text(reseal(text, lambda p: p.replace(old, new))) == (False, message)
+
+
+def test_a_pullback_coloring_cannot_be_embedded():
+    # the verifier could not rebuild its map, so no certificate names one
+    ws = WordSemigroup(2)
+    out = word_witness_search(substitution_family(ws), ModSumColoring(2))
+    cert = words_witness_certificate(ws, PullbackColoring(ApResidueColoring(2), sum), out)
+    with pytest.raises(CertificateError, match="^coloring kind 'pullback' cannot be embedded$"):
+        render_certificate(cert)
 
 
 def test_stated_images_keep_their_order():

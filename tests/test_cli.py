@@ -104,7 +104,18 @@ def test_witness_prints_certificate_without_output_path(capsys):
 
 def test_witness_exhausted_exits_1(capsys):
     assert main(["witness", "--hj", "--coloring", "mod:2", "--max-len", "1"]) == 1
-    assert "exhausted" in capsys.readouterr().out
+    assert capsys.readouterr().out == "exhausted: no witness up to length 1 (1 words checked)\n"
+    assert main(["witness", "--vdw", "--alphabet", "3", "--coloring", "apres:50",
+                 "--max-len", "3"]) == 1
+    assert capsys.readouterr().out == "exhausted: no witness up to length 3 (45 words checked)\n"
+
+
+def test_witness_with_t_equal_to_s_says_r_is_empty(tmp_path, capsys):
+    # no element was checked, so the negative is that R is empty
+    path = tmp_path / "ts.sg"
+    path.write_text("semigroup 2\n0 1\n1 1\nT: 0 1\nretraction: 0 1\n")
+    assert main(["witness", "--semigroup", str(path), "--coloring", "apres:2"]) == 1
+    assert capsys.readouterr().out == "exhausted: R is empty (T = S)\n"
 
 
 def test_witness_needs_exactly_one_instance(flag2, capsys):
@@ -402,7 +413,7 @@ def test_ultra_lemma2_with_t_equal_to_s(tmp_path, capsys):
     assert main(["ultra", "lemma2", "--semigroup", str(path)]) == 0
     assert capsys.readouterr().out == (
         "(a) every 2-coloring has a monochromatic image set: "
-        "false (coloring (0, 0) has no witness)\n"
+        "false (R is empty)\n"
         "(b) agreement ultrafilter with point in R: false (no agreement point in R)\n"
         "colorings checked: 1; equivalent: yes\n"
     )

@@ -13,16 +13,13 @@ import hjlab.search
 import hjlab.ultra
 from hjlab import (
     CorpusEntry,
-    compose,
     cyclic_semigroup,
     enumerate_endomorphisms,
     generate_corpus,
-    mulclose,
     sweep_tensor_power,
     tensor_power_failures,
-    transformation_semigroup,
 )
-from hjlab.corpus import CorpusFailure
+from hjlab.corpus import CorpusFailure, compose, mulclose, transformation_semigroup
 from hjlab.errors import CarrierTooLarge, InvalidInstance, SearchSpaceTooLarge
 
 import oracles

@@ -74,6 +74,10 @@ def test_table_coloring_lookup_and_default():
         c.color_of(2)
     d = TableColoring({"0": 1}, r=2, default=0)
     assert d.color_of(5) == 0
+    with pytest.raises(InvalidColoring, match="^empty color table$"):
+        TableColoring({})
+    with pytest.raises(InvalidColoring, match="^color out of range in table$"):
+        TableColoring({"0": 3}, r=2)
 
 
 def test_table_coloring_accepts_words():
@@ -94,6 +98,8 @@ def test_parse_coloring_spec():
         parse_coloring_spec("nope:1")
     with pytest.raises(ColoringSpecError):
         parse_coloring_spec("mod:zero")
+    with pytest.raises(ColoringSpecError, match="expected kind:argument"):
+        parse_coloring_spec("mod2")
     # a valid integer below one is named as such, not as a non-integer
     for spec in ("mod:0", "apres:0"):
         with pytest.raises(ColoringSpecError, match="at least one color, not 0"):
@@ -107,7 +113,9 @@ def test_parse_coloring_table_file(tmp_path):
     assert c.color_of(0) == 1 and c.color_of(1) == 0 and c.color_of(9) == 1
     for bad, match in (("0 zz\n", "not an integer"), ("0 1\ndefault 1.5\n", "not an integer"),
                        ("0 1\n2 1\n0 0\n", "'0'.*given twice"),
-                       ("default 0\ndefault 1\n", "default.*given twice")):
+                       ("default 0\ndefault 1\n", "default.*given twice"),
+                       ("default\n", "expected: default <color>"),
+                       ("0 1 2\n", "expected: <word-or-int> <color>")):
         p.write_text(bad)
         with pytest.raises(ColoringSpecError, match=match):
             parse_coloring_spec(f"table:{p}")

@@ -12,13 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from hjlab import (
     ApResidueColoring,
-    BUDGET,
-    ColoringResult,
     HypergraphSolver,
     LineHypergraph,
     ModSumColoring,
     SAT,
-    Symmetry,
     TableColoring,
     UNSAT,
     WitnessOutcome,
@@ -42,6 +39,7 @@ from hjlab import (
 )
 import hjlab.search
 from hjlab.errors import InvalidInstance, SearchSpaceTooLarge, VerificationError
+from hjlab.search import BUDGET, ColoringResult, Symmetry
 from hjlab.words import parse_word
 
 import oracles
@@ -707,6 +705,9 @@ def test_via_hj_reduction_cross_check():
     a, b, c = out.progression
     assert b - a == c - b >= 1
     assert {x % 2 for x in out.progression} == {out.color}
+    # 50 residues leave no monochromatic 3-term progression among the short words
+    out = find_ap_via_words(3, ApResidueColoring(50), max_len=3)
+    assert (out.status, out.word, out.checked) == ("exhausted", None, 45)
 
 
 def test_via_hj_rejects_a_line_image_that_is_no_progression(monkeypatch):

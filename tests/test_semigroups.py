@@ -80,6 +80,8 @@ def test_table_shape_and_range_checked():
         FiniteSemigroup([[0, 1]])
     with pytest.raises(Exception):
         FiniteSemigroup([[0, 2], [1, 1]])
+    with pytest.raises(InvalidStructure, match=r"^Cayley table row 1 has shape ragged, not \(2,\)$"):
+        FiniteSemigroup([[0, 1], [1, [0]]])
 
 
 def test_fold_and_mul():
@@ -130,8 +132,8 @@ def test_empty_subset_rejected():
     M = max_semigroup(3)
     T = SubsetQuery.from_members(M, [])
     res = is_nice_subsemigroup(T)
-    assert not res.ok and res.clause == "nonempty"
-    with pytest.raises(InvalidStructure, match="nonempty"):
+    assert not res.ok and res.describe() == "nonempty"
+    with pytest.raises(InvalidStructure, match="^nice subsemigroup: nonempty$"):
         RetractionFamily(T, [[0, 1, 2, 3]])
 
 
@@ -139,6 +141,11 @@ def test_empty_subset_rejected():
 def test_subset_member_outside_the_carrier_is_named(member):
     with pytest.raises(InvalidStructure, match=f"member {member} is outside"):
         SubsetQuery.from_members(max_semigroup(3), [member])
+
+
+def test_subset_mask_outside_the_carrier_is_refused():
+    with pytest.raises(InvalidStructure, match="^mask does not fit the carrier$"):
+        SubsetQuery(cyclic_semigroup(2), 0b100)
 
 
 def test_retraction_validation():
@@ -250,6 +257,10 @@ def test_word_format_parse_roundtrip():
     assert format_word((10, X)) == "10.x"
     # one token above 9 ends in a dot, or it would read as digits
     assert format_word((10,)) == "10."
+    with pytest.raises(ValueError, match="^empty word$"):
+        parse_word("")
+    with pytest.raises(ValueError, match="^unknown word symbol 'y'$"):
+        parse_word("0y")
 
 
 def test_substitution_family_is_retraction_like():

@@ -64,6 +64,16 @@ def test_parse_errors_carry_positions(text, lineno):
     assert exc.value.column >= 1
 
 
+@pytest.mark.parametrize("text,message", [
+    ("group 2\n", "line 1, column 1: expected 'semigroup n' header"),
+    ("semigroup 0\n", "line 1, column 11: order must be positive"),
+])
+def test_a_bad_header_is_refused(text, message):
+    with pytest.raises(TableParseError) as exc:
+        parse_semigroup_text(text)
+    assert str(exc.value) == message
+
+
 def test_comments_and_blank_lines_ignored():
     text = "# header\n\nsemigroup 2\n# rows\n0 1\n1 1\n\n# subset\nT: 0\n"
     parsed = parse_semigroup_text(text)

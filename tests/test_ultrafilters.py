@@ -600,6 +600,11 @@ def test_agreement_sets_have_fip():
         assert res.ok and res.subfamilies_checked == 2 ** len(sets) - 1
 
 
+def test_fip_of_no_sets_holds():
+    res = check_fip([])
+    assert res.ok and res.subfamilies_checked == 0
+
+
 def test_fip_counterexample_is_minimal():
     S = cyclic_semigroup(4)
     sets = [
