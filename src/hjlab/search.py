@@ -22,8 +22,11 @@ is not all colored c".  Every clause watches two vertices of its edge not
 colored c (the two-watched-literal scheme of Chaff), so coloring v with c
 visits only the clauses for c that watch v: one is satisfied by its other
 watch, moves the watch to another vertex not colored c, prunes c from an
-uncolored other watch (singleton domains cascade), or is a conflict.  Undo
-restores colors and domains only.  Symmetry pruning rejects partial
+uncolored other watch (singleton domains cascade), or is a conflict.  A
+decision propagates in one loop and undoes nothing itself: each frame of the
+stack keeps the trail's length when it was pushed, and the search undoes the
+trail to it, colors and domains only, before each color the frame tries and
+before it pops the frame.  Symmetry pruning rejects partial
 colorings that are not lexicographically minimal in their orbit, compared
 along one fixed decision order, which keeps the pruning sound for SAT and
 UNSAT alike.  The check is incremental along
@@ -291,13 +294,14 @@ def _edge_array(edges, V):
 
 @dataclass(slots=True)
 class _Frame:
-    """One decision level: its position in the decision order, the trail
-    mark of the color being tried, the next color to try, and the lex-leader
-    survivors its nodes resume from, set when its parent node survived (the
-    first frame's by ``_root_survivors``; None where no node prunes)."""
+    """One decision level: its position in the decision order, its trail
+    mark (the trail's length when it was pushed, which its nodes undo to),
+    the next color to try, and the lex-leader survivors its nodes resume
+    from, set when its parent node survived (the first frame's by
+    ``_root_survivors``; None where no node prunes)."""
 
     d: int
-    mark: int | None = None
+    mark: int
     c: int = 0
     survivors: tuple | None = None
 
@@ -369,106 +373,95 @@ class HypergraphSolver:
         self.domains = [(1 << r) - 1] * V
         self.trail = []  # (v, -1) for a color, (v, old mask) for a domain
 
-    def _assign(self, v, c):
-        """Color v with c and visit the clauses for c that watch v: each is
-        satisfied, moves its watch, prunes c from its other watch (trailed;
-        a singleton domain is queued as forced), or is a conflict (False)."""
-        colors, domains, edges = self.colors, self.domains, self.vertex_sets
-        other, watching = self.other[c], self.watching[c]
-        colors[v] = c
-        self.trail.append((v, -1))
-        watched = watching[v]
-        i, n = 0, len(watched)
-        while i < n:
-            ei = watched[i]
-            w = other[ei] ^ v
-            x = colors[w]
-            if x >= 0 and x != c:  # satisfied by the other watch
-                i += 1
-                continue
-            for u in edges[ei]:
-                if u != w and colors[u] != c:  # v itself is colored c
-                    other[ei] = w ^ u
-                    watching[u].append(ei)
-                    n -= 1
-                    watched[i] = watched[n]
-                    watched.pop()
-                    break
-            else:
-                # every vertex but w is colored c: so is w (w is v on a
-                # 1-vertex edge), or w must avoid c
-                if x == c:
-                    return False
-                m = domains[w]
-                if m >> c & 1:
-                    self.trail.append((w, m))
-                    m ^= 1 << c
-                    domains[w] = m
-                    if m == 0:
-                        return False
-                    if m & (m - 1) == 0:
-                        self.forced.append((w, m.bit_length() - 1))
-                i += 1
-        return True
-
-    def _undo(self, mark):
-        trail, colors, domains = self.trail, self.colors, self.domains
-        while len(trail) > mark:
-            v, old = trail.pop()
-            if old < 0:
-                colors[v] = -1
-            else:
-                domains[v] = old
-
     def _decide(self, v, c):
-        """Assign + propagate; returns a trail mark, or None after undoing
-        a failed branch."""
-        mark = len(self.trail)
-        self.forced = []
-        ok = self._assign(v, c)
-        while ok and self.forced:
+        """Color v with c and propagate to the fixpoint; False on a conflict.
+        Each vertex colored visits the clauses for its color that watch it:
+        each is satisfied, moves its watch, prunes the color from its other
+        watch (trailed; a singleton domain queues its vertex, and the queue
+        is popped last in first out), or is a conflict.  Nothing is undone
+        here: the caller undoes the trail to its frame's mark."""
+        colors, domains, edges, trail = self.colors, self.domains, self.vertex_sets, self.trail
+        queue = [(v, c)]
+        while queue:
             # uncolored still: a vertex is queued once, as its domain drops to one color
-            u, fc = self.forced.pop()
-            ok = self._assign(u, fc)
-        if not ok:
-            self._undo(mark)
-            return None
-        return mark
+            v, c = queue.pop()
+            other, watching = self.other[c], self.watching[c]
+            colors[v] = c
+            trail.append((v, -1))
+            watched = watching[v]
+            i, n = 0, len(watched)
+            while i < n:
+                ei = watched[i]
+                w = other[ei] ^ v
+                x = colors[w]
+                if x >= 0 and x != c:  # satisfied by the other watch
+                    i += 1
+                    continue
+                for u in edges[ei]:
+                    if u != w and colors[u] != c:  # v itself is colored c
+                        other[ei] = w ^ u
+                        watching[u].append(ei)
+                        n -= 1
+                        watched[i] = watched[n]
+                        watched.pop()
+                        break
+                else:
+                    # every vertex but w is colored c: so is w (w is v on a
+                    # 1-vertex edge), or w must avoid c
+                    if x == c:
+                        return False
+                    m = domains[w]
+                    if m >> c & 1:
+                        trail.append((w, m))
+                        m ^= 1 << c
+                        domains[w] = m
+                        if m == 0:
+                            return False
+                        if m & (m - 1) == 0:
+                            queue.append((w, m.bit_length() - 1))
+                    i += 1
+        return True
 
     def _search(self):
         """Depth-first along the decision order, colors in increasing order,
         on an explicit stack of frames.  A frame retries its colors against
         the lex-leader survivors it holds, so backtracking undoes only the
-        trail."""
+        trail: to the frame's mark before each color it tries and before
+        it is popped."""
         colors, domains, order, r, V = self.colors, self.domains, self.order, self.r, self.V
-        symmetry, head = self.symmetry, self.head
+        symmetry, head, trail = self.symmetry, self.head, self.trail
         # a cut head is not checked once all colored; an uncut one always is
         bound = len(head) if len(head) > SYMMETRY_DEPTH else V + 1
         root = None if symmetry is None else _root_survivors(symmetry, head)
-        stack = [_Frame(0, survivors=root)]
+        stack = [_Frame(0, 0, survivors=root)]
         while stack:
             frame = stack[-1]
             if frame.d == V:
                 return list(colors)
-            if frame.mark is not None:
-                self._undo(frame.mark)
+            while len(trail) > frame.mark:
+                u, old = trail.pop()
+                if old < 0:
+                    colors[u] = -1
+                else:
+                    domains[u] = old
             dom, c = domains[order[frame.d]], frame.c
             while c < r and not (dom >> c) & 1:
                 c += 1
             if c == r:
                 stack.pop()
                 continue
-            self.nodes += 1
-            if self.nodes > self.budget_nodes or time.monotonic() > self.deadline:
+            # a node is charged once the budget allows it, so a stop counts
+            # only the nodes searched
+            if self.nodes >= self.budget_nodes or time.monotonic() > self.deadline:
                 raise _BudgetHit
-            frame.mark = self._decide(order[frame.d], c)
+            self.nodes += 1
             frame.c = c + 1
-            if frame.mark is None:
+            if not self._decide(order[frame.d], c):
                 continue
             d = frame.d + 1
             while d < V and colors[order[d]] >= 0:
                 d += 1
-            child = _Frame(d)
+            child = _Frame(d, len(trail))
             if symmetry is not None and d < bound and canonical_prune(
                 colors, head, symmetry, frame.survivors, child
             ):

@@ -248,6 +248,8 @@ def test_vdw_budget_exit(capsys):
     out = capsys.readouterr().out
     assert code == 3
     assert "budget exceeded, not UNSAT" in out
+    # the stop reports the nodes searched, not 3
+    assert "M=5: BudgetExceeded nodes=2" in out
 
 
 def test_vdw_needs_max_m(capsys):

@@ -212,6 +212,23 @@ def test_solver_matches_the_counter_oracle(case):
     assert (status == SAT) == oracles.colorable(V, edges, r)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_hypergraphs())
+def test_a_finished_search_leaves_a_clean_state(case):
+    # an UNSAT search undoes its whole trail; a node budget one short of the
+    # search stops it there and reports only the nodes searched (one more,
+    # the node charged before the budget test, was reported)
+    V, edges, r = case
+    solver = HypergraphSolver(V, edges, r, symmetry=None)
+    res = solver.solve()
+    if res.status == UNSAT:
+        assert solver.trail == []
+        assert solver.colors == [-1] * V and solver.domains == [(1 << r) - 1] * V
+    if res.nodes:
+        short = HypergraphSolver(V, edges, r, symmetry=None, budget_nodes=res.nodes - 1).solve()
+        assert (short.status, short.nodes) == (BUDGET, res.nodes - 1)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(small_hypergraphs())
 def test_solver_setup_matches_the_per_edge_loop(case):
@@ -609,6 +626,11 @@ def test_lower_bound_only():
 def test_node_budget_reports_budget_not_unsat():
     res = vdw_check(3, 2, 9, budget_nodes=2)
     assert res.status == BUDGET
+    # a stop counts the nodes searched: 6 and 1 were reported, the 6 of the
+    # complete UNSAT search
+    assert vdw_check(3, 2, 9, budget_nodes=5).nodes == 5
+    assert vdw_check(3, 2, 9, budget_nodes=0).nodes == 0
+    assert vdw_check(3, 2, 9, budget_nodes=6).status == UNSAT
     agg = vdw_number(3, 2, 9, budget_nodes=2)
     assert agg.value is None and agg.budget_hit
 
