@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: outputs, exit codes, certificates."""
 import argparse
+import fnmatch
 import hashlib
+import json
 import os
 import pathlib
 import re
@@ -12,6 +14,9 @@ from hjlab import FiniteSemigroup, cyclic_semigroup, flag_semigroup
 from hjlab import cli, corpus, search
 from hjlab.cli import main
 from hjlab.tableio import format_semigroup_file
+
+from test_corpus import add_non_homomorphisms
+from test_demos import run_fresh
 
 
 @pytest.fixture
@@ -481,6 +486,15 @@ def test_ultra_corpus_baseline_row(capsys):
     assert "tensor-power identity: pass" in out
 
 
+def test_ultra_corpus_reports_its_first_five_failures(monkeypatch, capsys):
+    add_non_homomorphisms(monkeypatch, seed=5)
+    assert main(["ultra", "corpus", "--count", "20", "--max-order", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].endswith("; failures: 71")
+    assert [line.startswith("  failure: entry ") for line in lines[2:]] == [True] * 5 + [False]
+    assert lines[-1] == "tensor-power identity: fail"
+
+
 # -- verify ---------------------------------------------------------------------
 
 def test_verify_rejects_tampering(tmp_path, capsys):
@@ -650,3 +664,98 @@ def test_no_parser_takes_option_prefixes():
     parsers = list(_parsers(cli.build_parser()))
     assert [p.prog for p in parsers if p.allow_abbrev] == []
     assert len(parsers) == 9  # hjlab, its 6 commands and ultra's 2
+
+
+# -- the baseline commands, as a user runs them ----------------------------------
+
+# (command, exit code, last-line pattern): the ROADMAP Baseline commands and
+# the refusals and negatives beside them.  A refusal (exit 2) is checked for
+# its "error:" prefix only, not for the library's wording.  {tmp} holds
+# BASELINE_FILES and the certificate the witness command writes.
+BASELINE = [
+    ("hj -n 3 -r 2 --max-N 4", 0, "HJ(3,2) = 4"),
+    ("hj -n 4 -r 2 --max-N 5", 1, "HJ(4,2) > 5 (lower bound only)"),
+    ("vdw -k 4 -r 2 --max-M 40", 0, "W(4,2) = 35"),
+    ("vdw -k 3 -r 3 --max-M 30", 0, "W(3,3) = 27"),
+    ("ultra corpus --count 50 --max-order 6", 0, "tensor-power identity: pass"),
+    ("ultra corpus --count 200 --max-order 10 --seed 1", 0, "tensor-power identity: pass"),
+    ("hj -n 1 -r 2 --max-N 3", 2, "error:*"),
+    ("vdw -k 3 --max-M 9 --budget-seconds nan", 2, "error:*"),
+    ("ultra corpus --max-order 13", 2, "error:*"),
+    ("hj -n 3 -r 2 --max-N 4 --budget-nodes 10", 3, "HJ(3,2) > 2 (budget exceeded, not UNSAT)"),
+    # the digit-sum reduction is a witness mode; --hj refuses an integer coloring
+    ("witness --vdw --alphabet 3 --coloring apres:2 --max-len 5 -o {tmp}/apres.cert", 0,
+     "certificate: *"),
+    ("witness --vdw --alphabet 3 --coloring apres:50 --max-len 3", 1, "exhausted: *"),
+    ("witness --hj --coloring apres:2", 2, "error:*"),
+    # a table entry outside its carrier: refused by the corpus command,
+    # reported as a failed clause by validate
+    ("ultra corpus --semigroup {tmp}/bad.sg", 2, "error:*"),
+    ("validate {tmp}/bad.sg", 1, "table: fail (*)"),
+    # a retraction image outside the carrier: a failed clause from validate,
+    # refused by the commands that build the family
+    ("validate {tmp}/ret.sg", 1, "retraction 0: fail (*)"),
+    ("ultra lemma2 --semigroup {tmp}/ret.sg", 2, "error:*"),
+    ("witness --semigroup {tmp}/ret.sg --coloring apres:2", 2, "error:*"),
+    # T = S is a valid setting whose R is empty: said as such, not as a search
+    ("witness --semigroup {tmp}/tes.sg --coloring apres:2", 1, "exhausted: R is empty (T = S)"),
+    ("ultra lemma2 --semigroup {tmp}/tes.sg", 0, "colorings checked: 1; equivalent: yes"),
+]
+BASELINE_FILES = {
+    "bad.sg": "semigroup 2\n0 1\n1 -1\n",
+    "ret.sg": "semigroup 4\n0 1 2 3\n1 1 3 3\n2 3 2 3\n3 3 3 3\nT: 0 2\nretraction: 0 7 2 2\n",
+    "tes.sg": "semigroup 2\n0 1\n1 1\nT: 0 1\nretraction: 0 1\n",
+}
+
+# Runs each argv of the JSON list in argv[1] through main() in this one
+# interpreter and prints [exit code, stdout, stderr] per command as JSON.
+# The collection before stderr is read surfaces a leaked file's
+# ResourceWarning; an exception that escapes main() is stderr output.
+RUN_EACH = """
+import contextlib, gc, io, json, sys, traceback
+from hjlab.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        except BaseException:
+            code = None
+            traceback.print_exc()
+        gc.collect()
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+@pytest.fixture(scope="module")
+def baseline_runs(tmp_path_factory):
+    """Command -> [exit code, stdout, stderr], all commands run in one fresh
+    ``python -X dev -W error`` interpreter."""
+    tmp = tmp_path_factory.mktemp("baseline")
+    for name, text in BASELINE_FILES.items():
+        (tmp / name).write_text(text)
+    argvs = [[word.format(tmp=tmp) for word in shlex.split(cmd)] for cmd, _, _ in BASELINE]
+    runs = json.loads(run_fresh(["-c", RUN_EACH, json.dumps(argvs)]))
+    return {cmd: run for (cmd, _, _), run in zip(BASELINE, runs)}
+
+
+@pytest.mark.parametrize("cmd, code, last", BASELINE, ids=[cmd for cmd, _, _ in BASELINE])
+def test_a_baseline_command_keeps_its_last_line(baseline_runs, cmd, code, last):
+    got, out, err = baseline_runs[cmd]
+    assert (got, err) == (code, "")
+    assert fnmatch.fnmatchcase(out.splitlines()[-1], last), out
+
+
+def test_a_node_budget_stop_reports_the_nodes_searched(baseline_runs):
+    # the nodes searched, not one more
+    _, out, _ = baseline_runs["hj -n 3 -r 2 --max-N 4 --budget-nodes 10"]
+    assert "N=3: BudgetExceeded nodes=10" in out.splitlines()
+
+
+def test_the_entry_point_runs_clean():
+    out = run_fresh(["-m", "hjlab.cli", "hj", "-n", "3", "-r", "2", "--max-N", "4"])
+    assert out.splitlines()[-1] == "HJ(3,2) = 4"

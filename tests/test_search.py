@@ -391,6 +391,16 @@ def test_time_budget_covers_the_watch_list_build():
     assert res.elapsed < 0.5
 
 
+def test_a_spent_budget_stops_before_the_symmetry_build():
+    # the deadline is read once more before the group is built, so a budget
+    # spent on the set-up is not overrun by the build
+    def no_build(cells):
+        pytest.fail("the symmetry group was built past the deadline")
+
+    res = HypergraphSolver(3, [], 2, symmetry=no_build, budget_seconds=0).solve()
+    assert (res.status, res.nodes) == (BUDGET, 0)
+
+
 def test_check_instance_elapsed_covers_the_edge_build():
     # elapsed started with solve(), so it left out a slow edge build
     def slow_edges():

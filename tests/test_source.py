@@ -5,6 +5,8 @@ import inspect
 import pathlib
 import re
 
+import pytest
+
 import hjlab
 
 SRC = pathlib.Path(hjlab.__file__).parent
@@ -172,17 +174,17 @@ def test_every_export_has_a_caller_outside_the_tests():
     assert unread == []
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+def _load_bench(path):
+    spec = importlib.util.spec_from_file_location(f"bench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_layer_resolves():
     """Each (module, attribute path) the benchmark's tracer wraps still
     exists, so a refactor cannot leave a layer unmeasured unnoticed."""
-    tracing = _load_tracing()
+    tracing = _load_bench(TRACING)
     missing = []
     for span, module_name, path, _ in tracing.LAYERS:
         try:
@@ -196,7 +198,7 @@ def test_every_traced_counter_reads_its_result():
     """A few tiny calls through every traced layer: each counter the
     benchmark's tracer takes from a layer's result is read, so a refactor
     that changes a result's type cannot leave a counter uncounted unnoticed."""
-    tracing = _load_tracing()
+    tracing = _load_bench(TRACING)
     tracer = tracing.Tracer()
     restore, unmeasured = tracing.install(tracer)
     try:
@@ -222,6 +224,29 @@ def test_every_traced_counter_reads_its_result():
     assert unmeasured == []
     assert tracer.uncounted == set()
     assert sorted(set(tracing.COUNTER_NAMES) - tracer.counters.keys()) == []
+
+
+@pytest.mark.parametrize("workload", ["hj_lines", "vdw_progressions", "tensor_corpus"])
+def test_a_traced_benchmark_pass_matches_the_golden_record(workload):
+    """One traced pass of a benchmark workload at seed 11, as ``bench/run.py
+    --trace 1`` makes it: every answer, count and certificate digest equals
+    ``bench/golden.json``, no layer is unmeasured, and the layer counters are
+    the golden ones.  The workloads are named here, so that a slow workload
+    added to the benchmark does not join this suite unasked."""
+    tracing, workloads = _load_bench(TRACING), _load_bench(WORKLOADS)
+    golden = workloads.load_golden()
+    # built untraced, as bench/run.py builds them: traced, the corpus
+    # generation would count its semigroups twice
+    inputs = workloads.make_inputs(workload, 11)
+    tracer = tracing.Tracer()
+    restore, unmeasured = tracing.install(tracer)
+    try:
+        p = workloads.run_pass(workload, inputs, tracer)
+    finally:
+        tracing.uninstall(restore)
+    assert unmeasured == []
+    assert workloads.failures(workloads.expected_items(workload, golden), p) == {}
+    assert tracing.counter_block(tracer) == golden["layer_counters"][workload]
 
 
 def test_the_benchmark_calls_still_bind():
