@@ -58,28 +58,29 @@ def _parse_coloring(fields):
 
 
 @dataclass
-class WitnessWordsCertificate:
-    kind = "witness-words"
-    alphabet: int
-    reduction: str  # none | vdw
-    coloring: object  # ModSumColoring | ApResidueColoring | TableColoring
-    witness: tuple
+class _WitnessCertificate:
+    """The fields both witness kinds write after their own head fields."""
+
+    coloring: object  # ModSumColoring | ApResidueColoring | TableColoring; finite: TableColoring
+    witness: object  # a word, or an element index
     images: list
     color: int
     checked: int
 
 
 @dataclass
-class WitnessFiniteCertificate:
+class WitnessWordsCertificate(_WitnessCertificate):
+    kind = "witness-words"
+    alphabet: int
+    reduction: str  # none | vdw
+
+
+@dataclass
+class WitnessFiniteCertificate(_WitnessCertificate):
     kind = "witness-finite"
     table: list  # n rows of n ints
     t_members: list
     retractions: list  # one image row per family member
-    coloring: object  # TableColoring
-    witness: int
-    images: list
-    color: int
-    checked: int
 
 
 @dataclass
@@ -100,39 +101,34 @@ class ColoringCertificate:
 
 def _payload_lines(cert):
     """The lines of ``cert`` that its digest covers, header first."""
+    if not isinstance(cert, (_WitnessCertificate, ColoringCertificate)):
+        raise CertificateError(f"unknown certificate object: {cert!r}")
     lines = [HEADER, f"kind: {cert.kind}"]
+    if isinstance(cert, ColoringCertificate):
+        return lines + [
+            *(f"{name}: {value}" for name, value in zip(INSTANCE_FIELDS[cert.family], cert.params)),
+            f"colors: {cert.r}",
+            "assignment: " + " ".join(str(c) for c in cert.assignment),
+            f"nodes: {cert.nodes}",
+        ]
     if isinstance(cert, WitnessWordsCertificate):
-        lines.append(f"alphabet: {cert.alphabet}")
-        lines.append("variables: 1")  # words have the one variable x
-        lines.append(f"reduction: {cert.reduction}")
-        lines += _render_coloring(cert.coloring)
-        lines.append(f"witness: {format_word(cert.witness)}")
-        lines.append("images: " + " ".join(format_word(w) for w in cert.images))
-        lines.append(f"color: {cert.color}")
-        lines.append(f"checked: {cert.checked}")
-    elif isinstance(cert, WitnessFiniteCertificate):
+        # words have the one variable x
+        lines += [f"alphabet: {cert.alphabet}", "variables: 1", f"reduction: {cert.reduction}"]
+        show = format_word
+    else:
         lines.append(f"order: {len(cert.table)}")
         lines += ["row: " + " ".join(str(x) for x in row) for row in cert.table]
         lines.append("subset: " + " ".join(str(x) for x in cert.t_members))
         lines += [
             "retraction: " + " ".join(str(x) for x in row) for row in cert.retractions
         ]
-        lines += _render_coloring(cert.coloring)
-        lines.append(f"witness: {cert.witness}")
-        lines.append("images: " + " ".join(str(x) for x in cert.images))
-        lines.append(f"color: {cert.color}")
-        lines.append(f"checked: {cert.checked}")
-    elif isinstance(cert, ColoringCertificate):
-        lines += [
-            f"{name}: {value}"
-            for name, value in zip(INSTANCE_FIELDS[cert.family], cert.params)
-        ]
-        lines.append(f"colors: {cert.r}")
-        lines.append("assignment: " + " ".join(str(c) for c in cert.assignment))
-        lines.append(f"nodes: {cert.nodes}")
-    else:
-        raise CertificateError(f"unknown certificate object: {cert!r}")
-    return lines
+        show = str
+    return lines + _render_coloring(cert.coloring) + [
+        f"witness: {show(cert.witness)}",
+        "images: " + " ".join(show(w) for w in cert.images),
+        f"color: {cert.color}",
+        f"checked: {cert.checked}",
+    ]
 
 
 def render_certificate(cert):
@@ -181,31 +177,20 @@ def parse_certificate(text):
         if kind == "witness-words":
             if int(_one(fields, "variables")) != 1:
                 raise CertificateError("a witness-words certificate has one variable")
-            cert = WitnessWordsCertificate(
-                alphabet=int(_one(fields, "alphabet")),
-                reduction=_one(fields, "reduction"),
-                coloring=_parse_coloring(fields),
-                witness=parse_word(_one(fields, "witness")),
-                images=[parse_word(t) for t in _one(fields, "images").split()],
-                color=int(_one(fields, "color")),
-                checked=int(_one(fields, "checked")),
-            )
+            cls, read = WitnessWordsCertificate, parse_word
+            head = dict(alphabet=int(_one(fields, "alphabet")), reduction=_one(fields, "reduction"))
         elif kind == "witness-finite":
             order = int(_one(fields, "order"))
             rows = [[int(x) for x in ln.split()] for ln in fields.pop("row", [])]
             if len(rows) != order:
                 raise CertificateError("row count does not match order")
-            cert = WitnessFiniteCertificate(
+            cls, read = WitnessFiniteCertificate, int
+            head = dict(
                 table=rows,
                 t_members=[int(x) for x in _one(fields, "subset").split()],
                 retractions=[
                     [int(x) for x in ln.split()] for ln in fields.pop("retraction", [])
                 ],
-                coloring=_parse_coloring(fields),
-                witness=int(_one(fields, "witness")),
-                images=[int(x) for x in _one(fields, "images").split()],
-                color=int(_one(fields, "color")),
-                checked=int(_one(fields, "checked")),
             )
         elif kind.endswith("-coloring") and family in INSTANCE_FIELDS:
             cert = ColoringCertificate(
@@ -217,6 +202,15 @@ def parse_certificate(text):
             )
         else:
             raise CertificateError(f"unknown certificate kind {kind!r}")
+        if kind.startswith("witness-"):  # the fields both witness kinds share
+            cert = cls(
+                **head,
+                coloring=_parse_coloring(fields),
+                witness=read(_one(fields, "witness")),
+                images=[read(t) for t in _one(fields, "images").split()],
+                color=int(_one(fields, "color")),
+                checked=int(_one(fields, "checked")),
+            )
     except CertificateError:
         raise
     except (HjlabError, ValueError) as e:
@@ -235,8 +229,8 @@ def parse_certificate(text):
 
 
 def _words_claim(cert):
-    """The carrier test, family and image coloring of a witness-words claim:
-    reduction none colors the image words, vdw their digit sums."""
+    """The carrier test, family, image coloring and image count of a
+    witness-words claim; a word of R has one image per letter."""
     if cert.reduction == "none":
         require_fit(cert.coloring, "words")
         color_of = cert.coloring.color_of
@@ -246,28 +240,28 @@ def _words_claim(cert):
     else:
         raise VerificationError(f"unknown reduction {cert.reduction!r}")
     ws = WordSemigroup(cert.alphabet)
-    return ws.valid_word, substitution_family(ws), color_of
+    return ws.valid_word, substitution_family(ws), color_of, cert.alphabet
 
 
 def _finite_claim(cert):
-    """The carrier test, family and image coloring of a witness-finite claim."""
+    """The same four for a witness-finite claim, whose image count varies."""
     require_fit(cert.coloring, "semigroup elements")
     S = FiniteSemigroup(cert.table)
     family = RetractionFamily(SubsetQuery.from_members(S, cert.t_members), cert.retractions)
-    return (lambda v: 0 <= v < S.order), family, cert.coloring.color_of
+    return (lambda v: 0 <= v < S.order), family, cert.coloring.color_of, None
 
 
-def _verify_witness(cert, in_carrier, family, color_of):
+def _verify_witness(cert, in_carrier, family, color_of, image_count):
     """The witness claim: the witness lies in R, its recomputed images are
-    the stated ones, and they all have the stated color."""
+    the stated ones, and they all have the stated color.  Listing the images
+    takes time in ``image_count``, so a list of another length fails first."""
     if not in_carrier(cert.witness):
         return False, "witness is outside the carrier"
     if family.view.contains(cert.witness):
         return False, "witness lies in T (must be in R)"
-    images = family.images(cert.witness)
-    if images != cert.images:
+    if image_count not in (None, len(cert.images)) or family.images(cert.witness) != cert.images:
         return False, "stated images differ from the recomputed retraction images"
-    colors = {color_of(x) for x in images}
+    colors = {color_of(x) for x in cert.images}
     if colors != {cert.color}:
         return False, f"image colors {sorted(colors)} do not match color {cert.color}"
     return True, "ok"
@@ -315,29 +309,21 @@ def save_certificate(cert, path):
 # -- builders used by the CLI and tests ----------------------------------
 
 
+def _witness_certificate(cls, coloring, outcome, **head):
+    return cls(**head, coloring=coloring, witness=outcome.witness, images=list(outcome.images),
+               color=outcome.color, checked=outcome.checked)
+
+
 def words_witness_certificate(ws, coloring, outcome, reduction="none"):
-    return WitnessWordsCertificate(
-        alphabet=ws.alphabet_size,
-        reduction=reduction,
-        coloring=coloring,
-        witness=outcome.witness,
-        images=list(outcome.images),
-        color=outcome.color,
-        checked=outcome.checked,
-    )
+    return _witness_certificate(WitnessWordsCertificate, coloring, outcome,
+                                alphabet=ws.alphabet_size, reduction=reduction)
 
 
 def finite_witness_certificate(S, family, coloring, outcome):
-    return WitnessFiniteCertificate(
-        table=[[int(x) for x in row] for row in S.table],
-        t_members=family.view.members(),
-        retractions=family.maps.tolist(),
-        coloring=coloring,
-        witness=outcome.witness,
-        images=list(outcome.images),
-        color=outcome.color,
-        checked=outcome.checked,
-    )
+    return _witness_certificate(WitnessFiniteCertificate, coloring, outcome,
+                                table=[[int(x) for x in row] for row in S.table],
+                                t_members=family.view.members(),
+                                retractions=family.maps.tolist())
 
 
 def coloring_certificate(inst, result):

@@ -25,8 +25,14 @@ from hjlab import (
     word_witness_search,
     words_witness_certificate,
 )
-from hjlab.certificates import ColoringCertificate, parse_certificate, verify_certificate
+from hjlab.certificates import (
+    ColoringCertificate,
+    WitnessWordsCertificate,
+    parse_certificate,
+    verify_certificate,
+)
 from hjlab.errors import CertificateError
+from hjlab.words import DiagonalFamily, parse_word
 
 
 def words_cert():
@@ -205,6 +211,33 @@ def test_an_hj_assignment_far_short_of_n_to_the_N_fails_fast():
     assert time.perf_counter() - start < 0.5
     assert not ok and msg.startswith("verification error: ") and "byte bound" in msg
     assert "digits" not in msg and str(10**7) not in msg
+
+
+@pytest.mark.parametrize("witness,message", [
+    ("x", "stated images differ from the recomputed retraction images"),
+    ("0", "witness lies in T (must be in R)"),
+])
+def test_a_huge_alphabet_with_few_images_fails_before_any_image(monkeypatch, witness, message):
+    # a word of R has one image per letter, so two stated images cannot be
+    # the 4000000 of a variable word; listing them took seconds and 512 MB,
+    # and the earlier clauses still come first
+    def listed(self, word):
+        raise AssertionError("the images were listed")
+
+    monkeypatch.setattr(DiagonalFamily, "images", listed)
+    cert = WitnessWordsCertificate(
+        coloring=ModSumColoring(2), witness=parse_word(witness), images=[(0,), (1,)],
+        color=0, checked=1, alphabet=4_000_000, reduction="none",
+    )
+    text = render_certificate(cert)
+    assert len(text.encode()) == 223
+    assert verify_certificate_text(text) == (False, message)
+
+
+def test_an_unknown_object_is_no_certificate():
+    with pytest.raises(CertificateError, match="^unknown certificate object: "):
+        render_certificate(object())
+    assert verify_certificate(object()) == (False, "unknown certificate object")
 
 
 def test_reduction_field_drives_the_recheck():
