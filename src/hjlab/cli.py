@@ -51,7 +51,7 @@ from .search import (
     word_witness_search,
 )
 from .tableio import parse_semigroup_file
-from .ultra import PRODUCT_LAW_BOUND, check_agreement_equivalence
+from .ultra import PRODUCT_LAW_BOUND, _agreement_colors, check_agreement_equivalence
 from .words import WordSemigroup, format_word, substitution_family
 
 EXIT_OK = 0
@@ -191,7 +191,9 @@ def cmd_number(args):
 
 
 def cmd_ultra_lemma2(args):
-    S, view, family = _load_structures(parse_semigroup_file(args.semigroup), need_family=True)
+    parsed = parse_semigroup_file(args.semigroup)
+    _agreement_colors(parsed.order, args.colors)  # before any table is built or checked
+    S, view, family = _load_structures(parsed, need_family=True)
     report = check_agreement_equivalence(S, family, args.colors)
     R = view.complement()  # the constant coloring's first witness is R's least point
     if report.a_holds:

@@ -70,7 +70,7 @@ BUDGET = "budget"
 
 # the largest edge array LineHypergraph.build or ap_edges allocates, checked
 # first: 2^27 bytes (128 MiB) holds the 4.0M lines of [3]^11 (97 MB) or the
-# 4.0M 3-term progressions in [1..4000] (96 MB); a build peaks at 2-5 times it
+# 4.0M 3-term progressions in [1..4000] (96 MB); a build peaks at 2-3.1 times it
 EDGE_BYTES_LIMIT = 1 << 27
 
 
@@ -92,7 +92,7 @@ class LineHypergraph:
     """Vertices are the n^N constant words (base-n encoded); edges are the
     combinatorial lines, one row per one-variable word of length N in
     lexicographic word order (letters before x): column a holds its image
-    under sigma_a, computed for every word and every a at once."""
+    under sigma_a, from two codes per word that are composed place by place."""
 
     edges: np.ndarray  # (lines, n)
 
@@ -101,19 +101,17 @@ class LineHypergraph:
         n = _integer(n, InvalidInstance, "n", least=2)
         N = _integer(N, InvalidInstance, "N", least=1)
         _check_line_bytes(n, N)
-        # the words over the letters and x = n, in lexicographic order, are
-        # the base-(n+1) codes 0, 1, 2, ...; the lines are those with an x.
-        # Base-n coded, sigma_a(w) = c(w) + a * m(w): c sums the place values
-        # of w's letters, m those of its x's.
-        words = np.arange((n + 1) ** N, dtype=np.int64)
-        c, m = np.zeros_like(words), np.zeros_like(words)
-        for place in range(N):
-            digit = words // (n + 1) ** place % (n + 1)
-            is_x = digit == n
-            c += np.where(is_x, 0, digit) * n ** place
-            m += is_x * n ** place
-        lines = m > 0
-        return cls(c[lines, None] + m[lines, None] * np.arange(n))
+        # Base-n coded, sigma_a(w) = c(w) + a * m(w): c sums the place values of
+        # w's letters, m those of its x's.  One outer sum per place, leading place
+        # first, lists them for the words over the letters and x in lex order.
+        c = m = np.zeros(1, dtype=np.int64)
+        for weight in n ** np.arange(N - 1, -1, -1, dtype=np.int64):
+            c = np.add.outer(c, np.append(np.arange(n) * weight, 0)).ravel()
+            m = np.add.outer(m, np.append(np.zeros(n, dtype=np.int64), weight)).ravel()
+        lines = m > 0  # the words with an x
+        edges = m[lines, None] * np.arange(n)
+        edges += c[lines, None]
+        return cls(edges)
 
 
 def ap_edges(k, M):
@@ -125,7 +123,7 @@ def ap_edges(k, M):
     D = (M - 1) // (k - 1)
     _check_edge_bytes(D * M - (k - 1) * D * (D + 1) // 2, k)
     terms = np.arange(k, dtype=np.int64)
-    blocks = [np.arange(M - (k - 1) * d)[:, None] + d * terms for d in range(1, M)]
+    blocks = [np.arange(M - (k - 1) * d)[:, None] + d * terms for d in range(1, D + 1)]
     return np.concatenate([np.empty((0, k), dtype=np.int64), *blocks])
 
 

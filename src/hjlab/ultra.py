@@ -155,7 +155,7 @@ def translates(B, tables, k):
     B and every s₁, ..., s_{k-1}, one new carrier axis per s before the axis u.
     ``tables`` is one Cayley table, or a stack of them, one per map column of
     the result; each level is the full preimage under the table read as a
-    map on S×S."""
+    map on S×S; of the cell indices, it is the table of k-fold products."""
     n = np.shape(tables)[-1]
     pairs = np.reshape(tables, (-1, n * n))
     for _ in range(k - 1):
@@ -263,7 +263,9 @@ def tensor_power_failures(S, maps, k, owner=None):
     h(V) are evaluated by their defining formulas (full preimage, translate
     and section sets at every level, for every subset); each side must
     agree on every subset with its principal point, h(v^k) or h(v)^k, or
-    VerificationError names it.  The stack is evaluated in chunks, every
+    VerificationError names it.  Both points and h(v₁*...*v_k) are read from
+    each semigroup's one table of k-fold products, ``translates`` of the cell
+    indices.  The stack is evaluated in chunks, every
     point of S at once; each chunk builds its maps' semigroups' translate
     sets, one column each, read in place, and holds them and its largest
     intermediate in about CHUNK_BYTES.  The order n is bounded by
@@ -289,10 +291,8 @@ def tensor_power_failures(S, maps, k, owner=None):
         owner, CarrierMismatch, "owner", (len(maps),), below=len(semigroups)
     )
     tables = np.stack([other.table for other in semigroups])
-    words = np.indices((n,) * k).reshape(k, -1)
-    folds = words[0]
-    for w in words[1:]:  # (G, n^k): w₁*...*w_k over S^k, for every semigroup
-        folds = tables[np.arange(len(tables))[:, None], folds, w]
+    # (G, n^k): w₁*...*w_k for every word w of S^k, row-major, in every semigroup
+    folds = translates(np.arange(n)[:, None, None, None], tables, k).reshape(n ** k, -1).T
     bits = subset_bits(n)
     diagonal = np.arange(n) * sum(n ** i for i in range(k))  # the word (v, ..., v)
     step = max(1, CHUNK_BYTES // map_chunk_bytes(n, k))
@@ -304,9 +304,7 @@ def tensor_power_failures(S, maps, k, owner=None):
         groups, group_of = np.unique(own, return_inverse=True)
         T = translates(bits, tables[groups], k)  # one column per semigroup
         rhs = product_member(T, h, (None,) * k, column=group_of)
-        image_at, power = hw[:, diagonal], h
-        for _ in range(k - 1):  # h(v)^k, through each map's own table
-            power = tables[own[:, None], h, power]
+        image_at, power = hw[:, diagonal], folds[own[:, None], diagonal[h]]  # h(v^k), h(v)^k
         for side, rows, point in (("image", lhs, image_at), ("product", rhs, power)):
             if not np.array_equal(rows, bits[point, 0, 0]):
                 raise VerificationError(f"tensor-power {side} law failed a subset check")
@@ -418,32 +416,34 @@ class AgreementEquivalenceReport:
         return self.a_holds == self.b_holds
 
 
+def _agreement_colors(order, r):
+    """r, once the agreement equivalence admits r colors at ``order``."""
+    r = _integer(r, InvalidInstance, "r", least=1)
+    if order > AGREEMENT_MAX_ORDER:
+        raise SearchSpaceTooLarge(f"order {order} exceeds {AGREEMENT_MAX_ORDER}")
+    if r > AGREEMENT_MAX_COLORS:
+        raise SearchSpaceTooLarge(f"{r} colors exceed {AGREEMENT_MAX_COLORS}")
+    return r
+
+
 def check_agreement_equivalence(S, family, r):
     """Exhaustively compare statements (a) and (b) above on a finite S of
     order up to AGREEMENT_MAX_ORDER, with up to AGREEMENT_MAX_COLORS colors.
 
     (a) runs the witness scan of ``search.finite_witness_search`` on every
     r-coloring of T in turn, up to the first that has no witness."""
-    r = _integer(r, InvalidInstance, "r", least=1)
-    if S.order > AGREEMENT_MAX_ORDER:
-        raise SearchSpaceTooLarge(f"order {S.order} exceeds {AGREEMENT_MAX_ORDER}")
-    if r > AGREEMENT_MAX_COLORS:
-        raise SearchSpaceTooLarge(f"{r} colors exceed {AGREEMENT_MAX_COLORS}")
+    r = _agreement_colors(S.order, r)
     keys = [TableColoring.key_for(t) for t in family.view.members()]
-    a_holds = True
-    a_counterexample = None
-    checked = 0
-    for coloring in iproduct(range(r), repeat=len(keys)):
-        checked += 1
+    a_counterexample, checked = None, 0
+    for checked, coloring in enumerate(iproduct(range(r), repeat=len(keys)), 1):
         if finite_witness_search(family, TableColoring(zip(keys, coloring), r=r)).witness is None:
-            a_holds = False
             a_counterexample = coloring
             break
 
     b_in_r = find_agreement_ultrafilter(S, family)
     return AgreementEquivalenceReport(
         r=r,
-        a_holds=a_holds,
+        a_holds=a_counterexample is None,
         a_counterexample=a_counterexample,
         b_point_in_r=None if b_in_r is None else b_in_r.point,
         colorings_checked=checked,

@@ -413,6 +413,22 @@ def test_ultra_lemma2_rejects_fewer_than_one_color(flag2, colors, capsys):
     assert out.startswith("error: ") and out.count("\n") == 1
 
 
+def test_ultra_lemma2_refuses_an_order_past_the_bound_before_building_the_table(
+        tmp_path, monkeypatch, capsys):
+    # a valid order-11 setting: the max semigroup, T = {0}, one retraction onto it
+    rows = [[max(a, b) for b in range(11)] for a in range(11)]
+    path = tmp_path / "max11.sg"
+    path.write_text(format_semigroup_file(FiniteSemigroup(rows)) + "T: 0\nretraction: "
+                    + " ".join(["0"] * 11) + "\n")
+
+    def no_table(*args, **kwargs):
+        raise RuntimeError("the table was built")
+
+    monkeypatch.setattr(cli, "FiniteSemigroup", no_table)
+    assert main(["ultra", "lemma2", "--semigroup", str(path)]) == 2
+    assert capsys.readouterr() == ("error: order 11 exceeds 10\n", "")
+
+
 def test_ultra_lemma2_with_t_equal_to_s(tmp_path, capsys):
     # R is empty, so both statements fail and they agree
     path = tmp_path / "ts.sg"

@@ -31,6 +31,21 @@ def test_no_assert_survives_python_O():
     assert found == []
 
 
+def test_every_file_parses_at_the_declared_python_floor():
+    """Every ``.py`` file of the package, the tests, the benchmark and the
+    demos parses as the oldest Python that ``requires-python`` admits, so
+    syntax that is newer (``except*``, PEP 695 type parameters on 3.10) fails
+    here too.  Only syntax is checked: a library call that exists only from
+    3.11 on is not caught."""
+    declared = (ROOT / "pyproject.toml").read_text()
+    floor = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', declared).groups()))
+    paths = [path for part in ("src", "tests", "bench", "demos")
+             for path in sorted((ROOT / part).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)
+
+
 def _package_imports(path):
     """Package modules that ``path`` imports, at any depth of its body."""
     names = set()
